@@ -298,9 +298,11 @@ def poincare_constant(
         lam = np.inf
         res = np.inf
         iters = 0
+        inner_ok = True
         for k in range(max_iter):
             b = np.where(mask, wv * u, 0.0)
-            v, _, _ = _cg_plain(T, prec, b, tol=1e-12, max_iter=4000)
+            v, _, ok = _cg_plain(T, prec, b, tol=1e-12, max_iter=4000)
+            inner_ok = inner_ok and ok
             v = np.where(mask, v, 0.0)
             v /= np.sqrt(np.sum(wv * v * v))
             Tv = T(v)
@@ -318,7 +320,7 @@ def poincare_constant(
             eigenvalue=lam,
             residual=res,
             iterations=iters,
-            converged=res < tol,
+            converged=res < tol and inner_ok,
             method="inverse_power_cg",
         )
     # general p: refine the best Rayleigh ratio by projected descent
@@ -343,13 +345,13 @@ def poincare_constant(
             best = ui
     if best is None:
         raise ValueError("no usable family member inside the mask")
-    u, ratio, iters = _rayleigh_descent(grid, mask, s, p, wv, best, max_iter)
+    u, ratio, iters, stopped = _rayleigh_descent(grid, mask, s, p, wv, best, max_iter)
     return PoincareEstimate(
         constant=max(1.0 / ratio, family_max),
         eigenvalue=None,
         residual=float("nan"),
         iterations=iters,
-        converged=True,
+        converged=stopped,
         method="rayleigh_descent",
     )
 
@@ -386,7 +388,11 @@ def _cg_plain(apply_K, prec, b, tol, max_iter):
 
 
 def _rayleigh_descent(grid, mask, s, p, wv, u0, max_iter):
-    """Minimize ||grad^s u||_{p,w} / ||u||_{p,w} over interior-supported u."""
+    """Minimize ||grad^s u||_{p,w} / ||u||_{p,w} over interior-supported u.
+
+    Returns (u, ratio, iterations, stopped); ``stopped`` is True when the
+    descent ended because no step improved the ratio or the gradient
+    vanished, False when it ran out of iterations."""
     hn = grid.h**grid.spec.n
     syms = [
         fo.lattice_symbol(grid, "riesz_gradient", s, component=j)
@@ -427,7 +433,7 @@ def _rayleigh_descent(grid, mask, s, p, wv, u0, max_iter):
     for k in range(max_iter):
         gn2 = float(np.sum(G * G))
         if gn2 == 0.0:
-            break
+            return u, R, iters, True
         tt = t
         improved = False
         while tt > 1e-14:
@@ -443,8 +449,8 @@ def _rayleigh_descent(grid, mask, s, p, wv, u0, max_iter):
             tt *= 0.5
         iters = k + 1
         if not improved:
-            break
-    return u, R, iters
+            return u, R, iters, True
+    return u, R, iters, False
 
 
 def gn_report(

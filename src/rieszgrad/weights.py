@@ -10,6 +10,14 @@ standard three-lattice surrogate for the supremum over all cubes).  Cube
 averages are grid quadrature restricted to the cube; any weight sample
 coinciding with a singular point is evaluated at distance h/2 instead.
 
+The family is swept one tiling at a time: a level's aligned cubes, then its
+half-shifted ones.  Along each axis a tiling is a run of index ranges
+[lo, hi) of the grid points inside the cubes, so the sums over every cube of
+the tiling are direct sums of positive samples (``np.add.reduceat`` along
+each axis in turn), accurate to rounding even for weights spanning many
+orders of magnitude.  A cube whose sum is non-positive or non-finite, or
+whose term is NaN, raises instead of dropping out of the supremum.
+
 Power weights |x - x0|^alpha belong to A_p exactly for -n < alpha < n(p-1);
 distance weights d(x, M)^alpha for a k-dimensional set M require
 -(n-k) < alpha < (n-k)(p-1).  The constructors record that membership flag
@@ -19,6 +27,7 @@ behaviour.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,13 +114,16 @@ def distance_weight(
         raise ValueError(f"manifold dimension must be in [0, {grid.spec.n})")
     coords = grid.coords()
     stacked = np.stack([c.ravel() for c in coords], axis=1)  # (P, n)
-    # chunked min-distance scan keeps memory at chunk * len(M)
+    # chunked min-distance scan keeps memory at chunk * len(M); squared
+    # distances accumulate one axis at a time, in the order of a sum over axes
     dist = np.empty(stacked.shape[0])
-    step = max(1, 2**22 // max(1, pts.shape[0]))
+    step = max(1, 2**18 // pts.shape[0])
     for start in range(0, stacked.shape[0], step):
-        stop = min(start + step, stacked.shape[0])
-        d = stacked[start:stop, None, :] - pts[None, :, :]
-        dist[start:stop] = np.sqrt(np.min(np.sum(d * d, axis=2), axis=1))
+        chunk = stacked[start:start + step]
+        sq = (chunk[:, 0, None] - pts[None, :, 0]) ** 2
+        for d in range(1, grid.spec.n):
+            sq += (chunk[:, d, None] - pts[None, :, d]) ** 2
+        dist[start:start + step] = np.sqrt(np.min(sq, axis=1))
     vals = _nudged(dist.reshape(grid.spec.shape), grid.h) ** alpha
     codim = grid.spec.n - k
     member = -codim < alpha < codim * (p - 1.0)
@@ -164,8 +176,10 @@ class CubeFamily:
     def with_levels(self, level_max: int) -> "CubeFamily":
         return CubeFamily(self.lo, self.size, self.level_min, level_max, self.shifted)
 
-    def cubes(self, grid: Grid):
-        """All (corner, edge) cubes of the family lying inside the grid box."""
+    def tilings(self, grid: Grid):
+        """Yield (edge, corners) per tiling, in family order: level by level,
+        aligned cubes before half-shifted ones.  ``corners[d]`` holds the
+        cube corners along axis d; the tiling is their product in C order."""
         n = len(self.lo)
         if n != grid.spec.n:
             raise ValueError("cube family dimension does not match grid")
@@ -175,25 +189,24 @@ class CubeFamily:
         for d in range(n):
             if self.lo[d] < gl[d] - tol or self.lo[d] + self.size > gh[d] + tol:
                 raise ValueError("bounding box must lie inside the grid box")
-        out = []
         for lev in range(self.level_min, self.level_max + 1):
-            m = 2**lev
-            edge = self.size / m
-            for idx in np.ndindex(*(m,) * n):
-                corner = tuple(self.lo[d] + idx[d] * edge for d in range(n))
-                out.append((corner, edge))
+            idx = np.arange(2**lev)
+            edge = self.size / 2**lev
+            yield edge, [self.lo[d] + idx * edge for d in range(n)]
             if self.shifted:
-                for idx in np.ndindex(*(m,) * n):
-                    corner = tuple(
-                        self.lo[d] + (idx[d] + 0.5) * edge for d in range(n)
-                    )
-                    if all(
-                        corner[d] >= gl[d] - tol
-                        and corner[d] + edge <= gh[d] + tol
-                        for d in range(n)
-                    ):
-                        out.append((corner, edge))
-        return out
+                corners = []
+                for d in range(n):
+                    c = self.lo[d] + (idx + 0.5) * edge
+                    corners.append(c[(c >= gl[d] - tol) & (c + edge <= gh[d] + tol)])
+                yield edge, corners
+
+    def cubes(self, grid: Grid):
+        """All (corner, edge) cubes of the family lying inside the grid box."""
+        return [
+            (corner, edge)
+            for edge, corners in self.tilings(grid)
+            for corner in itertools.product(*(c.tolist() for c in corners))
+        ]
 
     def describe(self) -> dict:
         return {
@@ -225,66 +238,63 @@ class CubeEstimate:
         }
 
 
-def _prefix_sum(values: np.ndarray) -> np.ndarray:
-    p = values
-    for axis in range(values.ndim):
-        p = np.cumsum(p, axis=axis)
-    return np.pad(p, [(1, 0)] * values.ndim)
-
-
-def _block_sum(prefix: np.ndarray, i0, i1) -> float:
-    """Sum over the index block [i0, i1) from an inclusive prefix array."""
-    n = prefix.ndim
-    total = 0.0
-    for corner in np.ndindex(*(2,) * n):
-        idx = tuple(i1[d] if corner[d] else i0[d] for d in range(n))
-        total += (-1.0) ** (n - sum(corner)) * prefix[idx]
-    return total
-
-
-def _cube_indices(grid: Grid, corner, edge):
-    """Half-open index ranges of grid points inside [corner, corner+edge)."""
-    n = grid.spec.n
+def _axis_ranges(grid: Grid, axis: int, corners: np.ndarray, edge: float):
+    """Half-open index ranges [lo, hi) of the grid points inside the cubes
+    [corner, corner + edge) along one axis, clipped to the grid."""
     h = grid.h
     tol = 1e-9 * h
-    i0, i1 = [], []
-    for d in range(n):
-        o = grid.spec.origin[d]
-        lo = int(np.ceil((corner[d] - o) / h - tol))
-        hi = int(np.ceil((corner[d] + edge - o) / h - tol))
-        lo = max(lo, 0)
-        hi = min(hi, grid.spec.N)
-        if hi <= lo:
-            return None
-        i0.append(lo)
-        i1.append(hi)
-    return i0, i1
+    o = grid.spec.origin[axis]
+    lo = np.ceil((corners - o) / h - tol).astype(np.intp)
+    hi = np.ceil((corners + edge - o) / h - tol).astype(np.intp)
+    return np.maximum(lo, 0), np.minimum(hi, grid.spec.N)
+
+
+def _cube_at(corners, flat: int, edge: float):
+    """The (corner, edge) cube at a C-order index of a tiling."""
+    at = np.unravel_index(flat, tuple(len(c) for c in corners))
+    return tuple(float(c[i]) for c, i in zip(corners, at)), edge
 
 
 def _family_sup(grid: Grid, arrays, term, cubes: CubeFamily):
-    """Maximize term(counts, sums...) over the family; arrays are summed per cube."""
-    prefixes = [_prefix_sum(a) for a in arrays]
+    """Maximize term(counts, sums, edge) over the family, one tiling at a
+    time; arrays are summed per cube and the first maximal cube wins."""
+    n = grid.spec.n
+    # a trailing zero keeps the end index N of a range valid for reduceat
+    padded = [np.pad(a, [(0, 1)] * n) for a in arrays]
     best = -np.inf
     best_cube = None
-    cube_list = cubes.cubes(grid)
-    if not cube_list:
-        raise ValueError("cube family is empty")
-    found = False
-    for corner, edge in cube_list:
-        rng = _cube_indices(grid, corner, edge)
-        if rng is None:
+    for edge, corners in cubes.tilings(grid):
+        kept, bounds, count = [], [], 1
+        for d in range(n):
+            lo, hi = _axis_ranges(grid, d, corners[d], edge)
+            keep = hi > lo  # cubes holding no grid point drop out
+            lo, hi = lo[keep], hi[keep]
+            kept.append(corners[d][keep])
+            # reduceat segment 2k sums [lo_k, hi_k); odd segments are discarded
+            bounds.append(np.stack([lo, hi], axis=1).ravel())
+            count = np.multiply.outer(count, hi - lo)
+        if count.size == 0:
             continue
-        i0, i1 = rng
-        count = 1
-        for d in range(grid.spec.n):
-            count *= i1[d] - i0[d]
-        sums = [_block_sum(p, i0, i1) for p in prefixes]
-        val = term(count, sums, edge)
-        found = True
-        if val > best:
-            best = val
-            best_cube = (corner, edge)
-    if not found:
+        sums = []
+        for a in padded:
+            for d in range(n):
+                a = np.add.reduceat(a, bounds[d], axis=d)
+                a = a[(slice(None),) * d + (slice(None, None, 2),)]
+            bad = ~((a > 0.0) & (a < np.inf))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"cube {_cube_at(kept, k, edge)} has "
+                                 f"non-positive or non-finite sum {a.flat[k]}")
+            sums.append(a)
+        vals = term(count, sums, edge)
+        nan = np.isnan(vals)
+        if nan.any():
+            raise ValueError(
+                f"cube {_cube_at(kept, int(np.argmax(nan)), edge)} gives a NaN term")
+        k = int(np.argmax(vals))
+        if vals.flat[k] > best:
+            best, best_cube = vals.flat[k], _cube_at(kept, k, edge)
+    if best_cube is None:
         raise ValueError("no cube in the family contains a grid point")
     return best, best_cube
 
@@ -389,9 +399,11 @@ def weighted_measure(w: Weight, region) -> float:
             raise ValueError("mask shape does not match grid")
         return float(hn * np.sum(w.values[region]))
     corner, edge = region
-    rng = _cube_indices(grid, tuple(float(c) for c in np.atleast_1d(corner)), edge)
-    if rng is None:
-        return 0.0
-    i0, i1 = rng
-    sl = tuple(slice(a, b) for a, b in zip(i0, i1))
-    return float(hn * np.sum(w.values[sl]))
+    corner = np.atleast_1d(np.asarray(corner, dtype=np.float64))
+    sl = []
+    for d in range(grid.spec.n):
+        lo, hi = _axis_ranges(grid, d, corner[d], edge)
+        if hi <= lo:
+            return 0.0
+        sl.append(slice(int(lo), int(hi)))
+    return float(hn * np.sum(w.values[tuple(sl)]))

@@ -141,6 +141,29 @@ class TestPoincare:
             gn = lp_norm(fo.riesz_gradient(u, 0.5), 2.0, w)
             assert un <= est.constant * gn * (1.0 + 1e-8)
 
+    def test_descent_cut_at_max_iter_not_converged(self):
+        g = grid1(N=256, L=2.0)
+        x = g.axes[0]
+        mask = (x >= 0.75) & (x <= 1.25)
+        est = iq.poincare_constant(g, mask, 0.5, 3.0, max_iter=5)
+        assert est.method == "rayleigh_descent"
+        assert est.iterations == 5
+        assert est.converged is False
+
+    def test_failed_inner_cg_not_converged(self, monkeypatch):
+        # the inner solves are exact but flagged as failed: the outer
+        # iteration still meets its tolerance, and the estimate must not
+        # claim convergence
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        mask = (x >= 0.75) & (x <= 1.25)
+        assert iq.poincare_constant(g, mask, 0.5, 2.0).converged
+        cg = iq._cg_plain
+        monkeypatch.setattr(iq, "_cg_plain", lambda *a, **k: (*cg(*a, **k)[:2], False))
+        est = iq.poincare_constant(g, mask, 0.5, 2.0)
+        assert est.residual < 1e-8
+        assert est.converged is False
+
 
 class TestGagliardoNirenberg:
     def test_endpoint_r_equals_s(self):

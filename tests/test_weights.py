@@ -320,3 +320,151 @@ def test_cube_family_validation():
     standard = [c for c in cubes if not any(
         abs((c[0][0] + 1.0) / c[1] % 1.0 - 0.5) < 1e-9 for _ in (0,))]
     assert len(cubes) == (1 + 2 + 4) + (0 + 1 + 3)
+
+
+# ---------------------------------------------------------------------------
+# The tiling engine against a per-cube reference loop
+# ---------------------------------------------------------------------------
+
+
+def _cube_slices(grid, corner, edge):
+    """Index slices of the grid points in [corner, corner + edge), or None."""
+    h = grid.h
+    out = []
+    for d in range(grid.spec.n):
+        o = grid.spec.origin[d]
+        lo = max(int(np.ceil((corner[d] - o) / h - 1e-9 * h)), 0)
+        hi = min(int(np.ceil((corner[d] + edge - o) / h - 1e-9 * h)), grid.spec.N)
+        if hi <= lo:
+            return None
+        out.append(slice(lo, hi))
+    return tuple(out)
+
+
+def _brute_sup(grid, arrays, term, fam):
+    """Reference supremum: one np.sum per cube, in CubeFamily.cubes() order,
+    the first maximal cube kept."""
+    best, best_cube = -np.inf, None
+    for corner, edge in fam.cubes(grid):
+        sl = _cube_slices(grid, corner, edge)
+        if sl is None:
+            continue
+        count = int(np.prod([s.stop - s.start for s in sl]))
+        val = term(count, [float(np.sum(a[sl])) for a in arrays], edge)
+        if val > best:
+            best, best_cube = val, (corner, edge)
+    return best, best_cube
+
+
+def _ap_term(p):
+    return lambda c, sums, e: (sums[0] / c) * (sums[1] / c) ** (p - 1.0)
+
+
+#: the engine and the reference sum each cube in another order
+SUM_ORDER_RTOL = 1e-12
+
+
+class TestTilingEngine:
+    # (n, N, L, family): a box offset from the grid origin whose shifted
+    # cubes run off the grid, level_min > 0, and levels finer than h
+    CASES = [
+        (1, 64, 2.0, dict(lo=(-0.35,), size=1.35, level_min=0, level_max=8)),
+        (1, 128, 2.0, dict(lo=(-1.0,), size=2.0, level_min=3, level_max=9)),
+        (2, 32, 2.0, dict(lo=(-0.6, -0.2), size=1.2, level_min=1, level_max=6)),
+        (3, 8, 1.0, dict(lo=(-0.15, -0.4, -0.1), size=0.6, level_min=0, level_max=3)),
+    ]
+
+    @pytest.mark.parametrize("n, N, L, fam", CASES)
+    def test_matches_reference_loop(self, n, N, L, fam):
+        g = make_grid(GridSpec(n=n, N=N, L=L, origin=(-L / 2,) * n))
+        fam = wt.CubeFamily(**fam)
+        cubes = fam.cubes(g)
+        empty = sum(_cube_slices(g, c, e) is None for c, e in cubes)
+        assert empty > 0 or fam.level_min > 0
+        rng = np.random.default_rng(n * 100 + N)
+        vals = np.exp(1.5 * rng.standard_normal(g.spec.shape))
+        w = wt.tabulated_weight(g, vals, 2.0)
+        for p in (1.5, 3.0):
+            est = wt.ap_constant(w, p, fam)
+            ref, ref_cube = _brute_sup(g, [vals, vals ** (-1.0 / (p - 1.0))],
+                                       _ap_term(p), fam)
+            assert est.argmax_cube == ref_cube
+            assert abs(est.value - ref) <= SUM_ORDER_RTOL * ref
+        s, p, q = 0.5, 2.0, 4.0
+        hn = g.h**n
+        rec = wt.sawyer_wheeden_constant(w, w, s, p, q, fam)
+        single = lambda c, sums, e: (e**n) ** (s / n) * (hn * sums[0]) ** (1 / q - 1 / p)  # noqa: E731
+        ref, ref_cube = _brute_sup(g, [vals], single, fam)
+        assert (tuple(rec["single_weight_argmax"]["corner"]),
+                rec["single_weight_argmax"]["edge"]) == ref_cube
+        assert abs(rec["single_weight_constant"] - ref) <= SUM_ORDER_RTOL * ref
+
+    def test_shifted_cubes_off_grid_are_dropped(self):
+        g = make_grid(GridSpec(n=2, N=32, L=2.0, origin=(-1.0, -1.0)))
+        fam = wt.CubeFamily(lo=(-0.2, -0.2), size=1.2, level_min=0, level_max=2)
+        # the shifted tilings stick out of the grid at levels 0 and 1
+        per_level = [1 + 0, 4 + 1, 16 + 9]
+        assert len(fam.cubes(g)) == sum(per_level)
+
+    def test_cubes_follow_tilings(self):
+        g = make_grid(GridSpec(n=2, N=16, L=1.0))
+        fam = wt.CubeFamily(lo=(0.0, 0.25), size=0.75, level_min=1, level_max=3)
+        expanded = []
+        for edge, corners in fam.tilings(g):
+            expanded += [((x, y), edge) for x in corners[0] for y in corners[1]]
+        assert fam.cubes(g) == expanded
+
+    def test_overflowing_cube_sum_raises(self):
+        g = centered_grid(N=64)
+        vals = np.ones(64)
+        vals[40:44] = 1e308
+        w = wt.tabulated_weight(g, vals, 2.0)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"cube \(\(.*non-finite sum inf"):
+            wt.ap_constant(w, 2.0, full_family(g, 5))
+
+
+class TestWideRangeDualWeights:
+    """Dual weights of power weights spanning up to 1e65: every cube sum is
+    a direct sum of positive samples, so no cube is lost to cancellation."""
+
+    @pytest.mark.parametrize("alpha, p", [(0.5, 1.1), (1.5, 1.2), (0.9, 1.05)])
+    def test_ap_matches_reference_loop(self, alpha, p):
+        g = centered_grid(N=4096)
+        wd = wt.dual_weight(wt.power_weight(g, [0.0], alpha, p), p)
+        pd = wd.p
+        arrays = [wd.values, wd.values ** (-1.0 / (pd - 1.0))]
+        # the whole box, and cubes far from the singularity, whose sums are
+        # tiny next to the sums over the cubes before them
+        for fam in (full_family(g, 10),
+                    wt.CubeFamily(lo=(0.5,), size=0.5, level_max=8)):
+            est = wt.ap_constant(wd, pd, fam)
+            ref, ref_cube = _brute_sup(g, arrays, _ap_term(pd), fam)
+            assert np.isfinite(est.value)
+            assert abs(est.value - ref) <= SUM_ORDER_RTOL * ref
+            assert est.argmax_cube == ref_cube
+
+    def test_sawyer_wheeden_single_weight_finite(self):
+        g = centered_grid(N=4096)
+        fam = full_family(g, 10)
+        w = wt.dual_weight(wt.power_weight(g, [0.0], 0.5, 2.0), 1.1)
+        s, p, q = 0.5, 2.0, 4.0
+        rec = wt.sawyer_wheeden_constant(w, w, s, p, q, fam)
+        single = lambda c, sums, e: e**s * (g.h * sums[0]) ** (1 / q - 1 / p)  # noqa: E731
+        ref, _ = _brute_sup(g, [w.values], single, fam)
+        assert np.isfinite(rec["single_weight_constant"])
+        assert abs(rec["single_weight_constant"] - ref) <= SUM_ORDER_RTOL * ref
+        assert np.isfinite(rec["constant"])
+
+
+@pytest.mark.parametrize("n, N, count", [(2, 64, 101), (3, 16, 37)])
+def test_distance_scan_matches_stacked_formula(n, N, count):
+    g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
+    pts = np.random.default_rng(n).uniform(-0.8, 0.8, size=(count, n))
+    pts[0] = g.axes[0][N // 2]  # one point on a grid node exercises the h/2 nudge
+    stacked = np.stack([c.ravel() for c in g.coords()], axis=1)
+    d = stacked[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.min(np.sum(d * d, axis=2), axis=1)).reshape(g.spec.shape)
+    dist[dist == 0.0] = g.h / 2.0
+    wd = wt.distance_weight(g, pts, 0.5, 2.0)
+    assert np.array_equal(wd.values, dist**0.5)
