@@ -9,7 +9,6 @@ p-Laplace problem.
 __version__ = "0.1.0"
 
 from .grid import (  # noqa: F401
-    FracParams,
     Grid,
     GridSpec,
     ScalarField,

@@ -20,6 +20,12 @@ Conventions on the torus lattice:
   plane, the unpaired frequency -N/(2L); this keeps outputs of real inputs
   exactly real and makes the discrete integration-by-parts identity exact.
 
+Operators apply their symbol on the half spectrum of the real transforms
+(``rfftn``/``irfftn``).  The origin phase and the h^n scaling cancel inside a
+multiplier and a real inverse has no imaginary residue, so the phase, the
+scaling and the residue guard live only in the public ``forward_transform``
+and ``inverse_transform``.
+
 An independent principal-value quadrature of the Riesz fractional gradient is
 provided for cross-validating the spectral route; it never touches a symbol.
 """
@@ -28,17 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    ScalarField,
-    SpectralField,
-    VectorField,
-    forward_transform,
-    inverse_transform,
-)
+from .grid import Grid, ScalarField, VectorField
 
 __all__ = [
     "MULTIPLIER_KINDS",
@@ -164,61 +164,143 @@ def lattice_symbol(
     Homogeneous symbols are set to 0 at xi = 0 (1 for bessel_potential/G_s);
     component symbols vanish on their Nyquist plane.
     """
+    return _symbol(grid, kind, order, component, half=False).astype(np.complex128)
+
+
+def _symbol(grid: Grid, kind: str, order: float, component=None, half=True):
+    """Symbol on the half lattice of the real transforms (or the full one).
+
+    Odd (component) symbols come back complex, even ones real.
+    """
     n = grid.spec.n
     if kind == "fractional_divergence":
         kind = "riesz_gradient"
     _check_order(kind, order, n)
-    norm = grid.xi_norm
+    xi, norm = (grid.half_xi, grid.half_xi_norm) if half else (grid.xi, grid.xi_norm)
     zero = norm == 0.0
     safe = np.where(zero, 1.0, norm)
     if kind in _COMPONENT_KINDS:
         if component is None or not (0 <= component < n):
             raise ValueError(f"{kind} needs a component index in [0, {n})")
-        m = _scalar_symbol(kind, order, safe, grid.xi[component])
-        m = np.where(zero, 0.0 + 0.0j, m)
-        m = np.where(grid.nyquist_mask(component), 0.0 + 0.0j, m)
-        return m.astype(np.complex128)
-    m = _scalar_symbol(kind, order, safe, None)
+        m = np.where(zero, 0.0, _scalar_symbol(kind, order, safe, xi[component]))
+        # the unpaired Nyquist plane is index N/2 of the component's axis on
+        # both lattices (+N/(2L) on the half lattice's last axis)
+        m[(slice(None),) * component + (grid.spec.N // 2,)] = 0.0
+        return m
     # <0> = 1 for the bessel kind, so its fill reproduces the formula at 0.
     fill = 1.0 if kind in ("bessel_potential", "G_s") else 0.0
-    m = np.where(zero, fill, m)
-    return m.astype(np.complex128)
+    return np.where(zero, fill, _scalar_symbol(kind, order, safe, None))
 
 
-def _to_real(grid: Grid, C: np.ndarray) -> ScalarField:
-    return inverse_transform(SpectralField(grid, C))
+# ---------------------------------------------------------------------------
+# Raw-array spectral layer: irfftn(symbol * rfftn(u)) on the half lattice.
+# ---------------------------------------------------------------------------
+
+
+def _rfft(grid: Grid, u: np.ndarray) -> np.ndarray:
+    return np.fft.rfftn(u, axes=tuple(range(grid.spec.n)))
+
+
+def _irfft(grid: Grid, F: np.ndarray) -> np.ndarray:
+    return np.fft.irfftn(F, s=grid.spec.shape, axes=tuple(range(grid.spec.n)))
+
+
+def _multiply(grid: Grid, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    return _irfft(grid, m * _rfft(grid, u))
+
+
+def _grad(grid: Grid, syms, u: np.ndarray) -> list[np.ndarray]:
+    """One forward transform, one inverse per component."""
+    F = _rfft(grid, u)
+    return [_irfft(grid, m * F) for m in syms]
+
+
+def _div(grid: Grid, syms, vec) -> np.ndarray:
+    """Components summed in the half spectrum before one inverse."""
+    acc = syms[0] * _rfft(grid, vec[0])
+    for m, c in zip(syms[1:], vec[1:]):
+        acc += m * _rfft(grid, c)
+    return _irfft(grid, acc)
+
+
+class _RieszOps:
+    """grad^s, div^s and the spectral surrogates of one (grid, s) on raw
+    arrays.  Symbols are built once per instance; callers keep the instance
+    for as long as they apply its operators."""
+
+    def __init__(self, grid: Grid, s: float):
+        self.grid = grid
+        self.s = s
+        self.hn = grid.h**grid.spec.n
+        self.grad_syms = [
+            _symbol(grid, "riesz_gradient", s, j) for j in range(grid.spec.n)
+        ]
+
+    def grad(self, u: np.ndarray) -> list[np.ndarray]:
+        return _grad(self.grid, self.grad_syms, u)
+
+    def div(self, vec) -> np.ndarray:
+        return _div(self.grid, self.grad_syms, vec)
+
+    def elliptic(self, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """-div^s(a grad^s u) for a pointwise coefficient a."""
+        return -self.div([a * c for c in self.grad(u)])
+
+    def multiply(self, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _multiply(self.grid, m, u)
+
+    @cached_property
+    def lap_sym(self) -> np.ndarray:
+        """(-Laplace)^s, i.e. (2 pi |xi|)^(2s) with 0 at xi = 0."""
+        return _symbol(self.grid, "fractional_laplacian", 2.0 * self.s)
+
+    @cached_property
+    def _dual_sym(self) -> np.ndarray:
+        return _symbol(self.grid, "riesz_potential", self.s)
+
+    def dual_norm(self, r: np.ndarray) -> float:
+        """||(-Lap)^(-s/2) r|| from unscaled FFT coefficients (a surrogate
+        compared only with itself)."""
+        z = self._dual_sym * _rfft(self.grid, r)
+        a2 = z.real**2 + z.imag**2
+        # Parseval over the half spectrum: columns 0 and N/2 of the last axis
+        # are their own mirror images, every other column stands for two
+        total = 2.0 * np.sum(a2) - np.sum(a2[..., 0]) - np.sum(a2[..., -1])
+        return float(np.sqrt(total / self.grid.spec.volume))
 
 
 def apply_multiplier(
     u: ScalarField, kind: str, order: float, component: int | None = None
 ) -> ScalarField:
-    """inverse_transform(symbol * forward_transform(u)), checked real."""
-    m = lattice_symbol(u.grid, kind, order, component)
-    F = forward_transform(u)
-    return _to_real(u.grid, m * F.coefficients)
+    """The real field whose transform is symbol * forward_transform(u)."""
+    g = u.grid
+    return ScalarField(g, _multiply(g, _symbol(g, kind, order, component), u.values))
+
+
+def _gradient_field(u: ScalarField, kind: str, order: float) -> VectorField:
+    g = u.grid
+    syms = [_symbol(g, kind, order, j) for j in range(g.spec.n)]
+    return VectorField(g, tuple(ScalarField(g, c) for c in _grad(g, syms, u.values)))
+
+
+def _divergence_field(v: VectorField, kind: str, order: float) -> ScalarField:
+    g = v.grid
+    syms = [_symbol(g, kind, order, j) for j in range(g.spec.n)]
+    return ScalarField(g, _div(g, syms, [c.values for c in v.components]))
 
 
 def riesz_gradient(u: ScalarField, s: float) -> VectorField:
     """Riesz fractional gradient of order s via its Fourier symbol."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"riesz_gradient needs s in (0, 1), got {s}")
-    comps = tuple(
-        apply_multiplier(u, "riesz_gradient", s, component=j)
-        for j in range(u.grid.spec.n)
-    )
-    return VectorField(u.grid, comps)
+    return _gradient_field(u, "riesz_gradient", s)
 
 
 def fractional_divergence(v: VectorField, s: float) -> ScalarField:
     """Fractional divergence, the formal dual of the Riesz gradient."""
     if not (0.0 < s < 1.0):
         raise ValueError(f"fractional_divergence needs s in (0, 1), got {s}")
-    g = v.grid
-    acc = np.zeros(g.spec.shape, dtype=np.complex128)
-    for j, comp in enumerate(v.components):
-        m = lattice_symbol(g, "riesz_gradient", s, component=j)
-        acc += m * forward_transform(comp).coefficients
-    return _to_real(g, acc)
+    return _divergence_field(v, "riesz_gradient", s)
 
 
 def riesz_potential(u: ScalarField, sigma: float) -> ScalarField:
@@ -250,20 +332,11 @@ def gs_multiplier(u: ScalarField, s: float) -> ScalarField:
 
 def spectral_gradient(u: ScalarField) -> VectorField:
     """Classical gradient via the derivative symbol (the s -> 1 limit)."""
-    comps = tuple(
-        apply_multiplier(u, "derivative", 0.0, component=j)
-        for j in range(u.grid.spec.n)
-    )
-    return VectorField(u.grid, comps)
+    return _gradient_field(u, "derivative", 0.0)
 
 
 def spectral_divergence(v: VectorField) -> ScalarField:
-    g = v.grid
-    acc = np.zeros(g.spec.shape, dtype=np.complex128)
-    for j, comp in enumerate(v.components):
-        m = lattice_symbol(g, "derivative", 0.0, component=j)
-        acc += m * forward_transform(comp).coefficients
-    return _to_real(g, acc)
+    return _divergence_field(v, "derivative", 0.0)
 
 
 # ---------------------------------------------------------------------------

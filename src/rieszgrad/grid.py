@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "SpectralField",
-    "FracParams",
     "make_grid",
     "sample",
     "forward_transform",
@@ -85,11 +85,14 @@ class GridSpec:
 
 
 class Grid:
-    """A GridSpec with cached coordinates, frequency lattice and phase factors.
+    """A GridSpec with cached coordinates, frequency lattices and phase factors.
 
     Build through :func:`make_grid`.  The frequency lattice per axis is
     ``numpy.fft.fftfreq(N, d=h) == k/L`` in FFT order; the Nyquist entry is the
-    (unpaired) frequency ``-N/(2L)``.
+    (unpaired) frequency ``-N/(2L)``.  The half lattice of the real transforms
+    (``rfftn`` over all axes) keeps ``fftfreq`` on the leading axes and uses
+    ``rfftfreq`` on the last, whose Nyquist entry is ``+N/(2L)``.  Both
+    lattices are built on first use and kept.
     """
 
     def __init__(self, spec: GridSpec):
@@ -99,10 +102,6 @@ class Grid:
         self.axes = tuple(spec.origin[d] + h * np.arange(N) for d in range(n))
         freq = np.fft.fftfreq(N, d=h)  # k/L, FFT order
         self.freq_axes = (freq,) * n
-        self.xi = np.meshgrid(*self.freq_axes, indexing="ij")
-        self.xi_norm = np.sqrt(sum(x * x for x in self.xi))
-        # Per-axis boolean marking the self-conjugate Nyquist frequency.
-        self.nyquist_axes = tuple(np.arange(N) == N // 2 for _ in range(n))
         # Origin phase exp(-2 pi i origin . xi), stored per axis for cheap
         # broadcasting; all-ones when the origin is zero.
         self._phase = [
@@ -110,17 +109,29 @@ class Grid:
         ]
         self._has_phase = any(o != 0.0 for o in spec.origin)
 
+    @cached_property
+    def xi(self) -> list[np.ndarray]:
+        """Full frequency lattice, one dense array per axis."""
+        return np.meshgrid(*self.freq_axes, indexing="ij")
+
+    @cached_property
+    def xi_norm(self) -> np.ndarray:
+        return np.sqrt(sum(x * x for x in self.xi))
+
+    @cached_property
+    def half_xi(self) -> tuple[np.ndarray, ...]:
+        """Half lattice of ``rfftn``, one broadcastable array per axis."""
+        n, N, h = self.spec.n, self.spec.N, self.h
+        freqs = [np.fft.fftfreq(N, d=h)] * (n - 1) + [np.fft.rfftfreq(N, d=h)]
+        return tuple(np.meshgrid(*freqs, indexing="ij", sparse=True))
+
+    @cached_property
+    def half_xi_norm(self) -> np.ndarray:
+        return np.sqrt(sum(x * x for x in self.half_xi))
+
     def coords(self) -> list[np.ndarray]:
         """Meshgrid coordinate arrays (``indexing='ij'``)."""
         return np.meshgrid(*self.axes, indexing="ij")
-
-    def nyquist_mask(self, axis: int) -> np.ndarray:
-        """Boolean lattice mask of the Nyquist plane for one axis."""
-        shape = [1] * self.spec.n
-        shape[axis] = self.spec.N
-        return np.broadcast_to(
-            self.nyquist_axes[axis].reshape(shape), self.spec.shape
-        )
 
     def _apply_phase(self, F: np.ndarray, conj: bool) -> np.ndarray:
         if not self._has_phase:
@@ -252,25 +263,6 @@ class SpectralField:
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
-
-
-@dataclass(frozen=True)
-class FracParams:
-    """Dimension, fractional order, and integrability exponent (n, s, p)."""
-
-    n: int
-    s: float
-    p: float
-
-    def __post_init__(self) -> None:
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"n must be 1, 2 or 3, got {self.n}")
-        if not (self.p > 1):
-            raise ValueError(f"p must exceed 1, got {self.p}")
-
-    @property
-    def p_dual(self) -> float:
-        return self.p / (self.p - 1)
 
 
 def sample(f, grid: Grid) -> ScalarField:

@@ -24,17 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    Grid,
-    ScalarField,
-    SpectralField,
-    VectorField,
-    bump,
-    forward_transform,
-    inverse_transform,
-    lp_norm,
-)
+from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
+from .solver import EllipticityError
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -57,18 +49,19 @@ __all__ = [
 ]
 
 
+def _band_limited(grid: Grid, values: np.ndarray, kmax: float) -> np.ndarray:
+    """values without the modes |k| > kmax on any axis (k integer)."""
+    N, n = grid.spec.N, grid.spec.n
+    ks = [np.fft.fftfreq(N, d=1.0 / N)] * (n - 1) + [np.fft.rfftfreq(N, d=1.0 / N)]
+    F = fo._rfft(grid, values)
+    for k in np.ix_(*ks):
+        F *= np.abs(k) <= kmax
+    return fo._irfft(grid, F)
+
+
 def band_limit(u: ScalarField, fraction: float = 0.25) -> ScalarField:
     """Zero all modes with |k| > fraction * N on any axis."""
-    g = u.grid
-    N = g.spec.N
-    F = forward_transform(u).coefficients.copy()
-    k = np.fft.fftfreq(N, d=1.0 / N)  # integer wavenumbers
-    keep1d = np.abs(k) <= fraction * N
-    for d in range(g.spec.n):
-        shape = [1] * g.spec.n
-        shape[d] = N
-        F *= keep1d.reshape(shape)
-    return inverse_transform(SpectralField(g, F))
+    return ScalarField(u.grid, _band_limited(u.grid, u.values, fraction * u.grid.spec.N))
 
 
 def bump_family(
@@ -97,21 +90,11 @@ def bandlimited_family(
 ) -> list[ScalarField]:
     """Random real fields supported on |k| <= kmax per axis."""
     rng = np.random.default_rng(seed)
-    N = grid.spec.N
-    kmax = N // 8 if kmax is None else kmax
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    keep = np.ones(grid.spec.shape, dtype=bool)
-    for d in range(grid.spec.n):
-        shape = [1] * grid.spec.n
-        shape[d] = N
-        keep &= np.broadcast_to((np.abs(k) <= kmax).reshape(shape), grid.spec.shape)
-    out = []
-    for _ in range(count):
-        vals = rng.standard_normal(grid.spec.shape)
-        F = np.fft.fftn(vals)
-        F[~keep] = 0.0
-        out.append(ScalarField(grid, np.fft.ifftn(F).real))
-    return out
+    kmax = grid.spec.N // 8 if kmax is None else kmax
+    return [
+        ScalarField(grid, _band_limited(grid, rng.standard_normal(grid.spec.shape), kmax))
+        for _ in range(count)
+    ]
 
 
 def standard_family(grid: Grid, seed: int = 0, bumps: int = 6, modes: int = 4):
@@ -240,32 +223,6 @@ class PoincareEstimate:
         }
 
 
-def _interior_operator(grid: Grid, mask: np.ndarray, s: float, wv: np.ndarray):
-    syms = [
-        fo.lattice_symbol(grid, "riesz_gradient", s, component=j)
-        for j in range(grid.spec.n)
-    ]
-
-    def T(u):
-        F = np.fft.fftn(u)
-        acc = None
-        for m in syms:
-            comp = np.fft.ifftn(m * F).real * wv
-            t = m * np.fft.fftn(comp)
-            acc = t if acc is None else acc + t
-        return np.where(mask, -np.fft.ifftn(acc).real, 0.0)
-
-    nz = grid.xi_norm > 0
-    safe = np.where(nz, grid.xi_norm, 1.0)
-    med = float(np.median(wv[mask]))
-    msym = med * (2.0 * np.pi * safe) ** (2.0 * s) + 1.0
-
-    def prec(r):
-        return np.where(mask, np.fft.ifftn(np.fft.fftn(r) / msym).real, 0.0)
-
-    return T, prec
-
-
 def poincare_constant(
     grid: Grid,
     mask: np.ndarray,
@@ -291,7 +248,15 @@ def poincare_constant(
         raise ValueError("interior mask is empty")
     wv = np.ones(grid.spec.shape) if w is None else w.values
     if p == 2.0:
-        T, prec = _interior_operator(grid, mask, s, wv)
+        ops = fo._RieszOps(grid, s)
+        inv = 1.0 / (float(np.median(wv[mask])) * ops.lap_sym + 1.0)
+
+        def T(u):
+            return np.where(mask, ops.elliptic(wv, u), 0.0)
+
+        def prec(r):
+            return np.where(mask, ops.multiply(inv, r), 0.0)
+
         rng = np.random.default_rng(seed)
         u = np.where(mask, rng.standard_normal(grid.spec.shape), 0.0)
         u /= np.sqrt(np.sum(wv * u * u))
@@ -375,7 +340,12 @@ def _cg_plain(apply_K, prec, b, tol, max_iter):
     rz0 = max(rz, 1e-300)
     for k in range(max_iter):
         Ad = apply_K(d)
-        alpha = rz / float(np.sum(d * Ad))
+        dAd = float(np.sum(d * Ad))
+        if dAd <= 0.0:
+            raise EllipticityError(
+                "conjugate gradients hit a non-positive curvature direction"
+            )
+        alpha = rz / dAd
         x += alpha * d
         r -= alpha * Ad
         z = prec(r)
@@ -394,24 +364,10 @@ def _rayleigh_descent(grid, mask, s, p, wv, u0, max_iter):
     descent ended because no step improved the ratio or the gradient
     vanished, False when it ran out of iterations."""
     hn = grid.h**grid.spec.n
-    syms = [
-        fo.lattice_symbol(grid, "riesz_gradient", s, component=j)
-        for j in range(grid.spec.n)
-    ]
-
-    def grad_comps(u):
-        F = np.fft.fftn(u)
-        return [np.fft.ifftn(m * F).real for m in syms]
-
-    def div_comps(vec):
-        acc = None
-        for m, c in zip(syms, vec):
-            t = m * np.fft.fftn(c)
-            acc = t if acc is None else acc + t
-        return np.fft.ifftn(acc).real
+    ops = fo._RieszOps(grid, s)
 
     def ratio_and_grad(u):
-        gr = grad_comps(u)
+        gr = ops.grad(u)
         mag = np.sqrt(sum(c * c for c in gr))
         A = (hn * np.sum(mag**p * wv)) ** (1.0 / p)
         B = (hn * np.sum(np.abs(u) ** p * wv)) ** (1.0 / p)
@@ -419,7 +375,7 @@ def _rayleigh_descent(grid, mask, s, p, wv, u0, max_iter):
         nz = mag > 0
         safe = np.where(nz, mag, 1.0)
         flux = [np.where(nz, wv * safe ** (p - 2.0) * c, 0.0) for c in gr]
-        dA = A ** (1.0 - p) * (-div_comps(flux))
+        dA = A ** (1.0 - p) * (-ops.div(flux))
         unz = u != 0.0
         usafe = np.where(unz, np.abs(u), 1.0)
         dB = B ** (1.0 - p) * wv * np.where(unz, usafe ** (p - 2.0) * u, 0.0)

@@ -241,7 +241,7 @@ def test_criterion_7_linear_solver():
                           exterior=gfield)
     sol = sv.solve_linear(plift, tol=1e-12).solution
     G = plift.exterior_values()
-    kit = sv._SpectralKit(g2, s)
+    kit = fo._RieszOps(g2, s)
     shift = kit.div([ww.values * c for c in kit.grad(G)])
     shifted = sv.PDEProblem(grid=g2, mask=mask, s=s, p=2.0, weight=ww,
                             rhs=ScalarField(g2, fr.values + shift))

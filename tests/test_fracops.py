@@ -159,6 +159,119 @@ class TestDivergence:
         )
 
 
+#: (kind, order) for every multiplier kind, orders valid in n = 1, 2, 3
+HALF_SPECTRUM_CASES = (
+    ("riesz_gradient", 0.4),
+    ("fractional_divergence", 0.65),
+    ("riesz_potential", 0.7),
+    ("bessel_potential", -0.8),
+    ("fractional_laplacian", 1.2),
+    ("riesz_transform", 0.0),
+    ("T_s", 0.3),
+    ("G_s", 0.6),
+    ("derivative", 0.0),
+)
+COMPONENT_KINDS = {"riesz_gradient", "fractional_divergence", "riesz_transform", "derivative"}
+
+
+def _complex_reference(g, kind, order, u, component=None):
+    """The full-lattice complex route, kept only as a test reference."""
+    return np.fft.ifftn(
+        fo.lattice_symbol(g, kind, order, component) * np.fft.fftn(u)
+    ).real
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestHalfSpectrumLayer:
+    """Operators on the real half spectrum against the complex route."""
+
+    @staticmethod
+    def _grid(n, N):
+        origin = (0.3, -1.1, 2.5)[:n]
+        return make_grid(GridSpec(n=n, N=N, L=1.7, origin=origin))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_every_kind_matches_complex_route(self, n, N):
+        g = self._grid(n, N)
+        assert {kind for kind, _ in HALF_SPECTRUM_CASES} == set(fo.MULTIPLIER_KINDS)
+        u = ScalarField(g, np.random.default_rng(n * N).standard_normal(g.spec.shape))
+        for kind, order in HALF_SPECTRUM_CASES:
+            comps = range(n) if kind in COMPONENT_KINDS else [None]
+            for j in comps:
+                got = fo.apply_multiplier(u, kind, order, component=j).values
+                ref = _complex_reference(g, kind, order, u.values, j)
+                assert _rel_err(got, ref) <= 1e-13, (kind, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_gradients_and_divergences(self, n, N):
+        g = self._grid(n, N)
+        rng = np.random.default_rng(10 + n * N)
+        u = ScalarField(g, rng.standard_normal(g.spec.shape))
+        v = VectorField(g, tuple(
+            ScalarField(g, rng.standard_normal(g.spec.shape)) for _ in range(n)
+        ))
+        s = 0.35
+        routes = (
+            (fo.riesz_gradient(u, s), fo.fractional_divergence(v, s), "riesz_gradient", s),
+            (fo.spectral_gradient(u), fo.spectral_divergence(v), "derivative", 0.0),
+        )
+        for grad, div, kind, order in routes:
+            for j in range(n):
+                ref = _complex_reference(g, kind, order, u.values, j)
+                assert _rel_err(grad.components[j].values, ref) <= 1e-13
+            ref = np.fft.ifftn(sum(
+                fo.lattice_symbol(g, kind, order, j) * np.fft.fftn(c.values)
+                for j, c in enumerate(v.components)
+            )).real
+            assert _rel_err(div.values, ref) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_raw_operator_kit(self, n, N):
+        g = self._grid(n, N)
+        rng = np.random.default_rng(20 + n * N)
+        u = rng.standard_normal(g.spec.shape)
+        a = rng.uniform(0.5, 2.0, g.spec.shape)
+        s = 0.6
+        ops = fo._RieszOps(g, s)
+        grad = ops.grad(u)
+        for j in range(n):
+            ref = _complex_reference(g, "riesz_gradient", s, u, j)
+            assert _rel_err(grad[j], ref) <= 1e-13
+        ref = -np.fft.ifftn(sum(
+            fo.lattice_symbol(g, "riesz_gradient", s, j)
+            * np.fft.fftn(a * _complex_reference(g, "riesz_gradient", s, u, j))
+            for j in range(n)
+        )).real
+        assert _rel_err(ops.elliptic(a, u), ref) <= 1e-13
+        ref = _complex_reference(g, "fractional_laplacian", 2 * s, u)
+        assert _rel_err(ops.multiply(ops.lap_sym, u), ref) <= 1e-13
+        z = fo.lattice_symbol(g, "riesz_potential", s) * np.fft.fftn(u)
+        ref = np.sqrt(np.sum(np.abs(z) ** 2) / g.spec.L**n)
+        assert abs(ops.dual_norm(u) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_half_symbol_is_full_symbol_restricted(self, n):
+        N = 16
+        g = self._grid(n, N)
+        # rfftfreq ends at +N/(2L) where fftfreq has -N/(2L)
+        assert g.half_xi[-1].ravel()[-1] == pytest.approx(N / (2 * g.spec.L), rel=1e-14)
+        for kind, order in HALF_SPECTRUM_CASES:
+            comps = range(n) if kind in COMPONENT_KINDS else [None]
+            for j in comps:
+                half = fo._symbol(g, kind, order, j)
+                full = fo.lattice_symbol(g, kind, order, j)
+                assert np.array_equal(half, full[..., : N // 2 + 1]), (kind, j)
+                if j == n - 1:
+                    # odd symbols vanish on the last axis's Nyquist column
+                    assert np.all(half[..., N // 2] == 0.0), kind
+
+
 class TestPVQuadrature:
     def test_zero_field(self):
         g = grid1()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rieszgrad.grid import (
-    FracParams,
     GridSpec,
     ScalarField,
     SpectralField,
@@ -244,16 +243,6 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="payload"):
             read_field(path)
-
-
-class TestFracParams:
-    def test_dual_exponent(self):
-        fp = FracParams(n=1, s=0.5, p=3.0)
-        assert abs(fp.p_dual - 1.5) < 1e-15
-
-    def test_rejects_p(self):
-        with pytest.raises(ValueError):
-            FracParams(n=1, s=0.5, p=1.0)
 
 
 def test_remove_mean():

@@ -7,6 +7,7 @@ from rieszgrad.grid import GridSpec, ScalarField, VectorField, lp_norm, make_gri
 from rieszgrad import fracops as fo
 from rieszgrad import inequalities as iq
 from rieszgrad import weights as wt
+from rieszgrad.solver import EllipticityError
 
 
 def grid1(N=128, L=1.0):
@@ -72,7 +73,11 @@ class TestPoincare:
         s = 0.5
         est = iq.poincare_constant(g, mask, s, 2.0, tol=1e-10)
         idx = np.where(mask)[0]
-        T, _ = iq._interior_operator(g, mask, s, np.ones(64))
+        ops = fo._RieszOps(g, s)
+
+        def T(u):
+            return np.where(mask, ops.elliptic(np.ones(64), u), 0.0)
+
         dense = np.zeros((idx.size, idx.size))
         for col, i in enumerate(idx):
             e = np.zeros(64)
@@ -163,6 +168,11 @@ class TestPoincare:
         est = iq.poincare_constant(g, mask, 0.5, 2.0)
         assert est.residual < 1e-8
         assert est.converged is False
+
+    def test_cg_rejects_indefinite_operator(self):
+        b = np.ones(16)
+        with pytest.raises(EllipticityError):
+            iq._cg_plain(lambda v: -v, lambda r: r, b, tol=1e-12, max_iter=10)
 
 
 class TestGagliardoNirenberg:

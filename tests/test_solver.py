@@ -232,7 +232,7 @@ class TestSolveLinear:
         G = prob.exterior_values()
         assert np.array_equal(rep.solution.values[~mask], G[~mask])
         # shifted problem: rhs f + div^s(w grad^s G), homogeneous exterior
-        kit = sv._SpectralKit(g, 0.5)
+        kit = fo._RieszOps(g, 0.5)
         shift = kit.div([w.values * c for c in kit.grad(G)])
         f_shift = ScalarField(g, f.values + shift)
         prob0 = sv.PDEProblem(grid=g, mask=mask, s=0.5, p=2.0, weight=w,
@@ -265,6 +265,22 @@ class TestSolvePLaplace:
             rd = sv.solve_plaplace(prob, "descent")
             agree = lp_norm(rk.solution - rd.solution, 2) / lp_norm(rk.solution, 2)
             assert agree <= 1e-5
+
+    def test_inner_unconverged_counted(self, monkeypatch):
+        g, mask, w = setup_1d(N=256)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, 3.0, w, ustar)
+        rep = sv.solve_plaplace(prob, "kacanov")
+        assert rep.details["inner_unconverged"] == 0
+        # every inner solve still returns its iterate but reports failure;
+        # each Kacanov step makes exactly one inner solve
+        cg = sv._cg
+        monkeypatch.setattr(sv, "_cg", lambda *a, **k: (*cg(*a, **k)[:2], False))
+        flagged = sv.solve_plaplace(prob, "kacanov")
+        count = flagged.details["inner_unconverged"]
+        assert type(count) is int and count == flagged.iterations > 0
+        assert flagged.converged == rep.converged
+        assert flagged.to_record()["inner_unconverged"] == count
 
     def test_zero_rhs(self):
         g, mask, w = setup_1d()
