@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
-from .solver import EllipticityError
+from .solver import _cg, _coeff
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -266,7 +266,7 @@ def poincare_constant(
         inner_ok = True
         for k in range(max_iter):
             b = np.where(mask, wv * u, 0.0)
-            v, _, ok = _cg_plain(T, prec, b, tol=1e-12, max_iter=4000)
+            v, _, ok = _cg(T, prec, b, np.zeros_like(b), 1e-12, 4000)
             inner_ok = inner_ok and ok
             v = np.where(mask, v, 0.0)
             v /= np.sqrt(np.sum(wv * v * v))
@@ -331,32 +331,6 @@ def _interior_family(grid: Grid, mask: np.ndarray, seed: int, count: int = 8):
     return out
 
 
-def _cg_plain(apply_K, prec, b, tol, max_iter):
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = prec(r)
-    d = z.copy()
-    rz = float(np.sum(r * z))
-    rz0 = max(rz, 1e-300)
-    for k in range(max_iter):
-        Ad = apply_K(d)
-        dAd = float(np.sum(d * Ad))
-        if dAd <= 0.0:
-            raise EllipticityError(
-                "conjugate gradients hit a non-positive curvature direction"
-            )
-        alpha = rz / dAd
-        x += alpha * d
-        r -= alpha * Ad
-        z = prec(r)
-        rznew = float(np.sum(r * z))
-        if rznew <= tol * tol * rz0:
-            return x, k + 1, True
-        d = z + (rznew / rz) * d
-        rz = rznew
-    return x, max_iter, False
-
-
 def _rayleigh_descent(grid, mask, s, p, wv, u0, max_iter):
     """Minimize ||grad^s u||_{p,w} / ||u||_{p,w} over interior-supported u.
 
@@ -372,10 +346,8 @@ def _rayleigh_descent(grid, mask, s, p, wv, u0, max_iter):
         A = (hn * np.sum(mag**p * wv)) ** (1.0 / p)
         B = (hn * np.sum(np.abs(u) ** p * wv)) ** (1.0 / p)
         R = A / B
-        nz = mag > 0
-        safe = np.where(nz, mag, 1.0)
-        flux = [np.where(nz, wv * safe ** (p - 2.0) * c, 0.0) for c in gr]
-        dA = A ** (1.0 - p) * (-ops.div(flux))
+        a = _coeff(wv, p, gr, 0.0)
+        dA = A ** (1.0 - p) * (-ops.div([a * c for c in gr]))
         unz = u != 0.0
         usafe = np.where(unz, np.abs(u), 1.0)
         dB = B ** (1.0 - p) * wv * np.where(unz, usafe ** (p - 2.0) * u, 0.0)

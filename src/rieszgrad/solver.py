@@ -189,35 +189,26 @@ class SolveReport:
         return rows
 
 
-def _flux(prob: PDEProblem, gr: list[np.ndarray], eps: float):
-    """Pointwise flux a(x,|grad|) grad; returns (flux components, coefficient)."""
+def _coeff(w: np.ndarray, p: float, gr: list[np.ndarray], eps: float) -> np.ndarray:
+    """w m^((p-2)/2) with m = |g|^2 + eps^2, taking m = 1 where m = 0 (the
+    flux a g vanishes there whatever a is)."""
+    if p == 2.0:
+        return w
+    m = sum(c * c for c in gr) + eps * eps
+    return w * np.where(m > 0.0, m, 1.0) ** ((p - 2.0) / 2.0)
+
+
+def _flux(prob: PDEProblem, gr: list[np.ndarray], eps: float) -> list[np.ndarray]:
+    """Pointwise flux a(x, |grad|) grad."""
     if prob.matrix is not None:
-        fl = list(np.einsum("ij...,j...->i...", prob.matrix, np.stack(gr)))
-        return fl, None
-    w = prob.weight.values
-    if prob.p == 2.0 and eps == 0.0:
-        return [w * c for c in gr], w
-    mag2 = sum(c * c for c in gr)
-    if eps == 0.0:
-        # |g|^(p-2) g written as |g|^(p-1) g/|g| to stay finite at g = 0
-        mag = np.sqrt(mag2)
-        nz = mag > 0.0
-        safe = np.where(nz, mag, 1.0)
-        a = np.where(nz, w * safe ** (prob.p - 2.0), 0.0)
-        if prob.p < 2.0:
-            # the coefficient itself diverges at zero gradient; the flux does not
-            return [
-                np.where(nz, w * safe ** (prob.p - 2.0) * c, 0.0) for c in gr
-            ], None
-        return [a * c for c in gr], a
-    a = w * (mag2 + eps * eps) ** ((prob.p - 2.0) / 2.0)
-    return [a * c for c in gr], a
+        return list(np.einsum("ij...,j...->i...", prob.matrix, np.stack(gr)))
+    a = _coeff(prob.weight.values, prob.p, gr, eps)
+    return [a * c for c in gr]
 
 
-def _apply(kit: _RieszOps, prob: PDEProblem, u: np.ndarray, eps: float = 0.0):
-    gr = kit.grad(u)
-    fl, _ = _flux(prob, gr, eps)
-    return prob.project(-kit.div(fl))
+def _residual(kit: _RieszOps, prob: PDEProblem, gr, f, eps: float = 0.0) -> np.ndarray:
+    """Interior residual -div^s(flux) - f of the field whose gradient is gr."""
+    return prob.project(-kit.div(_flux(prob, gr, eps)) - f)
 
 
 def apply_operator(prob: PDEProblem, u: ScalarField, eps: float = 0.0) -> ScalarField:
@@ -227,7 +218,7 @@ def apply_operator(prob: PDEProblem, u: ScalarField, eps: float = 0.0) -> Scalar
     :func:`enforce_exterior` for the projection.
     """
     kit = _RieszOps(prob.grid, prob.s)
-    return ScalarField(prob.grid, _apply(kit, prob, u.values, eps))
+    return ScalarField(prob.grid, _residual(kit, prob, kit.grad(u.values), 0.0, eps))
 
 
 def enforce_exterior(prob: PDEProblem, u: ScalarField) -> ScalarField:
@@ -250,11 +241,12 @@ def energy(prob: PDEProblem, u: ScalarField, eps: float = 0.0) -> float:
     return _energy(kit, prob, u.values, eps)
 
 
-def _energy(kit: _RieszOps, prob: PDEProblem, u: np.ndarray, eps: float) -> float:
-    gr = kit.grad(u)
+def _energy(kit: _RieszOps, prob: PDEProblem, u: np.ndarray, eps: float, gr=None) -> float:
+    """Regularized energy of u; gr, when given, is grad^s u."""
+    if gr is None:
+        gr = kit.grad(u)
     if prob.matrix is not None:
-        fl = np.einsum("ij...,j...->i...", prob.matrix, np.stack(gr))
-        bulk = 0.5 * np.sum(np.stack(gr) * fl)
+        bulk = 0.5 * np.sum(np.stack(gr) * _flux(prob, gr, eps))
     else:
         mag2 = sum(c * c for c in gr)
         w = prob.weight.values
@@ -272,12 +264,12 @@ def weak_residual_norm(prob: PDEProblem, u: ScalarField) -> float:
     """Dual-norm surrogate of the interior weak residual, relative to the rhs."""
     kit = _RieszOps(prob.grid, prob.s)
     f = _rhs_field(kit, prob)
-    r = prob.project(_apply(kit, prob, u.values) - f)
+    r = _residual(kit, prob, kit.grad(u.values), f)
     fn = kit.dual_norm(f)
     return kit.dual_norm(r) / (fn if fn > 0 else 1.0)
 
 
-def _make_precond(kit: _RieszOps, prob: PDEProblem, coeff: np.ndarray | None):
+def _make_precond(kit: _RieszOps, prob: PDEProblem, coeff: np.ndarray | None = None):
     """Interior-projected inverse of median(a) (-Lap)^s + id, optionally
     composed with a Jacobi rescaling for strongly degenerate coefficients."""
     if coeff is None:
@@ -346,7 +338,6 @@ def solve_linear(
     tol: float = 1e-10,
     max_iter: int = 2000,
     x0: ScalarField | None = None,
-    coeff_override: np.ndarray | None = None,
 ) -> SolveReport:
     """p=2 solve by preconditioned conjugate gradients on the lifted unknown.
 
@@ -354,27 +345,19 @@ def solve_linear(
     interior-supported field, then reports u = u_tilde + G.  The tolerance is
     relative in the preconditioned residual norm.
     """
-    if prob.p != 2.0 and coeff_override is None:
+    if prob.p != 2.0:
         raise ValueError("solve_linear requires p = 2")
     kit = _RieszOps(prob.grid, prob.s)
     G = prob.exterior_values()
 
-    if coeff_override is not None:
-        a = coeff_override
-
-        def apply_K(v):
-            return prob.project(kit.elliptic(a, v))
-
-    else:
-
-        def apply_K(v):
-            return _apply(kit, prob, v, 0.0)
+    def apply_K(v):
+        return _residual(kit, prob, kit.grad(v), 0.0)
 
     f = _rhs_field(kit, prob)
     b = f - apply_K(G) if prob.exterior is not None else f
     b = prob.project(b)
     start = prob.project(x0.values) if x0 is not None else np.zeros_like(b)
-    prec, ptag = _make_precond(kit, prob, coeff_override)
+    prec, ptag = _make_precond(kit, prob)
     x, history, ok = _cg(apply_K, prec, b, start, tol, max_iter)
     u = prob.project(x) + G
     uf = ScalarField(prob.grid, u)
@@ -391,12 +374,102 @@ def solve_linear(
     )
 
 
+def _solve_frozen(kit: _RieszOps, prob: PDEProblem, a, b, x0, tol, max_iter):
+    """CG on -div^s(a grad^s x) = b over interior fields for a frozen
+    pointwise coefficient a; returns (x, converged)."""
+
+    def apply_K(v):
+        return prob.project(kit.elliptic(a, v))
+
+    prec, _ = _make_precond(kit, prob, a)
+    x, _, ok = _cg(apply_K, prec, b, x0, tol, max_iter)
+    return prob.project(x), ok
+
+
+#: Armijo sufficient-decrease fraction of the line search
+_ARMIJO = 1e-4
+#: descent's cap on Barzilai-Borwein iterations per eps stage
+_MAX_INNER = 250
+
+
+def _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, t, t_min):
+    """Armijo backtracking by halving on the regularized energy from u along d.
+
+    gu and gd are grad^s u and grad^s d, and slope is the energy's
+    directional derivative along d.  grad^s is linear, so a trial's gradient
+    is gu + t gd and a trial costs no transform.  Returns (t, u + t d, its
+    gradient, its energy, ok).  When t falls to t_min without sufficient
+    decrease, the tiny step is still taken and ok is False.
+    """
+
+    def trial(t):
+        ut = u + t * d
+        gt = [a + t * b for a, b in zip(gu, gd)]
+        return ut, gt, _energy(kit, prob, ut, eps, gt)
+
+    while t > t_min:
+        ut, gt, et = trial(t)
+        if et <= e0 + _ARMIJO * t * slope:
+            return t, ut, gt, et, True
+        t *= 0.5
+    return (t, *trial(t), False)
+
+
+def _kacanov_step(kit, prob, f, fn, u, gu, eps, energies, counts):
+    """Solve the problem with its coefficient frozen at u, then damp the
+    step by the line search."""
+    a = _coeff(prob.weight.values, prob.p, gu, eps)
+    uhat, ok = _solve_frozen(kit, prob, a, f, u, 1e-12, 2000)
+    # an inner solve that misses its tolerance still supplies the step
+    counts["inner_unconverged"] += not ok
+    d = prob.project(uhat - u)
+    gd = kit.grad(d)
+    e0 = _energy(kit, prob, u, eps, gu)
+    slope = kit.hn * (
+        sum(np.sum(a * c * cd) for c, cd in zip(gu, gd)) - np.sum(f * d)
+    )
+    _, u, gu, e, ok = _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10)
+    energies.append(e)
+    counts["line_search_failures"] += not ok
+    return u, gu
+
+
+def _descent_stage(kit, prob, f, fn, u, gu, eps, energies, counts):
+    """Barzilai-Borwein steps at fixed eps, preconditioned by the spectral
+    surrogate of the coefficient frozen at the stage's start."""
+    prec, _ = _make_precond(kit, prob, _coeff(prob.weight.values, prob.p, gu, eps))
+    e = _energy(kit, prob, u, eps, gu)
+    uprev = gprev = gn0 = None
+    t = 1.0
+    for _ in range(_MAX_INNER):
+        gvec = _residual(kit, prob, gu, f, eps)
+        pg = prec(gvec)
+        gdot = float(np.sum(gvec * pg))
+        gn = np.sqrt(max(gdot, 0.0))
+        if gn0 is None:
+            gn0 = gn
+        if gn < 1e-3 * gn0 or gn < 1e-13 * fn:
+            break
+        if uprev is not None:
+            du = u - uprev
+            den = float(np.sum((pg - gprev) * du))
+            if den > 0:
+                t = float(np.sum(du * du)) / den
+        gd = [-c for c in kit.grad(pg)]
+        uprev, gprev = u, pg
+        _, u, gu, e, ok = _line_search(
+            kit, prob, u, gu, -pg, gd, eps, e, -kit.hn * gdot, min(t, 1e8), 1e-18
+        )
+        energies.append(e)
+        counts["line_search_failures"] += not ok
+    return u, gu
+
+
 def solve_plaplace(
     prob: PDEProblem,
     method: str = "kacanov",
     tol: float | None = None,
     max_outer: int = 200,
-    max_inner: int = 250,
     x0: ScalarField | None = None,
 ) -> SolveReport:
     """Iterative solve of the weighted fractional p-Laplace problem (g = 0).
@@ -404,11 +477,12 @@ def solve_plaplace(
     kacanov: freeze a_k = w (|grad^s u_k|^2 + eps_k^2)^((p-2)/2), solve the
     linear problem, damp by an Armijo line search on the regularized energy
     (default tol 1e-8).  descent: Barzilai-Borwein steps on the regularized
-    energy with backtracking, preconditioned per stage by the frozen
+    energy with the same line search, preconditioned per stage by the frozen
     coefficient's spectral surrogate, with eps following a homotopy from a
     large value (default tol 1e-6; a first-order method cannot certify much
-    smaller dual residuals at the regularization floor).  Both declare
-    convergence on the unregularized weak residual (relative dual norm).
+    smaller dual residuals at the regularization floor).  Both run one outer
+    loop and declare convergence on the unregularized weak residual
+    (relative dual norm).
     """
     if prob.p < 1.1:
         raise ValueError(
@@ -421,8 +495,9 @@ def solve_plaplace(
         raise ValueError("matrix coefficients are linear-path only (p = 2)")
     if method not in ("kacanov", "descent"):
         raise ValueError(f"unknown method {method!r}")
+    kacanov = method == "kacanov"
     if tol is None:
-        tol = 1e-8 if method == "kacanov" else 1e-6
+        tol = 1e-8 if kacanov else 1e-6
     kit = _RieszOps(prob.grid, prob.s)
     f = _rhs_field(kit, prob)
     fn = kit.dual_norm(f)
@@ -442,135 +517,55 @@ def solve_plaplace(
     if x0 is not None:
         u = prob.project(x0.values)
     else:
-        lin = solve_linear(
-            prob, tol=1e-12, max_iter=2000, coeff_override=prob.weight.values
+        u, _ = _solve_frozen(
+            kit, prob, prob.weight.values, f, np.zeros_like(f), 1e-12, 2000
         )
-        u = lin.solution.values
-    gr = kit.grad(u)
-    gmag = np.sqrt(sum(c * c for c in gr))
+    gu = kit.grad(u)
+    gmag = np.sqrt(sum(c * c for c in gu))
     med = float(np.median(gmag[prob.mask]))
     scale = float(np.max(gmag)) or 1.0
     eps_min = max(1e-8 * med, 1e-15 * scale)
     # kacanov tolerates the target regularization at once; descent follows a
     # homotopy from a large eps so early stages stay well conditioned
-    eps = eps_min if method == "kacanov" else max(1e-2 * scale, eps_min)
-
+    step = _kacanov_step if kacanov else _descent_stage
+    eps = eps_min if kacanov else max(1e-2 * scale, eps_min)
+    # every step appends one energy; line-search and inner-solve failures
+    # are counted into the report
+    energies = [_energy(kit, prob, u, eps, gu)]
+    counts = {"line_search_failures": 0}
+    if kacanov:
+        counts["inner_unconverged"] = 0
     residuals = []
-    energies = [_energy(kit, prob, u, eps)]
     converged = False
-    total = 0
-    inner_unconverged = 0
-
     f2 = max(float(np.sqrt(np.sum(f * f))), 1e-300)
-    # kacanov can afford a certificate that also bounds the plain L2 residual
-    # (the dual surrogate damps exactly the modes a Newton-like method nails);
-    # first-order descent certifies the dual surrogate only
-    strict = method == "kacanov"
 
-    def unreg_residual(v):
-        r = prob.project(_apply(kit, prob, v, 0.0) - f)
-        dual = kit.dual_norm(r) / fn
-        if not strict:
-            return dual
-        return max(dual, float(np.sqrt(np.sum(r * r))) / f2)
-
-    if method == "kacanov":
-        for _ in range(max_outer):
-            gr = kit.grad(u)
-            a = prob.weight.values * (
-                sum(c * c for c in gr) + eps * eps
-            ) ** ((prob.p - 2.0) / 2.0)
-
-            def apply_K(v, a=a):
-                return prob.project(kit.elliptic(a, v))
-
-            prec, _ = _make_precond(kit, prob, a)
-            uhat, _, inner_ok = _cg(apply_K, prec, f, u.copy(), 1e-12, 2000)
-            if not inner_ok:
-                inner_unconverged += 1
-            d = prob.project(uhat - u)
-            e0 = _energy(kit, prob, u, eps)
-            gdot = float(np.sum((_apply(kit, prob, u, eps) - f) * d)) * kit.hn
-            t = 1.0
-            while t > 1e-10:
-                e1 = _energy(kit, prob, u + t * d, eps)
-                if e1 <= e0 + 1e-4 * t * gdot:
-                    break
-                t *= 0.5
-            u = u + t * d
-            total += 1
-            energies.append(_energy(kit, prob, u, eps))
-            rn = unreg_residual(u)
-            residuals.append(rn)
-            if rn < tol:
-                converged = True
+    for _ in range(max_outer):
+        u, gu = step(kit, prob, f, fn, u, gu, eps, energies, counts)
+        r = _residual(kit, prob, gu, f)
+        rn = kit.dual_norm(r) / fn
+        if kacanov:
+            # kacanov can afford a certificate that also bounds the plain L2
+            # residual (the dual surrogate damps exactly the modes a
+            # Newton-like method nails); descent certifies the dual surrogate
+            rn = max(rn, float(np.sqrt(np.sum(r * r))) / f2)
+        residuals.append(rn)
+        if rn < tol:
+            converged = True
+            break
+        if not kacanov and len(residuals) > 3 and eps <= eps_min * 1.001:
+            # descent at the regularization floor with no progress left
+            if abs(residuals[-1] - residuals[-2]) < 1e-3 * residuals[-1]:
                 break
-            eps = max(eps * 0.5, 1e-15 * scale)
-    else:
-        for _stage in range(max_outer):
-            gr = kit.grad(u)
-            a = prob.weight.values * (
-                sum(c * c for c in gr) + eps * eps
-            ) ** ((prob.p - 2.0) / 2.0)
-            prec, _ = _make_precond(kit, prob, a)
-            uprev = None
-            gprev = None
-            t = 1.0
-            gn0 = None
-            for _ in range(max_inner):
-                gvec = prob.project(_apply(kit, prob, u, eps) - f)
-                pg = prec(gvec)
-                gn = float(np.sqrt(max(np.sum(gvec * pg), 0.0)))
-                if gn0 is None:
-                    gn0 = gn
-                if gn < 1e-3 * gn0 or gn < 1e-13 * fn:
-                    break
-                if uprev is not None:
-                    du = u - uprev
-                    dg = pg - gprev
-                    den = float(np.sum(dg * du))
-                    if den > 0:
-                        t = float(np.sum(du * du)) / den
-                e0 = _energy(kit, prob, u, eps)
-                gdot = float(np.sum(gvec * pg))
-                if gdot <= 0.0:
-                    break
-                tt = min(t, 1e8)
-                un = u
-                while tt > 1e-18:
-                    un = u - tt * pg
-                    if _energy(kit, prob, un, eps) <= e0 - 1e-4 * tt * gdot:
-                        break
-                    tt *= 0.5
-                uprev, gprev = u, pg
-                u = un
-                total += 1
-                energies.append(_energy(kit, prob, u, eps))
-            rn = unreg_residual(u)
-            residuals.append(rn)
-            if rn < tol:
-                converged = True
-                break
-            if len(residuals) > 3 and eps <= eps_min * 1.001:
-                # at the regularization floor with no progress left
-                if abs(residuals[-1] - residuals[-2]) < 1e-3 * residuals[-1]:
-                    break
-            eps = max(eps * 0.25, eps_min)
+        eps = max(eps * 0.5, 1e-15 * scale) if kacanov else max(eps * 0.25, eps_min)
 
-    uf = ScalarField(prob.grid, prob.project(u))
-    details = {"tol": tol, "final_eps": eps}
-    if method == "kacanov":
-        # inner linear solves that missed their tolerance (the outer step
-        # still uses their iterate)
-        details["inner_unconverged"] = inner_unconverged
     return SolveReport(
-        solution=uf,
-        iterations=total,
+        solution=ScalarField(prob.grid, prob.project(u)),
+        iterations=len(energies) - 1,
         residuals=[float(r) for r in residuals],
         energies=[float(e) for e in energies],
         converged=converged,
         method=method,
-        details=details,
+        details={"tol": tol, "final_eps": eps, **counts},
     )
 
 
@@ -586,8 +581,8 @@ def monotonicity_gap(
     kit = _RieszOps(prob.grid, prob.s)
     gu = kit.grad(prob.project(u.values))
     gv = kit.grad(prob.project(v.values))
-    fu, _ = _flux(prob, gu, 0.0)
-    fv, _ = _flux(prob, gv, 0.0)
+    fu = _flux(prob, gu, 0.0)
+    fv = _flux(prob, gv, 0.0)
     lhs = kit.hn * float(
         sum(np.sum((a - b) * (x - y)) for a, b, x, y in zip(fu, fv, gu, gv))
     )
@@ -635,7 +630,7 @@ def manufacture(
     )
     kit = _RieszOps(grid, s)
     gr = kit.grad(u_star.values)
-    fl, _ = _flux(probe, gr, 0.0)
+    fl = _flux(probe, gr, 0.0)
     f = ScalarField(grid, -kit.div(fl))
     return PDEProblem(
         grid=grid,

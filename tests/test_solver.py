@@ -405,3 +405,148 @@ class TestOperatorStructure:
             sols.append(sv.solve_linear(prob2, tol=1e-11, x0=x0).solution)
         for a in sols[1:]:
             assert lp_norm(a - sols[0], 2) / lp_norm(sols[0], 2) <= 1e-10
+
+
+def _flux_three_branch(prob, gr, eps):
+    """The flux as three eps = 0 branches, a test-only reference."""
+    w, p = prob.weight.values, prob.p
+    if p == 2.0 and eps == 0.0:
+        return [w * c for c in gr]
+    mag2 = sum(c * c for c in gr)
+    if eps == 0.0:
+        mag = np.sqrt(mag2)
+        nz = mag > 0.0
+        safe = np.where(nz, mag, 1.0)
+        if p < 2.0:
+            return [np.where(nz, w * safe ** (p - 2.0) * c, 0.0) for c in gr]
+        a = np.where(nz, w * safe ** (p - 2.0), 0.0)
+        return [a * c for c in gr]
+    a = w * (mag2 + eps * eps) ** ((p - 2.0) / 2.0)
+    return [a * c for c in gr]
+
+
+class TestFlux:
+    @pytest.mark.parametrize("p", [1.3, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_matches_three_branch_reference(self, p, eps):
+        g = make_grid(GridSpec(n=2, N=32, L=2.0))
+        X, Y = g.coords()
+        mask = (np.abs(X - 1.0) <= 0.45) & (np.abs(Y - 1.0) <= 0.45)
+        w = wt.power_weight(g, [1.0, 1.0], 0.5, p)
+        prob = sv.PDEProblem(grid=g, mask=mask, s=0.5, p=p, weight=w,
+                             rhs=ScalarField(g, np.zeros(g.spec.shape)))
+        (u,) = interior_fields(g, mask, 1, seed=12)
+        gr = fo._RieszOps(g, 0.5).grad(u.values)
+        zero = np.zeros(g.spec.shape, dtype=bool)
+        zero[3:9, 5:7] = True
+        zero[20, 20] = True
+        for c in gr:
+            c[zero] = 0.0
+        got = sv._flux(prob, gr, eps)
+        want = _flux_three_branch(prob, gr, eps)
+        for a, b in zip(got, want):
+            assert np.all(np.isfinite(a))
+            assert np.all(a[zero] == 0.0)
+            assert np.all(np.abs(a - b) <= 1e-14 * np.abs(b))
+
+
+def _trial_problem(n, kind):
+    N = 64 if n == 1 else 32
+    g = make_grid(GridSpec(n=n, N=N, L=2.0))
+    X = g.coords()
+    mask = np.logical_and.reduce([np.abs(x - 1.0) <= 0.4 for x in X])
+    p = {"scalar": 3.0, "matrix": 2.0, "vector": 1.5}[kind]
+    w = wt.power_weight(g, [1.0] * n, 0.5, p)
+    f = bump(g, [1.0] * n, 0.3, 1.0)
+    if kind == "vector":
+        rhs = fo.riesz_gradient(f, 0.5)
+        return sv.PDEProblem(grid=g, mask=mask, s=0.5, p=p, weight=w, rhs=rhs)
+    if kind == "scalar":
+        return sv.PDEProblem(grid=g, mask=mask, s=0.5, p=p, weight=w, rhs=f)
+    e = np.ones(n) / np.sqrt(n)
+    A = np.array([[w.values * ((i == j) + 0.5 * e[i] * e[j]) for j in range(n)]
+                  for i in range(n)])
+    return sv.PDEProblem(grid=g, mask=mask, s=0.5, p=p, weight=w, rhs=f,
+                         matrix=A, c1=1.0, c2=1.5)
+
+
+def _bulk(prob, gr, eps):
+    """The energy's first term, from the gradient of the trial point."""
+    hn = prob.grid.h ** prob.grid.spec.n
+    if prob.matrix is not None:
+        quad = np.einsum("i...,ij...,j...->...", np.stack(gr), prob.matrix, np.stack(gr))
+        return 0.5 * hn * float(np.sum(quad))
+    m = sum(c * c for c in gr) + eps * eps
+    return hn * float(np.sum(prob.weight.values * m ** (prob.p / 2.0))) / prob.p
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["scalar", "matrix", "vector"])
+    @pytest.mark.parametrize("t", [1.0, 1e-6])
+    def test_trial_energy_from_combined_gradient(self, n, kind, t):
+        prob = _trial_problem(n, kind)
+        g = prob.grid
+        eps = 0.0 if kind == "matrix" else 1e-3
+        kit = fo._RieszOps(g, 0.5)
+        u, d = interior_fields(g, prob.mask, 2, seed=13)
+        gu, gd = kit.grad(u.values), kit.grad(d.values)
+        # an infinite reference energy accepts the first trial, at t
+        t_out, ut, _, trial, ok = sv._line_search(
+            kit, prob, u.values, gu, d.values, gd, eps, np.inf, 0.0, t, 0.0
+        )
+        assert ok and t_out == t
+        assert np.array_equal(ut, u.values + t * d.values)
+        direct = sv.energy(prob, ScalarField(g, ut), eps)
+        gt = fo.riesz_gradient(ScalarField(g, ut), 0.5)
+        bulk = _bulk(prob, [c.values for c in gt.components], eps)
+        assert bulk > 0.0
+        assert abs(trial - direct) <= 1e-12 * bulk
+
+    def test_ascent_direction_hits_floor(self):
+        g, mask, w = setup_1d()
+        prob = sv.PDEProblem(grid=g, mask=mask, s=0.5, p=3.0, weight=w,
+                             rhs=bump(g, [1.0], 0.3, 1.0))
+        kit = fo._RieszOps(g, 0.5)
+        (u,) = interior_fields(g, mask, 1, seed=14)
+        u = u.values
+        eps = 1e-3
+        gu = kit.grad(u)
+        # the energy's gradient is an ascent direction
+        d = sv._residual(kit, prob, gu, sv._rhs_field(kit, prob), eps)
+        slope = kit.hn * float(np.sum(d * d))
+        assert slope > 0.0
+        e0 = sv._energy(kit, prob, u, eps, gu)
+        t, ut, gt, et, ok = sv._line_search(
+            kit, prob, u, gu, d, kit.grad(d), eps, e0, slope, 1.0, 1e-10
+        )
+        assert not ok and 0.0 < t <= 1e-10
+        assert np.array_equal(ut, u + t * d)
+        assert et == sv._energy(kit, prob, ut, eps, gt)
+
+    def test_criterion_8_problems_report_no_failures(self):
+        g, mask, w = setup_1d(N=256)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        for p in (1.5, 3.0):
+            prob = sv.manufacture(g, mask, 0.5, p, w, ustar)
+            for rep in (sv.solve_plaplace(prob, "kacanov", tol=1e-8),
+                        sv.solve_plaplace(prob, "descent")):
+                assert rep.converged
+                count = rep.details["line_search_failures"]
+                assert type(count) is int and count == 0
+                assert rep.to_record()["line_search_failures"] == 0
+
+    def test_descent_on_a_small_box(self):
+        # on L = 0.01 the cell volume h = 3.9e-5 is below the Armijo fraction
+        # 1e-4, so a sufficient-decrease test that left h out of the slope
+        # could never pass
+        L = 0.01
+        g = make_grid(GridSpec(n=1, N=256, L=L))
+        x = g.axes[0]
+        mask = (x >= 0.3 * L) & (x <= 0.7 * L)
+        w = wt.tabulated_weight(g, np.ones(256), 2.0)
+        ustar = bump(g, [0.5 * L], 0.15 * L, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, 3.0, w, ustar)
+        rep = sv.solve_plaplace(prob, "descent")
+        assert rep.converged and rep.details["line_search_failures"] == 0
+        assert lp_norm(rep.solution - ustar, 2) <= 1e-5 * lp_norm(ustar, 2)
