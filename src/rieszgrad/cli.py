@@ -8,19 +8,16 @@ configuration, seed, package version and sha256 of each artifact; identical
 config and seed reproduce identical artifact bytes.
 
 Exit codes: 0 success, 1 numeric violation in verify, 2 config/schema
-violation.  RIESZGRAD_THREADS caps sweep parallelism (results are keyed by
-case id, so aggregation is order independent).
+violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import itertools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -585,19 +582,9 @@ def _cmd_sweep(args) -> int:
         case.update(dict(zip(keys, combo)))
         case_id = ",".join(f"{k}={v}" for k, v in zip(keys, combo))
         cases.append((case_id, case))
-    workers = int(os.environ.get("RIESZGRAD_THREADS", "1"))
-    results = {}
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_sweep_case, task, c): cid for cid, c in cases}
-            for fut in concurrent.futures.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for cid, c in cases:
-            results[cid] = _sweep_case(task, c)
     out = Path(args.out)
     manifest = Manifest(out, "sweep", config, None)
-    ordered = {cid: results[cid] for cid, _ in sorted(cases)}
+    ordered = {cid: _sweep_case(task, c) for cid, c in sorted(cases)}
     path = out / "sweep.json"
     _dump_json(ordered, path)
     manifest.add(path)

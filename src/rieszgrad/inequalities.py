@@ -9,9 +9,11 @@ below its cap, "violated" only when an inequality with a known constant
 fails beyond tolerance, and "inconclusive" for degenerate inputs.
 
 Identities that are exact come with their constants: the single-mode
-interpolation ratio is exactly one, and the Poincare constant for p = 2 is
-an eigenvalue, computed here by inverse power iteration with conjugate
-gradient inner solves.
+interpolation ratio is exactly one, and the Poincare constant is
+lambda^(-1/p) for the first eigenvalue lambda of the weighted fractional
+p-Laplacian, computed here for every p by one nonlinear inverse power
+iteration (Hein & Buehler, NIPS 2010) whose steps are warm-started Kacanov
+steps of the solver; at p = 2 it is inverse iteration with CG inner solves.
 
 Bump samples are spectrally truncated below the top octave (|k| <= N/4 per
 axis); this is the frequency-side counterpart of the spatial margin rule and
@@ -26,7 +28,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
-from .solver import _cg, _coeff
+from .solver import PDEProblem, _residual, solve_plaplace
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -206,7 +208,7 @@ def equivalence_report(
 @dataclass
 class PoincareEstimate:
     constant: float
-    eigenvalue: float | None
+    eigenvalue: float
     residual: float
     iterations: int
     converged: bool
@@ -236,88 +238,69 @@ def poincare_constant(
 ) -> PoincareEstimate:
     """Best constant in ||u||_{L^p_w} <= C ||grad^s u||_{L^p_w} over interior u.
 
-    p = 2 with scalar weight: inverse power iteration on the generalized
-    eigenproblem -div^s(w grad^s u) = lambda w u restricted to the interior;
-    the constant is lambda_min^(-1/2) and every interior field satisfies the
-    inequality with it.  General p: Rayleigh-ratio descent refined from the
-    best family member; the returned value dominates the supplied family by
-    construction (an empirical lower bound on the true constant).
+    Nonlinear inverse power iteration on -div^s(w |grad^s u|^(p-2) grad^s u)
+    = lambda w |u|^(p-2) u, started from the family member with the smallest
+    Rayleigh quotient.  Each step is one warm-started Kacanov step of
+    :func:`solve_plaplace` with right-hand side w |u|^(p-2) u, started at the
+    energy's minimizer on the ray through u, so the quotient never rises; at
+    p = 2 the step is an exact CG solve and this is inverse iteration.
+    lambda is the Rayleigh quotient <u, Tu> / <u, Bu> and the residual is
+    ||Tu - lambda Bu|| / (lambda ||Bu||).  The constant is lambda^(-1/p),
+    raised to the best family ratio when that is larger, so it dominates the
+    family; it is the sharp constant when the iteration reaches the first
+    eigenfunction.  p < 1.1 is refused and Omega needs the solver's 4h seam
+    margin.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("interior mask is empty")
-    wv = np.ones(grid.spec.shape) if w is None else w.values
-    if p == 2.0:
-        ops = fo._RieszOps(grid, s)
-        inv = 1.0 / (float(np.median(wv[mask])) * ops.lap_sym + 1.0)
-
-        def T(u):
-            return np.where(mask, ops.elliptic(wv, u), 0.0)
-
-        def prec(r):
-            return np.where(mask, ops.multiply(inv, r), 0.0)
-
-        rng = np.random.default_rng(seed)
-        u = np.where(mask, rng.standard_normal(grid.spec.shape), 0.0)
-        u /= np.sqrt(np.sum(wv * u * u))
-        lam = np.inf
-        res = np.inf
-        iters = 0
-        inner_ok = True
-        for k in range(max_iter):
-            b = np.where(mask, wv * u, 0.0)
-            v, _, ok = _cg(T, prec, b, np.zeros_like(b), 1e-12, 4000)
-            inner_ok = inner_ok and ok
-            v = np.where(mask, v, 0.0)
-            v /= np.sqrt(np.sum(wv * v * v))
-            Tv = T(v)
-            lam = float(np.sum(v * Tv) / np.sum(wv * v * v))
-            res = float(
-                np.sqrt(np.sum((Tv - lam * wv * v) ** 2))
-                / (abs(lam) * np.sqrt(np.sum((wv * v) ** 2)))
-            )
-            u = v
-            iters = k + 1
-            if res < tol:
-                break
-        return PoincareEstimate(
-            constant=lam ** (-0.5),
-            eigenvalue=lam,
-            residual=res,
-            iterations=iters,
-            converged=res < tol and inner_ok,
-            method="inverse_power_cg",
-        )
-    # general p: refine the best Rayleigh ratio by projected descent
-    wobj = None if w is None else w
+    if w is None:
+        w = tabulated_weight(grid, np.ones(grid.spec.shape), p)
     if family is None:
         family = _interior_family(grid, mask, seed)
-    best = None
-    best_ratio = np.inf
+    u = None
     family_max = 0.0
-    for u in family:
-        ui = np.where(mask, u.values, 0.0)
-        if not np.any(ui):
-            continue
-        uf = ScalarField(grid, ui)
-        gn = lp_norm(fo.riesz_gradient(uf, s), p, wobj)
-        un = lp_norm(uf, p, wobj)
-        if gn == 0.0 or un == 0.0:
-            continue
-        family_max = max(family_max, un / gn)
-        if gn / un < best_ratio:
-            best_ratio = gn / un
-            best = ui
-    if best is None:
+    for v in family:
+        uf = ScalarField(grid, np.where(mask, v.values, 0.0))
+        gn = lp_norm(fo.riesz_gradient(uf, s), p, w)
+        un = lp_norm(uf, p, w)
+        if gn > 0.0 and un / gn > family_max:
+            family_max = un / gn
+            u = uf.values / un
+    if u is None:
         raise ValueError("no usable family member inside the mask")
-    u, ratio, iters, stopped = _rayleigh_descent(grid, mask, s, p, wv, best, max_iter)
+    kit = fo._RieszOps(grid, s)
+
+    def eigen(u):
+        """(the problem with right-hand side B u, lambda, residual) of an
+        interior field u."""
+        Bu = w.values * np.sign(u) * np.abs(u) ** (p - 1.0)
+        prob = PDEProblem(grid, mask, s, p, w, ScalarField(grid, Bu))
+        Tu = _residual(kit, prob, kit.grad(u), 0.0)
+        lam = float(np.sum(u * Tu) / np.sum(u * Bu))
+        res = float(
+            np.sqrt(np.sum((Tu - lam * Bu) ** 2)) / (lam * np.sqrt(np.sum(Bu * Bu)))
+        )
+        return prob, lam, res
+
+    prob, lam, res = eigen(u)
+    iters = 0
+    failures = 0
+    while res >= tol and iters < max_iter:
+        rep = solve_plaplace(
+            prob, x0=ScalarField(grid, u * lam ** (-1.0 / (p - 1.0))), max_outer=1
+        )
+        failures += rep.details["inner_unconverged"] + rep.details["line_search_failures"]
+        u = rep.solution.values / lp_norm(rep.solution, p, w)
+        prob, lam, res = eigen(u)
+        iters += 1
     return PoincareEstimate(
-        constant=max(1.0 / ratio, family_max),
-        eigenvalue=None,
-        residual=float("nan"),
+        constant=max(lam ** (-1.0 / p), family_max),
+        eigenvalue=lam,
+        residual=res,
         iterations=iters,
-        converged=stopped,
-        method="rayleigh_descent",
+        converged=res < tol and failures == 0,
+        method="inverse_power",
     )
 
 
@@ -329,56 +312,6 @@ def _interior_family(grid: Grid, mask: np.ndarray, seed: int, count: int = 8):
         sm = band_limit(ScalarField(grid, vals), fraction=0.2)
         out.append(ScalarField(grid, np.where(mask, sm.values, 0.0)))
     return out
-
-
-def _rayleigh_descent(grid, mask, s, p, wv, u0, max_iter):
-    """Minimize ||grad^s u||_{p,w} / ||u||_{p,w} over interior-supported u.
-
-    Returns (u, ratio, iterations, stopped); ``stopped`` is True when the
-    descent ended because no step improved the ratio or the gradient
-    vanished, False when it ran out of iterations."""
-    hn = grid.h**grid.spec.n
-    ops = fo._RieszOps(grid, s)
-
-    def ratio_and_grad(u):
-        gr = ops.grad(u)
-        mag = np.sqrt(sum(c * c for c in gr))
-        A = (hn * np.sum(mag**p * wv)) ** (1.0 / p)
-        B = (hn * np.sum(np.abs(u) ** p * wv)) ** (1.0 / p)
-        R = A / B
-        a = _coeff(wv, p, gr, 0.0)
-        dA = A ** (1.0 - p) * (-ops.div([a * c for c in gr]))
-        unz = u != 0.0
-        usafe = np.where(unz, np.abs(u), 1.0)
-        dB = B ** (1.0 - p) * wv * np.where(unz, usafe ** (p - 2.0) * u, 0.0)
-        G = np.where(mask, (dA * B - A * dB) / (B * B), 0.0)
-        return R, G
-
-    u = u0 / np.sqrt(np.sum(u0 * u0))
-    R, G = ratio_and_grad(u)
-    t = 1.0
-    iters = 0
-    for k in range(max_iter):
-        gn2 = float(np.sum(G * G))
-        if gn2 == 0.0:
-            return u, R, iters, True
-        tt = t
-        improved = False
-        while tt > 1e-14:
-            un = u - tt * G
-            if np.any(un[mask] != 0.0):
-                un = un / np.sqrt(np.sum(un * un))
-                Rn, Gn = ratio_and_grad(un)
-                if Rn < R * (1.0 - 1e-12):
-                    u, R, G = un, Rn, Gn
-                    improved = True
-                    t = tt * 2.0
-                    break
-            tt *= 0.5
-        iters = k + 1
-        if not improved:
-            return u, R, iters, True
-    return u, R, iters, False
 
 
 def gn_report(

@@ -298,21 +298,23 @@ def poincare_check(N: int = 128, seed: int = 0) -> list[CheckResult]:
     grid = make_grid(GridSpec(n=1, N=N, L=2.0))
     x = grid.axes[0]
     mask = (x >= 0.75) & (x <= 1.25)
-    est = iq.poincare_constant(grid, mask, 0.5, 2.0, seed=seed)
-    out = [
-        _result("poincare_eigensolve_residual", est.residual, 1e-8,
-                constant=est.constant)
-    ]
-    # the estimated constant dominates the family
     fam = iq._interior_family(grid, mask, seed)
-    worst = 0.0
-    for u in fam:
-        ui = ScalarField(grid, np.where(mask, u.values, 0.0))
-        gn = lp_norm(fo.riesz_gradient(ui, 0.5), 2)
-        un = lp_norm(ui, 2)
-        if gn > 0:
-            worst = max(worst, un / (gn * est.constant))
-    out.append(_result("poincare_family_inequality", worst, 1.0 + 1e-8))
+    out = []
+    for p, residual_name, family_name in (
+        (2.0, "poincare_eigensolve_residual", "poincare_family_inequality"),
+        (3.0, "poincare_p3_eigen_residual", "poincare_p3_family_inequality"),
+    ):
+        est = iq.poincare_constant(grid, mask, 0.5, p, seed=seed)
+        out.append(_result(residual_name, est.residual, 1e-8, constant=est.constant))
+        # the estimated constant dominates the family
+        worst = 0.0
+        for u in fam:
+            ui = ScalarField(grid, np.where(mask, u.values, 0.0))
+            gn = lp_norm(fo.riesz_gradient(ui, 0.5), p)
+            un = lp_norm(ui, p)
+            if gn > 0:
+                worst = max(worst, un / (gn * est.constant))
+        out.append(_result(family_name, worst, 1.0 + 1e-8))
     return out
 
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from rieszgrad.grid import GridSpec, ScalarField, VectorField, lp_norm, make_grid, sample
+from rieszgrad.grid import GridSpec, ScalarField, VectorField, bump, lp_norm, make_grid, sample
 from rieszgrad import fracops as fo
 from rieszgrad import inequalities as iq
 from rieszgrad import weights as wt
-from rieszgrad.solver import EllipticityError, _cg
+from rieszgrad import solver as sv
 
 
 def grid1(N=128, L=1.0):
@@ -146,12 +146,12 @@ class TestPoincare:
             gn = lp_norm(fo.riesz_gradient(u, 0.5), 2.0, w)
             assert un <= est.constant * gn * (1.0 + 1e-8)
 
-    def test_descent_cut_at_max_iter_not_converged(self):
+    def test_cut_at_max_iter_not_converged(self):
         g = grid1(N=256, L=2.0)
         x = g.axes[0]
         mask = (x >= 0.75) & (x <= 1.25)
         est = iq.poincare_constant(g, mask, 0.5, 3.0, max_iter=5)
-        assert est.method == "rayleigh_descent"
+        assert est.method == "inverse_power"
         assert est.iterations == 5
         assert est.converged is False
 
@@ -163,16 +163,50 @@ class TestPoincare:
         x = g.axes[0]
         mask = (x >= 0.75) & (x <= 1.25)
         assert iq.poincare_constant(g, mask, 0.5, 2.0).converged
-        cg = iq._cg
-        monkeypatch.setattr(iq, "_cg", lambda *a, **k: (*cg(*a, **k)[:2], False))
+        cg = sv._cg
+        monkeypatch.setattr(sv, "_cg", lambda *a, **k: (*cg(*a, **k)[:2], False))
         est = iq.poincare_constant(g, mask, 0.5, 2.0)
         assert est.residual < 1e-8
         assert est.converged is False
 
-    def test_cg_rejects_indefinite_operator(self):
-        b = np.ones(16)
-        with pytest.raises(EllipticityError):
-            _cg(lambda v: -v, lambda r: r, b, np.zeros_like(b), 1e-12, 10)
+    def test_general_p_converges(self):
+        # the default case of `rieszgrad poincare --s 0.5 --p 3`
+        g = grid1(N=256, L=2.0)
+        x = g.axes[0]
+        mask = (x >= 0.75) & (x <= 1.25)
+        est = iq.poincare_constant(g, mask, 0.5, 3.0)
+        assert est.converged is True
+        assert est.residual < 1e-8
+        assert est.constant == est.eigenvalue ** (-1.0 / 3.0)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_eigenvalue_non_increasing(self, p):
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        mask = (x >= 0.7) & (x <= 1.3)
+        fam = iq._interior_family(g, mask, seed=0)
+        best = max(
+            lp_norm(u, p) / lp_norm(fo.riesz_gradient(u, 0.5), p) for u in fam
+        )
+        eigs = []
+        for k in range(1, 6):
+            est = iq.poincare_constant(g, mask, 0.5, p, max_iter=k, family=fam)
+            assert est.iterations == k
+            assert est.constant >= best * (1.0 - 1e-12)
+            eigs.append(est.eigenvalue)
+        assert all(b <= a for a, b in zip(eigs, eigs[1:]))
+
+    def test_rhs_finite_at_exact_zeros(self):
+        # p = 1.5 puts |u|^(p-1) = |u|^(1/2) on an iterate that vanishes on
+        # half the interior; any invalid power would raise as a warning
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        mask = (x >= 0.7) & (x <= 1.3)
+        u = bump(g, [0.9], 0.15, 1.0)
+        assert np.any(mask & (u.values == 0.0))
+        est = iq.poincare_constant(g, mask, 0.5, 1.5, max_iter=3, family=[u])
+        assert np.isfinite(est.eigenvalue) and np.isfinite(est.residual)
+        assert est.eigenvalue > 0.0
 
 
 class TestGagliardoNirenberg:

@@ -241,6 +241,11 @@ class TestSolveLinear:
         diff = (rep.solution.values - G) - rep0.solution.values
         assert np.max(np.abs(diff)) <= 1e-9 * max(1.0, np.max(np.abs(rep0.solution.values)))
 
+    def test_cg_rejects_indefinite_operator(self):
+        b = np.ones(16)
+        with pytest.raises(sv.EllipticityError):
+            sv._cg(lambda v: -v, lambda r: r, b, np.zeros_like(b), 1e-12, 10)
+
 
 class TestSolvePLaplace:
     @pytest.mark.parametrize("p,tol,target", [(1.5, None, 1e-6), (3.0, 1e-8, 1e-6)])
