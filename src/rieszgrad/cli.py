@@ -122,7 +122,7 @@ SOLVE_SCHEMA = {
         "solver": {
             "type": "object",
             "properties": {
-                "method": {"type": "string", "enum": ["pcg", "kacanov", "descent"]},
+                "method": {"type": "string", "enum": ["pcg", "kacanov", "newton", "descent"]},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer"},
@@ -462,7 +462,8 @@ def _cmd_solve(args) -> int:
     _validate(config, SOLVE_SCHEMA)
     prob, ustar = _build_problem(config, cfg_path.parent)
     scfg = config.get("solver", {})
-    method = scfg.get("method", "pcg" if prob.p == 2.0 else "kacanov")
+    # solve_plaplace picks the nonlinear default from p
+    method = scfg.get("method", "pcg" if prob.p == 2.0 else None)
     tol = scfg.get("tol")
     if method == "pcg":
         report = sv.solve_linear(
@@ -647,7 +648,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", default="poincare_out")
     pc.set_defaults(func=_cmd_poincare)
 
-    so = sub.add_parser("solve", help="solve a problem config")
+    so = sub.add_parser(
+        "solve",
+        help="solve a problem config (solver.method: pcg, kacanov, newton or "
+        "descent; default pcg at p = 2, newton for p > 2, kacanov for p < 2)",
+    )
     so.add_argument("--config", required=True)
     so.add_argument("--out", default="solve_out")
     so.set_defaults(func=_cmd_solve)

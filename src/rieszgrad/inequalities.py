@@ -288,7 +288,8 @@ def poincare_constant(
     failures = 0
     while res >= tol and iters < max_iter:
         rep = solve_plaplace(
-            prob, x0=ScalarField(grid, u * lam ** (-1.0 / (p - 1.0))), max_outer=1
+            prob, "kacanov", x0=ScalarField(grid, u * lam ** (-1.0 / (p - 1.0))),
+            max_outer=1,
         )
         failures += rep.details["inner_unconverged"] + rep.details["line_search_failures"]
         u = rep.solution.values / lp_norm(rep.solution, p, w)

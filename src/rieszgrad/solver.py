@@ -374,22 +374,31 @@ def solve_linear(
     )
 
 
-def _solve_frozen(kit: _RieszOps, prob: PDEProblem, a, b, x0, tol, max_iter):
-    """CG on -div^s(a grad^s x) = b over interior fields for a frozen
-    pointwise coefficient a; returns (x, converged)."""
+def _solve_frozen(kit: _RieszOps, prob: PDEProblem, a, b, x0, tol, apply_K=None):
+    """CG over interior fields on -div^s(a grad^s x) = b for a frozen
+    pointwise coefficient a, or on apply_K x = b when given, preconditioned
+    by a's spectral surrogate; returns (x, CG iterations, converged)."""
+    if apply_K is None:
 
-    def apply_K(v):
-        return prob.project(kit.elliptic(a, v))
+        def apply_K(v):
+            return prob.project(kit.elliptic(a, v))
 
     prec, _ = _make_precond(kit, prob, a)
-    x, _, ok = _cg(apply_K, prec, b, x0, tol, max_iter)
-    return prob.project(x), ok
+    x, history, ok = _cg(apply_K, prec, b, x0, tol, _MAX_CG)
+    return prob.project(x), len(history) - 1, ok
 
 
 #: Armijo sufficient-decrease fraction of the line search
 _ARMIJO = 1e-4
 #: descent's cap on Barzilai-Borwein iterations per eps stage
 _MAX_INNER = 250
+#: cap on CG iterations per inner solve
+_MAX_CG = 2000
+#: a run is flagged stalled when the best certificate of its last
+#: _STALL_WINDOW outer steps is not below (1 - _STALL_GAIN) times the best
+#: one before them
+_STALL_WINDOW = 10
+_STALL_GAIN = 1e-3
 
 
 def _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, t, t_min):
@@ -415,14 +424,9 @@ def _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, t, t_min):
     return (t, *trial(t), False)
 
 
-def _kacanov_step(kit, prob, f, fn, u, gu, eps, energies, counts):
-    """Solve the problem with its coefficient frozen at u, then damp the
-    step by the line search."""
-    a = _coeff(prob.weight.values, prob.p, gu, eps)
-    uhat, ok = _solve_frozen(kit, prob, a, f, u, 1e-12, 2000)
-    # an inner solve that misses its tolerance still supplies the step
-    counts["inner_unconverged"] += not ok
-    d = prob.project(uhat - u)
+def _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts):
+    """Line search from u along d on the regularized energy, whose slope
+    along d is h^n (sum a grad^s u . grad^s d - f . d) for a = _coeff at u."""
     gd = kit.grad(d)
     e0 = _energy(kit, prob, u, eps, gu)
     slope = kit.hn * (
@@ -434,7 +438,43 @@ def _kacanov_step(kit, prob, f, fn, u, gu, eps, energies, counts):
     return u, gu
 
 
-def _descent_stage(kit, prob, f, fn, u, gu, eps, energies, counts):
+def _kacanov_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
+    """Solve the problem with its coefficient frozen at u, then damp the
+    step by the line search."""
+    a = _coeff(prob.weight.values, prob.p, gu, eps)
+    uhat, its, ok = _solve_frozen(kit, prob, a, f, u, 1e-12)
+    # an inner solve that misses its tolerance still supplies the step
+    counts["inner_iterations"] += its
+    counts["inner_unconverged"] += not ok
+    d = prob.project(uhat - u)
+    return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts)
+
+
+def _newton_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
+    """Solve H d = f - T_eps(u) with the regularized energy's Hessian
+    H v = -div^s(a (grad^s v + (p-2) (g . grad^s v)/m g)), g = grad^s u and
+    m = |g|^2 + eps^2, from zero to the relative forcing tolerance
+    min(0.1, r) with r the last certificate, then damp the step by the line
+    search.  The frozen Kacanov operator (the Hessian without its rank-one
+    term) preconditions the solve through its spectral surrogate."""
+    a = _coeff(prob.weight.values, prob.p, gu, eps)
+    m = sum(c * c for c in gu) + eps * eps
+    rank1 = (prob.p - 2.0) * a / np.where(m > 0.0, m, 1.0)
+
+    def apply_H(v):
+        gv = kit.grad(v)
+        gdot = rank1 * sum(c * cv for c, cv in zip(gu, gv))
+        return prob.project(-kit.div([a * cv + gdot * c for c, cv in zip(gu, gv)]))
+
+    b = -_residual(kit, prob, gu, f, eps)
+    forcing = min(0.1, residuals[-1]) if residuals else 0.1
+    d, its, ok = _solve_frozen(kit, prob, a, b, np.zeros_like(b), forcing, apply_H)
+    counts["inner_iterations"] += its
+    counts["inner_unconverged"] += not ok
+    return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts)
+
+
+def _descent_stage(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
     """Barzilai-Borwein steps at fixed eps, preconditioned by the spectral
     surrogate of the coefficient frozen at the stage's start."""
     prec, _ = _make_precond(kit, prob, _coeff(prob.weight.values, prob.p, gu, eps))
@@ -467,7 +507,7 @@ def _descent_stage(kit, prob, f, fn, u, gu, eps, energies, counts):
 
 def solve_plaplace(
     prob: PDEProblem,
-    method: str = "kacanov",
+    method: str | None = None,
     tol: float | None = None,
     max_outer: int = 200,
     x0: ScalarField | None = None,
@@ -476,13 +516,25 @@ def solve_plaplace(
 
     kacanov: freeze a_k = w (|grad^s u_k|^2 + eps_k^2)^((p-2)/2), solve the
     linear problem, damp by an Armijo line search on the regularized energy
-    (default tol 1e-8).  descent: Barzilai-Borwein steps on the regularized
+    (default tol 1e-8).  newton (p >= 2 only): inexact Newton on the
+    regularized energy, each Hessian solve stopped at the forcing tolerance
+    min(0.1, last certificate) and preconditioned by the frozen Kacanov
+    coefficient, with Kacanov's line search, eps schedule and tolerance.
+    Below p = 2 the Hessian no longer dominates the frozen operator, and
+    newton is refused.  descent: Barzilai-Borwein steps on the regularized
     energy with the same line search, preconditioned per stage by the frozen
     coefficient's spectral surrogate, with eps following a homotopy from a
     large value (default tol 1e-6; a first-order method cannot certify much
-    smaller dual residuals at the regularization floor).  Both run one outer
+    smaller dual residuals at the regularization floor).  All run one outer
     loop and declare convergence on the unregularized weak residual
-    (relative dual norm).
+    (relative dual norm).  The default method is newton for p > 2 and
+    kacanov otherwise.
+
+    details counts line-search floor hits (every method) and, for kacanov
+    and newton, the CG iterations of all inner solves and the inner solves
+    that missed their tolerance; "stalled" flags a run whose best certificate
+    of its last 10 outer steps improved on the best before them by less than
+    a relative 1e-3.
     """
     if prob.p < 1.1:
         raise ValueError(
@@ -493,11 +545,22 @@ def solve_plaplace(
         raise ValueError("solve_plaplace requires homogeneous exterior data")
     if prob.matrix is not None:
         raise ValueError("matrix coefficients are linear-path only (p = 2)")
-    if method not in ("kacanov", "descent"):
+    if method is None:
+        method = "newton" if prob.p > 2.0 else "kacanov"
+    if method not in ("kacanov", "newton", "descent"):
         raise ValueError(f"unknown method {method!r}")
-    kacanov = method == "kacanov"
+    if method == "newton" and prob.p < 2.0:
+        raise ValueError(
+            "newton needs p >= 2: below it the Hessian no longer dominates "
+            "the frozen Kacanov operator; use kacanov"
+        )
+    # kacanov and newton share the eps schedule and the strict certificate
+    frozen = method != "descent"
     if tol is None:
-        tol = 1e-8 if kacanov else 1e-6
+        tol = 1e-8 if frozen else 1e-6
+    counts = {"line_search_failures": 0}
+    if frozen:
+        counts.update(inner_iterations=0, inner_unconverged=0)
     kit = _RieszOps(prob.grid, prob.s)
     f = _rhs_field(kit, prob)
     fn = kit.dual_norm(f)
@@ -511,52 +574,59 @@ def solve_plaplace(
             energies=[0.0],
             converged=True,
             method=method,
-            details={"tol": tol, "note": "zero right-hand side"},
+            details={"tol": tol, "note": "zero right-hand side", **counts,
+                     "stalled": False},
         )
 
     if x0 is not None:
         u = prob.project(x0.values)
     else:
-        u, _ = _solve_frozen(
-            kit, prob, prob.weight.values, f, np.zeros_like(f), 1e-12, 2000
+        u, its, _ = _solve_frozen(
+            kit, prob, prob.weight.values, f, np.zeros_like(f), 1e-12
         )
+        if frozen:
+            counts["inner_iterations"] += its
     gu = kit.grad(u)
     gmag = np.sqrt(sum(c * c for c in gu))
     med = float(np.median(gmag[prob.mask]))
     scale = float(np.max(gmag)) or 1.0
     eps_min = max(1e-8 * med, 1e-15 * scale)
-    # kacanov tolerates the target regularization at once; descent follows a
-    # homotopy from a large eps so early stages stay well conditioned
-    step = _kacanov_step if kacanov else _descent_stage
-    eps = eps_min if kacanov else max(1e-2 * scale, eps_min)
+    # kacanov and newton tolerate the target regularization at once; descent
+    # follows a homotopy from a large eps so early stages stay well
+    # conditioned
+    step = {"kacanov": _kacanov_step, "newton": _newton_step,
+            "descent": _descent_stage}[method]
+    eps = eps_min if frozen else max(1e-2 * scale, eps_min)
     # every step appends one energy; line-search and inner-solve failures
-    # are counted into the report
+    # and inner iterations are counted into the report
     energies = [_energy(kit, prob, u, eps, gu)]
-    counts = {"line_search_failures": 0}
-    if kacanov:
-        counts["inner_unconverged"] = 0
     residuals = []
     converged = False
     f2 = max(float(np.sqrt(np.sum(f * f))), 1e-300)
 
     for _ in range(max_outer):
-        u, gu = step(kit, prob, f, fn, u, gu, eps, energies, counts)
+        u, gu = step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals)
         r = _residual(kit, prob, gu, f)
         rn = kit.dual_norm(r) / fn
-        if kacanov:
-            # kacanov can afford a certificate that also bounds the plain L2
-            # residual (the dual surrogate damps exactly the modes a
-            # Newton-like method nails); descent certifies the dual surrogate
+        if frozen:
+            # kacanov and newton can afford a certificate that also bounds
+            # the plain L2 residual (the dual surrogate damps exactly the
+            # modes a Newton-like method nails); descent certifies the dual
+            # surrogate
             rn = max(rn, float(np.sqrt(np.sum(r * r))) / f2)
         residuals.append(rn)
         if rn < tol:
             converged = True
             break
-        if not kacanov and len(residuals) > 3 and eps <= eps_min * 1.001:
+        if not frozen and len(residuals) > 3 and eps <= eps_min * 1.001:
             # descent at the regularization floor with no progress left
             if abs(residuals[-1] - residuals[-2]) < 1e-3 * residuals[-1]:
                 break
-        eps = max(eps * 0.5, 1e-15 * scale) if kacanov else max(eps * 0.25, eps_min)
+        eps = max(eps * 0.5, 1e-15 * scale) if frozen else max(eps * 0.25, eps_min)
+
+    stalled = len(residuals) > _STALL_WINDOW and min(
+        residuals[-_STALL_WINDOW:]
+    ) >= (1.0 - _STALL_GAIN) * min(residuals[:-_STALL_WINDOW])
 
     return SolveReport(
         solution=ScalarField(prob.grid, prob.project(u)),
@@ -565,7 +635,7 @@ def solve_plaplace(
         energies=[float(e) for e in energies],
         converged=converged,
         method=method,
-        details={"tol": tol, "final_eps": eps, **counts},
+        details={"tol": tol, "final_eps": eps, **counts, "stalled": stalled},
     )
 
 

@@ -335,6 +335,11 @@ def solver_checks(N: int = 128, seed: int = 0) -> list[CheckResult]:
     out.append(
         _result("solver_manufactured_p3", err3, 1e-6, iterations=rep3.iterations)
     )
+    repn = sv.solve_plaplace(prob3, "newton", tol=1e-8)
+    errn = lp_norm(repn.solution - ustar, 2) / lp_norm(ustar, 2)
+    out.append(
+        _result("solver_newton_p3", errn, 1e-6, iterations=repn.iterations)
+    )
     mono = all(
         rep3.energies[i + 1] <= rep3.energies[i] + 1e-12
         for i in range(len(rep3.energies) - 1)

@@ -62,6 +62,25 @@ class TestSolve:
         history = (out / "history.csv").read_text().splitlines()
         assert history[0] == "iteration,residual,energy"
 
+    @pytest.mark.parametrize("p,method", [(3.0, "newton"), (1.5, "kacanov")])
+    def test_nonlinear_default_method(self, tmp_path, p, method):
+        cfg = {
+            "grid": {"n": 1, "N": 128, "L": 2.0},
+            "omega": {"type": "box", "lo": [0.6], "hi": [1.4]},
+            "s": 0.5,
+            "p": p,
+            "coefficient": {"kind": "scalar", "family": "constant"},
+            "rhs": {"kind": "manufactured", "center": [1.0], "radius": 0.3},
+        }
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert run(["solve", "--config", path, "--out", out]) == 0
+        rec = json.loads((out / "solve_report.json").read_text())
+        assert rec["method"] == method and rec["converged"] is True
+        assert rec["stalled"] is False
+        assert type(rec["inner_iterations"]) is int and rec["inner_iterations"] > 0
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg = {"grid": {"n": 1, "N": 128, "L": -1.0},
                "omega": {"type": "box", "lo": [0.6], "hi": [1.4]},

@@ -275,17 +275,41 @@ class TestSolvePLaplace:
         g, mask, w = setup_1d(N=256)
         ustar = bump(g, [1.0], 0.3, 1.0)
         prob = sv.manufacture(g, mask, 0.5, 3.0, w, ustar)
-        rep = sv.solve_plaplace(prob, "kacanov")
-        assert rep.details["inner_unconverged"] == 0
-        # every inner solve still returns its iterate but reports failure;
-        # each Kacanov step makes exactly one inner solve
+        for method in ("kacanov", "newton"):
+            rep = sv.solve_plaplace(prob, method)
+            assert rep.details["inner_unconverged"] == 0
+            # every inner solve still returns its iterate but reports
+            # failure; each Kacanov or Newton step makes exactly one inner
+            # solve
+            cg = sv._cg
+            with monkeypatch.context() as mp:
+                mp.setattr(sv, "_cg", lambda *a, **k: (*cg(*a, **k)[:2], False))
+                flagged = sv.solve_plaplace(prob, method)
+            count = flagged.details["inner_unconverged"]
+            assert type(count) is int and count == flagged.iterations > 0
+            assert flagged.converged == rep.converged
+            assert flagged.to_record()["inner_unconverged"] == count
+
+    @pytest.mark.parametrize("method", ["kacanov", "newton"])
+    def test_inner_iterations_counted(self, monkeypatch, method):
+        g, mask, w = setup_1d(N=256)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, 3.0, w, ustar)
+        seen = []
         cg = sv._cg
-        monkeypatch.setattr(sv, "_cg", lambda *a, **k: (*cg(*a, **k)[:2], False))
-        flagged = sv.solve_plaplace(prob, "kacanov")
-        count = flagged.details["inner_unconverged"]
-        assert type(count) is int and count == flagged.iterations > 0
-        assert flagged.converged == rep.converged
-        assert flagged.to_record()["inner_unconverged"] == count
+
+        def counting(*a, **k):
+            out = cg(*a, **k)
+            seen.append(len(out[1]) - 1)
+            return out
+
+        monkeypatch.setattr(sv, "_cg", counting)
+        rep = sv.solve_plaplace(prob, method)
+        count = rep.details["inner_iterations"]
+        # the initial guess's solve and one solve per outer step
+        assert len(seen) == rep.iterations + 1
+        assert type(count) is int and count == sum(seen) > 0
+        assert rep.to_record()["inner_iterations"] == count
 
     def test_zero_rhs(self):
         g, mask, w = setup_1d()
@@ -300,6 +324,74 @@ class TestSolvePLaplace:
                              rhs=ScalarField(g, np.zeros(g.spec.shape)))
         with pytest.raises(ValueError, match="refusing"):
             sv.solve_plaplace(prob)
+
+
+class TestNewton:
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+    def test_manufactured_agrees_with_kacanov(self, p):
+        g, mask, w = setup_1d(N=256)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, p, w, ustar)
+        rn = sv.solve_plaplace(prob, "newton", tol=1e-8)
+        rk = sv.solve_plaplace(prob, "kacanov", tol=1e-8)
+        assert rn.method == "newton" and rn.converged and rk.converged
+        assert all(
+            rn.energies[i + 1] <= rn.energies[i] + 1e-12
+            for i in range(len(rn.energies) - 1)
+        )
+        err = lp_norm(rn.solution - ustar, 2) / lp_norm(ustar, 2)
+        agree = lp_norm(rn.solution - rk.solution, 2) / lp_norm(rk.solution, 2)
+        assert err <= 1e-6 and agree <= 1e-5
+
+    def test_default_for_p_above_two(self):
+        g, mask, w = setup_1d(N=256)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        for p, method in ((3.0, "newton"), (2.0, "kacanov"), (1.5, "kacanov")):
+            prob = sv.manufacture(g, mask, 0.5, p, w, ustar)
+            assert sv.solve_plaplace(prob, max_outer=1).method == method
+
+    def test_3d_converges(self):
+        g = make_grid(GridSpec(n=3, N=16, L=2.0))
+        X = g.coords()
+        mask = np.ones(g.spec.shape, dtype=bool)
+        for c in X:
+            mask &= (c >= 0.55) & (c <= 1.45)
+        w = wt.tabulated_weight(g, np.ones(g.spec.shape), 2.0)
+        ustar = bump(g, [1.0, 1.0, 1.0], 0.3, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, 3.0, w, ustar)
+        rep = sv.solve_plaplace(prob)
+        assert rep.method == "newton" and rep.converged and rep.iterations <= 20
+
+    def test_refuses_p_below_two(self):
+        g, mask, w = setup_1d(N=256)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, 1.5, w, ustar)
+        with pytest.raises(ValueError, match="newton needs p >= 2"):
+            sv.solve_plaplace(prob, "newton")
+
+
+class TestStallFlag:
+    def test_p13_kacanov_stalls(self):
+        # the eps = 0 certificate stalls at p = 1.3 while the iterate is
+        # already accurate (a FOUND line in CHANGES.md); the run is flagged
+        g = make_grid(GridSpec(n=1, N=256, L=2.0))
+        x = g.axes[0]
+        mask = (x >= 0.55) & (x <= 1.45)
+        w = wt.tabulated_weight(g, np.ones(256), 2.0)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, 1.3, w, ustar)
+        rep = sv.solve_plaplace(prob)
+        assert not rep.converged and rep.details["stalled"] is True
+        assert rep.to_record()["stalled"] is True
+
+    def test_short_runs_not_stalled(self):
+        g, mask, w = setup_1d(N=256)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, 3.0, w, ustar)
+        zero = sv.PDEProblem(grid=g, mask=mask, s=0.5, p=3.0, weight=w,
+                             rhs=ScalarField(g, np.zeros(g.spec.shape)))
+        assert sv.solve_plaplace(prob, max_outer=3).details["stalled"] is False
+        assert sv.solve_plaplace(zero).details["stalled"] is False
 
 
 class TestMonotonicityGap:
@@ -534,12 +626,14 @@ class TestLineSearch:
         ustar = bump(g, [1.0], 0.3, 1.0)
         for p in (1.5, 3.0):
             prob = sv.manufacture(g, mask, 0.5, p, w, ustar)
-            for rep in (sv.solve_plaplace(prob, "kacanov", tol=1e-8),
-                        sv.solve_plaplace(prob, "descent")):
+            methods = ("kacanov", "descent", "newton") if p > 2 else ("kacanov", "descent")
+            for method in methods:
+                rep = sv.solve_plaplace(prob, method)
                 assert rep.converged
                 count = rep.details["line_search_failures"]
                 assert type(count) is int and count == 0
                 assert rep.to_record()["line_search_failures"] == 0
+                assert rep.details["stalled"] is False
 
     def test_descent_on_a_small_box(self):
         # on L = 0.01 the cell volume h = 3.9e-5 is below the Armijo fraction
