@@ -374,14 +374,12 @@ def solve_linear(
     )
 
 
-def _solve_frozen(kit: _RieszOps, prob: PDEProblem, a, b, x0, tol, apply_K=None):
-    """CG over interior fields on -div^s(a grad^s x) = b for a frozen
-    pointwise coefficient a, or on apply_K x = b when given, preconditioned
-    by a's spectral surrogate; returns (x, CG iterations, converged)."""
-    if apply_K is None:
+def _solve_frozen(kit: _RieszOps, prob: PDEProblem, a, b, x0, tol):
+    """CG on -div^s(a grad^s x) = b over interior fields for a frozen
+    pointwise coefficient a; returns (x, CG iterations, converged)."""
 
-        def apply_K(v):
-            return prob.project(kit.elliptic(a, v))
+    def apply_K(v):
+        return prob.project(kit.elliptic(a, v))
 
     prec, _ = _make_precond(kit, prob, a)
     x, history, ok = _cg(apply_K, prec, b, x0, tol, _MAX_CG)
@@ -468,9 +466,11 @@ def _newton_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
 
     b = -_residual(kit, prob, gu, f, eps)
     forcing = min(0.1, residuals[-1]) if residuals else 0.1
-    d, its, ok = _solve_frozen(kit, prob, a, b, np.zeros_like(b), forcing, apply_H)
-    counts["inner_iterations"] += its
+    prec, _ = _make_precond(kit, prob, a)
+    d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
+    counts["inner_iterations"] += len(history) - 1
     counts["inner_unconverged"] += not ok
+    d = prob.project(d)
     return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts)
 
 
@@ -516,12 +516,12 @@ def solve_plaplace(
 
     kacanov: freeze a_k = w (|grad^s u_k|^2 + eps_k^2)^((p-2)/2), solve the
     linear problem, damp by an Armijo line search on the regularized energy
-    (default tol 1e-8).  newton (p >= 2 only): inexact Newton on the
+    (default tol 1e-8).  newton (p > 2 only): inexact Newton on the
     regularized energy, each Hessian solve stopped at the forcing tolerance
     min(0.1, last certificate) and preconditioned by the frozen Kacanov
     coefficient, with Kacanov's line search, eps schedule and tolerance.
-    Below p = 2 the Hessian no longer dominates the frozen operator, and
-    newton is refused.  descent: Barzilai-Borwein steps on the regularized
+    Below p = 2 the Hessian no longer dominates the frozen operator, and at
+    p = 2 the problem is linear, so newton is refused there.  descent: Barzilai-Borwein steps on the regularized
     energy with the same line search, preconditioned per stage by the frozen
     coefficient's spectral surrogate, with eps following a homotopy from a
     large value (default tol 1e-6; a first-order method cannot certify much
@@ -549,10 +549,11 @@ def solve_plaplace(
         method = "newton" if prob.p > 2.0 else "kacanov"
     if method not in ("kacanov", "newton", "descent"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "newton" and prob.p < 2.0:
+    if method == "newton" and prob.p <= 2.0:
         raise ValueError(
-            "newton needs p >= 2: below it the Hessian no longer dominates "
-            "the frozen Kacanov operator; use kacanov"
+            "newton needs p > 2: below 2 the Hessian no longer dominates the "
+            "frozen Kacanov operator, and at 2 the problem is linear; use "
+            "kacanov or solve_linear"
         )
     # kacanov and newton share the eps schedule and the strict certificate
     frozen = method != "descent"

@@ -362,11 +362,12 @@ class TestNewton:
         rep = sv.solve_plaplace(prob)
         assert rep.method == "newton" and rep.converged and rep.iterations <= 20
 
-    def test_refuses_p_below_two(self):
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_refuses_p_at_most_two(self, p):
         g, mask, w = setup_1d(N=256)
         ustar = bump(g, [1.0], 0.3, 1.0)
-        prob = sv.manufacture(g, mask, 0.5, 1.5, w, ustar)
-        with pytest.raises(ValueError, match="newton needs p >= 2"):
+        prob = sv.manufacture(g, mask, 0.5, p, w, ustar)
+        with pytest.raises(ValueError, match="newton needs p > 2"):
             sv.solve_plaplace(prob, "newton")
 
 
