@@ -198,10 +198,15 @@ def _symbol(grid: Grid, kind: str, order: float, component=None, half=True):
 
 
 def _rfft(grid: Grid, u: np.ndarray) -> np.ndarray:
+    # the one-axis routine skips rfftn's per-call axis bookkeeping
+    if grid.spec.n == 1:
+        return np.fft.rfft(u, axis=0)
     return np.fft.rfftn(u, axes=tuple(range(grid.spec.n)))
 
 
 def _irfft(grid: Grid, F: np.ndarray) -> np.ndarray:
+    if grid.spec.n == 1:
+        return np.fft.irfft(F, n=grid.spec.N, axis=0)
     return np.fft.irfftn(F, s=grid.spec.shape, axes=tuple(range(grid.spec.n)))
 
 

@@ -255,6 +255,19 @@ class TestHalfSpectrumLayer:
         ref = np.sqrt(np.sum(np.abs(z) ** 2) / g.spec.L**n)
         assert abs(ops.dual_norm(u) - ref) <= 1e-13 * ref
 
+    @pytest.mark.parametrize("N", [8, 16, 256])
+    def test_one_dimensional_transforms_match_nd_route(self, N):
+        g = self._grid(1, N)
+        u = np.random.default_rng(N).standard_normal(N)
+        F = fo._rfft(g, u)
+        ref = np.fft.rfftn(u, axes=(0,))
+        assert F.shape == ref.shape and _rel_err(F, ref) <= 1e-14
+        # a generic half spectrum, whose k = 0 and N/2 entries are not real
+        G = F + 1j * np.random.default_rng(N + 1).standard_normal(F.shape)
+        back = fo._irfft(g, G)
+        ref = np.fft.irfftn(G, s=(N,), axes=(0,))
+        assert back.shape == (N,) and _rel_err(back, ref) <= 1e-14
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_half_symbol_is_full_symbol_restricted(self, n):
         N = 16
