@@ -521,11 +521,12 @@ def solve_plaplace(
     min(0.1, last certificate) and preconditioned by the frozen Kacanov
     coefficient, with Kacanov's line search, eps schedule and tolerance.
     Below p = 2 the Hessian no longer dominates the frozen operator, and at
-    p = 2 the problem is linear, so newton is refused there.  descent: Barzilai-Borwein steps on the regularized
-    energy with the same line search, preconditioned per stage by the frozen
-    coefficient's spectral surrogate, with eps following a homotopy from a
-    large value (default tol 1e-6; a first-order method cannot certify much
-    smaller dual residuals at the regularization floor).  All run one outer
+    p = 2 the problem is linear, so newton is refused there.  descent:
+    Barzilai-Borwein steps on the regularized energy with the same line
+    search, preconditioned per stage by the frozen coefficient's spectral
+    surrogate, with eps following a homotopy from a large value (default
+    tol 1e-6; a first-order method cannot certify much smaller dual
+    residuals at the regularization floor).  All run one outer
     loop and declare convergence on the unregularized weak residual
     (relative dual norm).  The default method is newton for p > 2 and
     kacanov otherwise.
