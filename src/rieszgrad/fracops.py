@@ -98,29 +98,30 @@ def _check_order(kind: str, order: float, n: int) -> None:
         raise ValueError(f"unknown multiplier kind {kind!r}")
 
 
-def _scalar_symbol(kind, order, xi_norm, xi_j=None):
-    """Symbol formula on arrays; zero-frequency entries patched afterwards."""
+def _even_symbol(kind, order, r):
+    """Even symbol as a function of the angular wavenumber r = 2 pi |xi| > 0."""
+    if kind == "riesz_potential":
+        return r ** (-order)
+    if kind == "bessel_potential":
+        return (1.0 + r**2) ** (-order / 2.0)
+    if kind == "fractional_laplacian":
+        return r**order
+    if kind == "T_s":
+        return r**order / (1.0 + r**2) ** (order / 2.0)
+    if kind == "G_s":
+        return (1.0 + r**2) ** (order / 2.0) / (1.0 + r**order)
+    raise ValueError(f"unknown multiplier kind {kind!r}")
+
+
+def _radial_factor(kind, order, r):
+    """f(r) of an odd symbol i xi_j f(2 pi |xi|); r > 0."""
     two_pi = 2.0 * np.pi
     if kind == "riesz_gradient":
-        return 1j * two_pi * xi_j / (two_pi * xi_norm) ** (1.0 - order)
+        return two_pi / r ** (1.0 - order)
     if kind == "riesz_transform":
-        return -1j * xi_j / xi_norm
+        return -two_pi / r
     if kind == "derivative":
-        return 1j * two_pi * xi_j
-    if kind == "riesz_potential":
-        return (two_pi * xi_norm) ** (-order)
-    if kind == "bessel_potential":
-        return (1.0 + (two_pi * xi_norm) ** 2) ** (-order / 2.0)
-    if kind == "fractional_laplacian":
-        return (two_pi * xi_norm) ** order
-    if kind == "T_s":
-        return (two_pi * xi_norm) ** order / (
-            1.0 + (two_pi * xi_norm) ** 2
-        ) ** (order / 2.0)
-    if kind == "G_s":
-        return (1.0 + (two_pi * xi_norm) ** 2) ** (order / 2.0) / (
-            1.0 + (two_pi * xi_norm) ** order
-        )
+        return two_pi
     raise ValueError(f"unknown multiplier kind {kind!r}")
 
 
@@ -134,26 +135,21 @@ def symbol(kind: str, xi, order: float, component: int | None = None):
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     n = xi.size
     _check_order(kind, order, n)
-    norm = float(np.sqrt(np.sum(xi * xi)))
+    r = 2.0 * np.pi * float(np.sqrt(np.sum(xi * xi)))
     if kind in ("riesz_gradient", "fractional_divergence") and component is None:
-        if norm == 0.0:
+        if r == 0.0:
             return np.zeros(n, dtype=np.complex128)
-        return np.asarray(
-            [
-                _scalar_symbol("riesz_gradient", order, norm, xi[j])
-                for j in range(n)
-            ],
-            dtype=np.complex128,
-        )
+        return 1j * xi * _radial_factor("riesz_gradient", order, r)
     if kind == "fractional_divergence":
         kind = "riesz_gradient"
     if kind in _COMPONENT_KINDS:
         if component is None or not (0 <= component < n):
             raise ValueError(f"{kind} needs a component index in [0, {n})")
-    if norm == 0.0:
+    if r == 0.0:
         return complex(1.0 if kind in ("bessel_potential", "G_s") else 0.0)
-    xi_j = xi[component] if kind in _COMPONENT_KINDS else None
-    return complex(_scalar_symbol(kind, order, norm, xi_j))
+    if kind in _COMPONENT_KINDS:
+        return complex(1j * xi[component] * _radial_factor(kind, order, r))
+    return complex(_even_symbol(kind, order, r))
 
 
 def lattice_symbol(
@@ -175,21 +171,35 @@ def _symbol(grid: Grid, kind: str, order: float, component=None, half=True):
     n = grid.spec.n
     if kind == "fractional_divergence":
         kind = "riesz_gradient"
-    _check_order(kind, order, n)
-    xi, norm = (grid.half_xi, grid.half_xi_norm) if half else (grid.xi, grid.xi_norm)
-    zero = norm == 0.0
-    safe = np.where(zero, 1.0, norm)
     if kind in _COMPONENT_KINDS:
         if component is None or not (0 <= component < n):
             raise ValueError(f"{kind} needs a component index in [0, {n})")
-        m = np.where(zero, 0.0, _scalar_symbol(kind, order, safe, xi[component]))
-        # the unpaired Nyquist plane is index N/2 of the component's axis on
-        # both lattices (+N/(2L) on the half lattice's last axis)
-        m[(slice(None),) * component + (grid.spec.N // 2,)] = 0.0
-        return m
+        return _odd_symbols(grid, kind, order, [component], half)[0]
+    _check_order(kind, order, n)
+    m = _even_symbol(kind, order, grid.half_wavenumber if half else grid.wavenumber)
     # <0> = 1 for the bessel kind, so its fill reproduces the formula at 0.
-    fill = 1.0 if kind in ("bessel_potential", "G_s") else 0.0
-    return np.where(zero, fill, _scalar_symbol(kind, order, safe, None))
+    m[(0,) * n] = 1.0 if kind in ("bessel_potential", "G_s") else 0.0
+    return m
+
+
+def _odd_symbols(grid: Grid, kind: str, order: float, components, half=True):
+    """Symbols i xi_j f(2 pi |xi|) of the given components, all built from
+    one radial factor f; 0 at the origin and on each component's Nyquist
+    plane, which is index N/2 of its axis on both lattices (+N/(2L) on the
+    half lattice's last axis)."""
+    _check_order(kind, order, grid.spec.n)
+    if half:
+        xi, r = grid.half_xi, grid.half_wavenumber
+    else:
+        xi, r = grid.xi, grid.wavenumber
+    f = _radial_factor(kind, order, r)
+    syms = []
+    for j in components:
+        m = np.multiply(1j * xi[j], f, out=np.empty(r.shape, np.complex128))
+        m[(0,) * grid.spec.n] = 0.0
+        m[(slice(None),) * j + (grid.spec.N // 2,)] = 0.0
+        syms.append(m)
+    return syms
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +247,7 @@ class _RieszOps:
         self.grid = grid
         self.s = s
         self.hn = grid.h**grid.spec.n
-        self.grad_syms = [
-            _symbol(grid, "riesz_gradient", s, j) for j in range(grid.spec.n)
-        ]
+        self.grad_syms = _odd_symbols(grid, "riesz_gradient", s, range(grid.spec.n))
 
     def grad(self, u: np.ndarray) -> list[np.ndarray]:
         return _grad(self.grid, self.grad_syms, u)
@@ -279,19 +287,21 @@ def apply_multiplier(
 ) -> ScalarField:
     """The real field whose transform is symbol * forward_transform(u)."""
     g = u.grid
-    return ScalarField(g, _multiply(g, _symbol(g, kind, order, component), u.values))
+    m = _symbol(g, kind, order, component)
+    return ScalarField._own(g, _multiply(g, m, u.values))
 
 
 def _gradient_field(u: ScalarField, kind: str, order: float) -> VectorField:
     g = u.grid
-    syms = [_symbol(g, kind, order, j) for j in range(g.spec.n)]
-    return VectorField(g, tuple(ScalarField(g, c) for c in _grad(g, syms, u.values)))
+    syms = _odd_symbols(g, kind, order, range(g.spec.n))
+    comps = tuple(ScalarField._own(g, c) for c in _grad(g, syms, u.values))
+    return VectorField(g, comps)
 
 
 def _divergence_field(v: VectorField, kind: str, order: float) -> ScalarField:
     g = v.grid
-    syms = [_symbol(g, kind, order, j) for j in range(g.spec.n)]
-    return ScalarField(g, _div(g, syms, [c.values for c in v.components]))
+    syms = _odd_symbols(g, kind, order, range(g.spec.n))
+    return ScalarField._own(g, _div(g, syms, [c.values for c in v.components]))
 
 
 def riesz_gradient(u: ScalarField, s: float) -> VectorField:

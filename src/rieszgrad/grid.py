@@ -92,7 +92,8 @@ class Grid:
     (unpaired) frequency ``-N/(2L)``.  The half lattice of the real transforms
     (``rfftn`` over all axes) keeps ``fftfreq`` on the leading axes and uses
     ``rfftfreq`` on the last, whose Nyquist entry is ``+N/(2L)``.  Both
-    lattices are built on first use and kept.
+    lattices, and the angular wavenumber ``2 pi |xi|`` on each, are built on
+    first use and kept.
     """
 
     def __init__(self, spec: GridSpec):
@@ -115,8 +116,9 @@ class Grid:
         return np.meshgrid(*self.freq_axes, indexing="ij")
 
     @cached_property
-    def xi_norm(self) -> np.ndarray:
-        return np.sqrt(sum(x * x for x in self.xi))
+    def wavenumber(self) -> np.ndarray:
+        """``2 pi |xi|`` on the full lattice; see :attr:`half_wavenumber`."""
+        return _wavenumber(self.xi)
 
     @cached_property
     def half_xi(self) -> tuple[np.ndarray, ...]:
@@ -126,8 +128,15 @@ class Grid:
         return tuple(np.meshgrid(*freqs, indexing="ij", sparse=True))
 
     @cached_property
-    def half_xi_norm(self) -> np.ndarray:
-        return np.sqrt(sum(x * x for x in self.half_xi))
+    def half_wavenumber(self) -> np.ndarray:
+        """``2 pi |xi|`` on the half lattice, with the origin entry set to 1.
+
+        The origin stands in for the continuum's missing zero frequency, so
+        every symbol overwrites its value there by index; the finite stand-in
+        only keeps negative powers from dividing by zero.  Read-only: symbols
+        are evaluated on it, never in place.
+        """
+        return _wavenumber(self.half_xi)
 
     def coords(self) -> list[np.ndarray]:
         """Meshgrid coordinate arrays (``indexing='ij'``)."""
@@ -151,6 +160,13 @@ class Grid:
 
     def __repr__(self) -> str:
         return f"Grid({self.spec!r})"
+
+
+def _wavenumber(xi) -> np.ndarray:
+    r = 2.0 * np.pi * np.sqrt(sum(x * x for x in xi))
+    r[(0,) * r.ndim] = 1.0
+    r.flags.writeable = False
+    return r
 
 
 def make_grid(spec: GridSpec) -> Grid:
@@ -181,6 +197,18 @@ class ScalarField:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _own(cls, grid: Grid, values: np.ndarray) -> "ScalarField":
+        """Wrap a float64 array of the grid's shape that the library has just
+        allocated and holds no other reference to.  It is marked read-only
+        in place; the copy and the finiteness scan of the public constructor
+        are skipped."""
+        values.flags.writeable = False
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        return field
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _check_same_grid(self, other)
@@ -264,6 +292,15 @@ class SpectralField:
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
+    @classmethod
+    def _own(cls, grid: Grid, coefficients: np.ndarray) -> "SpectralField":
+        """The no-copy wrap of :meth:`ScalarField._own`, for complex128."""
+        coefficients.flags.writeable = False
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "coefficients", coefficients)
+        return field
+
 
 def sample(f, grid: Grid) -> ScalarField:
     """Evaluate a pointwise function of position on the grid.
@@ -287,7 +324,7 @@ def forward_transform(u: ScalarField) -> SpectralField:
     g = u.grid
     F = np.fft.fftn(u.values) * g.h**g.spec.n
     F = g._apply_phase(F, conj=False)
-    return SpectralField(g, F)
+    return SpectralField._own(g, F)
 
 
 def inverse_transform(F: SpectralField) -> ScalarField:

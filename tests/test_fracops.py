@@ -269,6 +269,40 @@ class TestHalfSpectrumLayer:
         assert back.shape == (N,) and _rel_err(back, ref) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lattice_symbols_match_closed_forms(self, n):
+        # the formulas on |xi| with the zero frequency masked out: even
+        # symbols evaluate the same floating-point expression, odd ones
+        # share one radial factor and may differ in rounding
+        g = self._grid(n, 16)
+        norm = np.sqrt(sum(x * x for x in g.xi))
+        zero = norm == 0.0
+        r = 2 * np.pi * np.where(zero, 1.0, norm)
+        even = {
+            "riesz_potential": lambda o: r ** (-o),
+            "bessel_potential": lambda o: (1.0 + r**2) ** (-o / 2.0),
+            "fractional_laplacian": lambda o: r**o,
+            "T_s": lambda o: r**o / (1.0 + r**2) ** (o / 2.0),
+            "G_s": lambda o: (1.0 + r**2) ** (o / 2.0) / (1.0 + r**o),
+        }
+        odd = {
+            "riesz_gradient": lambda o, x: 1j * 2 * np.pi * x / r ** (1.0 - o),
+            "fractional_divergence": lambda o, x: 1j * 2 * np.pi * x / r ** (1.0 - o),
+            "riesz_transform": lambda o, x: -1j * x / np.where(zero, 1.0, norm),
+            "derivative": lambda o, x: 1j * 2 * np.pi * x,
+        }
+        assert set(even) | set(odd) == set(fo.MULTIPLIER_KINDS)
+        for kind, order in HALF_SPECTRUM_CASES:
+            if kind in even:
+                fill = 1.0 if kind in ("bessel_potential", "G_s") else 0.0
+                ref = np.where(zero, fill, even[kind](order))
+                assert np.array_equal(fo.lattice_symbol(g, kind, order), ref), kind
+                continue
+            for j in range(n):
+                ref = np.where(zero, 0.0, odd[kind](order, g.xi[j]))
+                ref[(slice(None),) * j + (8,)] = 0.0
+                assert _rel_err(fo.lattice_symbol(g, kind, order, j), ref) <= 1e-14, kind
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_half_symbol_is_full_symbol_restricted(self, n):
         N = 16
         g = self._grid(n, N)
@@ -283,6 +317,76 @@ class TestHalfSpectrumLayer:
                 if j == n - 1:
                     # odd symbols vanish on the last axis's Nyquist column
                     assert np.all(half[..., N // 2] == 0.0), kind
+
+
+#: public operators of fracops, each checked by TestOperatorOutputs
+PUBLIC_OPERATORS = {
+    "apply_multiplier", "riesz_gradient", "fractional_divergence",
+    "riesz_potential", "bessel_potential", "fractional_laplacian",
+    "riesz_transform", "ts_multiplier", "gs_multiplier",
+    "spectral_gradient", "spectral_divergence",
+}
+
+
+class TestOperatorOutputs:
+    """Operators wrap their fresh output arrays without the public
+    constructor's copy and finiteness scan; the result must be what that
+    constructor gives on the same raw array."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_copy_wrap_matches_public_constructor(self, n):
+        g = make_grid(GridSpec(n=n, N=16, L=1.7, origin=(0.3, -1.1, 2.5)[:n]))
+        rng = np.random.default_rng(40 + n)
+        u = ScalarField(g, rng.standard_normal(g.spec.shape))
+        v = VectorField(g, tuple(
+            ScalarField(g, rng.standard_normal(g.spec.shape)) for _ in range(n)
+        ))
+        s = 0.45
+
+        def syms(kind, order):
+            return [fo._symbol(g, kind, order, j) for j in range(n)]
+
+        def one(kind, order, j=None):
+            return [fo._multiply(g, fo._symbol(g, kind, order, j), u.values)]
+
+        vec = [c.values for c in v.components]
+        # name -> (outputs, raw arrays of the same route, inputs)
+        cases = {
+            "riesz_gradient": (fo.riesz_gradient(u, s).components,
+                               fo._grad(g, syms("riesz_gradient", s), u.values), [u]),
+            "spectral_gradient": (fo.spectral_gradient(u).components,
+                                  fo._grad(g, syms("derivative", 0.0), u.values), [u]),
+            "fractional_divergence": ([fo.fractional_divergence(v, s)],
+                                      [fo._div(g, syms("riesz_gradient", s), vec)],
+                                      v.components),
+            "spectral_divergence": ([fo.spectral_divergence(v)],
+                                    [fo._div(g, syms("derivative", 0.0), vec)],
+                                    v.components),
+            "riesz_potential": ([fo.riesz_potential(u, 0.7)],
+                                one("riesz_potential", 0.7), [u]),
+            "bessel_potential": ([fo.bessel_potential(u, -0.8)],
+                                 one("bessel_potential", -0.8), [u]),
+            "fractional_laplacian": ([fo.fractional_laplacian(u, 1.2)],
+                                     one("fractional_laplacian", 1.2), [u]),
+            "riesz_transform": ([fo.riesz_transform(u, j) for j in range(n)],
+                                [one("riesz_transform", 0.0, j)[0] for j in range(n)],
+                                [u]),
+            "ts_multiplier": ([fo.ts_multiplier(u, 0.3)], one("T_s", 0.3), [u]),
+            "gs_multiplier": ([fo.gs_multiplier(u, 0.6)], one("G_s", 0.6), [u]),
+            "apply_multiplier": ([fo.apply_multiplier(u, "derivative", 0.0, n - 1)],
+                                 one("derivative", 0.0, n - 1), [u]),
+        }
+        assert set(cases) == PUBLIC_OPERATORS and PUBLIC_OPERATORS <= set(fo.__all__)
+        for name, (outs, raws, inputs) in cases.items():
+            assert len(outs) == len(raws), name
+            for out, raw in zip(outs, raws):
+                ref = ScalarField(g, raw)
+                assert out.grid == g and out.values.dtype == np.float64, name
+                assert _rel_err(out.values, ref.values) <= 1e-14, name
+                assert not out.values.flags.writeable, name
+                assert not any(np.shares_memory(out.values, x.values) for x in inputs), name
+                with pytest.raises(ValueError):
+                    out.values[(0,) * n] = 1.0
 
 
 class TestPVQuadrature:

@@ -68,6 +68,24 @@ class TestFields:
         with pytest.raises(ValueError):
             u.values[0] = 2.0
 
+    @pytest.mark.parametrize("cls, dtype", [(ScalarField, float), (SpectralField, complex)])
+    def test_public_constructor_copies_and_checks(self, cls, dtype):
+        # operator outputs skip the copy and the scan; user input never does
+        g = make_grid(GridSpec(n=2, N=8, L=1.0))
+        src = np.ones((8, 8), dtype=dtype)
+        field = cls(g, src)
+        stored = field.values if cls is ScalarField else field.coefficients
+        src[2, 3] = 5.0
+        assert stored[2, 3] == 1.0 and not np.shares_memory(stored, src)
+        assert not stored.flags.writeable
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = np.ones((8, 8), dtype=dtype)
+            vals[1, 4] = bad
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                cls(g, vals)
+        with pytest.raises(ValueError, match="shape"):
+            cls(g, np.ones((8, 4), dtype=dtype))
+
     def test_vector_component_count(self):
         g = make_grid(GridSpec(n=2, N=8, L=1.0))
         u = ScalarField(g, np.ones((8, 8)))
@@ -137,6 +155,20 @@ class TestTransforms:
             phys = g.h**2 * np.sum(u.values**2)
             spec = np.sum(np.abs(F.coefficients) ** 2) / g.spec.L**2
             assert abs(phys - spec) / phys <= 1e-10
+
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (-1.0, 0.5)])
+    def test_forward_output_wrap_matches_public_constructor(self, origin):
+        g = make_grid(GridSpec(n=2, N=16, L=2.0, origin=origin))
+        u = ScalarField(g, np.random.default_rng(2).standard_normal(g.spec.shape))
+        F = forward_transform(u)
+        phase = np.exp(-2j * np.pi * np.add.outer(origin[0] * g.freq_axes[0],
+                                                  origin[1] * g.freq_axes[1]))
+        ref = SpectralField(g, np.fft.fftn(u.values) * g.h**2 * phase)
+        err = np.max(np.abs(F.coefficients - ref.coefficients))
+        assert err <= 1e-14 * np.max(np.abs(ref.coefficients))
+        assert F.coefficients.dtype == np.complex128
+        assert not F.coefficients.flags.writeable
+        assert not np.shares_memory(F.coefficients, u.values)
 
     def test_imag_residue_rejected(self):
         g = make_grid(GridSpec(n=1, N=8, L=1.0))

@@ -424,6 +424,84 @@ class TestTilingEngine:
             wt.ap_constant(w, 2.0, full_family(g, 5))
 
 
+def _reduceat_cube_sum(a, sl):
+    """One cube's sum by np.add.reduceat, one axis at a time."""
+    for d, s in enumerate(sl):
+        a = np.add.reduceat(a[(slice(None),) * d + (slice(None, s.stop),)],
+                            [s.start], axis=d)
+    return float(a.item())
+
+
+class TestReshapeCubeSums:
+    """Ranges that are contiguous blocks of one length are summed by a
+    reshape, the rest by reduceat; both against direct per-cube sums."""
+
+    # (n, N, family, on_lattice): boxes whose aligned and half-shifted
+    # tilings cut contiguous equal blocks, and boxes off the lattice, whose
+    # clipped tilings cut uneven ranges
+    CASES = [
+        (1, 64, dict(lo=(-1.0,), size=2.0, level_max=6), True),
+        (1, 64, dict(lo=(-0.35,), size=1.35, level_max=6), False),
+        (2, 32, dict(lo=(-1.0, -0.5), size=1.0, level_max=4), True),
+        (2, 32, dict(lo=(-0.6, -0.2), size=1.2, level_max=5), False),
+        (3, 16, dict(lo=(-1.0,) * 3, size=2.0, level_max=4), True),
+        (3, 16, dict(lo=(-0.15, -0.4, -0.1), size=1.1, level_max=3), False),
+    ]
+
+    @pytest.mark.parametrize("n, N, fam, on_lattice", CASES)
+    def test_sums_match_per_cube_reduceat(self, n, N, fam, on_lattice):
+        g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
+        fam = wt.CubeFamily(**fam)
+        # distinct lengths of the non-empty ranges, per tiling and axis
+        lengths = [
+            np.unique((hi - lo)[hi > lo])
+            for edge, corners in fam.tilings(g)
+            for lo, hi in (wt._axis_ranges(g, d, corners[d], edge) for d in range(n))
+        ]
+        assert all(len(ls) <= 1 for ls in lengths) == on_lattice
+        rng = np.random.default_rng(n * 1000 + N)
+        vals = np.exp(1.5 * rng.standard_normal(g.spec.shape))
+        p = 3.0
+        arrays = [vals, vals ** (-1.0 / (p - 1.0))]
+        ref = [[], []]
+        for corner, edge in fam.cubes(g):
+            sl = _cube_slices(g, corner, edge)
+            if sl is not None:
+                for r, a in zip(ref, arrays):
+                    r.append(_reduceat_cube_sum(a, sl))
+        got = [[], []]
+
+        def capture(count, sums, edge):
+            for r, a in zip(got, sums):
+                r.extend(a.ravel().tolist())
+            return sums[0]
+
+        wt._family_sup(g, arrays, capture, fam)
+        for r, a in zip(ref, got):
+            r, a = np.array(r), np.array(a)
+            assert r.shape == a.shape
+            assert np.max(np.abs(a - r) / r) <= 1e-13
+        count = np.array([
+            np.prod([s.stop - s.start for s in sl])
+            for sl in (_cube_slices(g, c, e) for c, e in fam.cubes(g)) if sl is not None
+        ])
+        sup = np.max(_ap_term(p)(count, [np.array(r) for r in ref], None))
+        est = wt.ap_constant(wt.tabulated_weight(g, vals, p), p, fam)
+        assert abs(est.value - sup) <= 1e-13 * sup
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_block_sum_raises(self, n):
+        # the level-0 cube is the whole box, one block of N points per axis
+        N = 16
+        g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
+        vals = np.ones(g.spec.shape)
+        vals[(slice(9, 13),) * n] = 1e308
+        w = wt.tabulated_weight(g, vals, 2.0)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"cube \(\(-1\.0, -1\.0.*non-finite sum inf"):
+            wt.ap_constant(w, 2.0, wt.CubeFamily(lo=(-1.0,) * n, size=2.0, level_max=2))
+
+
 class TestWideRangeDualWeights:
     """Dual weights of power weights spanning up to 1e65: every cube sum is
     a direct sum of positive samples, so no cube is lost to cancellation."""
