@@ -462,8 +462,7 @@ def _cmd_solve(args) -> int:
     _validate(config, SOLVE_SCHEMA)
     prob, ustar = _build_problem(config, cfg_path.parent)
     scfg = config.get("solver", {})
-    # solve_plaplace picks the nonlinear default from p
-    method = scfg.get("method", "pcg" if prob.p == 2.0 else None)
+    method = scfg.get("method", sv.default_method(prob.p))
     tol = scfg.get("tol")
     if method == "pcg":
         report = sv.solve_linear(

@@ -36,6 +36,7 @@ __all__ = [
     "weak_residual_norm",
     "solve_linear",
     "solve_plaplace",
+    "default_method",
     "monotonicity_gap",
     "manufacture",
     "enforce_exterior",
@@ -397,6 +398,15 @@ _MAX_CG = 2000
 #: one before them
 _STALL_WINDOW = 10
 _STALL_GAIN = 1e-3
+#: Kacanov's line minimization: the largest trial step, the fraction of
+#: |phi'(0)| that ends the root search, and its cap on slope evaluations
+_T_MAX = 64.0
+_SLOPE_STOP = 1e-2
+_MAX_SLOPES = 30
+#: approximate Wolfe test: energy slack relative to |phi(0)| and the
+#: curvature fraction
+_WOLFE_EPS = 1e-10
+_WOLFE_SIGMA = 0.9
 
 
 def _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, t, t_min):
@@ -422,30 +432,93 @@ def _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, t, t_min):
     return (t, *trial(t), False)
 
 
-def _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts):
-    """Line search from u along d on the regularized energy, whose slope
-    along d is h^n (sum a grad^s u . grad^s d - f . d) for a = _coeff at u."""
+def _line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd):
+    """Minimize the regularized energy phi(t) = E_eps(u + t d) along d.
+
+    phi is convex for p > 1 and grad^s is linear, so a trial's gradient is
+    gu + t gd and its slope phi'(t) = h^n (sum a(g_t) g_t . gd - fd) costs no
+    transform; slope is phi'(0) < 0 and fd is f . d.  The root of phi' is
+    bracketed from [0, 1] by doubling the upper end while phi' < 0 (up to
+    _T_MAX), then found by regula falsi, bisecting when the secant lands in
+    the outer tenth of the bracket, until |phi'(t)| <= _SLOPE_STOP |phi'(0)|
+    or _MAX_SLOPES slopes.  t is accepted under Armijo or the approximate
+    Wolfe test of Hager & Zhang (SIAM J. Optim. 16, 2005), which survives
+    energy differences at round-off; otherwise this falls back to the
+    halving search from t = 1.  Returns what _line_search returns.
+    """
+    w, p = prob.weight.values, prob.p
+
+    def dphi(t):
+        gt = [c + t * cd for c, cd in zip(gu, gd)]
+        at = _coeff(w, p, gt, eps)
+        return gt, kit.hn * (sum(np.sum(at * c * cd) for c, cd in zip(gt, gd)) - fd)
+
+    if slope < 0.0:
+        lo, slo, hi, shi = 0.0, slope, None, None
+        t = 1.0
+        gt, st = dphi(t)
+        for _ in range(_MAX_SLOPES - 1):
+            if abs(st) <= _SLOPE_STOP * abs(slope):
+                break
+            if st < 0.0:
+                lo, slo = t, st
+            else:
+                hi, shi = t, st
+            if hi is None:
+                if t >= _T_MAX:
+                    break
+                t *= 2.0
+            else:
+                t = lo - slo * (hi - lo) / (shi - slo)
+                edge = 0.1 * (hi - lo)
+                if not lo + edge <= t <= hi - edge:
+                    t = 0.5 * (lo + hi)
+            gt, st = dphi(t)
+        ut = u + t * d
+        et = _energy(kit, prob, ut, eps, gt)
+        armijo = et <= e0 + _ARMIJO * t * slope
+        wolfe = et <= e0 + _WOLFE_EPS * abs(e0) and (
+            -_WOLFE_SIGMA * abs(slope) <= st <= (1.0 - 2.0 * _ARMIJO) * abs(slope)
+        )
+        if armijo or wolfe:
+            return t, ut, gt, et, True
+    return _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10)
+
+
+def _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, minimize):
+    """Step from u along d on the regularized energy, whose slope along d is
+    h^n (sum a grad^s u . grad^s d - f . d) for a = _coeff at u: to the
+    energy's minimum along d when minimize is set, else by the halving
+    search from t = 1.  Records the step length."""
     gd = kit.grad(d)
     e0 = _energy(kit, prob, u, eps, gu)
-    slope = kit.hn * (
-        sum(np.sum(a * c * cd) for c, cd in zip(gu, gd)) - np.sum(f * d)
-    )
-    _, u, gu, e, ok = _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10)
+    fd = np.sum(f * d)
+    slope = kit.hn * (sum(np.sum(a * c * cd) for c, cd in zip(gu, gd)) - fd)
+    if minimize:
+        t, u, gu, e, ok = _line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd)
+    else:
+        t, u, gu, e, ok = _line_search(
+            kit, prob, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10
+        )
     energies.append(e)
     counts["line_search_failures"] += not ok
+    counts["step_lengths"].append(float(t))
     return u, gu
 
 
 def _kacanov_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
-    """Solve the problem with its coefficient frozen at u, then damp the
-    step by the line search."""
+    """Solve the problem with its coefficient frozen at u, then move to the
+    regularized energy's minimum along the step.  The energy's Hessian lies
+    between p - 1 and 1 times the frozen operator (either way round), so the
+    full step only contracts the error by about |2 - p|; at p = 2 the
+    minimum is t = 1."""
     a = _coeff(prob.weight.values, prob.p, gu, eps)
     uhat, its, ok = _solve_frozen(kit, prob, a, f, u, 1e-12)
     # an inner solve that misses its tolerance still supplies the step
     counts["inner_iterations"] += its
     counts["inner_unconverged"] += not ok
     d = prob.project(uhat - u)
-    return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts)
+    return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, True)
 
 
 def _newton_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
@@ -471,7 +544,8 @@ def _newton_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
     counts["inner_iterations"] += len(history) - 1
     counts["inner_unconverged"] += not ok
     d = prob.project(d)
-    return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts)
+    # Newton's natural step is 1: minimizing along d costs more CG overall
+    return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, False)
 
 
 def _descent_stage(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
@@ -505,6 +579,14 @@ def _descent_stage(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
     return u, gu
 
 
+def default_method(p: float) -> str:
+    """The method a solve of exponent p uses when none is named: pcg for the
+    linear problem at p = 2, newton above 2 and kacanov below."""
+    if p == 2.0:
+        return "pcg"
+    return "newton" if p > 2.0 else "kacanov"
+
+
 def solve_plaplace(
     prob: PDEProblem,
     method: str | None = None,
@@ -515,27 +597,30 @@ def solve_plaplace(
     """Iterative solve of the weighted fractional p-Laplace problem (g = 0).
 
     kacanov: freeze a_k = w (|grad^s u_k|^2 + eps_k^2)^((p-2)/2), solve the
-    linear problem, damp by an Armijo line search on the regularized energy
-    (default tol 1e-8).  newton (p > 2 only): inexact Newton on the
-    regularized energy, each Hessian solve stopped at the forcing tolerance
-    min(0.1, last certificate) and preconditioned by the frozen Kacanov
-    coefficient, with Kacanov's line search, eps schedule and tolerance.
+    linear problem, and move to the regularized energy's minimum along the
+    step, found from the energy's slope without a transform and accepted
+    under Armijo or an approximate Wolfe test (default tol 1e-8).  newton
+    (p > 2 only): inexact Newton on the regularized energy, each Hessian
+    solve stopped at the forcing tolerance min(0.1, last certificate) and
+    preconditioned by the frozen Kacanov coefficient, damped by an Armijo
+    halving search from t = 1, with Kacanov's eps schedule and tolerance.
     Below p = 2 the Hessian no longer dominates the frozen operator, and at
     p = 2 the problem is linear, so newton is refused there.  descent:
-    Barzilai-Borwein steps on the regularized energy with the same line
+    Barzilai-Borwein steps on the regularized energy with the same halving
     search, preconditioned per stage by the frozen coefficient's spectral
     surrogate, with eps following a homotopy from a large value (default
     tol 1e-6; a first-order method cannot certify much smaller dual
     residuals at the regularization floor).  All run one outer
     loop and declare convergence on the unregularized weak residual
-    (relative dual norm).  The default method is newton for p > 2 and
-    kacanov otherwise.
+    (relative dual norm).  The default method is default_method(p), with
+    kacanov at p = 2.
 
     details counts line-search floor hits (every method) and, for kacanov
-    and newton, the CG iterations of all inner solves and the inner solves
-    that missed their tolerance; "stalled" flags a run whose best certificate
-    of its last 10 outer steps improved on the best before them by less than
-    a relative 1e-3.
+    and newton, the CG iterations of all inner solves, the inner solves
+    that missed their tolerance and the step length of every outer step
+    ("step_lengths"); "stalled" flags a run whose best certificate of its
+    last 10 outer steps improved on the best before them by less than a
+    relative 1e-3.
     """
     if prob.p < 1.1:
         raise ValueError(
@@ -547,7 +632,10 @@ def solve_plaplace(
     if prob.matrix is not None:
         raise ValueError("matrix coefficients are linear-path only (p = 2)")
     if method is None:
-        method = "newton" if prob.p > 2.0 else "kacanov"
+        # at p = 2 a Kacanov step is one frozen CG solve: this solver's pcg
+        method = default_method(prob.p)
+        if method == "pcg":
+            method = "kacanov"
     if method not in ("kacanov", "newton", "descent"):
         raise ValueError(f"unknown method {method!r}")
     if method == "newton" and prob.p <= 2.0:
@@ -562,7 +650,7 @@ def solve_plaplace(
         tol = 1e-8 if frozen else 1e-6
     counts = {"line_search_failures": 0}
     if frozen:
-        counts.update(inner_iterations=0, inner_unconverged=0)
+        counts.update(inner_iterations=0, inner_unconverged=0, step_lengths=[])
     kit = _RieszOps(prob.grid, prob.s)
     f = _rhs_field(kit, prob)
     fn = kit.dual_norm(f)

@@ -115,19 +115,19 @@ def distance_weight(
     k = int(manifold_dim)
     if not (0 <= k < grid.spec.n):
         raise ValueError(f"manifold dimension must be in [0, {grid.spec.n})")
-    coords = grid.coords()
-    stacked = np.stack([c.ravel() for c in coords], axis=1)  # (P, n)
-    # chunked min-distance scan keeps memory at chunk * len(M); squared
-    # distances accumulate one axis at a time, in the order of a sum over axes
-    dist = np.empty(stacked.shape[0])
-    step = max(1, 2**18 // pts.shape[0])
-    for start in range(0, stacked.shape[0], step):
-        chunk = stacked[start:start + step]
-        sq = (chunk[:, 0, None] - pts[None, :, 0]) ** 2
-        for d in range(1, grid.spec.n):
-            sq += (chunk[:, d, None] - pts[None, :, d]) ** 2
-        dist[start:start + step] = np.sqrt(np.min(sq, axis=1))
-    vals = _nudged(dist.reshape(grid.spec.shape), grid.h) ** alpha
+    # squared distance is separable: per point of M, the per-axis squares
+    # (x_d - p_d)^2 are summed in axis order, as a direct sum over axes would,
+    # broadcast over the grid, and folded into a running minimum
+    n = grid.spec.n
+    axes = [ax.reshape([-1 if e == d else 1 for e in range(n)]) for d, ax in enumerate(grid.axes)]
+    sq = np.full(grid.spec.shape, np.inf)
+    tmp = np.empty(grid.spec.shape)
+    for q in pts:
+        tmp[...] = (axes[0] - q[0]) ** 2
+        for ax, c in zip(axes[1:], q[1:]):
+            tmp += (ax - c) ** 2
+        np.minimum(sq, tmp, out=sq)
+    vals = _nudged(np.sqrt(sq), grid.h) ** alpha
     codim = grid.spec.n - k
     member = -codim < alpha < codim * (p - 1.0)
     return Weight(

@@ -81,6 +81,31 @@ class TestSolve:
         assert rec["stalled"] is False
         assert type(rec["inner_iterations"]) is int and rec["inner_iterations"] > 0
 
+    @pytest.mark.parametrize("p,method", [(3.0, "newton"), (1.5, "kacanov")])
+    def test_step_lengths_recorded_deterministically(self, tmp_path, p, method):
+        cfg = {
+            "grid": {"n": 1, "N": 128, "L": 2.0},
+            "omega": {"type": "box", "lo": [0.6], "hi": [1.4]},
+            "s": 0.5,
+            "p": p,
+            "coefficient": {"kind": "scalar", "family": "power", "alpha": 0.5},
+            "rhs": {"kind": "manufactured", "center": [1.0], "radius": 0.3},
+            "solver": {"method": method},
+        }
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(cfg))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run(["solve", "--config", path, "--out", out]) == 0
+        for name in ("solve_report.json", "history.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        rec = json.loads((outs[0] / "solve_report.json").read_text())
+        steps = rec["step_lengths"]
+        assert len(steps) == rec["iterations"] > 0
+        assert all(isinstance(t, float) and t > 0.0 for t in steps)
+        history = (outs[0] / "history.csv").read_text().splitlines()
+        assert history[0] == "iteration,residual,energy"
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg = {"grid": {"n": 1, "N": 128, "L": -1.0},
                "omega": {"type": "box", "lo": [0.6], "hi": [1.4]},

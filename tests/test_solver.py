@@ -350,6 +350,10 @@ class TestNewton:
             prob = sv.manufacture(g, mask, 0.5, p, w, ustar)
             assert sv.solve_plaplace(prob, max_outer=1).method == method
 
+    @pytest.mark.parametrize("p,method", [(1.5, "kacanov"), (2.0, "pcg"), (3.0, "newton")])
+    def test_default_method_rule(self, p, method):
+        assert sv.default_method(p) == method
+
     def test_3d_converges(self):
         g = make_grid(GridSpec(n=3, N=16, L=2.0))
         X = g.coords()
@@ -636,6 +640,25 @@ class TestLineSearch:
                 assert rep.to_record()["line_search_failures"] == 0
                 assert rep.details["stalled"] is False
 
+    def test_line_minimum_falls_back_on_ascent(self):
+        g, mask, w = setup_1d()
+        prob = sv.PDEProblem(grid=g, mask=mask, s=0.5, p=1.5, weight=w,
+                             rhs=bump(g, [1.0], 0.3, 1.0))
+        kit = fo._RieszOps(g, 0.5)
+        (u,) = interior_fields(g, mask, 1, seed=14)
+        u = u.values
+        eps = 1e-3
+        gu = kit.grad(u)
+        f = sv._rhs_field(kit, prob)
+        d = sv._residual(kit, prob, gu, f, eps)
+        slope = kit.hn * float(np.sum(d * d))
+        e0 = sv._energy(kit, prob, u, eps, gu)
+        t, ut, gt, et, ok = sv._line_minimum(
+            kit, prob, u, gu, d, kit.grad(d), eps, e0, slope, np.sum(f * d)
+        )
+        assert not ok and 0.0 < t <= 1e-10
+        assert np.array_equal(ut, u + t * d)
+
     def test_descent_on_a_small_box(self):
         # on L = 0.01 the cell volume h = 3.9e-5 is below the Armijo fraction
         # 1e-4, so a sufficient-decrease test that left h out of the slope
@@ -650,3 +673,66 @@ class TestLineSearch:
         rep = sv.solve_plaplace(prob, "descent")
         assert rep.converged and rep.details["line_search_failures"] == 0
         assert lp_norm(rep.solution - ustar, 2) <= 1e-5 * lp_norm(ustar, 2)
+
+
+class TestLineMinimum:
+    """The Kacanov step moves to the regularized energy's minimum along its
+    direction instead of halving from t = 1."""
+
+    def test_p2_step_is_one(self):
+        g, mask, w = setup_1d(N=256)
+        prob = sv.manufacture(g, mask, 0.5, 2.0, w, bump(g, [1.0], 0.3, 1.0))
+        (x0,) = interior_fields(g, mask, 1, seed=21)
+        # the exact frozen solve already minimizes the quadratic energy
+        rep = sv.solve_plaplace(prob, "kacanov", x0=x0, max_outer=1)
+        (t,) = rep.details["step_lengths"]
+        assert abs(t - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    def test_accepted_step_meets_armijo_or_wolfe(self, p):
+        g, mask, w = setup_1d(N=256)
+        prob = sv.manufacture(g, mask, 0.5, p, w, bump(g, [1.0], 0.3, 1.0))
+        kit = fo._RieszOps(g, 0.5)
+        f = sv._rhs_field(kit, prob)
+        (u,) = interior_fields(g, mask, 1, seed=3)
+        u = u.values
+        eps = 1e-3
+        gu = kit.grad(u)
+        a = sv._coeff(w.values, p, gu, eps)
+        uhat, _, _ = sv._solve_frozen(kit, prob, a, f, u, 1e-12)
+        d = prob.project(uhat - u)
+        gd = kit.grad(d)
+        e0 = sv._energy(kit, prob, u, eps, gu)
+        fd = np.sum(f * d)
+        slope = kit.hn * (sum(np.sum(a * c * cd) for c, cd in zip(gu, gd)) - fd)
+        t, ut, _, trial, ok = sv._line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd)
+        assert ok and t > 0.0
+        assert np.array_equal(ut, u + t * d)
+
+        # energies and slopes along d from the public energy alone
+        def phi(s):
+            return sv.energy(prob, ScalarField(g, u + s * d), eps)
+
+        def dphi(s, h=1e-5 * t):
+            return (phi(s + h) - phi(s - h)) / (2.0 * h)
+
+        e0, et, s0, st = phi(0.0), phi(t), dphi(0.0), dphi(t)
+        assert s0 < 0.0 and abs(trial - et) <= 1e-12 * abs(et)
+        armijo = et <= e0 + sv._ARMIJO * t * s0
+        wolfe = et <= e0 + 1e-10 * abs(e0) and (
+            -0.9 * abs(s0) <= st <= (1.0 - 2.0 * sv._ARMIJO) * abs(s0)
+        )
+        assert armijo or wolfe
+        # t is near the minimizer, not merely a decrease
+        assert abs(st) <= 1.1e-2 * abs(s0)
+
+    def test_criterion_8_kacanov_p15_outer_steps(self):
+        g, mask, w = setup_1d(N=256)
+        ustar = bump(g, [1.0], 0.3, 1.0)
+        prob = sv.manufacture(g, mask, 0.5, 1.5, w, ustar)
+        rep = sv.solve_plaplace(prob, "kacanov", tol=1e-8)
+        assert rep.converged and rep.iterations <= 30
+        assert rep.details["line_search_failures"] == 0
+        steps = rep.details["step_lengths"]
+        assert len(steps) == rep.iterations
+        assert all(type(t) is float and t > 0.0 for t in steps)

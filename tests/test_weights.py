@@ -535,7 +535,7 @@ class TestWideRangeDualWeights:
         assert np.isfinite(rec["constant"])
 
 
-@pytest.mark.parametrize("n, N, count", [(2, 64, 101), (3, 16, 37)])
+@pytest.mark.parametrize("n, N, count", [(1, 256, 53), (2, 64, 101), (3, 16, 37)])
 def test_distance_scan_matches_stacked_formula(n, N, count):
     g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
     pts = np.random.default_rng(n).uniform(-0.8, 0.8, size=(count, n))
@@ -544,5 +544,7 @@ def test_distance_scan_matches_stacked_formula(n, N, count):
     d = stacked[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.min(np.sum(d * d, axis=2), axis=1)).reshape(g.spec.shape)
     dist[dist == 0.0] = g.h / 2.0
-    wd = wt.distance_weight(g, pts, 0.5, 2.0)
-    assert np.array_equal(wd.values, dist**0.5)
+    # the declared dimension moves class membership only, never the values
+    for k in range(n):
+        wd = wt.distance_weight(g, pts, 0.5, 2.0, manifold_dim=k)
+        assert np.array_equal(wd.values, dist**0.5)
