@@ -300,10 +300,19 @@ def _make_precond(kit: _RieszOps, prob: PDEProblem, coeff: np.ndarray | None = N
 def _cg(apply_K, prec, b, x0, tol, max_iter):
     """Preconditioned conjugate gradients; returns (x, residual history, ok).
 
-    Convergence requires the relative residual to meet tol both in the
-    preconditioned norm and in the plain L2 norm; the latter keeps the
-    stopping rule honest on the low modes the preconditioner damps.
+    Convergence requires the residual to meet tol relative to the
+    right-hand side b both in the preconditioned norm, sqrt(r.M^-1 r) against
+    sqrt(b.M^-1 b), and in the plain L2 norm; the latter keeps the stopping
+    rule honest on the low modes the preconditioner damps.  Measured against
+    b rather than against the start's own residual, a warm start near the
+    solution stops as soon as a cold start would (Barrett et al., Templates
+    for the Solution of Linear Systems, SIAM 1994, sec. 4.2); from x0 = 0
+    the two rules agree.  The history is relative to b as well.
     """
+    bb = float(np.sum(b * b))
+    if bb == 0.0:
+        # K is positive definite on admissible fields: K x = 0 only for x = 0
+        return np.zeros_like(b), [0.0], True
     x = x0.copy()
     r = b - apply_K(x)
     z = prec(r)
@@ -311,9 +320,9 @@ def _cg(apply_K, prec, b, x0, tol, max_iter):
     rz = float(np.sum(r * z))
     if rz == 0.0:
         return x, [0.0], True
-    rz0 = max(rz, 1e-300)
-    bb = max(float(np.sum(b * b)), 1e-300)
-    history = [1.0]
+    # from a zero start r is b, so r.M^-1 r already is b.M^-1 b
+    rz0 = max(float(np.sum(b * prec(b))) if x.any() else rz, 1e-300)
+    history = [float(np.sqrt(rz / rz0))]
     for _ in range(max_iter):
         Ad = apply_K(d)
         dAd = float(np.sum(d * Ad))
@@ -344,7 +353,8 @@ def solve_linear(
 
     Solves for u_tilde = u - G (G = exterior data outside, zero inside), an
     interior-supported field, then reports u = u_tilde + G.  The tolerance is
-    relative in the preconditioned residual norm.
+    relative to the right-hand side, in the preconditioned residual norm and
+    in L2, also when CG starts from x0.
     """
     if prob.p != 2.0:
         raise ValueError("solve_linear requires p = 2")
@@ -506,6 +516,16 @@ def _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, minimize):
     return u, gu
 
 
+def _count_inner(counts, its, ok, eps):
+    """Count an outer step's inner solve into the report, with its row of
+    details["steps"]."""
+    counts["inner_iterations"] += its
+    counts["inner_unconverged"] += not ok
+    counts["steps"].append(
+        {"inner_iterations": its, "inner_converged": bool(ok), "eps": float(eps)}
+    )
+
+
 def _kacanov_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
     """Solve the problem with its coefficient frozen at u, then move to the
     regularized energy's minimum along the step.  The energy's Hessian lies
@@ -515,8 +535,7 @@ def _kacanov_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
     a = _coeff(prob.weight.values, prob.p, gu, eps)
     uhat, its, ok = _solve_frozen(kit, prob, a, f, u, 1e-12)
     # an inner solve that misses its tolerance still supplies the step
-    counts["inner_iterations"] += its
-    counts["inner_unconverged"] += not ok
+    _count_inner(counts, its, ok, eps)
     d = prob.project(uhat - u)
     return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, True)
 
@@ -541,8 +560,7 @@ def _newton_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
     forcing = min(0.1, residuals[-1]) if residuals else 0.1
     prec, _ = _make_precond(kit, prob, a)
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
-    counts["inner_iterations"] += len(history) - 1
-    counts["inner_unconverged"] += not ok
+    _count_inner(counts, len(history) - 1, ok, eps)
     d = prob.project(d)
     # Newton's natural step is 1: minimizing along d costs more CG overall
     return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, False)
@@ -617,10 +635,12 @@ def solve_plaplace(
 
     details counts line-search floor hits (every method) and, for kacanov
     and newton, the CG iterations of all inner solves, the inner solves
-    that missed their tolerance and the step length of every outer step
-    ("step_lengths"); "stalled" flags a run whose best certificate of its
-    last 10 outer steps improved on the best before them by less than a
-    relative 1e-3.
+    that missed their tolerance, the step length of every outer step
+    ("step_lengths") and one row per outer step ("steps": its inner
+    solve's CG iterations and convergence, and its eps); the rows and the
+    initial guess's solve add up to "inner_iterations".  "stalled" flags a
+    run whose best certificate of its last 10 outer steps improved on the
+    best before them by less than a relative 1e-3.
     """
     if prob.p < 1.1:
         raise ValueError(
@@ -650,7 +670,8 @@ def solve_plaplace(
         tol = 1e-8 if frozen else 1e-6
     counts = {"line_search_failures": 0}
     if frozen:
-        counts.update(inner_iterations=0, inner_unconverged=0, step_lengths=[])
+        counts.update(inner_iterations=0, inner_unconverged=0, step_lengths=[],
+                      steps=[])
     kit = _RieszOps(prob.grid, prob.s)
     f = _rhs_field(kit, prob)
     fn = kit.dual_norm(f)

@@ -103,6 +103,11 @@ class TestSolve:
         steps = rec["step_lengths"]
         assert len(steps) == rec["iterations"] > 0
         assert all(isinstance(t, float) and t > 0.0 for t in steps)
+        rows = rec["steps"]
+        assert len(rows) == rec["iterations"]
+        assert all(set(row) == {"inner_iterations", "inner_converged", "eps"}
+                   for row in rows)
+        assert sum(row["inner_iterations"] for row in rows) < rec["inner_iterations"]
         history = (outs[0] / "history.csv").read_text().splitlines()
         assert history[0] == "iteration,residual,energy"
 

@@ -241,6 +241,25 @@ class TestSolveLinear:
         diff = (rep.solution.values - G) - rep0.solution.values
         assert np.max(np.abs(diff)) <= 1e-9 * max(1.0, np.max(np.abs(rep0.solution.values)))
 
+    def test_warm_start_at_solution_stops(self):
+        # criterion 9's p = 2 problem, started at a 1e-13 solution: CG stops
+        # relative to the rhs, not to the start's own tiny residual
+        g, mask, w = setup_1d(N=128)
+        prob = sv.manufacture(g, mask, 0.5, 2.0, w, bump(g, [1.0], 0.25, 1.0))
+        exact = sv.solve_linear(prob, tol=1e-13)
+        assert exact.converged
+        rep = sv.solve_linear(prob, tol=1e-10, x0=exact.solution)
+        assert rep.converged and rep.iterations <= 2
+
+    def test_zero_rhs_with_nonzero_start(self):
+        g, mask, w = setup_1d(N=128)
+        prob = sv.PDEProblem(grid=g, mask=mask, s=0.5, p=2.0, weight=w,
+                             rhs=ScalarField(g, np.zeros(g.spec.shape)))
+        (x0,) = interior_fields(g, mask, 1, seed=5)
+        rep = sv.solve_linear(prob, x0=x0)
+        assert rep.converged and rep.iterations == 0
+        assert np.array_equal(rep.solution.values, np.zeros(g.spec.shape))
+
     def test_cg_rejects_indefinite_operator(self):
         b = np.ones(16)
         with pytest.raises(sv.EllipticityError):
@@ -287,6 +306,8 @@ class TestSolvePLaplace:
                 flagged = sv.solve_plaplace(prob, method)
             count = flagged.details["inner_unconverged"]
             assert type(count) is int and count == flagged.iterations > 0
+            rows = flagged.details["steps"]
+            assert [row["inner_converged"] for row in rows] == [False] * count
             assert flagged.converged == rep.converged
             assert flagged.to_record()["inner_unconverged"] == count
 
@@ -310,6 +331,12 @@ class TestSolvePLaplace:
         assert len(seen) == rep.iterations + 1
         assert type(count) is int and count == sum(seen) > 0
         assert rep.to_record()["inner_iterations"] == count
+        # one row per outer step, after the initial guess's solve
+        rows = rep.details["steps"]
+        assert [row["inner_iterations"] for row in rows] == seen[1:]
+        assert all(row["inner_converged"] is True for row in rows)
+        assert all(type(row["eps"]) is float and row["eps"] > 0.0 for row in rows)
+        assert rep.to_record()["steps"] == rows
 
     def test_zero_rhs(self):
         g, mask, w = setup_1d()
@@ -732,6 +759,9 @@ class TestLineMinimum:
         prob = sv.manufacture(g, mask, 0.5, 1.5, w, ustar)
         rep = sv.solve_plaplace(prob, "kacanov", tol=1e-8)
         assert rep.converged and rep.iterations <= 30
+        # warm-started inner solves stop at 1e-12 of the rhs, not of their
+        # own initial residual
+        assert rep.details["inner_iterations"] <= 400
         assert rep.details["line_search_failures"] == 0
         steps = rep.details["step_lengths"]
         assert len(steps) == rep.iterations
