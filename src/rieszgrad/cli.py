@@ -4,8 +4,9 @@ Subcommands: ``verify`` (identity/inequality suite; nonzero exit on any
 failure), ``weights`` (Muckenhoupt constants), ``poincare``, ``solve``,
 ``op`` (apply one fractional operator to a field file), ``sweep``
 (parameter grids).  Every run writes a manifest recording the exact
-configuration, seed, package version and sha256 of each artifact; identical
-config and seed reproduce identical artifact bytes.
+configuration, seed, package version and sha256 of each artifact (``solve``
+adds its wall time per stage); identical config and seed reproduce identical
+artifact bytes.
 
 Exit codes: 0 success, 1 numeric violation in verify, 2 config/schema
 violation.
@@ -55,6 +56,16 @@ GRID_SCHEMA = {
     "additionalProperties": False,
 }
 
+
+def _kind_requires(key: str, reads: dict) -> list:
+    """Draft 2020-12 clauses requiring, per value of ``key``, the keys its kind reads."""
+    return [
+        {"if": {"properties": {key: {"const": value}}, "required": [key]},
+         "then": {"required": required}}
+        for value, required in reads.items()
+    ]
+
+
 OMEGA_SCHEMA = {
     "type": "object",
     "properties": {
@@ -66,6 +77,8 @@ OMEGA_SCHEMA = {
     },
     "required": ["type"],
     "additionalProperties": False,
+    "allOf": _kind_requires("type", {"ball": ["center", "radius"],
+                                     "box": ["lo", "hi"]}),
 }
 
 COEFF_SCHEMA = {
@@ -107,6 +120,9 @@ RHS_SCHEMA = {
     },
     "required": ["kind"],
     "additionalProperties": False,
+    "allOf": _kind_requires("kind", {"manufactured": ["center", "radius"],
+                                     "field": ["path"],
+                                     "modes": ["modes"]}),
 }
 
 SOLVE_SCHEMA = {
@@ -149,16 +165,58 @@ SWEEP_SCHEMA = {
 }
 
 
+#: One sweep case (``base`` updated by one combination of ``vary``) per task:
+#: the keys ``_sweep_case`` reads.
+SWEEP_CASE_SCHEMAS = {
+    "weights": {
+        "type": "object",
+        "properties": {
+            **GRID_SCHEMA["properties"],
+            "x0": {"type": "array", "items": {"type": "number"}},
+            "alpha": {"type": "number"},
+            "p": SOLVE_SCHEMA["properties"]["p"],
+            "levels": {"type": "integer", "minimum": 0},
+        },
+        "required": ["n", "N", "L", "x0", "alpha", "p"],
+        "additionalProperties": False,
+    },
+    "poincare": {
+        "type": "object",
+        "properties": {
+            **{k: GRID_SCHEMA["properties"][k] for k in ("n", "N", "L")},
+            "omega": OMEGA_SCHEMA,
+            "s": SOLVE_SCHEMA["properties"]["s"],
+            "p": SOLVE_SCHEMA["properties"]["p"],
+            "alpha": {"type": ["number", "null"]},
+            "seed": {"type": "integer"},
+        },
+        "required": ["n", "N", "L", "omega", "s", "p"],
+        "additionalProperties": False,
+    },
+}
+
+# Built once: ``jsonschema.validate`` checks its schema against the
+# metaschema on every call, which costs far more than checking a config.
+# The tests run that metaschema check on each of these schemas.
+SOLVE_VALIDATOR = jsonschema.Draft202012Validator(SOLVE_SCHEMA)
+SWEEP_VALIDATOR = jsonschema.Draft202012Validator(SWEEP_SCHEMA)
+SWEEP_CASE_VALIDATORS = {
+    task: jsonschema.Draft202012Validator(schema)
+    for task, schema in SWEEP_CASE_SCHEMAS.items()
+}
+
+
 class ConfigError(Exception):
     pass
 
 
-def _validate(config: dict, schema: dict) -> None:
-    try:
-        jsonschema.validate(config, schema)
-    except jsonschema.ValidationError as e:
-        path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at '{path}': {e.message}") from e
+def _validate(config: dict, validator: jsonschema.Draft202012Validator,
+              what: str = "config") -> None:
+    """Raise ConfigError naming the error ``jsonschema.validate`` would raise."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{what} invalid at '{path}': {error.message}")
 
 
 def _sha256(path: Path) -> str:
@@ -459,8 +517,11 @@ def _cmd_poincare(args) -> int:
 def _cmd_solve(args) -> int:
     cfg_path = Path(args.config)
     config = json.loads(cfg_path.read_text())
-    _validate(config, SOLVE_SCHEMA)
+    marks = [time.perf_counter()]
+    _validate(config, SOLVE_VALIDATOR)
+    marks.append(time.perf_counter())
     prob, ustar = _build_problem(config, cfg_path.parent)
+    marks.append(time.perf_counter())
     scfg = config.get("solver", {})
     method = scfg.get("method", sv.default_method(prob.p))
     tol = scfg.get("tol")
@@ -473,19 +534,26 @@ def _cmd_solve(args) -> int:
         report = sv.solve_plaplace(
             prob, method=method, tol=tol, max_outer=scfg.get("max_iter", 200)
         )
-    out = Path(args.out)
-    manifest = Manifest(out, "solve", config, scfg.get("seed"))
     rec = report.to_record()
     rec["residual_final"] = sv.weak_residual_norm(prob, report.solution)
     if ustar is not None:
         num = np.sqrt(np.sum((report.solution.values - ustar.values) ** 2))
         den = np.sqrt(np.sum(ustar.values**2))
         rec["manufactured_relative_error"] = float(num / den)
+    marks.append(time.perf_counter())
+    out = Path(args.out)
+    manifest = Manifest(out, "solve", config, scfg.get("seed"))
     path = out / "solve_report.json"
     _dump_json(rec, path)
     manifest.add(path)
     manifest.add(emit(report.solution, "bin", out / "solution.bin"))
     manifest.add(emit(report, "csv", out / "history.csv"))
+    marks.append(time.perf_counter())
+    # wall-clock seconds per stage; only the manifest may hold them
+    manifest.record["timings"] = {
+        stage: end - start for stage, start, end in
+        zip(("validate", "build", "solve", "write"), marks, marks[1:])
+    }
     manifest.close()
     print(json.dumps({k: rec[k] for k in
                       ("method", "iterations", "converged", "residual_final")},
@@ -573,7 +641,7 @@ def _sweep_case(task: str, cfg: dict) -> dict:
 def _cmd_sweep(args) -> int:
     cfg_path = Path(args.config)
     config = json.loads(cfg_path.read_text())
-    _validate(config, SWEEP_SCHEMA)
+    _validate(config, SWEEP_VALIDATOR)
     task = config["task"]
     keys = sorted(config["vary"].keys())
     cases = []
@@ -581,6 +649,7 @@ def _cmd_sweep(args) -> int:
         case = dict(config["base"])
         case.update(dict(zip(keys, combo)))
         case_id = ",".join(f"{k}={v}" for k, v in zip(keys, combo))
+        _validate(case, SWEEP_CASE_VALIDATORS[task], f"sweep case '{case_id}'")
         cases.append((case_id, case))
     out = Path(args.out)
     manifest = Manifest(out, "sweep", config, None)

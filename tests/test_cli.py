@@ -1,7 +1,9 @@
 """CLI subcommand, serialization, and determinism tests."""
 
 import json
+import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -12,6 +14,29 @@ from rieszgrad.solver import SolveReport
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+#: A valid 1D p = 2 manufactured problem; tests derive malformed configs from it.
+SOLVE_CFG = {
+    "grid": {"n": 1, "N": 128, "L": 2.0},
+    "omega": {"type": "box", "lo": [0.6], "hi": [1.4]},
+    "s": 0.5,
+    "p": 2.0,
+    "coefficient": {"kind": "scalar", "family": "constant"},
+    "rhs": {"kind": "manufactured", "center": [1.0], "radius": 0.3},
+    "solver": {"method": "pcg"},
+}
+
+
+def with_keys(base, **changes):
+    """A copy of ``base`` with keys replaced; a value of None drops the key."""
+    cfg = dict(base)
+    for key, value in changes.items():
+        if value is None:
+            del cfg[key]
+        else:
+            cfg[key] = value
+    return cfg
 
 
 class TestVerify:
@@ -122,6 +147,34 @@ class TestSolve:
         assert run(["solve", "--config", path, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert "grid/L" in err
+
+    @pytest.mark.parametrize("section,value,key", [
+        ("omega", {"type": "box"}, "lo"),
+        ("omega", {"type": "ball"}, "center"),
+        ("rhs", {"kind": "manufactured"}, "center"),
+        ("rhs", {"kind": "modes"}, "modes"),
+        ("rhs", {"kind": "field"}, "path"),
+    ])
+    def test_kind_dependent_key_missing_exit_2(self, tmp_path, capsys,
+                                               section, value, key):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(with_keys(SOLVE_CFG, **{section: value})))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"at '{section}'" in err and f"'{key}' is a required property" in err
+        assert not out.exists()
+
+    def test_manifest_timings(self, tmp_path):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(SOLVE_CFG))
+        out = tmp_path / "s"
+        assert run(["solve", "--config", path, "--out", out]) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"validate", "build", "solve", "write"}
+        assert all(type(t) is float and math.isfinite(t) and t >= 0.0
+                   for t in timings.values())
+        assert "timings" not in (out / "solve_report.json").read_text()
 
     def test_missing_config_exit_2(self, tmp_path):
         assert run(["solve", "--config", tmp_path / "nope.json",
@@ -250,6 +303,76 @@ class TestSweep:
         rec = json.loads((out / "sweep.json").read_text())
         assert abs(rec["alpha=0.0"]["constant"] - 1.0) < 1e-12
         assert rec["alpha=0.5"]["constant"] > 1.2
+
+    def test_case_checked_before_output(self, tmp_path, capsys):
+        cfg = {"task": "weights", "base": {"n": 1}, "vary": {"alpha": [0.5]}}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", path, "--out", out]) == 2
+        assert "'N' is a required property" in capsys.readouterr().err
+        assert not out.exists()
+
+
+_WEIGHTS_BASE = {"n": 1, "N": 64, "L": 2.0, "origin": [-1.0], "x0": [0.0], "p": 2.0}
+
+
+def validate_error(instance, schema, what):
+    """The stderr line for the error ``jsonschema.validate`` raises."""
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(instance, schema)
+    where = "/".join(str(p) for p in info.value.absolute_path) or "<root>"
+    return f"error: {what} invalid at '{where}': {info.value.message}\n"
+
+
+class TestSchemas:
+    @pytest.mark.parametrize("validator", [
+        cli.SOLVE_VALIDATOR, cli.SWEEP_VALIDATOR, *cli.SWEEP_CASE_VALIDATORS.values(),
+    ])
+    def test_schema_passes_metaschema(self, validator):
+        jsonschema.Draft202012Validator.check_schema(validator.schema)
+        # the class jsonschema.validate would pick for this schema
+        assert jsonschema.validators.validator_for(validator.schema) is type(validator)
+
+    def test_solve_does_not_recheck_schema(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("schema checked at run time")
+
+        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", refuse)
+        monkeypatch.setattr(jsonschema, "validate", refuse)
+        monkeypatch.setattr(jsonschema.validators, "validate", refuse)
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(SOLVE_CFG))
+        for name in ("a", "b"):
+            assert run(["solve", "--config", path, "--out", tmp_path / name]) == 0
+
+    @pytest.mark.parametrize("command,config,schema", [
+        ("solve", with_keys(SOLVE_CFG, grid={"n": 1, "N": 128, "L": -1.0}),
+         cli.SOLVE_SCHEMA),
+        ("solve", with_keys(SOLVE_CFG, tolerance=1e-8), cli.SOLVE_SCHEMA),
+        ("solve", with_keys(SOLVE_CFG, solver={"method": "gmres"}), cli.SOLVE_SCHEMA),
+        ("solve", with_keys(SOLVE_CFG, rhs=None), cli.SOLVE_SCHEMA),
+        ("solve", with_keys(SOLVE_CFG, rhs={"kind": "modes", "modes": [{"k": [1]}]}),
+         cli.SOLVE_SCHEMA),
+        ("sweep", {"task": "solve", "base": {}, "vary": {}}, cli.SWEEP_SCHEMA),
+        ("sweep", {"task": "weights", "base": _WEIGHTS_BASE, "vary": {"alpha": 0.5}},
+         cli.SWEEP_SCHEMA),
+    ])
+    def test_error_matches_jsonschema_validate(self, tmp_path, capsys,
+                                               command, config, schema):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        assert run([command, "--config", path, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == validate_error(config, schema, "config")
+
+    def test_sweep_case_error_matches_jsonschema_validate(self, tmp_path, capsys):
+        cfg = {"task": "weights", "base": _WEIGHTS_BASE, "vary": {"alpha": ["high"]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["sweep", "--config", path, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == validate_error(
+            with_keys(_WEIGHTS_BASE, alpha="high"), cli.SWEEP_CASE_SCHEMAS["weights"],
+            "sweep case 'alpha=high'")
 
 
 class TestEmit:
