@@ -157,7 +157,7 @@ SWEEP_SCHEMA = {
         "base": {"type": "object"},
         "vary": {
             "type": "object",
-            "additionalProperties": {"type": "array"},
+            "additionalProperties": {"type": "array", "minItems": 1},
         },
     },
     "required": ["task", "base", "vary"],
@@ -581,18 +581,16 @@ def _cmd_op(args) -> int:
             raise ConfigError("input fields live on different grids")
     order = args.s if args.s is not None else args.sigma
     name = args.operator
-    out = Path(args.out)
-    manifest = Manifest(
-        out, "op",
-        {"operator": name, "s": args.s, "sigma": args.sigma,
-         "component": args.component, "inputs": [str(p) for p in args.input]},
-        None,
-    )
-    if name in ("grad", "div") and order is None:
-        raise ConfigError(f"operator {name} needs --s")
+    needs, fn = _OPERATORS[name]
+    if needs and order is None:
+        raise ConfigError(f"operator {name} needs --{needs}")
+    if name == "rt" and args.component is None:
+        raise ConfigError("rt needs --component")
+    if name == "div" and len(fields) != grid.spec.n:
+        raise ConfigError(f"div needs {grid.spec.n} component files")
+    # the operators check their order and component: apply them before
+    # the output directory is made
     if name == "div":
-        if len(fields) != grid.spec.n:
-            raise ConfigError(f"div needs {grid.spec.n} component files")
         vf = VectorField(grid, tuple(fields))
         result = [fo.fractional_divergence(vf, order)]
         names = ["divergence.bin"]
@@ -601,13 +599,15 @@ def _cmd_op(args) -> int:
         result = list(vf.components)
         names = [f"gradient_{j}.bin" for j in range(grid.spec.n)]
     else:
-        needs, fn = _OPERATORS[name]
-        if needs and order is None:
-            raise ConfigError(f"operator {name} needs --{needs}")
-        if name == "rt" and args.component is None:
-            raise ConfigError("rt needs --component")
         result = [fn(fields[0], order, args.component)]
         names = [f"{name}.bin"]
+    out = Path(args.out)
+    manifest = Manifest(
+        out, "op",
+        {"operator": name, "s": args.s, "sigma": args.sigma,
+         "component": args.component, "inputs": [str(p) for p in args.input]},
+        None,
+    )
     for r, nm in zip(result, names):
         manifest.add(emit(r, "bin", out / nm))
         if args.csv:

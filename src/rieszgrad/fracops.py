@@ -21,10 +21,10 @@ Conventions on the torus lattice:
   exactly real and makes the discrete integration-by-parts identity exact.
 
 Operators apply their symbol on the half spectrum of the real transforms
-(``rfftn``/``irfftn``).  The origin phase and the h^n scaling cancel inside a
-multiplier and a real inverse has no imaginary residue, so the phase, the
-scaling and the residue guard live only in the public ``forward_transform``
-and ``inverse_transform``.
+(per-axis passes, real last axis, inverse in place).  The origin phase and
+the h^n scaling cancel inside a multiplier and a real inverse has no
+imaginary residue, so the phase, the scaling and the residue guard live only
+in the public ``forward_transform`` and ``inverse_transform``.
 
 An independent principal-value quadrature of the Riesz fractional gradient is
 provided for cross-validating the spectral route; it never touches a symbol.
@@ -203,21 +203,26 @@ def _odd_symbols(grid: Grid, kind: str, order: float, components, half=True):
 
 
 # ---------------------------------------------------------------------------
-# Raw-array spectral layer: irfftn(symbol * rfftn(u)) on the half lattice.
+# Raw-array spectral layer: _irfft(symbol * _rfft(u)) on the half lattice.
 # ---------------------------------------------------------------------------
 
 
 def _rfft(grid: Grid, u: np.ndarray) -> np.ndarray:
-    # the one-axis routine skips rfftn's per-call axis bookkeeping
-    if grid.spec.n == 1:
-        return np.fft.rfft(u, axis=0)
-    return np.fft.rfftn(u, axes=tuple(range(grid.spec.n)))
+    """Half spectrum of a real array: a real pass on the last axis, then
+    complex passes in place on the others, last to first (rfftn's order)."""
+    F = np.fft.rfft(u, axis=-1)
+    for ax in range(grid.spec.n - 2, -1, -1):
+        np.fft.fft(F, axis=ax, out=F)
+    return F
 
 
 def _irfft(grid: Grid, F: np.ndarray) -> np.ndarray:
-    if grid.spec.n == 1:
-        return np.fft.irfft(F, n=grid.spec.N, axis=0)
-    return np.fft.irfftn(F, s=grid.spec.shape, axes=tuple(range(grid.spec.n)))
+    """Real array of a half spectrum, in irfftn's order of passes.  The
+    complex passes run in place, so F is overwritten: callers pass a
+    temporary they no longer need."""
+    for ax in range(grid.spec.n - 1):
+        np.fft.ifft(F, axis=ax, out=F)
+    return np.fft.irfft(F, n=grid.spec.N, axis=-1)
 
 
 def _multiply(grid: Grid, m: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -237,12 +237,32 @@ class TestOp:
         write_field(bump(g, [0.5], 0.2), tmp_path / "u.bin")
         assert run(["op", "rt", "--in", tmp_path / "u.bin",
                     "--out", tmp_path / "r"]) == 2
+        assert not (tmp_path / "r").exists()
 
     def test_div_needs_n_components(self, tmp_path):
         g = make_grid(GridSpec(n=2, N=16, L=1.0))
         write_field(bump(g, [0.5, 0.5], 0.2), tmp_path / "u.bin")
         assert run(["op", "div", "--in", tmp_path / "u.bin", "--s", 0.5,
                     "--out", tmp_path / "d"]) == 2
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("name,flags,message", [
+        ("grad", [], "operator grad needs --s"),
+        ("div", [], "operator div needs --s"),
+        ("riesz", [], "operator riesz needs --sigma"),
+        ("rt", ["--component", 1], "riesz_transform needs a component index in [0, 1)"),
+        ("grad", ["--s", 1.5], "riesz_gradient needs s in (0, 1), got 1.5"),
+        ("flap", ["--sigma", 3], "fractional_laplacian needs order in (0, 2), got 3.0"),
+    ])
+    def test_arguments_checked_before_output(self, tmp_path, capsys, name,
+                                             flags, message):
+        g = make_grid(GridSpec(n=1, N=64, L=1.0))
+        write_field(bump(g, [0.5], 0.2), tmp_path / "u.bin")
+        out = tmp_path / "o"
+        assert run(["op", name, "--in", tmp_path / "u.bin", *flags,
+                    "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "name,flags,outfile",
@@ -311,6 +331,17 @@ class TestSweep:
         out = tmp_path / "sw"
         assert run(["sweep", "--config", path, "--out", out]) == 2
         assert "'N' is a required property" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_vary_list_refused_before_output(self, tmp_path, capsys):
+        cfg = {"task": "weights", "base": _WEIGHTS_BASE, "vary": {"alpha": []}}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == validate_error(cfg, cli.SWEEP_SCHEMA, "config")
+        assert "invalid at 'vary/alpha'" in err
         assert not out.exists()
 
 

@@ -255,18 +255,46 @@ class TestHalfSpectrumLayer:
         ref = np.sqrt(np.sum(np.abs(z) ** 2) / g.spec.L**n)
         assert abs(ops.dual_norm(u) - ref) <= 1e-13 * ref
 
-    @pytest.mark.parametrize("N", [8, 16, 256])
-    def test_one_dimensional_transforms_match_nd_route(self, N):
-        g = self._grid(1, N)
-        u = np.random.default_rng(N).standard_normal(N)
+    @pytest.mark.parametrize("n,N", [(1, 8), (1, 16), (1, 256), (2, 64), (3, 16)])
+    def test_transforms_match_nd_route(self, n, N):
+        # the per-axis passes run in rfftn's and irfftn's order: bitwise equal
+        g = self._grid(n, N)
+        axes = tuple(range(n))
+        u = np.random.default_rng(N).standard_normal(g.spec.shape)
         F = fo._rfft(g, u)
-        ref = np.fft.rfftn(u, axes=(0,))
-        assert F.shape == ref.shape and _rel_err(F, ref) <= 1e-14
-        # a generic half spectrum, whose k = 0 and N/2 entries are not real
+        np.testing.assert_array_equal(F, np.fft.rfftn(u, axes=axes))
+        # a generic half spectrum, whose self-mirrored entries are not real
         G = F + 1j * np.random.default_rng(N + 1).standard_normal(F.shape)
+        ref = np.fft.irfftn(G, s=g.spec.shape, axes=axes)
         back = fo._irfft(g, G)
-        ref = np.fft.irfftn(G, s=(N,), axes=(0,))
-        assert back.shape == (N,) and _rel_err(back, ref) <= 1e-14
+        assert back.shape == g.spec.shape
+        np.testing.assert_array_equal(back, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_operators_leave_inputs_unchanged(self, n):
+        # the inverse transform overwrites its argument; no caller may hand
+        # it an array someone else still holds
+        g = self._grid(n, 8)
+        rng = np.random.default_rng(40 + n)
+        u, a, r = (rng.standard_normal(g.spec.shape) for _ in range(3))
+        vec = [rng.standard_normal(g.spec.shape) for _ in range(n)]
+        uf = ScalarField(g, u)
+        vf = VectorField(g, tuple(ScalarField(g, c) for c in vec))
+        ops = fo._RieszOps(g, 0.4)
+        held = [u, a, r, *vec, uf.values, *(c.values for c in vf.components),
+                ops.lap_sym, *ops.grad_syms]
+        before = [x.copy() for x in held]
+        fo.riesz_gradient(uf, 0.4)
+        fo.fractional_divergence(vf, 0.4)
+        fo.apply_multiplier(uf, "riesz_potential", 0.5)
+        band_limit(uf)
+        ops.grad(u)
+        ops.div(vec)
+        ops.elliptic(a, u)
+        ops.multiply(ops.lap_sym, u)
+        ops.dual_norm(r)
+        for x, y in zip(held, before):
+            np.testing.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_lattice_symbols_match_closed_forms(self, n):
