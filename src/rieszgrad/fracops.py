@@ -20,8 +20,10 @@ Conventions on the torus lattice:
   plane, the unpaired frequency -N/(2L); this keeps outputs of real inputs
   exactly real and makes the discrete integration-by-parts identity exact.
 
-Operators apply their symbol on the half spectrum of the real transforms
-(per-axis passes, real last axis, inverse in place).  The origin phase and
+Symbols are built on the half lattice of the real transforms only, and
+operators apply them on the half spectrum (per-axis passes, real last axis,
+inverse in place).  ``lattice_symbol`` extends a symbol to the whole lattice
+by conjugate symmetry, m(-xi) = conj(m(xi)).  The origin phase and
 the h^n scaling cancel inside a multiplier and a real inverse has no
 imaginary residue, so the phase, the scaling and the residue guard live only
 in the public ``forward_transform`` and ``inverse_transform``.
@@ -158,13 +160,20 @@ def lattice_symbol(
     """Symbol evaluated on the whole frequency lattice, FFT ordering.
 
     Homogeneous symbols are set to 0 at xi = 0 (1 for bessel_potential/G_s);
-    component symbols vanish on their Nyquist plane.
+    component symbols vanish on their Nyquist plane.  The half-lattice
+    symbol is extended by m(-xi) = conj(m(xi)): last-axis columns
+    N/2+1 ... N-1 are the conjugates of columns N/2-1 ... 1 at index -k on
+    every leading axis (a flip, then a roll by one).
     """
-    return _symbol(grid, kind, order, component, half=False).astype(np.complex128)
+    m = _symbol(grid, kind, order, component)
+    mirror = np.conj(m[..., grid.spec.N // 2 - 1 : 0 : -1])
+    for ax in range(grid.spec.n - 1):
+        mirror = np.roll(np.flip(mirror, ax), 1, ax)
+    return np.concatenate([m, mirror], axis=-1).astype(np.complex128)
 
 
-def _symbol(grid: Grid, kind: str, order: float, component=None, half=True):
-    """Symbol on the half lattice of the real transforms (or the full one).
+def _symbol(grid: Grid, kind: str, order: float, component=None):
+    """Symbol on the half lattice of the real transforms.
 
     Odd (component) symbols come back complex, even ones real.
     """
@@ -174,24 +183,20 @@ def _symbol(grid: Grid, kind: str, order: float, component=None, half=True):
     if kind in _COMPONENT_KINDS:
         if component is None or not (0 <= component < n):
             raise ValueError(f"{kind} needs a component index in [0, {n})")
-        return _odd_symbols(grid, kind, order, [component], half)[0]
+        return _odd_symbols(grid, kind, order, [component])[0]
     _check_order(kind, order, n)
-    m = _even_symbol(kind, order, grid.half_wavenumber if half else grid.wavenumber)
+    m = _even_symbol(kind, order, grid.half_wavenumber)
     # <0> = 1 for the bessel kind, so its fill reproduces the formula at 0.
     m[(0,) * n] = 1.0 if kind in ("bessel_potential", "G_s") else 0.0
     return m
 
 
-def _odd_symbols(grid: Grid, kind: str, order: float, components, half=True):
+def _odd_symbols(grid: Grid, kind: str, order: float, components):
     """Symbols i xi_j f(2 pi |xi|) of the given components, all built from
     one radial factor f; 0 at the origin and on each component's Nyquist
-    plane, which is index N/2 of its axis on both lattices (+N/(2L) on the
-    half lattice's last axis)."""
+    plane, index N/2 of its axis (+N/(2L) on the last axis)."""
     _check_order(kind, order, grid.spec.n)
-    if half:
-        xi, r = grid.half_xi, grid.half_wavenumber
-    else:
-        xi, r = grid.xi, grid.wavenumber
+    xi, r = grid.half_xi, grid.half_wavenumber
     f = _radial_factor(kind, order, r)
     syms = []
     for j in components:

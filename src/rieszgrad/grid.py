@@ -85,15 +85,15 @@ class GridSpec:
 
 
 class Grid:
-    """A GridSpec with cached coordinates, frequency lattices and phase factors.
+    """A GridSpec with cached coordinates, frequency lattice and phase factors.
 
-    Build through :func:`make_grid`.  The frequency lattice per axis is
+    Build through :func:`make_grid`.  The frequencies per axis are
     ``numpy.fft.fftfreq(N, d=h) == k/L`` in FFT order; the Nyquist entry is the
-    (unpaired) frequency ``-N/(2L)``.  The half lattice of the real transforms
-    (``rfftn`` over all axes) keeps ``fftfreq`` on the leading axes and uses
-    ``rfftfreq`` on the last, whose Nyquist entry is ``+N/(2L)``.  Both
-    lattices, and the angular wavenumber ``2 pi |xi|`` on each, are built on
-    first use and kept.
+    (unpaired) frequency ``-N/(2L)``.  Symbols live on the half lattice of the
+    real transforms (``rfftn`` over all axes), which keeps ``fftfreq`` on the
+    leading axes and uses ``rfftfreq`` on the last, whose Nyquist entry is
+    ``+N/(2L)``.  The half lattice and the angular wavenumber ``2 pi |xi|`` on
+    it are built on first use and kept.
     """
 
     def __init__(self, spec: GridSpec):
@@ -111,16 +111,6 @@ class Grid:
         self._has_phase = any(o != 0.0 for o in spec.origin)
 
     @cached_property
-    def xi(self) -> list[np.ndarray]:
-        """Full frequency lattice, one dense array per axis."""
-        return np.meshgrid(*self.freq_axes, indexing="ij")
-
-    @cached_property
-    def wavenumber(self) -> np.ndarray:
-        """``2 pi |xi|`` on the full lattice; see :attr:`half_wavenumber`."""
-        return _wavenumber(self.xi)
-
-    @cached_property
     def half_xi(self) -> tuple[np.ndarray, ...]:
         """Half lattice of ``rfftn``, one broadcastable array per axis."""
         n, N, h = self.spec.n, self.spec.N, self.h
@@ -136,7 +126,10 @@ class Grid:
         only keeps negative powers from dividing by zero.  Read-only: symbols
         are evaluated on it, never in place.
         """
-        return _wavenumber(self.half_xi)
+        r = 2.0 * np.pi * np.sqrt(sum(x * x for x in self.half_xi))
+        r[(0,) * r.ndim] = 1.0
+        r.flags.writeable = False
+        return r
 
     def coords(self) -> list[np.ndarray]:
         """Meshgrid coordinate arrays (``indexing='ij'``)."""
@@ -162,15 +155,8 @@ class Grid:
         return f"Grid({self.spec!r})"
 
 
-def _wavenumber(xi) -> np.ndarray:
-    r = 2.0 * np.pi * np.sqrt(sum(x * x for x in xi))
-    r[(0,) * r.ndim] = 1.0
-    r.flags.writeable = False
-    return r
-
-
 def make_grid(spec: GridSpec) -> Grid:
-    """Validate the spec and return a grid with cached lattices."""
+    """Validate the spec and return a grid that caches its half lattice."""
     return Grid(spec)
 
 
@@ -413,9 +399,16 @@ def write_field(u: ScalarField, path) -> None:
 
 def read_field(path) -> ScalarField:
     with open(path, "rb") as fh:
-        n, N = struct.unpack("<qq", fh.read(16))
-        (L,) = struct.unpack("<d", fh.read(8))
-        origin = struct.unpack(f"<{n}d", fh.read(8 * n))
+        head = fh.read(24)
+        if len(head) < 24:
+            raise ValueError(f"field header is cut short: {len(head)} of 24 bytes")
+        n, N, L = struct.unpack("<qqd", head)
+        if n not in (1, 2, 3):
+            raise ValueError(f"field header gives dimension n = {n}, not 1, 2 or 3")
+        raw = fh.read(8 * n)
+        if len(raw) < 8 * n:
+            raise ValueError(f"field header is cut short inside its {n} origin values")
+        origin = struct.unpack(f"<{n}d", raw)
         payload = np.frombuffer(fh.read(), dtype="<f8")
     spec = GridSpec(n=int(n), N=int(N), L=float(L), origin=origin)
     if payload.size != N**n:

@@ -66,33 +66,24 @@ def band_limit(u: ScalarField, fraction: float = 0.25) -> ScalarField:
     return ScalarField(u.grid, _band_limited(u.grid, u.values, fraction * u.grid.spec.N))
 
 
-def bump_family(
-    grid: Grid,
-    count: int,
-    seed: int = 0,
-    radius_range: tuple[float, float] = (0.16, 0.24),
-    sharpness_range: tuple[float, float] = (0.8, 1.6),
-    resolve: bool = True,
-) -> list[ScalarField]:
-    """Seeded mollifier bumps (radii relative to the box edge)."""
+def bump_family(grid: Grid, count: int, seed: int = 0) -> list[ScalarField]:
+    """Seeded mollifier bumps of radius 0.16-0.24 box edges and sharpness
+    0.8-1.6, band-limited by :func:`band_limit`."""
     rng = np.random.default_rng(seed)
     L = grid.spec.L
     o = grid.spec.origin
     out = []
     for _ in range(count):
-        rad = rng.uniform(*radius_range) * L
+        rad = rng.uniform(0.16, 0.24) * L
         center = [rng.uniform(o[d] + 2 * rad, o[d] + L - 2 * rad) for d in range(grid.spec.n)]
-        u = bump(grid, center, rad, rng.uniform(*sharpness_range))
-        out.append(band_limit(u) if resolve else u)
+        out.append(band_limit(bump(grid, center, rad, rng.uniform(0.8, 1.6))))
     return out
 
 
-def bandlimited_family(
-    grid: Grid, count: int, seed: int = 0, kmax: int | None = None
-) -> list[ScalarField]:
-    """Random real fields supported on |k| <= kmax per axis."""
+def bandlimited_family(grid: Grid, count: int, seed: int = 0) -> list[ScalarField]:
+    """Random real fields supported on |k| <= N/8 per axis."""
     rng = np.random.default_rng(seed)
-    kmax = grid.spec.N // 8 if kmax is None else kmax
+    kmax = grid.spec.N // 8
     return [
         ScalarField(grid, _band_limited(grid, rng.standard_normal(grid.spec.shape), kmax))
         for _ in range(count)
@@ -176,7 +167,6 @@ def equivalence_report(
     s: float,
     p: float,
     w: Weight | None = None,
-    cap: float = EQUIVALENCE_CAP,
 ) -> InequalityReport:
     """Two-sided comparability of the gradient norm sum and the Bessel norm."""
     ratios_hx = []
@@ -199,8 +189,8 @@ def equivalence_report(
         family=f"{len(family)} samples",
         max_ratio=float(worst),
         median_ratio=float(np.median(ratios_hx)),
-        reference=cap,
-        verdict=_verdict(worst, cap),
+        reference=EQUIVALENCE_CAP,
+        verdict=_verdict(worst, EQUIVALENCE_CAP),
         samples=samples,
     )
 
@@ -322,7 +312,6 @@ def gn_report(
     t: float,
     p: float,
     w: Weight | None = None,
-    cap: float = GN_CAP,
 ) -> InequalityReport:
     """Interpolation ratio ||grad^s u|| / (||grad^r u||^(1-theta) ||grad^t u||^theta)."""
     if not (0.0 <= r <= s <= t <= 1.0) or r == t:
@@ -340,7 +329,7 @@ def gn_report(
     if not ratios:
         return InequalityReport(
             "gagliardo_nirenberg", {"r": r, "s": s, "t": t, "p": p}, "degenerate",
-            0.0, 0.0, cap, "inconclusive",
+            0.0, 0.0, GN_CAP, "inconclusive",
         )
     worst = max(ratios)
     return InequalityReport(
@@ -350,8 +339,8 @@ def gn_report(
         family=f"{len(family)} samples",
         max_ratio=float(worst),
         median_ratio=float(np.median(ratios)),
-        reference=cap,
-        verdict=_verdict(worst, cap),
+        reference=GN_CAP,
+        verdict=_verdict(worst, GN_CAP),
         samples=samples,
     )
 
@@ -367,7 +356,6 @@ def sobolev_report(
     s: float,
     p: float,
     w: Weight,
-    cap: float = SOBOLEV_CAP,
 ) -> InequalityReport:
     """||u||_{L^{p*}_w} / ||grad^s u||_{L^p_{w_{s,p}}} with w_{s,p} = w^((n-sp)/n)."""
     grid = w.grid
@@ -391,8 +379,8 @@ def sobolev_report(
         family=f"{len(family)} samples",
         max_ratio=float(worst),
         median_ratio=float(np.median(ratios)),
-        reference=cap,
-        verdict=_verdict(worst, cap),
+        reference=SOBOLEV_CAP,
+        verdict=_verdict(worst, SOBOLEV_CAP),
         samples=samples,
     )
 
@@ -438,7 +426,6 @@ def dual_representation_check(
     s: float,
     p: float,
     w: Weight,
-    slack: float = 1e-10,
 ) -> InequalityReport:
     """Check |integral(g . grad^s u)| <= ||g||_{L^p'_{w*}} ||grad^s u||_{L^p_w}."""
     grid = gvec.grid
@@ -460,7 +447,8 @@ def dual_representation_check(
         ratio = 0.0 if bound == 0.0 else abs(F) / bound
         worst = max(worst, ratio)
         samples.append({"sample": i, "pairing": F, "bound": bound, "ratio": ratio})
-    verdict = "bounded" if worst <= 1.0 + slack else "violated"
+    # the Hoelder bound holds exactly; 1e-10 absorbs the rounding of the sums
+    verdict = "bounded" if worst <= 1.0 + 1e-10 else "violated"
     return InequalityReport(
         name="dual_representation_holder",
         params={"s": s, "p": p, "weight": w.family},

@@ -39,7 +39,6 @@ __all__ = [
     "default_method",
     "monotonicity_gap",
     "manufacture",
-    "enforce_exterior",
 ]
 
 
@@ -68,7 +67,6 @@ class PDEProblem:
     c1: float | None = None
     c2: float | None = None
     exterior: ScalarField | None = None
-    check_seed: int = 0
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -127,8 +125,8 @@ class PDEProblem:
         scale = float(np.max(np.abs(A))) or 1.0
         if sym_gap > 1e-12 * scale:
             raise ValueError("matrix field is not symmetric")
-        # sampled degenerate-ellipticity check, 16 random directions
-        rng = np.random.default_rng(self.check_seed)
+        # sampled degenerate-ellipticity check, 16 seeded random directions
+        rng = np.random.default_rng(0)
         dirs = rng.standard_normal((16, n))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         w = self.weight.values
@@ -215,16 +213,10 @@ def _residual(kit: _RieszOps, prob: PDEProblem, gr, f, eps: float = 0.0) -> np.n
 def apply_operator(prob: PDEProblem, u: ScalarField, eps: float = 0.0) -> ScalarField:
     """-div^s(coeff grad^s u) restricted to interior points (exterior zeroed).
 
-    The caller is responsible for u respecting the exterior data; use
-    :func:`enforce_exterior` for the projection.
+    The caller is responsible for u respecting the exterior data.
     """
     kit = _RieszOps(prob.grid, prob.s)
     return ScalarField(prob.grid, _residual(kit, prob, kit.grad(u.values), 0.0, eps))
-
-
-def enforce_exterior(prob: PDEProblem, u: ScalarField) -> ScalarField:
-    g = prob.exterior_values()
-    return ScalarField(prob.grid, np.where(prob.mask, u.values, g))
 
 
 def _rhs_field(kit: _RieszOps, prob: PDEProblem) -> np.ndarray:
@@ -622,8 +614,9 @@ def solve_plaplace(
     solve stopped at the forcing tolerance min(0.1, last certificate) and
     preconditioned by the frozen Kacanov coefficient, damped by an Armijo
     halving search from t = 1, with Kacanov's eps schedule and tolerance.
-    Below p = 2 the Hessian no longer dominates the frozen operator, and at
-    p = 2 the problem is linear, so newton is refused there.  descent:
+    Below p = 2 newton stays unconverged after 200 steps on problems whose
+    solution is centred on a grid node, and at p = 2 the problem is linear,
+    so newton is refused there.  descent:
     Barzilai-Borwein steps on the regularized energy with the same halving
     search, preconditioned per stage by the frozen coefficient's spectral
     surrogate, with eps following a homotopy from a large value (default
@@ -660,9 +653,9 @@ def solve_plaplace(
         raise ValueError(f"unknown method {method!r}")
     if method == "newton" and prob.p <= 2.0:
         raise ValueError(
-            "newton needs p > 2: below 2 the Hessian no longer dominates the "
-            "frozen Kacanov operator, and at 2 the problem is linear; use "
-            "kacanov or solve_linear"
+            "newton needs p > 2: below 2 it stays unconverged after 200 "
+            "steps on problems centred on a grid node, and at 2 the problem "
+            "is linear; use kacanov or solve_linear"
         )
     # kacanov and newton share the eps schedule and the strict certificate
     frozen = method != "descent"

@@ -157,19 +157,18 @@ def identity_checks(
     ]
 
 
-def constants_check(
-    n_values=(1, 2, 3), count: int = 99, tol: float = 1e-12
-) -> CheckResult:
-    """gamma_{n,1-s} c_{n,s} = n + s - 1 on an s-grid (exact Gamma identity)."""
+def constants_check() -> CheckResult:
+    """gamma_{n,1-s} c_{n,s} = n + s - 1 at s = 0.01, ..., 0.99 for n = 1, 2,
+    3 (exact Gamma identity)."""
     worst = 0.0
-    for n in n_values:
-        for i in range(1, count + 1):
-            s = i / (count + 1.0)
+    for n in (1, 2, 3):
+        for i in range(1, 100):
+            s = i / 100.0
             prod = fo.gradient_normalization(n, s) * fo.riesz_normalization(n, 1.0 - s)
             target = n + s - 1.0
             worst = max(worst, abs(prod - target) / abs(target))
-    return _result("constants_product_identity", worst, tol,
-                   n_values=list(n_values), s_points=count)
+    return _result("constants_product_identity", worst, 1e-12,
+                   n_values=[1, 2, 3], s_points=99)
 
 
 def pv_check(
@@ -216,7 +215,7 @@ def pv_check(
     return out
 
 
-def weights_checks(N: int = 512, levels: int = 7, seed: int = 0) -> list[CheckResult]:
+def weights_checks(N: int = 512, levels: int = 7) -> list[CheckResult]:
     out = []
     grid = make_grid(GridSpec(n=1, N=N, L=2.0, origin=(-1.0,)))
     fam = wt.CubeFamily(lo=(-1.0,), size=2.0, level_min=0, level_max=levels)
@@ -263,10 +262,9 @@ def weights_checks(N: int = 512, levels: int = 7, seed: int = 0) -> list[CheckRe
     return out
 
 
-def gn_single_mode_check(
-    N: int = 256, grid_points: int = 5, tol: float = 1e-12, seed: int = 0
-) -> CheckResult:
+def gn_single_mode_check(grid_points: int = 5, seed: int = 0) -> CheckResult:
     """Single-mode interpolation ratio is exactly 1 for admissible triples."""
+    N = 256
     grid = make_grid(GridSpec(n=1, N=N, L=1.0))
     rng = np.random.default_rng(seed)
     values = np.linspace(0.1, 0.9, grid_points)
@@ -282,20 +280,20 @@ def gn_single_mode_check(
                 rep = iq.gn_report([u], float(r), float(s), float(t), 2.0)
                 worst = max(worst, abs(rep.max_ratio - 1.0))
                 count += 1
-    return _result("gn_single_mode_equality", worst, tol, triples=count)
+    return _result("gn_single_mode_equality", worst, 1e-12, triples=count)
 
 
-def holder_dual_check(N: int = 256, count: int = 20, seed: int = 0) -> CheckResult:
-    grid = make_grid(GridSpec(n=1, N=N, L=1.0))
-    fam = iq.standard_family(grid, seed=seed, bumps=count // 2, modes=count // 2)
+def holder_dual_check(seed: int = 0) -> CheckResult:
+    grid = make_grid(GridSpec(n=1, N=256, L=1.0))
+    fam = iq.standard_family(grid, seed=seed, bumps=10, modes=10)
     w = wt.power_weight(grid, [0.5], 0.5, 2.0)
     gv = fo.riesz_gradient(fam[0], 0.4)
     rep = iq.dual_representation_check(gv, fam, 0.4, 2.0, w)
     return _result("holder_dual_weight", rep.max_ratio, 1.0 + 1e-10)
 
 
-def poincare_check(N: int = 128, seed: int = 0) -> list[CheckResult]:
-    grid = make_grid(GridSpec(n=1, N=N, L=2.0))
+def poincare_check(seed: int = 0) -> list[CheckResult]:
+    grid = make_grid(GridSpec(n=1, N=128, L=2.0))
     x = grid.axes[0]
     mask = (x >= 0.75) & (x <= 1.25)
     fam = iq._interior_family(grid, mask, seed)
@@ -318,8 +316,8 @@ def poincare_check(N: int = 128, seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def solver_checks(N: int = 128, seed: int = 0) -> list[CheckResult]:
-    grid = make_grid(GridSpec(n=1, N=N, L=2.0))
+def solver_checks(seed: int = 0) -> list[CheckResult]:
+    grid = make_grid(GridSpec(n=1, N=128, L=2.0))
     x = grid.axes[0]
     mask = (x >= 0.6) & (x <= 1.4)
     w = wt.tabulated_weight(grid, np.ones(grid.spec.shape), 2.0)
@@ -366,9 +364,10 @@ def solver_checks(N: int = 128, seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def transform_checks(N: int = 128, count: int = 20, seed: int = 0) -> list[CheckResult]:
-    grid = make_grid(GridSpec(n=1, N=N, L=1.5, origin=(-0.25,)))
+def transform_checks(seed: int = 0) -> list[CheckResult]:
+    grid = make_grid(GridSpec(n=1, N=128, L=1.5, origin=(-0.25,)))
     rng = np.random.default_rng(seed)
+    count = 20
     worst_rt = 0.0
     worst_pv = 0.0
     for _ in range(count):

@@ -74,9 +74,6 @@ class Weight:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def describe(self) -> dict:
-        return {"family": self.family, "p": self.p, "in_class": self.in_class}
-
 
 def _nudged(dist: np.ndarray, h: float) -> np.ndarray:
     out = dist.copy()
@@ -175,9 +172,6 @@ class CubeFamily:
         if not (0 <= self.level_min <= self.level_max):
             raise ValueError("need 0 <= level_min <= level_max")
         object.__setattr__(self, "lo", tuple(float(c) for c in self.lo))
-
-    def with_levels(self, level_max: int) -> "CubeFamily":
-        return CubeFamily(self.lo, self.size, self.level_min, level_max, self.shifted)
 
     def tilings(self, grid: Grid):
         """Yield (edge, corners) per tiling, in family order: level by level,

@@ -165,6 +165,19 @@ class TestSolve:
         assert f"at '{section}'" in err and f"'{key}' is a required property" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [3, 24])
+    def test_truncated_rhs_field_exit_2(self, tmp_path, capsys, size):
+        g = make_grid(GridSpec(n=1, N=128, L=2.0))
+        write_field(bump(g, [1.0], 0.3), tmp_path / "f.bin")
+        (tmp_path / "cut.bin").write_bytes((tmp_path / "f.bin").read_bytes()[:size])
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(with_keys(
+            SOLVE_CFG, rhs={"kind": "field", "path": "cut.bin"})))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == 2
+        assert "error: field header is cut short" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_timings(self, tmp_path):
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(SOLVE_CFG))
@@ -262,6 +275,18 @@ class TestOp:
         assert run(["op", name, "--in", tmp_path / "u.bin", *flags,
                     "--out", out]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [3, 24, 32])
+    def test_truncated_field_header_exit_2(self, tmp_path, capsys, size):
+        # 3 bytes: short of n and N; 24: cut after L; 32: inside the origin
+        g = make_grid(GridSpec(n=2, N=16, L=1.0))
+        write_field(bump(g, [0.5, 0.5], 0.2), tmp_path / "u.bin")
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes((tmp_path / "u.bin").read_bytes()[:size])
+        out = tmp_path / "o"
+        assert run(["op", "grad", "--in", cut, "--s", 0.5, "--out", out]) == 2
+        assert "error: field header is cut short" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -302,7 +302,8 @@ class TestHalfSpectrumLayer:
         # symbols evaluate the same floating-point expression, odd ones
         # share one radial factor and may differ in rounding
         g = self._grid(n, 16)
-        norm = np.sqrt(sum(x * x for x in g.xi))
+        xi = np.meshgrid(*[np.fft.fftfreq(16, d=g.h)] * n, indexing="ij")
+        norm = np.sqrt(sum(x * x for x in xi))
         zero = norm == 0.0
         r = 2 * np.pi * np.where(zero, 1.0, norm)
         even = {
@@ -326,9 +327,22 @@ class TestHalfSpectrumLayer:
                 assert np.array_equal(fo.lattice_symbol(g, kind, order), ref), kind
                 continue
             for j in range(n):
-                ref = np.where(zero, 0.0, odd[kind](order, g.xi[j]))
+                ref = np.where(zero, 0.0, odd[kind](order, xi[j]))
                 ref[(slice(None),) * j + (8,)] = 0.0
                 assert _rel_err(fo.lattice_symbol(g, kind, order, j), ref) <= 1e-14, kind
+
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lattice_symbols_conjugate_symmetric(self, n, N):
+        # m(-xi) = conj(m(xi)) exactly, also on columns 0 and N/2, which the
+        # conjugate extension copies from the half lattice
+        g = self._grid(n, N)
+        minus = np.ix_(*[(-np.arange(N)) % N] * n)
+        for kind, order in HALF_SPECTRUM_CASES:
+            comps = range(n) if kind in COMPONENT_KINDS else [None]
+            for j in comps:
+                m = fo.lattice_symbol(g, kind, order, j)
+                assert np.array_equal(m[minus], np.conj(m)), (kind, j)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_half_symbol_is_full_symbol_restricted(self, n):

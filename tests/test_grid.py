@@ -1,5 +1,7 @@
 """Grid, field, transform, bump, and norm tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,23 @@ class TestSerialization:
         write_field(u, path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="payload"):
+            read_field(path)
+
+    @pytest.mark.parametrize("size", [0, 3, 16, 23, 24, 32])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        # header: n, N, L (24 bytes), then 8 bytes per origin entry
+        g = make_grid(GridSpec(n=2, N=8, L=1.0))
+        path = tmp_path / "field.bin"
+        write_field(ScalarField(g, np.zeros((8, 8))), path)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match="field header is cut short"):
+            read_field(path)
+
+    @pytest.mark.parametrize("n", [-1, 0, 4, 2**40])
+    def test_header_dimension_rejected(self, tmp_path, n):
+        path = tmp_path / "field.bin"
+        path.write_bytes(struct.pack("<qqd", n, 8, 1.0) + bytes(64))
+        with pytest.raises(ValueError, match=f"dimension n = {n}"):
             read_field(path)
 
 
