@@ -63,12 +63,14 @@ class GridSpec:
             raise ValueError(f"dimension n must be 1, 2 or 3, got {self.n}")
         if not _is_power_of_two(self.N) or self.N < 8:
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
-        if not (self.L > 0):
-            raise ValueError(f"box edge L must be positive, got {self.L}")
-        origin = self.origin if self.origin else (0.0,) * self.n
+        if not (0 < self.L < np.inf):
+            raise ValueError(f"box edge L must be positive and finite, got {self.L}")
+        origin = tuple(float(o) for o in self.origin or (0.0,) * self.n)
         if len(origin) != self.n:
             raise ValueError(f"origin must have {self.n} entries, got {len(origin)}")
-        object.__setattr__(self, "origin", tuple(float(o) for o in origin))
+        if not np.all(np.isfinite(origin)):
+            raise ValueError(f"origin entries must be finite, got {origin}")
+        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "L", float(self.L))
 
     @property

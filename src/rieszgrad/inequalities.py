@@ -13,7 +13,8 @@ interpolation ratio is exactly one, and the Poincare constant is
 lambda^(-1/p) for the first eigenvalue lambda of the weighted fractional
 p-Laplacian, computed here for every p by one nonlinear inverse power
 iteration (Hein & Buehler, NIPS 2010) whose steps are warm-started Kacanov
-steps of the solver; at p = 2 it is inverse iteration with CG inner solves.
+steps on one solver state per estimate; at p = 2 it is inverse iteration
+with CG inner solves.
 
 Bump samples are spectrally truncated below the top octave (|k| <= N/4 per
 axis); this is the frequency-side counterpart of the spatial margin rule and
@@ -22,13 +23,13 @@ keeps the unpaired-Nyquist convention from polluting identity residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
-from .solver import PDEProblem, _residual, solve_plaplace
+from .solver import PDEProblem, _residual, _rhs_field, _SolveState
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -108,10 +109,9 @@ class NormBundle:
 
 
 def norm_bundle(u: ScalarField, s: float, p: float, w: Weight | None = None) -> NormBundle:
-    wv = None if w is None else w
-    a = lp_norm(u, p, wv)
-    b = lp_norm(fo.riesz_gradient(u, s), p, wv)
-    h = lp_norm(fo.bessel_potential(u, -s), p, wv)
+    a = lp_norm(u, p, w)
+    b = lp_norm(fo.riesz_gradient(u, s), p, w)
+    h = lp_norm(fo.bessel_potential(u, -s), p, w)
     return NormBundle(lp=a, grad_lp=b, x_norm=a + b, h_norm=h)
 
 
@@ -205,14 +205,7 @@ class PoincareEstimate:
     method: str
 
     def to_record(self) -> dict:
-        return {
-            "constant": self.constant,
-            "eigenvalue": self.eigenvalue,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def poincare_constant(
@@ -230,10 +223,12 @@ def poincare_constant(
 
     Nonlinear inverse power iteration on -div^s(w |grad^s u|^(p-2) grad^s u)
     = lambda w |u|^(p-2) u, started from the family member with the smallest
-    Rayleigh quotient.  Each step is one warm-started Kacanov step of
-    :func:`solve_plaplace` with right-hand side w |u|^(p-2) u, started at the
-    energy's minimizer on the ray through u, so the quotient never rises; at
-    p = 2 the step is an exact CG solve and this is inverse iteration.
+    Rayleigh quotient.  Each step is one warm-started Kacanov step, the
+    step :func:`solve_plaplace` takes, with right-hand side w |u|^(p-2) u,
+    started at the energy's minimizer on the ray through u, so the quotient
+    never rises; at p = 2 the step is an exact CG solve and this is inverse
+    iteration.  One solver state serves every step and changes only its
+    right-hand side; a failed inner solve or line search clears converged.
     lambda is the Rayleigh quotient <u, Tu> / <u, Bu> and the residual is
     ||Tu - lambda Bu|| / (lambda ||Bu||).  The constant is lambda^(-1/p),
     raised to the best family ratio when that is larger, so it dominates the
@@ -274,17 +269,17 @@ def poincare_constant(
         return prob, lam, res
 
     prob, lam, res = eigen(u)
+    st = _SolveState(kit, prob, "kacanov")
     iters = 0
-    failures = 0
     while res >= tol and iters < max_iter:
-        rep = solve_plaplace(
-            prob, "kacanov", x0=ScalarField(grid, u * lam ** (-1.0 / (p - 1.0))),
-            max_outer=1,
-        )
-        failures += rep.details["inner_unconverged"] + rep.details["line_search_failures"]
-        u = rep.solution.values / lp_norm(rep.solution, p, w)
+        st.start(u * lam ** (-1.0 / (p - 1.0)))
+        st.step()
+        sol = ScalarField(grid, prob.project(st.u))
+        u = sol.values / lp_norm(sol, p, w)
         prob, lam, res = eigen(u)
+        st.prob, st.f = prob, _rhs_field(kit, prob)
         iters += 1
+    failures = st.counts["inner_unconverged"] + st.counts["line_search_failures"]
     return PoincareEstimate(
         constant=max(lam ** (-1.0 / p), family_max),
         eigenvalue=lam,

@@ -19,7 +19,8 @@ residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -180,12 +181,8 @@ class SolveReport:
         }
 
     def history_rows(self) -> list[tuple]:
-        rows = []
-        for k in range(max(len(self.residuals), len(self.energies))):
-            res = self.residuals[k] if k < len(self.residuals) else ""
-            en = self.energies[k] if k < len(self.energies) else ""
-            rows.append((k, res, en))
-        return rows
+        rows = zip_longest(self.residuals, self.energies, fillvalue="")
+        return [(k, res, en) for k, (res, en) in enumerate(rows)]
 
 
 def _coeff(w: np.ndarray, p: float, gr: list[np.ndarray], eps: float) -> np.ndarray:
@@ -274,7 +271,7 @@ def _make_precond(kit: _RieszOps, prob: PDEProblem, coeff: np.ndarray | None = N
     inside = coeff[prob.mask]
     med = float(np.median(inside))
     inv = 1.0 / (med * kit.lap_sym + 1.0)
-    ratio = float(np.max(inside) / np.min(inside)) if inside.size else 1.0
+    ratio = float(np.max(inside) / np.min(inside))
     if ratio > 1e4:
         d = np.sqrt(coeff / med)
 
@@ -487,60 +484,54 @@ def _line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd):
     return _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10)
 
 
-def _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, minimize):
-    """Step from u along d on the regularized energy, whose slope along d is
+def _damped_update(st, a, d, its, inner_ok, minimize):
+    """Count the inner solve that gave d (its CG iterations its, whether it
+    converged, and its row of details["steps"]), then step from u along d
+    on the regularized energy, whose slope along d is
     h^n (sum a grad^s u . grad^s d - f . d) for a = _coeff at u: to the
     energy's minimum along d when minimize is set, else by the halving
-    search from t = 1.  Records the step length."""
-    gd = kit.grad(d)
-    e0 = _energy(kit, prob, u, eps, gu)
-    fd = np.sum(f * d)
-    slope = kit.hn * (sum(np.sum(a * c * cd) for c, cd in zip(gu, gd)) - fd)
+    search from t = 1.  Records the energy and the step length."""
+    st.counts["inner_iterations"] += its
+    st.counts["inner_unconverged"] += not inner_ok
+    st.counts["steps"].append({"inner_iterations": its,
+                               "inner_converged": bool(inner_ok),
+                               "eps": float(st.eps)})
+    gd = st.kit.grad(d)
+    e0 = _energy(st.kit, st.prob, st.u, st.eps, st.gu)
+    fd = np.sum(st.f * d)
+    slope = st.kit.hn * (sum(np.sum(a * c * cd) for c, cd in zip(st.gu, gd)) - fd)
+    args = (st.kit, st.prob, st.u, st.gu, d, gd, st.eps, e0, slope)
     if minimize:
-        t, u, gu, e, ok = _line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd)
+        t, st.u, st.gu, e, ok = _line_minimum(*args, fd)
     else:
-        t, u, gu, e, ok = _line_search(
-            kit, prob, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10
-        )
-    energies.append(e)
-    counts["line_search_failures"] += not ok
-    counts["step_lengths"].append(float(t))
-    return u, gu
+        t, st.u, st.gu, e, ok = _line_search(*args, 1.0, 1e-10)
+    st.energies.append(e)
+    st.counts["line_search_failures"] += not ok
+    st.counts["step_lengths"].append(float(t))
 
 
-def _count_inner(counts, its, ok, eps):
-    """Count an outer step's inner solve into the report, with its row of
-    details["steps"]."""
-    counts["inner_iterations"] += its
-    counts["inner_unconverged"] += not ok
-    counts["steps"].append(
-        {"inner_iterations": its, "inner_converged": bool(ok), "eps": float(eps)}
-    )
-
-
-def _kacanov_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
+def _kacanov_step(st):
     """Solve the problem with its coefficient frozen at u, then move to the
     regularized energy's minimum along the step.  The energy's Hessian lies
     between p - 1 and 1 times the frozen operator (either way round), so the
     full step only contracts the error by about |2 - p|; at p = 2 the
     minimum is t = 1."""
-    a = _coeff(prob.weight.values, prob.p, gu, eps)
-    uhat, its, ok = _solve_frozen(kit, prob, a, f, u, 1e-12)
+    a = _coeff(st.prob.weight.values, st.prob.p, st.gu, st.eps)
+    uhat, its, ok = _solve_frozen(st.kit, st.prob, a, st.f, st.u, 1e-12)
     # an inner solve that misses its tolerance still supplies the step
-    _count_inner(counts, its, ok, eps)
-    d = prob.project(uhat - u)
-    return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, True)
+    _damped_update(st, a, st.prob.project(uhat - st.u), its, ok, True)
 
 
-def _newton_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
+def _newton_step(st):
     """Solve H d = f - T_eps(u) with the regularized energy's Hessian
     H v = -div^s(a (grad^s v + (p-2) (g . grad^s v)/m g)), g = grad^s u and
     m = |g|^2 + eps^2, from zero to the relative forcing tolerance
     min(0.1, r) with r the last certificate, then damp the step by the line
     search.  The frozen Kacanov operator (the Hessian without its rank-one
     term) preconditions the solve through its spectral surrogate."""
-    a = _coeff(prob.weight.values, prob.p, gu, eps)
-    m = sum(c * c for c in gu) + eps * eps
+    kit, prob, gu = st.kit, st.prob, st.gu
+    a = _coeff(prob.weight.values, prob.p, gu, st.eps)
+    m = sum(c * c for c in gu) + st.eps * st.eps
     rank1 = (prob.p - 2.0) * a / np.where(m > 0.0, m, 1.0)
 
     def apply_H(v):
@@ -548,45 +539,47 @@ def _newton_step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
         gdot = rank1 * sum(c * cv for c, cv in zip(gu, gv))
         return prob.project(-kit.div([a * cv + gdot * c for c, cv in zip(gu, gv)]))
 
-    b = -_residual(kit, prob, gu, f, eps)
-    forcing = min(0.1, residuals[-1]) if residuals else 0.1
+    b = -_residual(kit, prob, gu, st.f, st.eps)
+    forcing = min(0.1, st.residuals[-1]) if st.residuals else 0.1
     prec, _ = _make_precond(kit, prob, a)
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
-    _count_inner(counts, len(history) - 1, ok, eps)
     d = prob.project(d)
     # Newton's natural step is 1: minimizing along d costs more CG overall
-    return _damped_update(kit, prob, f, u, gu, a, d, eps, energies, counts, False)
+    _damped_update(st, a, d, len(history) - 1, ok, False)
 
 
-def _descent_stage(kit, prob, f, fn, u, gu, eps, energies, counts, residuals):
+def _descent_stage(st):
     """Barzilai-Borwein steps at fixed eps, preconditioned by the spectral
     surrogate of the coefficient frozen at the stage's start."""
-    prec, _ = _make_precond(kit, prob, _coeff(prob.weight.values, prob.p, gu, eps))
-    e = _energy(kit, prob, u, eps, gu)
+    kit, prob, eps = st.kit, st.prob, st.eps
+    prec, _ = _make_precond(kit, prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
+    e = _energy(kit, prob, st.u, eps, st.gu)
     uprev = gprev = gn0 = None
     t = 1.0
     for _ in range(_MAX_INNER):
-        gvec = _residual(kit, prob, gu, f, eps)
+        gvec = _residual(kit, prob, st.gu, st.f, eps)
         pg = prec(gvec)
         gdot = float(np.sum(gvec * pg))
         gn = np.sqrt(max(gdot, 0.0))
         if gn0 is None:
             gn0 = gn
-        if gn < 1e-3 * gn0 or gn < 1e-13 * fn:
+        if gn < 1e-3 * gn0 or gn < 1e-13 * st.fn:
             break
         if uprev is not None:
-            du = u - uprev
+            du = st.u - uprev
             den = float(np.sum((pg - gprev) * du))
             if den > 0:
                 t = float(np.sum(du * du)) / den
         gd = [-c for c in kit.grad(pg)]
-        uprev, gprev = u, pg
-        _, u, gu, e, ok = _line_search(
-            kit, prob, u, gu, -pg, gd, eps, e, -kit.hn * gdot, min(t, 1e8), 1e-18
+        uprev, gprev = st.u, pg
+        _, st.u, st.gu, e, ok = _line_search(
+            kit, prob, st.u, st.gu, -pg, gd, eps, e, -kit.hn * gdot, min(t, 1e8), 1e-18
         )
-        energies.append(e)
-        counts["line_search_failures"] += not ok
-    return u, gu
+        st.energies.append(e)
+        st.counts["line_search_failures"] += not ok
+
+
+_STEPS = {"kacanov": _kacanov_step, "newton": _newton_step, "descent": _descent_stage}
 
 
 def default_method(p: float) -> str:
@@ -595,6 +588,85 @@ def default_method(p: float) -> str:
     if p == 2.0:
         return "pcg"
     return "newton" if p > 2.0 else "kacanov"
+
+
+class _SolveState:
+    """One nonlinear solve of prob by method: the operators kit, the interior
+    right-hand side f with its norms fn (dual) and f2 (L2), the iterate u
+    with gu = grad^s u, eps, the report's counts, the energies and the
+    certificates.  The Poincare loop swaps prob and f between Kacanov
+    steps, which read neither fn nor f2."""
+
+    def __init__(self, kit: _RieszOps, prob: PDEProblem, method: str | None):
+        if prob.p < 1.1:
+            raise ValueError(
+                "p below 1.1 leaves the regularized coefficient too degenerate; "
+                "refusing (documented limitation)"
+            )
+        if prob.exterior is not None:
+            raise ValueError("solve_plaplace requires homogeneous exterior data")
+        if prob.matrix is not None:
+            raise ValueError("matrix coefficients are linear-path only (p = 2)")
+        if method is None:
+            # at p = 2 a Kacanov step is one frozen CG solve: this solver's pcg
+            method = default_method(prob.p)
+            if method == "pcg":
+                method = "kacanov"
+        if method not in _STEPS:
+            raise ValueError(f"unknown method {method!r}")
+        if method == "newton" and prob.p <= 2.0:
+            raise ValueError(
+                "newton needs p > 2: below 2 it stays unconverged after 200 "
+                "steps on problems centred on a grid node, and at 2 the problem "
+                "is linear; use kacanov or solve_linear"
+            )
+        self.kit, self.prob, self.method = kit, prob, method
+        # kacanov and newton share the eps schedule and the strict certificate
+        self.frozen = method != "descent"
+        self.counts = {"line_search_failures": 0}
+        if self.frozen:
+            self.counts.update(inner_iterations=0, inner_unconverged=0,
+                               step_lengths=[], steps=[])
+        self.f = _rhs_field(kit, prob)
+        self.fn = kit.dual_norm(self.f)
+        self.f2 = max(float(np.sqrt(np.sum(self.f * self.f))), 1e-300)
+        self.energies = []
+        self.residuals = []
+
+    def start(self, x0: np.ndarray | None) -> None:
+        """Start at the projection of x0, or else at the frozen solve with
+        coefficient w.  kacanov and newton take the target regularization
+        eps_min at once; descent follows a homotopy from a large eps so early
+        stages stay well conditioned."""
+        kit, prob = self.kit, self.prob
+        if x0 is not None:
+            self.u = prob.project(x0)
+        else:
+            self.u, its, _ = _solve_frozen(
+                kit, prob, prob.weight.values, self.f, np.zeros_like(self.f), 1e-12
+            )
+            if self.frozen:
+                self.counts["inner_iterations"] += its
+        self.gu = kit.grad(self.u)
+        gmag = np.sqrt(sum(c * c for c in self.gu))
+        med = float(np.median(gmag[prob.mask]))
+        self.scale = float(np.max(gmag)) or 1.0
+        self.eps_min = max(1e-8 * med, 1e-15 * self.scale)
+        self.eps = self.eps_min if self.frozen else max(1e-2 * self.scale, self.eps_min)
+
+    def step(self) -> None:
+        _STEPS[self.method](self)
+
+    def certificate(self) -> float:
+        """Append and return the unregularized residual at u relative to f
+        in the dual norm, which kacanov and newton also bound in L2 (the
+        dual surrogate damps exactly the modes a Newton-like method nails)."""
+        r = _residual(self.kit, self.prob, self.gu, self.f)
+        rn = self.kit.dual_norm(r) / self.fn
+        if self.frozen:
+            rn = max(rn, float(np.sqrt(np.sum(r * r))) / self.f2)
+        self.residuals.append(rn)
+        return rn
 
 
 def solve_plaplace(
@@ -635,40 +707,10 @@ def solve_plaplace(
     run whose best certificate of its last 10 outer steps improved on the
     best before them by less than a relative 1e-3.
     """
-    if prob.p < 1.1:
-        raise ValueError(
-            "p below 1.1 leaves the regularized coefficient too degenerate; "
-            "refusing (documented limitation)"
-        )
-    if prob.exterior is not None:
-        raise ValueError("solve_plaplace requires homogeneous exterior data")
-    if prob.matrix is not None:
-        raise ValueError("matrix coefficients are linear-path only (p = 2)")
-    if method is None:
-        # at p = 2 a Kacanov step is one frozen CG solve: this solver's pcg
-        method = default_method(prob.p)
-        if method == "pcg":
-            method = "kacanov"
-    if method not in ("kacanov", "newton", "descent"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "newton" and prob.p <= 2.0:
-        raise ValueError(
-            "newton needs p > 2: below 2 it stays unconverged after 200 "
-            "steps on problems centred on a grid node, and at 2 the problem "
-            "is linear; use kacanov or solve_linear"
-        )
-    # kacanov and newton share the eps schedule and the strict certificate
-    frozen = method != "descent"
+    st = _SolveState(_RieszOps(prob.grid, prob.s), prob, method)
     if tol is None:
-        tol = 1e-8 if frozen else 1e-6
-    counts = {"line_search_failures": 0}
-    if frozen:
-        counts.update(inner_iterations=0, inner_unconverged=0, step_lengths=[],
-                      steps=[])
-    kit = _RieszOps(prob.grid, prob.s)
-    f = _rhs_field(kit, prob)
-    fn = kit.dual_norm(f)
-    if fn == 0.0:
+        tol = 1e-8 if st.frozen else 1e-6
+    if st.fn == 0.0:
         # zero data: the unique minimizer is zero (energy vanishes there)
         zero = ScalarField(prob.grid, np.zeros(prob.grid.spec.shape))
         return SolveReport(
@@ -677,69 +719,40 @@ def solve_plaplace(
             residuals=[0.0],
             energies=[0.0],
             converged=True,
-            method=method,
-            details={"tol": tol, "note": "zero right-hand side", **counts,
+            method=st.method,
+            details={"tol": tol, "note": "zero right-hand side", **st.counts,
                      "stalled": False},
         )
 
-    if x0 is not None:
-        u = prob.project(x0.values)
-    else:
-        u, its, _ = _solve_frozen(
-            kit, prob, prob.weight.values, f, np.zeros_like(f), 1e-12
-        )
-        if frozen:
-            counts["inner_iterations"] += its
-    gu = kit.grad(u)
-    gmag = np.sqrt(sum(c * c for c in gu))
-    med = float(np.median(gmag[prob.mask]))
-    scale = float(np.max(gmag)) or 1.0
-    eps_min = max(1e-8 * med, 1e-15 * scale)
-    # kacanov and newton tolerate the target regularization at once; descent
-    # follows a homotopy from a large eps so early stages stay well
-    # conditioned
-    step = {"kacanov": _kacanov_step, "newton": _newton_step,
-            "descent": _descent_stage}[method]
-    eps = eps_min if frozen else max(1e-2 * scale, eps_min)
-    # every step appends one energy; line-search and inner-solve failures
-    # and inner iterations are counted into the report
-    energies = [_energy(kit, prob, u, eps, gu)]
-    residuals = []
+    st.start(None if x0 is None else x0.values)
+    # every step appends one energy and counts its failures and inner
+    # iterations into the report
+    st.energies.append(_energy(st.kit, prob, st.u, st.eps, st.gu))
     converged = False
-    f2 = max(float(np.sqrt(np.sum(f * f))), 1e-300)
-
     for _ in range(max_outer):
-        u, gu = step(kit, prob, f, fn, u, gu, eps, energies, counts, residuals)
-        r = _residual(kit, prob, gu, f)
-        rn = kit.dual_norm(r) / fn
-        if frozen:
-            # kacanov and newton can afford a certificate that also bounds
-            # the plain L2 residual (the dual surrogate damps exactly the
-            # modes a Newton-like method nails); descent certifies the dual
-            # surrogate
-            rn = max(rn, float(np.sqrt(np.sum(r * r))) / f2)
-        residuals.append(rn)
-        if rn < tol:
+        st.step()
+        if st.certificate() < tol:
             converged = True
             break
-        if not frozen and len(residuals) > 3 and eps <= eps_min * 1.001:
+        if not st.frozen and len(st.residuals) > 3 and st.eps <= st.eps_min * 1.001:
             # descent at the regularization floor with no progress left
-            if abs(residuals[-1] - residuals[-2]) < 1e-3 * residuals[-1]:
+            if abs(st.residuals[-1] - st.residuals[-2]) < 1e-3 * st.residuals[-1]:
                 break
-        eps = max(eps * 0.5, 1e-15 * scale) if frozen else max(eps * 0.25, eps_min)
+        st.eps = (max(st.eps * 0.5, 1e-15 * st.scale) if st.frozen
+                  else max(st.eps * 0.25, st.eps_min))
 
-    stalled = len(residuals) > _STALL_WINDOW and min(
-        residuals[-_STALL_WINDOW:]
-    ) >= (1.0 - _STALL_GAIN) * min(residuals[:-_STALL_WINDOW])
+    stalled = len(st.residuals) > _STALL_WINDOW and min(
+        st.residuals[-_STALL_WINDOW:]
+    ) >= (1.0 - _STALL_GAIN) * min(st.residuals[:-_STALL_WINDOW])
 
     return SolveReport(
-        solution=ScalarField(prob.grid, prob.project(u)),
-        iterations=len(energies) - 1,
-        residuals=[float(r) for r in residuals],
-        energies=[float(e) for e in energies],
+        solution=ScalarField(prob.grid, prob.project(st.u)),
+        iterations=len(st.energies) - 1,
+        residuals=[float(r) for r in st.residuals],
+        energies=[float(e) for e in st.energies],
         converged=converged,
-        method=method,
-        details={"tol": tol, "final_eps": eps, **counts, "stalled": stalled},
+        method=st.method,
+        details={"tol": tol, "final_eps": st.eps, **st.counts, "stalled": stalled},
     )
 
 
@@ -803,17 +816,5 @@ def manufacture(
         c2=c2,
     )
     kit = _RieszOps(grid, s)
-    gr = kit.grad(u_star.values)
-    fl = _flux(probe, gr, 0.0)
-    f = ScalarField(grid, -kit.div(fl))
-    return PDEProblem(
-        grid=grid,
-        mask=mask,
-        s=s,
-        p=p,
-        weight=weight,
-        rhs=f,
-        matrix=matrix,
-        c1=c1,
-        c2=c2,
-    )
+    fl = _flux(probe, kit.grad(u_star.values), 0.0)
+    return replace(probe, rhs=ScalarField(grid, -kit.div(fl)))

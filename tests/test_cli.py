@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import jsonschema
 import numpy as np
@@ -287,6 +288,16 @@ class TestOp:
         out = tmp_path / "o"
         assert run(["op", "grad", "--in", cut, "--s", 0.5, "--out", out]) == 2
         assert "error: field header is cut short" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_origin_field_exit_2(self, tmp_path, capsys):
+        # a hand-made 1D N = 8 file whose header origin is NaN
+        header = struct.pack("<qqd", 1, 8, 1.0) + struct.pack("<d", math.nan)
+        (tmp_path / "u.bin").write_bytes(header + np.ones(8).astype("<f8").tobytes())
+        out = tmp_path / "o"
+        assert run(["op", "grad", "--in", tmp_path / "u.bin", "--s", 0.5,
+                    "--csv", "--out", out]) == 2
+        assert "error: origin entries must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

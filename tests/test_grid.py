@@ -1,5 +1,6 @@
 """Grid, field, transform, bump, and norm tests."""
 
+import math
 import struct
 
 import numpy as np
@@ -45,6 +46,16 @@ class TestGridSpec:
     def test_rejects_bad_L(self):
         with pytest.raises(ValueError, match="positive"):
             GridSpec(n=1, N=8, L=0.0)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_rejects_non_finite_L(self, L):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(n=1, N=8, L=L)
+
+    @pytest.mark.parametrize("origin", [(math.nan,), (0.0, math.inf)])
+    def test_rejects_non_finite_origin(self, origin):
+        with pytest.raises(ValueError, match="origin entries must be finite"):
+            GridSpec(n=len(origin), N=8, L=1.0, origin=origin)
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -123,6 +123,12 @@ class TestPoincare:
         with pytest.raises(ValueError, match="empty"):
             iq.poincare_constant(g, np.zeros(128, dtype=bool), 0.5, 2.0)
 
+    def test_p_below_1_1_refused(self):
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        with pytest.raises(ValueError, match="p below 1.1"):
+            iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 1.05)
+
     def test_ratio_well_defined(self):
         # a nonzero interior-supported field never has a vanishing gradient
         # (it is nonconstant, so some nonzero mode survives the symbol)
@@ -168,6 +174,40 @@ class TestPoincare:
         est = iq.poincare_constant(g, mask, 0.5, 2.0)
         assert est.residual < 1e-8
         assert est.converged is False
+
+    @pytest.mark.parametrize("p,constant,iterations", [
+        (1.5, 0.4734798025681736, 51),
+        (2.0, 0.476107199173065, 21),
+        (3.0, 0.5001976185272264, 55),
+        (4.0, 0.5295174386742938, 44),
+    ])
+    def test_pinned_estimates(self, p, constant, iterations):
+        # constants and iteration counts of the inverse power loop with the
+        # line-minimized Kacanov step; a step rule may cut the count but not
+        # move the constant
+        g = grid1(N=256, L=2.0)
+        x = g.axes[0]
+        est = iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, p)
+        assert abs(est.constant - constant) <= 1e-10 * constant
+        assert est.iterations <= iterations
+
+    def test_one_operator_kit_per_estimate(self, monkeypatch):
+        # the steps share the estimate's operators instead of rebuilding
+        # them (and their symbols) per step
+        made = []
+
+        class Counted(fo._RieszOps):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fo, "_RieszOps", Counted)
+        monkeypatch.setattr(sv, "_RieszOps", Counted)
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        est = iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 3.0)
+        assert est.iterations > 1
+        assert len(made) == 1
 
     def test_general_p_converges(self):
         # the default case of `rieszgrad poincare --s 0.5 --p 3`
