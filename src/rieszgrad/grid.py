@@ -357,23 +357,24 @@ def bump(grid: Grid, center, radius: float, sharpness: float = 1.0) -> ScalarFie
     return ScalarField(grid, vals)
 
 
-def _weight_values(w) -> np.ndarray | None:
-    if w is None:
-        return None
-    return w.values if hasattr(w, "values") else np.asarray(w, dtype=np.float64)
-
-
 def lp_norm(u, p: float, weight=None) -> float:
     """Weighted L^p norm (h^n * sum |u|^p w)^(1/p); w omitted means w == 1.
 
-    Vector fields enter through their pointwise Euclidean magnitude.
+    Vector fields enter through their pointwise Euclidean magnitude.  The
+    weight is a Weight on u's grid or an array of u's shape.
     """
     if not (p > 1):
         raise ValueError(f"p must exceed 1, got {p}")
     mag = u.magnitude() if isinstance(u, VectorField) else np.abs(u.values)
-    wv = _weight_values(weight)
     g = u.grid
-    acc = mag**p if wv is None else mag**p * wv
+    acc = mag**p
+    if weight is not None:
+        if hasattr(weight, "grid") and weight.grid != g:
+            raise ValueError("weight lives on a different grid")
+        wv = np.asarray(getattr(weight, "values", weight), dtype=np.float64)
+        if wv.shape != mag.shape:
+            raise ValueError(f"weight shape {wv.shape} does not match field {mag.shape}")
+        acc = acc * wv
     return float((g.h**g.spec.n * np.sum(acc)) ** (1.0 / p))
 
 

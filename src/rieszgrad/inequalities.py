@@ -13,8 +13,8 @@ interpolation ratio is exactly one, and the Poincare constant is
 lambda^(-1/p) for the first eigenvalue lambda of the weighted fractional
 p-Laplacian, computed here for every p by one nonlinear inverse power
 iteration (Hein & Buehler, NIPS 2010) whose steps are warm-started Kacanov
-steps on one solver state per estimate; at p = 2 it is inverse iteration
-with CG inner solves.
+steps on one problem and one solver state per estimate; at p = 2 it is
+inverse iteration with CG inner solves.
 
 Bump samples are spectrally truncated below the top octave (|k| <= N/4 per
 axis); this is the frequency-side counterpart of the spatial margin rule and
@@ -29,7 +29,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
-from .solver import PDEProblem, _residual, _rhs_field, _SolveState
+from .solver import PDEProblem, _residual, _SolveState
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -154,6 +154,18 @@ def _verdict(maxval: float, cap: float) -> str:
     return "bounded" if maxval <= cap else "inconclusive"
 
 
+def _ratio_report(name, params, family, ratios, samples, cap) -> InequalityReport:
+    """Observed ratios against their cap; "inconclusive" when no member of
+    the family gave a ratio."""
+    if not ratios:
+        return InequalityReport(name, params, "degenerate", 0.0, 0.0, cap, "inconclusive")
+    worst = max(ratios)
+    return InequalityReport(
+        name, params, f"{len(family)} samples", float(worst),
+        float(np.median(ratios)), cap, _verdict(worst, cap), samples,
+    )
+
+
 #: Committed caps from the calibration run on the default family
 #: (grid n=1 N=256 L=1, n=2 N=64 L=1; seeds 0/1; s in {0.25, 0.5, 0.75};
 #: w constant and |x - c|^(1/2)).  Observed maxima were well below these.
@@ -227,8 +239,9 @@ def poincare_constant(
     step :func:`solve_plaplace` takes, with right-hand side w |u|^(p-2) u,
     started at the energy's minimizer on the ray through u, so the quotient
     never rises; at p = 2 the step is an exact CG solve and this is inverse
-    iteration.  One solver state serves every step and changes only its
-    right-hand side; a failed inner solve or line search clears converged.
+    iteration.  One problem and one solver state serve every step, which
+    changes only the state's right-hand side f = B u; a failed inner solve
+    or line search clears converged.
     lambda is the Rayleigh quotient <u, Tu> / <u, Bu> and the residual is
     ||Tu - lambda Bu|| / (lambda ||Bu||).  The constant is lambda^(-1/p),
     raised to the best family ratio when that is larger, so it dominates the
@@ -254,30 +267,30 @@ def poincare_constant(
             u = uf.values / un
     if u is None:
         raise ValueError("no usable family member inside the mask")
-    kit = fo._RieszOps(grid, s)
+    # one problem serves every step; its right-hand side is unused, as each
+    # step gives the solve state B u as f
+    prob = PDEProblem(grid, mask, s, p, w, ScalarField(grid, np.zeros(grid.spec.shape)))
 
     def eigen(u):
-        """(the problem with right-hand side B u, lambda, residual) of an
-        interior field u."""
+        """(B u, lambda, residual) of an interior field u."""
         Bu = w.values * np.sign(u) * np.abs(u) ** (p - 1.0)
-        prob = PDEProblem(grid, mask, s, p, w, ScalarField(grid, Bu))
-        Tu = _residual(kit, prob, kit.grad(u), 0.0)
+        Tu = _residual(prob, prob.kit.grad(u), 0.0)
         lam = float(np.sum(u * Tu) / np.sum(u * Bu))
         res = float(
             np.sqrt(np.sum((Tu - lam * Bu) ** 2)) / (lam * np.sqrt(np.sum(Bu * Bu)))
         )
-        return prob, lam, res
+        return Bu, lam, res
 
-    prob, lam, res = eigen(u)
-    st = _SolveState(kit, prob, "kacanov")
+    Bu, lam, res = eigen(u)
+    st = _SolveState(prob, "kacanov")
     iters = 0
     while res >= tol and iters < max_iter:
+        st.f = prob.project(Bu)
         st.start(u * lam ** (-1.0 / (p - 1.0)))
         st.step()
         sol = ScalarField(grid, prob.project(st.u))
         u = sol.values / lp_norm(sol, p, w)
-        prob, lam, res = eigen(u)
-        st.prob, st.f = prob, _rhs_field(kit, prob)
+        Bu, lam, res = eigen(u)
         iters += 1
     failures = st.counts["inner_unconverged"] + st.counts["line_search_failures"]
     return PoincareEstimate(
@@ -321,23 +334,9 @@ def gn_report(
             continue
         ratios.append(num / den)
         samples.append({"sample": i, "ratio": num / den})
-    if not ratios:
-        return InequalityReport(
-            "gagliardo_nirenberg", {"r": r, "s": s, "t": t, "p": p}, "degenerate",
-            0.0, 0.0, GN_CAP, "inconclusive",
-        )
-    worst = max(ratios)
-    return InequalityReport(
-        name="gagliardo_nirenberg",
-        params={"r": r, "s": s, "t": t, "p": p, "theta": theta,
-                "weight": None if w is None else w.family},
-        family=f"{len(family)} samples",
-        max_ratio=float(worst),
-        median_ratio=float(np.median(ratios)),
-        reference=GN_CAP,
-        verdict=_verdict(worst, GN_CAP),
-        samples=samples,
-    )
+    params = {"r": r, "s": s, "t": t, "p": p, "theta": theta,
+              "weight": None if w is None else w.family}
+    return _ratio_report("gagliardo_nirenberg", params, family, ratios, samples, GN_CAP)
 
 
 def sobolev_conjugate(n: int, s: float, p: float) -> float:
@@ -366,18 +365,9 @@ def sobolev_report(
             continue
         ratios.append(num / den)
         samples.append({"sample": i, "ratio": num / den})
-    worst = max(ratios)
-    return InequalityReport(
-        name="sobolev",
-        params={"s": s, "p": p, "p_star": pstar, "weight": w.family,
-                "substituted_weight": "w^((n-sp)/n)"},
-        family=f"{len(family)} samples",
-        max_ratio=float(worst),
-        median_ratio=float(np.median(ratios)),
-        reference=SOBOLEV_CAP,
-        verdict=_verdict(worst, SOBOLEV_CAP),
-        samples=samples,
-    )
+    params = {"s": s, "p": p, "p_star": pstar, "weight": w.family,
+              "substituted_weight": "w^((n-sp)/n)"}
+    return _ratio_report("sobolev", params, family, ratios, samples, SOBOLEV_CAP)
 
 
 def s_limit_report(u: ScalarField, s_values=(0.9, 0.99, 0.999)) -> InequalityReport:
@@ -442,11 +432,15 @@ def dual_representation_check(
         ratio = 0.0 if bound == 0.0 else abs(F) / bound
         worst = max(worst, ratio)
         samples.append({"sample": i, "pairing": F, "bound": bound, "ratio": ratio})
+    params = {"s": s, "p": p, "weight": w.family}
+    if not samples:
+        return InequalityReport("dual_representation_holder", params, "degenerate",
+                                0.0, 0.0, 1.0, "inconclusive")
     # the Hoelder bound holds exactly; 1e-10 absorbs the rounding of the sums
     verdict = "bounded" if worst <= 1.0 + 1e-10 else "violated"
     return InequalityReport(
         name="dual_representation_holder",
-        params={"s": s, "p": p, "weight": w.family},
+        params=params,
         family=f"{len(family)} samples",
         max_ratio=float(worst),
         median_ratio=float(np.median([r["ratio"] for r in samples])),

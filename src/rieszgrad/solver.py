@@ -9,7 +9,9 @@ symbols, so the interior-restricted p=2 operator is symmetric positive
 definite and conjugate gradients apply verbatim.
 
 Residuals are measured in the dual-norm surrogate ||(-Lap)^(-s/2) r||_L2 over
-interior modes, relative to the same norm of the right-hand side.
+interior modes, relative to the same norm of the right-hand side, and the
+energy pairs u with the interior field f the residual subtracts.  Every
+helper takes its operators from the problem, which builds them once.
 
 The p != 2 coefficient |grad^s u|^(p-2) is regularized as
 (|grad^s u|^2 + eps^2)^((p-2)/2) with eps shrinking geometrically across
@@ -20,6 +22,7 @@ residual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import zip_longest
 
 import numpy as np
@@ -157,6 +160,12 @@ class PDEProblem:
             return v - np.mean(v)
         return np.where(self.mask, v, 0.0)
 
+    @cached_property
+    def kit(self) -> _RieszOps:
+        """grad^s, div^s and the spectral surrogates of (grid, s), built on
+        first use and kept."""
+        return _RieszOps(self.grid, self.s)
+
 
 @dataclass
 class SolveReport:
@@ -202,9 +211,9 @@ def _flux(prob: PDEProblem, gr: list[np.ndarray], eps: float) -> list[np.ndarray
     return [a * c for c in gr]
 
 
-def _residual(kit: _RieszOps, prob: PDEProblem, gr, f, eps: float = 0.0) -> np.ndarray:
+def _residual(prob: PDEProblem, gr, f, eps: float = 0.0) -> np.ndarray:
     """Interior residual -div^s(flux) - f of the field whose gradient is gr."""
-    return prob.project(-kit.div(_flux(prob, gr, eps)) - f)
+    return prob.project(-prob.kit.div(_flux(prob, gr, eps)) - f)
 
 
 def apply_operator(prob: PDEProblem, u: ScalarField, eps: float = 0.0) -> ScalarField:
@@ -212,54 +221,47 @@ def apply_operator(prob: PDEProblem, u: ScalarField, eps: float = 0.0) -> Scalar
 
     The caller is responsible for u respecting the exterior data.
     """
-    kit = _RieszOps(prob.grid, prob.s)
-    return ScalarField(prob.grid, _residual(kit, prob, kit.grad(u.values), 0.0, eps))
+    return ScalarField(prob.grid, _residual(prob, prob.kit.grad(u.values), 0.0, eps))
 
 
-def _rhs_field(kit: _RieszOps, prob: PDEProblem) -> np.ndarray:
+def _rhs_field(prob: PDEProblem) -> np.ndarray:
     """Interior field representing the right-hand-side functional."""
     if isinstance(prob.rhs, VectorField):
         # integral(f_vec . grad^s v) = -integral(div^s f_vec v) exactly
         comp = [c.values for c in prob.rhs.components]
-        return prob.project(-kit.div(comp))
+        return prob.project(-prob.kit.div(comp))
     return prob.project(prob.rhs.values)
 
 
 def energy(prob: PDEProblem, u: ScalarField, eps: float = 0.0) -> float:
-    """E(u) = (1/p) integral(coeff |grad^s u|^p) - rhs pairing."""
-    kit = _RieszOps(prob.grid, prob.s)
-    return _energy(kit, prob, u.values, eps)
+    """E(u) = (1/p) integral(coeff |grad^s u|^p) - integral(f u), with f the
+    interior field of the rhs (its functional for admissible u)."""
+    return _energy(prob, _rhs_field(prob), u.values, eps)
 
 
-def _energy(kit: _RieszOps, prob: PDEProblem, u: np.ndarray, eps: float, gr=None) -> float:
-    """Regularized energy of u; gr, when given, is grad^s u."""
+def _energy(prob: PDEProblem, f: np.ndarray, u: np.ndarray, eps: float, gr=None) -> float:
+    """Regularized energy of u against the interior rhs f; gr is grad^s u."""
     if gr is None:
-        gr = kit.grad(u)
+        gr = prob.kit.grad(u)
     if prob.matrix is not None:
         bulk = 0.5 * np.sum(np.stack(gr) * _flux(prob, gr, eps))
     else:
         mag2 = sum(c * c for c in gr)
         w = prob.weight.values
         bulk = np.sum(w * (mag2 + eps * eps) ** (prob.p / 2.0)) / prob.p
-    if isinstance(prob.rhs, VectorField):
-        pair = sum(
-            np.sum(c.values * gc) for c, gc in zip(prob.rhs.components, gr)
-        )
-    else:
-        pair = np.sum(prob.rhs.values * np.where(prob.mask, u, 0.0))
-    return float(kit.hn * (bulk - pair))
+    return float(prob.kit.hn * (bulk - np.sum(f * u)))
 
 
 def weak_residual_norm(prob: PDEProblem, u: ScalarField) -> float:
     """Dual-norm surrogate of the interior weak residual, relative to the rhs."""
-    kit = _RieszOps(prob.grid, prob.s)
-    f = _rhs_field(kit, prob)
-    r = _residual(kit, prob, kit.grad(u.values), f)
+    kit = prob.kit
+    f = _rhs_field(prob)
+    r = _residual(prob, kit.grad(u.values), f)
     fn = kit.dual_norm(f)
     return kit.dual_norm(r) / (fn if fn > 0 else 1.0)
 
 
-def _make_precond(kit: _RieszOps, prob: PDEProblem, coeff: np.ndarray | None = None):
+def _make_precond(prob: PDEProblem, coeff: np.ndarray | None = None):
     """Interior-projected inverse of median(a) (-Lap)^s + id, optionally
     composed with a Jacobi rescaling for strongly degenerate coefficients."""
     if coeff is None:
@@ -270,18 +272,18 @@ def _make_precond(kit: _RieszOps, prob: PDEProblem, coeff: np.ndarray | None = N
             coeff = prob.weight.values
     inside = coeff[prob.mask]
     med = float(np.median(inside))
-    inv = 1.0 / (med * kit.lap_sym + 1.0)
+    inv = 1.0 / (med * prob.kit.lap_sym + 1.0)
     ratio = float(np.max(inside) / np.min(inside))
     if ratio > 1e4:
         d = np.sqrt(coeff / med)
 
         def prec(r):
-            return prob.project(kit.multiply(inv, r / d) / d)
+            return prob.project(prob.kit.multiply(inv, r / d) / d)
 
         return prec, "spectral+jacobi"
 
     def prec(r):
-        return prob.project(kit.multiply(inv, r))
+        return prob.project(prob.kit.multiply(inv, r))
 
     return prec, "spectral"
 
@@ -347,21 +349,20 @@ def solve_linear(
     """
     if prob.p != 2.0:
         raise ValueError("solve_linear requires p = 2")
-    kit = _RieszOps(prob.grid, prob.s)
     G = prob.exterior_values()
 
     def apply_K(v):
-        return _residual(kit, prob, kit.grad(v), 0.0)
+        return _residual(prob, prob.kit.grad(v), 0.0)
 
-    f = _rhs_field(kit, prob)
+    f = _rhs_field(prob)
     b = f - apply_K(G) if prob.exterior is not None else f
     b = prob.project(b)
     start = prob.project(x0.values) if x0 is not None else np.zeros_like(b)
-    prec, ptag = _make_precond(kit, prob)
+    prec, ptag = _make_precond(prob)
     x, history, ok = _cg(apply_K, prec, b, start, tol, max_iter)
     u = prob.project(x) + G
     uf = ScalarField(prob.grid, u)
-    energies = [_energy(kit, prob, u, 0.0)]
+    energies = [_energy(prob, f, u, 0.0)]
     return SolveReport(
         solution=uf,
         iterations=len(history) - 1,
@@ -374,14 +375,14 @@ def solve_linear(
     )
 
 
-def _solve_frozen(kit: _RieszOps, prob: PDEProblem, a, b, x0, tol):
+def _solve_frozen(prob: PDEProblem, a, b, x0, tol):
     """CG on -div^s(a grad^s x) = b over interior fields for a frozen
     pointwise coefficient a; returns (x, CG iterations, converged)."""
 
     def apply_K(v):
-        return prob.project(kit.elliptic(a, v))
+        return prob.project(prob.kit.elliptic(a, v))
 
-    prec, _ = _make_precond(kit, prob, a)
+    prec, _ = _make_precond(prob, a)
     x, history, ok = _cg(apply_K, prec, b, x0, tol, _MAX_CG)
     return prob.project(x), len(history) - 1, ok
 
@@ -408,20 +409,20 @@ _WOLFE_EPS = 1e-10
 _WOLFE_SIGMA = 0.9
 
 
-def _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, t, t_min):
+def _line_search(prob, f, u, gu, d, gd, eps, e0, slope, t, t_min):
     """Armijo backtracking by halving on the regularized energy from u along d.
 
-    gu and gd are grad^s u and grad^s d, and slope is the energy's
-    directional derivative along d.  grad^s is linear, so a trial's gradient
-    is gu + t gd and a trial costs no transform.  Returns (t, u + t d, its
-    gradient, its energy, ok).  When t falls to t_min without sufficient
-    decrease, the tiny step is still taken and ok is False.
+    gu and gd are grad^s u and grad^s d, f is the interior rhs and slope is
+    the energy's directional derivative along d.  grad^s is linear, so a
+    trial's gradient is gu + t gd and a trial costs no transform.  Returns
+    (t, u + t d, its gradient, its energy, ok).  When t falls to t_min
+    without sufficient decrease, the tiny step is still taken and ok is False.
     """
 
     def trial(t):
         ut = u + t * d
         gt = [a + t * b for a, b in zip(gu, gd)]
-        return ut, gt, _energy(kit, prob, ut, eps, gt)
+        return ut, gt, _energy(prob, f, ut, eps, gt)
 
     while t > t_min:
         ut, gt, et = trial(t)
@@ -431,7 +432,7 @@ def _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, t, t_min):
     return (t, *trial(t), False)
 
 
-def _line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd):
+def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
     """Minimize the regularized energy phi(t) = E_eps(u + t d) along d.
 
     phi is convex for p > 1 and grad^s is linear, so a trial's gradient is
@@ -445,12 +446,12 @@ def _line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd):
     energy differences at round-off; otherwise this falls back to the
     halving search from t = 1.  Returns what _line_search returns.
     """
-    w, p = prob.weight.values, prob.p
+    w, p, hn = prob.weight.values, prob.p, prob.kit.hn
 
     def dphi(t):
         gt = [c + t * cd for c, cd in zip(gu, gd)]
         at = _coeff(w, p, gt, eps)
-        return gt, kit.hn * (sum(np.sum(at * c * cd) for c, cd in zip(gt, gd)) - fd)
+        return gt, hn * (sum(np.sum(at * c * cd) for c, cd in zip(gt, gd)) - fd)
 
     if slope < 0.0:
         lo, slo, hi, shi = 0.0, slope, None, None
@@ -474,14 +475,14 @@ def _line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd):
                     t = 0.5 * (lo + hi)
             gt, st = dphi(t)
         ut = u + t * d
-        et = _energy(kit, prob, ut, eps, gt)
+        et = _energy(prob, f, ut, eps, gt)
         armijo = et <= e0 + _ARMIJO * t * slope
         wolfe = et <= e0 + _WOLFE_EPS * abs(e0) and (
             -_WOLFE_SIGMA * abs(slope) <= st <= (1.0 - 2.0 * _ARMIJO) * abs(slope)
         )
         if armijo or wolfe:
             return t, ut, gt, et, True
-    return _line_search(kit, prob, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10)
+    return _line_search(prob, f, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10)
 
 
 def _damped_update(st, a, d, its, inner_ok, minimize):
@@ -496,11 +497,11 @@ def _damped_update(st, a, d, its, inner_ok, minimize):
     st.counts["steps"].append({"inner_iterations": its,
                                "inner_converged": bool(inner_ok),
                                "eps": float(st.eps)})
-    gd = st.kit.grad(d)
-    e0 = _energy(st.kit, st.prob, st.u, st.eps, st.gu)
+    gd = st.prob.kit.grad(d)
+    e0 = _energy(st.prob, st.f, st.u, st.eps, st.gu)
     fd = np.sum(st.f * d)
-    slope = st.kit.hn * (sum(np.sum(a * c * cd) for c, cd in zip(st.gu, gd)) - fd)
-    args = (st.kit, st.prob, st.u, st.gu, d, gd, st.eps, e0, slope)
+    slope = st.prob.kit.hn * (sum(np.sum(a * c * cd) for c, cd in zip(st.gu, gd)) - fd)
+    args = (st.prob, st.f, st.u, st.gu, d, gd, st.eps, e0, slope)
     if minimize:
         t, st.u, st.gu, e, ok = _line_minimum(*args, fd)
     else:
@@ -517,7 +518,7 @@ def _kacanov_step(st):
     full step only contracts the error by about |2 - p|; at p = 2 the
     minimum is t = 1."""
     a = _coeff(st.prob.weight.values, st.prob.p, st.gu, st.eps)
-    uhat, its, ok = _solve_frozen(st.kit, st.prob, a, st.f, st.u, 1e-12)
+    uhat, its, ok = _solve_frozen(st.prob, a, st.f, st.u, 1e-12)
     # an inner solve that misses its tolerance still supplies the step
     _damped_update(st, a, st.prob.project(uhat - st.u), its, ok, True)
 
@@ -529,7 +530,7 @@ def _newton_step(st):
     min(0.1, r) with r the last certificate, then damp the step by the line
     search.  The frozen Kacanov operator (the Hessian without its rank-one
     term) preconditions the solve through its spectral surrogate."""
-    kit, prob, gu = st.kit, st.prob, st.gu
+    prob, gu, kit = st.prob, st.gu, st.prob.kit
     a = _coeff(prob.weight.values, prob.p, gu, st.eps)
     m = sum(c * c for c in gu) + st.eps * st.eps
     rank1 = (prob.p - 2.0) * a / np.where(m > 0.0, m, 1.0)
@@ -539,9 +540,9 @@ def _newton_step(st):
         gdot = rank1 * sum(c * cv for c, cv in zip(gu, gv))
         return prob.project(-kit.div([a * cv + gdot * c for c, cv in zip(gu, gv)]))
 
-    b = -_residual(kit, prob, gu, st.f, st.eps)
+    b = -_residual(prob, gu, st.f, st.eps)
     forcing = min(0.1, st.residuals[-1]) if st.residuals else 0.1
-    prec, _ = _make_precond(kit, prob, a)
+    prec, _ = _make_precond(prob, a)
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
     d = prob.project(d)
     # Newton's natural step is 1: minimizing along d costs more CG overall
@@ -551,13 +552,13 @@ def _newton_step(st):
 def _descent_stage(st):
     """Barzilai-Borwein steps at fixed eps, preconditioned by the spectral
     surrogate of the coefficient frozen at the stage's start."""
-    kit, prob, eps = st.kit, st.prob, st.eps
-    prec, _ = _make_precond(kit, prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
-    e = _energy(kit, prob, st.u, eps, st.gu)
+    prob, eps, kit = st.prob, st.eps, st.prob.kit
+    prec, _ = _make_precond(prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
+    e = _energy(prob, st.f, st.u, eps, st.gu)
     uprev = gprev = gn0 = None
     t = 1.0
     for _ in range(_MAX_INNER):
-        gvec = _residual(kit, prob, st.gu, st.f, eps)
+        gvec = _residual(prob, st.gu, st.f, eps)
         pg = prec(gvec)
         gdot = float(np.sum(gvec * pg))
         gn = np.sqrt(max(gdot, 0.0))
@@ -573,7 +574,7 @@ def _descent_stage(st):
         gd = [-c for c in kit.grad(pg)]
         uprev, gprev = st.u, pg
         _, st.u, st.gu, e, ok = _line_search(
-            kit, prob, st.u, st.gu, -pg, gd, eps, e, -kit.hn * gdot, min(t, 1e8), 1e-18
+            prob, st.f, st.u, st.gu, -pg, gd, eps, e, -kit.hn * gdot, min(t, 1e8), 1e-18
         )
         st.energies.append(e)
         st.counts["line_search_failures"] += not ok
@@ -591,13 +592,13 @@ def default_method(p: float) -> str:
 
 
 class _SolveState:
-    """One nonlinear solve of prob by method: the operators kit, the interior
-    right-hand side f with its norms fn (dual) and f2 (L2), the iterate u
-    with gu = grad^s u, eps, the report's counts, the energies and the
-    certificates.  The Poincare loop swaps prob and f between Kacanov
+    """One nonlinear solve of prob by method: the interior right-hand side f
+    with its norms fn (dual) and f2 (L2), the iterate u with gu = grad^s u,
+    eps, the report's counts, the energies and the certificates.  The
+    operators are prob.kit.  The Poincare loop swaps f between Kacanov
     steps, which read neither fn nor f2."""
 
-    def __init__(self, kit: _RieszOps, prob: PDEProblem, method: str | None):
+    def __init__(self, prob: PDEProblem, method: str | None):
         if prob.p < 1.1:
             raise ValueError(
                 "p below 1.1 leaves the regularized coefficient too degenerate; "
@@ -620,15 +621,15 @@ class _SolveState:
                 "steps on problems centred on a grid node, and at 2 the problem "
                 "is linear; use kacanov or solve_linear"
             )
-        self.kit, self.prob, self.method = kit, prob, method
+        self.prob, self.method = prob, method
         # kacanov and newton share the eps schedule and the strict certificate
         self.frozen = method != "descent"
         self.counts = {"line_search_failures": 0}
         if self.frozen:
             self.counts.update(inner_iterations=0, inner_unconverged=0,
                                step_lengths=[], steps=[])
-        self.f = _rhs_field(kit, prob)
-        self.fn = kit.dual_norm(self.f)
+        self.f = _rhs_field(prob)
+        self.fn = prob.kit.dual_norm(self.f)
         self.f2 = max(float(np.sqrt(np.sum(self.f * self.f))), 1e-300)
         self.energies = []
         self.residuals = []
@@ -638,16 +639,16 @@ class _SolveState:
         coefficient w.  kacanov and newton take the target regularization
         eps_min at once; descent follows a homotopy from a large eps so early
         stages stay well conditioned."""
-        kit, prob = self.kit, self.prob
+        prob = self.prob
         if x0 is not None:
             self.u = prob.project(x0)
         else:
             self.u, its, _ = _solve_frozen(
-                kit, prob, prob.weight.values, self.f, np.zeros_like(self.f), 1e-12
+                prob, prob.weight.values, self.f, np.zeros_like(self.f), 1e-12
             )
             if self.frozen:
                 self.counts["inner_iterations"] += its
-        self.gu = kit.grad(self.u)
+        self.gu = prob.kit.grad(self.u)
         gmag = np.sqrt(sum(c * c for c in self.gu))
         med = float(np.median(gmag[prob.mask]))
         self.scale = float(np.max(gmag)) or 1.0
@@ -661,8 +662,8 @@ class _SolveState:
         """Append and return the unregularized residual at u relative to f
         in the dual norm, which kacanov and newton also bound in L2 (the
         dual surrogate damps exactly the modes a Newton-like method nails)."""
-        r = _residual(self.kit, self.prob, self.gu, self.f)
-        rn = self.kit.dual_norm(r) / self.fn
+        r = _residual(self.prob, self.gu, self.f)
+        rn = self.prob.kit.dual_norm(r) / self.fn
         if self.frozen:
             rn = max(rn, float(np.sqrt(np.sum(r * r))) / self.f2)
         self.residuals.append(rn)
@@ -707,7 +708,7 @@ def solve_plaplace(
     run whose best certificate of its last 10 outer steps improved on the
     best before them by less than a relative 1e-3.
     """
-    st = _SolveState(_RieszOps(prob.grid, prob.s), prob, method)
+    st = _SolveState(prob, method)
     if tol is None:
         tol = 1e-8 if st.frozen else 1e-6
     if st.fn == 0.0:
@@ -727,7 +728,7 @@ def solve_plaplace(
     st.start(None if x0 is None else x0.values)
     # every step appends one energy and counts its failures and inner
     # iterations into the report
-    st.energies.append(_energy(st.kit, prob, st.u, st.eps, st.gu))
+    st.energies.append(_energy(prob, st.f, st.u, st.eps, st.gu))
     converged = False
     for _ in range(max_outer):
         st.step()
@@ -765,7 +766,7 @@ def monotonicity_gap(
     p >= 2 and (p-1) ||grad^s(u-v)||^2 (||grad^s u|| + ||grad^s v||)^(p-2)
     for 1 < p < 2 (all norms weighted L^p).
     """
-    kit = _RieszOps(prob.grid, prob.s)
+    kit = prob.kit
     gu = kit.grad(prob.project(u.values))
     gv = kit.grad(prob.project(v.values))
     fu = _flux(prob, gu, 0.0)
@@ -815,6 +816,6 @@ def manufacture(
         c1=c1,
         c2=c2,
     )
-    kit = _RieszOps(grid, s)
+    kit = probe.kit
     fl = _flux(probe, kit.grad(u_star.values), 0.0)
     return replace(probe, rhs=ScalarField(grid, -kit.div(fl)))

@@ -22,6 +22,7 @@ from rieszgrad.grid import (
     sample,
     write_field,
 )
+from rieszgrad.weights import tabulated_weight
 
 
 class TestGridSpec:
@@ -259,6 +260,20 @@ class TestLpNorm:
         g = make_grid(GridSpec(n=1, N=16, L=1.0))
         with pytest.raises(ValueError, match="p must exceed 1"):
             lp_norm(ScalarField(g, np.ones(16)), 1.0)
+
+    def test_rejects_weight_array_of_another_shape(self):
+        # a 1D weight would broadcast along the rows of a 2D field
+        g = make_grid(GridSpec(n=2, N=64, L=1.0))
+        u = ScalarField(g, np.ones((64, 64)))
+        with pytest.raises(ValueError, match="shape"):
+            lp_norm(u, 2, np.full(64, 4.0))
+
+    @pytest.mark.parametrize("spec", [GridSpec(n=1, N=64, L=3.0), GridSpec(n=2, N=64, L=1.0)])
+    def test_rejects_weight_on_another_grid(self, spec):
+        w = tabulated_weight(make_grid(GridSpec(n=1, N=64, L=1.0)), np.full(64, 4.0), 2.0)
+        g = make_grid(spec)
+        with pytest.raises(ValueError, match="different grid"):
+            lp_norm(ScalarField(g, np.ones(g.spec.shape)), 2, w)
 
 
 class TestSerialization:

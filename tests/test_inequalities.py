@@ -209,6 +209,23 @@ class TestPoincare:
         assert est.iterations > 1
         assert len(made) == 1
 
+    def test_one_problem_per_estimate(self, monkeypatch):
+        # the steps change only the solve state's right-hand side, not the
+        # problem
+        made = []
+        post_init = sv.PDEProblem.__post_init__
+
+        def counted(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(sv.PDEProblem, "__post_init__", counted)
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        est = iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 3.0)
+        assert est.iterations > 1
+        assert len(made) == 1
+
     def test_general_p_converges(self):
         # the default case of `rieszgrad poincare --s 0.5 --p 3`
         g = grid1(N=256, L=2.0)
@@ -314,6 +331,14 @@ class TestSobolev:
         rep = iq.sobolev_report(fam, 0.5, 2.0, w)
         assert rep.verdict == "bounded"
 
+    def test_zero_gradient_family_inconclusive(self):
+        g = make_grid(GridSpec(n=2, N=32, L=1.0))
+        fam = [ScalarField(g, np.full((32, 32), c)) for c in (1.0, -2.0)]
+        w = wt.tabulated_weight(g, np.ones((32, 32)), 2.0)
+        rep = iq.sobolev_report(fam, 0.5, 2.0, w)
+        assert rep.verdict == "inconclusive"
+        assert rep.samples == []
+
 
 class TestSLimit:
     def test_single_mode_exact_error(self):
@@ -379,6 +404,14 @@ class TestDualRepresentation:
             gv = VectorField(g, comps)
             rep = iq.dual_representation_check(gv, fam, 0.4, 2.0, w)
             assert rep.verdict == "bounded"
+
+    def test_empty_family_inconclusive(self):
+        g = grid1()
+        gv = VectorField(g, (ScalarField(g, np.ones(128)),))
+        w = wt.power_weight(g, [0.5], 0.5, 2.0)
+        rep = iq.dual_representation_check(gv, [], 0.5, 2.0, w)
+        assert rep.verdict == "inconclusive"
+        assert rep.median_ratio == 0.0
 
 
 class TestEmbeddingChain:

@@ -158,6 +158,60 @@ class TestEnergy:
         )
         assert abs(sv.energy(prob, u) - quad) <= 1e-12 * max(1.0, abs(quad))
 
+    @pytest.mark.parametrize("case", ["vector 1d", "vector 2d", "torus scalar", "torus vector"])
+    def test_pairing_matches_rhs_functional(self, case):
+        # the energy pairs u with the interior right-hand side f; for an
+        # admissible u that is the functional the rhs defines: f_vec . grad^s u
+        # for a vector rhs, and f . u also when f has a mean on the full torus
+        if case.startswith("vector"):
+            prob = _trial_problem(1 if case.endswith("1d") else 2, "vector")
+        else:
+            g = make_grid(GridSpec(n=1, N=64, L=2.0))
+            w = wt.power_weight(g, [1.0], 0.5, 3.0)
+            f = bump(g, [1.0], 0.3, 1.0)
+            rhs = fo.riesz_gradient(f, 0.5) if case.endswith("vector") else f
+            prob = sv.PDEProblem(grid=g, mask=np.ones(64, dtype=bool), s=0.5, p=3.0,
+                                 weight=w, rhs=rhs)
+            assert prob.full_torus and abs(np.mean(f.values)) > 0.05
+        g = prob.grid
+        (u,) = interior_fields(g, prob.mask, 1, seed=17)
+        u = ScalarField(g, prob.project(u.values))
+        eps = 1e-3
+        gr = fo._RieszOps(g, 0.5).grad(u.values)
+        if isinstance(prob.rhs, VectorField):
+            pair = sum(np.sum(c.values * gc) for c, gc in zip(prob.rhs.components, gr))
+        else:
+            pair = np.sum(prob.rhs.values * np.where(prob.mask, u.values, 0.0))
+        old = _bulk(prob, gr, eps) - g.h ** g.spec.n * float(pair)
+        assert abs(sv.energy(prob, u, eps) - old) <= 1e-12 * abs(old)
+
+
+class TestOneKitPerProblem:
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_helpers_share_the_problem_kit(self, monkeypatch, p):
+        made = []
+
+        class Counted(fo._RieszOps):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fo, "_RieszOps", Counted)
+        monkeypatch.setattr(sv, "_RieszOps", Counted)
+        g, mask, w = setup_1d()
+        prob = sv.manufacture(g, mask, 0.5, p, w, bump(g, [1.0], 0.3, 1.0))
+        u, v = interior_fields(g, mask, 2, seed=18)
+        made.clear()
+        sv.apply_operator(prob, u)
+        sv.energy(prob, u)
+        sv.weak_residual_norm(prob, u)
+        rep = sv.solve_plaplace(prob)
+        sv.monotonicity_gap(prob, u, v)
+        if p == 2.0:
+            sv.solve_linear(prob)
+        assert rep.converged
+        assert len(made) == 1 and made[0] is prob.kit
+
 
 class TestSolveLinear:
     def test_spectral_exact(self):
@@ -622,7 +676,7 @@ class TestLineSearch:
         gu, gd = kit.grad(u.values), kit.grad(d.values)
         # an infinite reference energy accepts the first trial, at t
         t_out, ut, _, trial, ok = sv._line_search(
-            kit, prob, u.values, gu, d.values, gd, eps, np.inf, 0.0, t, 0.0
+            prob, sv._rhs_field(prob), u.values, gu, d.values, gd, eps, np.inf, 0.0, t, 0.0
         )
         assert ok and t_out == t
         assert np.array_equal(ut, u.values + t * d.values)
@@ -642,16 +696,17 @@ class TestLineSearch:
         eps = 1e-3
         gu = kit.grad(u)
         # the energy's gradient is an ascent direction
-        d = sv._residual(kit, prob, gu, sv._rhs_field(kit, prob), eps)
+        f = sv._rhs_field(prob)
+        d = sv._residual(prob, gu, f, eps)
         slope = kit.hn * float(np.sum(d * d))
         assert slope > 0.0
-        e0 = sv._energy(kit, prob, u, eps, gu)
+        e0 = sv._energy(prob, f, u, eps, gu)
         t, ut, gt, et, ok = sv._line_search(
-            kit, prob, u, gu, d, kit.grad(d), eps, e0, slope, 1.0, 1e-10
+            prob, f, u, gu, d, kit.grad(d), eps, e0, slope, 1.0, 1e-10
         )
         assert not ok and 0.0 < t <= 1e-10
         assert np.array_equal(ut, u + t * d)
-        assert et == sv._energy(kit, prob, ut, eps, gt)
+        assert et == sv._energy(prob, f, ut, eps, gt)
 
     def test_criterion_8_problems_report_no_failures(self):
         g, mask, w = setup_1d(N=256)
@@ -676,12 +731,12 @@ class TestLineSearch:
         u = u.values
         eps = 1e-3
         gu = kit.grad(u)
-        f = sv._rhs_field(kit, prob)
-        d = sv._residual(kit, prob, gu, f, eps)
+        f = sv._rhs_field(prob)
+        d = sv._residual(prob, gu, f, eps)
         slope = kit.hn * float(np.sum(d * d))
-        e0 = sv._energy(kit, prob, u, eps, gu)
+        e0 = sv._energy(prob, f, u, eps, gu)
         t, ut, gt, et, ok = sv._line_minimum(
-            kit, prob, u, gu, d, kit.grad(d), eps, e0, slope, np.sum(f * d)
+            prob, f, u, gu, d, kit.grad(d), eps, e0, slope, np.sum(f * d)
         )
         assert not ok and 0.0 < t <= 1e-10
         assert np.array_equal(ut, u + t * d)
@@ -720,19 +775,19 @@ class TestLineMinimum:
         g, mask, w = setup_1d(N=256)
         prob = sv.manufacture(g, mask, 0.5, p, w, bump(g, [1.0], 0.3, 1.0))
         kit = fo._RieszOps(g, 0.5)
-        f = sv._rhs_field(kit, prob)
+        f = sv._rhs_field(prob)
         (u,) = interior_fields(g, mask, 1, seed=3)
         u = u.values
         eps = 1e-3
         gu = kit.grad(u)
         a = sv._coeff(w.values, p, gu, eps)
-        uhat, _, _ = sv._solve_frozen(kit, prob, a, f, u, 1e-12)
+        uhat, _, _ = sv._solve_frozen(prob, a, f, u, 1e-12)
         d = prob.project(uhat - u)
         gd = kit.grad(d)
-        e0 = sv._energy(kit, prob, u, eps, gu)
+        e0 = sv._energy(prob, f, u, eps, gu)
         fd = np.sum(f * d)
         slope = kit.hn * (sum(np.sum(a * c * cd) for c, cd in zip(gu, gd)) - fd)
-        t, ut, _, trial, ok = sv._line_minimum(kit, prob, u, gu, d, gd, eps, e0, slope, fd)
+        t, ut, _, trial, ok = sv._line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd)
         assert ok and t > 0.0
         assert np.array_equal(ut, u + t * d)
 
