@@ -219,18 +219,13 @@ def _validate(config: dict, validator: jsonschema.Draft202012Validator,
         raise ConfigError(f"{what} invalid at '{path}': {error.message}")
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 class Manifest:
-    """Reproducibility record written next to every command's artifacts."""
+    """Reproducibility record written next to every command's artifacts,
+    each of which goes through ``Manifest.emit``."""
 
     def __init__(self, out_dir: Path, command: str, config, seed: int | None):
         self.out = out_dir
@@ -245,10 +240,13 @@ class Manifest:
             "artifacts": [],
         }
 
-    def add(self, path: Path) -> None:
-        self.record["artifacts"].append(
-            {"path": path.name, "sha256": _sha256(path)}
-        )
+    def emit(self, obj, fmt: str, name: str) -> Path:
+        """``emit`` obj to the file ``name`` of the output directory and
+        record the file's sha256."""
+        path = emit(obj, fmt, self.out / name)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        self.record["artifacts"].append({"path": path.name, "sha256": digest})
+        return path
 
     def close(self) -> Path:
         self.record["finished"] = time.strftime(
@@ -261,7 +259,8 @@ class Manifest:
 
 
 def emit(obj, fmt: str, path) -> Path:
-    """Serialize a field or report: json/csv for records, bin/csv for fields."""
+    """Serialize a field or report: json/csv for records, bin/csv for fields,
+    csv for a (header, rows) pair whose rows the caller has formatted."""
     path = Path(path)
     if isinstance(obj, ScalarField):
         if fmt == "bin":
@@ -276,20 +275,21 @@ def emit(obj, fmt: str, path) -> Path:
         _dump_json(record, path)
     elif fmt == "csv":
         if hasattr(obj, "history_rows"):
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["iteration", "residual", "energy"])
-                writer.writerows(obj.history_rows())
+            header, rows = ["iteration", "residual", "energy"], obj.history_rows()
         elif hasattr(obj, "rows"):
-            rows = obj.rows()
-            if not rows:
+            samples = obj.rows()
+            if not samples:
                 raise ValueError("report has no sample rows to serialize")
-            with open(path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=sorted(rows[0].keys()))
-                writer.writeheader()
-                writer.writerows(rows)
+            header = sorted(samples[0])
+            rows = [[sample[k] for k in header] for sample in samples]
+        elif isinstance(obj, tuple):
+            header, rows = obj
         else:
             raise ValueError("object has no tabular representation")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     else:
         raise ValueError(f"unsupported format {fmt!r}")
     return path
@@ -301,13 +301,16 @@ def emit(obj, fmt: str, path) -> Path:
 
 
 def _build_grid(cfg: dict):
-    spec = GridSpec(
-        n=cfg["n"],
-        N=cfg["N"],
-        L=cfg["L"],
-        origin=tuple(cfg.get("origin", ())) or (),
-    )
-    return make_grid(spec)
+    return make_grid(GridSpec(n=cfg["n"], N=cfg["N"], L=cfg["L"],
+                              origin=tuple(cfg.get("origin") or ())))
+
+
+def _centre(grid, point) -> list[float]:
+    """point, or the box centre when point is None: where a weight or a
+    ball sits unless told otherwise."""
+    if point is not None:
+        return point
+    return [o + grid.spec.L / 2 for o in grid.spec.origin]
 
 
 def _build_mask(grid, cfg: dict) -> np.ndarray:
@@ -316,7 +319,7 @@ def _build_mask(grid, cfg: dict) -> np.ndarray:
         return np.ones(grid.spec.shape, dtype=bool)
     coords = grid.coords()
     if kind == "ball":
-        center = cfg["center"]
+        center = _centre(grid, cfg.get("center"))
         if len(center) != grid.spec.n:
             raise ConfigError("omega/center has wrong dimension")
         r2 = sum((c - c0) ** 2 for c, c0 in zip(coords, center))
@@ -333,8 +336,7 @@ def _build_mask(grid, cfg: dict) -> np.ndarray:
 def _build_weight(grid, cfg: dict, p: float):
     if cfg["family"] == "constant":
         return wt.tabulated_weight(grid, np.ones(grid.spec.shape), p)
-    x0 = cfg.get("x0", [grid.spec.origin[d] + grid.spec.L / 2 for d in range(grid.spec.n)])
-    return wt.power_weight(grid, x0, cfg.get("alpha", 0.0), p)
+    return wt.power_weight(grid, _centre(grid, cfg.get("x0")), cfg.get("alpha", 0.0), p)
 
 
 def _build_field(grid, cfg: dict, base_dir: Path) -> ScalarField:
@@ -422,22 +424,36 @@ def _build_problem(config: dict, base_dir: Path):
 # ---------------------------------------------------------------------------
 
 
+def _weights_estimate(case: dict):
+    """The power weight of a weights case, its whole-box cube family and
+    the A_p estimate over that family."""
+    grid = _build_grid(case)
+    w = wt.power_weight(grid, _centre(grid, case.get("x0")), case["alpha"], case["p"])
+    fam = wt.CubeFamily(lo=grid.spec.origin, size=grid.spec.L, level_min=0,
+                        level_max=case.get("levels", 5))
+    return w, fam, wt.ap_constant(w, case["p"], fam)
+
+
+def _poincare_estimate(case: dict):
+    """The Poincare estimate of a poincare case; a weight sits at the
+    centre of omega, or else of the box."""
+    grid = _build_grid(case)
+    mask = _build_mask(grid, case["omega"])
+    w = None
+    if case.get("alpha") is not None:
+        w = wt.power_weight(grid, _centre(grid, case["omega"].get("center")),
+                            case["alpha"], case["p"])
+    return iq.poincare_constant(grid, mask, case["s"], case["p"], w=w,
+                                seed=case.get("seed", 0))
+
+
 def _cmd_verify(args) -> int:
     results = suite_mod.run_suite(quick=args.quick, seed=args.seed)
-    out = Path(args.out)
-    manifest = Manifest(out, "verify", {"quick": args.quick}, args.seed)
-    records = [r.to_record() for r in results]
-    report = out / "verify_report.json"
-    manifest.out.mkdir(parents=True, exist_ok=True)
-    _dump_json(records, report)
-    manifest.add(report)
-    rows = out / "verify_report.csv"
-    with open(rows, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["name", "passed", "observed", "tolerance"])
-        for r in results:
-            writer.writerow([r.name, r.passed, repr(r.observed), repr(r.tolerance)])
-    manifest.add(rows)
+    manifest = Manifest(Path(args.out), "verify", {"quick": args.quick}, args.seed)
+    report = manifest.emit([r.to_record() for r in results], "json", "verify_report.json")
+    manifest.emit((["name", "passed", "observed", "tolerance"],
+                   [[r.name, r.passed, repr(r.observed), repr(r.tolerance)]
+                    for r in results]), "csv", "verify_report.csv")
     manifest.close()
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -448,67 +464,40 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    spec = GridSpec(n=args.n, N=args.N, L=args.L, origin=tuple(args.origin or ()))
-    grid = make_grid(spec)
-    x0 = args.x0 if args.x0 else [spec.origin[d] + spec.L / 2 for d in range(spec.n)]
-    if args.family == "power":
-        w = wt.power_weight(grid, x0, args.alpha, args.p)
-    else:
+    if args.family != "power":
         raise ConfigError(f"unsupported weight family {args.family!r}")
-    lo = tuple(spec.origin)
-    fam = wt.CubeFamily(lo=lo, size=spec.L, level_min=0, level_max=args.levels)
-    est = wt.ap_constant(w, args.p, fam)
-    record = est.to_record()
-    record["in_class"] = w.in_class
+    w, fam, est = _weights_estimate({
+        "n": args.n, "N": args.N, "L": args.L,
+        "origin": [-1.0] * args.n if args.origin is None else args.origin,
+        "x0": args.x0,
+        "alpha": args.alpha, "p": args.p, "levels": args.levels,
+    })
+    record = {**est.to_record(), "in_class": w.in_class}
     if args.q is not None:
         record["apq"] = wt.apq_constant(w, args.p, args.q, fam).to_record()
         record["sawyer_wheeden"] = wt.sawyer_wheeden_constant(
             w, w, args.s, args.p, args.q, fam
         )
-    out = Path(args.out)
-    manifest = Manifest(
-        out, "weights",
-        {k: getattr(args, k) for k in
-         ("family", "alpha", "p", "q", "levels", "n", "N", "L")},
-        None,
-    )
-    path = out / "weights.json"
-    _dump_json(record, path)
-    manifest.add(path)
+    manifest = Manifest(Path(args.out), "weights", {k: getattr(args, k) for k in
+                        ("family", "alpha", "p", "q", "levels", "n", "N", "L")}, None)
+    manifest.emit(record, "json", "weights.json")
     manifest.close()
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_poincare(args) -> int:
-    spec = GridSpec(n=args.n, N=args.N, L=args.L)
-    grid = make_grid(spec)
-    mask = _build_mask(
-        grid,
-        {
-            "type": args.omega,
-            "center": args.center or [spec.L / 2] * spec.n,
-            "radius": args.radius,
-            "lo": args.lo,
-            "hi": args.hi,
-        },
-    )
-    w = None
-    if args.alpha is not None:
-        w = wt.power_weight(grid, args.center or [spec.L / 2] * spec.n, args.alpha, args.p)
-    est = iq.poincare_constant(grid, mask, args.s, args.p, w=w, seed=args.seed)
-    out = Path(args.out)
-    manifest = Manifest(
-        out, "poincare",
-        {k: getattr(args, k) for k in
-         ("omega", "s", "p", "n", "N", "L", "alpha")},
-        args.seed,
-    )
-    path = out / "poincare.json"
-    record = est.to_record()
-    record.update({"s": args.s, "p": args.p, "omega": args.omega})
-    _dump_json(record, path)
-    manifest.add(path)
+    est = _poincare_estimate({
+        "n": args.n, "N": args.N, "L": args.L,
+        "omega": {"type": args.omega, "center": args.center, "radius": args.radius,
+                  "lo": [0.75] * args.n if args.lo is None else args.lo,
+                  "hi": [1.25] * args.n if args.hi is None else args.hi},
+        "s": args.s, "p": args.p, "alpha": args.alpha, "seed": args.seed,
+    })
+    record = {**est.to_record(), "s": args.s, "p": args.p, "omega": args.omega}
+    manifest = Manifest(Path(args.out), "poincare", {k: getattr(args, k) for k in
+                        ("omega", "s", "p", "n", "N", "L", "alpha")}, args.seed)
+    manifest.emit(record, "json", "poincare.json")
     manifest.close()
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0 if est.converged else 1
@@ -541,13 +530,10 @@ def _cmd_solve(args) -> int:
         den = np.sqrt(np.sum(ustar.values**2))
         rec["manufactured_relative_error"] = float(num / den)
     marks.append(time.perf_counter())
-    out = Path(args.out)
-    manifest = Manifest(out, "solve", config, scfg.get("seed"))
-    path = out / "solve_report.json"
-    _dump_json(rec, path)
-    manifest.add(path)
-    manifest.add(emit(report.solution, "bin", out / "solution.bin"))
-    manifest.add(emit(report, "csv", out / "history.csv"))
+    manifest = Manifest(Path(args.out), "solve", config, scfg.get("seed"))
+    manifest.emit(rec, "json", "solve_report.json")
+    manifest.emit(report.solution, "bin", "solution.bin")
+    manifest.emit(report, "csv", "history.csv")
     marks.append(time.perf_counter())
     # wall-clock seconds per stage; only the manifest may hold them
     manifest.record["timings"] = {
@@ -561,23 +547,34 @@ def _cmd_solve(args) -> int:
     return 0 if report.converged else 1
 
 
+def _divergence(fields, order, j):
+    """div^order of the vector field whose n components are the inputs."""
+    grid = fields[0].grid
+    if len(fields) != grid.spec.n:
+        raise ConfigError(f"div needs {grid.spec.n} component files")
+    return {"divergence": fo.fractional_divergence(VectorField(grid, tuple(fields)), order)}
+
+
+#: operator -> (the order flag it needs, or None; a map from the input
+#: fields, the order and the component to the output fields by file stem)
 _OPERATORS = {
-    "grad": ("s", lambda u, order, j: fo.riesz_gradient(u, order)),
-    "div": ("s", None),  # special-cased: needs n inputs
-    "riesz": ("sigma", lambda u, order, j: fo.riesz_potential(u, order)),
-    "bessel": ("sigma", lambda u, order, j: fo.bessel_potential(u, order)),
-    "flap": ("sigma", lambda u, order, j: fo.fractional_laplacian(u, order)),
-    "rt": (None, lambda u, order, j: fo.riesz_transform(u, j)),
-    "Ts": ("s", lambda u, order, j: fo.ts_multiplier(u, order)),
-    "Gs": ("s", lambda u, order, j: fo.gs_multiplier(u, order)),
+    "grad": ("s", lambda fs, order, j: {
+        f"gradient_{i}": c
+        for i, c in enumerate(fo.riesz_gradient(fs[0], order).components)}),
+    "div": ("s", _divergence),
+    "riesz": ("sigma", lambda fs, order, j: {"riesz": fo.riesz_potential(fs[0], order)}),
+    "bessel": ("sigma", lambda fs, order, j: {"bessel": fo.bessel_potential(fs[0], order)}),
+    "flap": ("sigma", lambda fs, order, j: {"flap": fo.fractional_laplacian(fs[0], order)}),
+    "rt": (None, lambda fs, order, j: {"rt": fo.riesz_transform(fs[0], j)}),
+    "Ts": ("s", lambda fs, order, j: {"Ts": fo.ts_multiplier(fs[0], order)}),
+    "Gs": ("s", lambda fs, order, j: {"Gs": fo.gs_multiplier(fs[0], order)}),
 }
 
 
 def _cmd_op(args) -> int:
     fields = [read_field(p) for p in args.input]
-    grid = fields[0].grid
     for f in fields[1:]:
-        if f.grid != grid:
+        if f.grid != fields[0].grid:
             raise ConfigError("input fields live on different grids")
     order = args.s if args.s is not None else args.sigma
     name = args.operator
@@ -586,56 +583,31 @@ def _cmd_op(args) -> int:
         raise ConfigError(f"operator {name} needs --{needs}")
     if name == "rt" and args.component is None:
         raise ConfigError("rt needs --component")
-    if name == "div" and len(fields) != grid.spec.n:
-        raise ConfigError(f"div needs {grid.spec.n} component files")
     # the operators check their order and component: apply them before
     # the output directory is made
-    if name == "div":
-        vf = VectorField(grid, tuple(fields))
-        result = [fo.fractional_divergence(vf, order)]
-        names = ["divergence.bin"]
-    elif name == "grad":
-        vf = fo.riesz_gradient(fields[0], order)
-        result = list(vf.components)
-        names = [f"gradient_{j}.bin" for j in range(grid.spec.n)]
-    else:
-        result = [fn(fields[0], order, args.component)]
-        names = [f"{name}.bin"]
-    out = Path(args.out)
+    result = fn(fields, order, args.component)
     manifest = Manifest(
-        out, "op",
+        Path(args.out), "op",
         {"operator": name, "s": args.s, "sigma": args.sigma,
          "component": args.component, "inputs": [str(p) for p in args.input]},
         None,
     )
-    for r, nm in zip(result, names):
-        manifest.add(emit(r, "bin", out / nm))
+    for stem, field in result.items():
+        manifest.emit(field, "bin", f"{stem}.bin")
         if args.csv:
-            manifest.add(emit(r, "csv", out / (nm[:-4] + ".csv")))
+            manifest.emit(field, "csv", f"{stem}.csv")
     manifest.close()
-    print(f"wrote {len(result)} field(s) to {out}")
+    print(f"wrote {len(result)} field(s) to {manifest.out}")
     return 0
 
 
-def _sweep_case(task: str, cfg: dict) -> dict:
+def _sweep_case(task: str, case: dict) -> dict:
     if task == "weights":
-        grid = make_grid(GridSpec(n=cfg["n"], N=cfg["N"], L=cfg["L"],
-                                  origin=tuple(cfg.get("origin", ()))))
-        w = wt.power_weight(grid, cfg["x0"], cfg["alpha"], cfg["p"])
-        fam = wt.CubeFamily(lo=tuple(grid.spec.origin), size=cfg["L"],
-                            level_min=0, level_max=cfg.get("levels", 5))
-        est = wt.ap_constant(w, cfg["p"], fam)
+        w, _, est = _weights_estimate(case)
         return {"constant": est.value, "in_class": w.in_class}
-    grid = make_grid(GridSpec(n=cfg["n"], N=cfg["N"], L=cfg["L"]))
-    mask = _build_mask(grid, cfg["omega"])
-    west = None
-    if cfg.get("alpha") is not None:
-        west = wt.power_weight(grid, cfg["omega"].get("center", [cfg["L"] / 2] * cfg["n"]),
-                               cfg["alpha"], cfg["p"])
-    est = iq.poincare_constant(grid, mask, cfg["s"], cfg["p"], w=west,
-                               seed=cfg.get("seed", 0))
+    est = _poincare_estimate(case)
     return {"constant": est.constant, "converged": est.converged,
-            "product_shape": est.constant * (1.0 - 2.0 ** (-cfg["s"]))}
+            "product_shape": est.constant * (1.0 - 2.0 ** (-case["s"]))}
 
 
 def _cmd_sweep(args) -> int:
@@ -651,20 +623,13 @@ def _cmd_sweep(args) -> int:
         case_id = ",".join(f"{k}={v}" for k, v in zip(keys, combo))
         _validate(case, SWEEP_CASE_VALIDATORS[task], f"sweep case '{case_id}'")
         cases.append((case_id, case))
-    out = Path(args.out)
-    manifest = Manifest(out, "sweep", config, None)
+    manifest = Manifest(Path(args.out), "sweep", config, None)
     ordered = {cid: _sweep_case(task, c) for cid, c in sorted(cases)}
-    path = out / "sweep.json"
-    _dump_json(ordered, path)
-    manifest.add(path)
-    rows_path = out / "sweep.csv"
-    with open(rows_path, "w", newline="") as fh:
-        first = next(iter(ordered.values()))
-        writer = csv.writer(fh)
-        writer.writerow(["case"] + sorted(first.keys()))
-        for cid, rec in ordered.items():
-            writer.writerow([cid] + [repr(rec[k]) for k in sorted(rec.keys())])
-    manifest.add(rows_path)
+    path = manifest.emit(ordered, "json", "sweep.json")
+    fields = sorted(next(iter(ordered.values())))
+    manifest.emit((["case", *fields],
+                   [[cid] + [repr(rec[k]) for k in fields] for cid, rec in ordered.items()]),
+                  "csv", "sweep.csv")
     manifest.close()
     print(f"{len(cases)} cases -> {path}")
     return 0
@@ -695,17 +660,22 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--n", type=int, default=1)
     w.add_argument("--N", type=int, default=512)
     w.add_argument("--L", type=float, default=2.0)
-    w.add_argument("--origin", type=float, nargs="*", default=[-1.0])
-    w.add_argument("--x0", type=float, nargs="*", default=[0.0])
+    w.add_argument("--origin", type=float, nargs="*", default=None,
+                   help="lower box corner (default -1 per axis)")
+    w.add_argument("--x0", type=float, nargs="*", default=None,
+                   help="weight centre (default the box centre)")
     w.add_argument("--out", default="weights_out")
     w.set_defaults(func=_cmd_weights)
 
     pc = sub.add_parser("poincare", help="estimate the Poincare constant")
     pc.add_argument("--omega", choices=["ball", "box"], default="box")
-    pc.add_argument("--center", type=float, nargs="*", default=None)
+    pc.add_argument("--center", type=float, nargs="*", default=None,
+                    help="ball and weight centre (default the box centre)")
     pc.add_argument("--radius", type=float, default=0.25)
-    pc.add_argument("--lo", type=float, nargs="*", default=[0.75])
-    pc.add_argument("--hi", type=float, nargs="*", default=[1.25])
+    pc.add_argument("--lo", type=float, nargs="*", default=None,
+                    help="box lower corner (default 0.75 per axis)")
+    pc.add_argument("--hi", type=float, nargs="*", default=None,
+                    help="box upper corner (default 1.25 per axis)")
     pc.add_argument("--s", type=float, required=True)
     pc.add_argument("--p", type=float, default=2.0)
     pc.add_argument("--alpha", type=float, default=None)

@@ -180,7 +180,8 @@ def equivalence_report(
     p: float,
     w: Weight | None = None,
 ) -> InequalityReport:
-    """Two-sided comparability of the gradient norm sum and the Bessel norm."""
+    """Two-sided comparability of the gradient norm sum and the Bessel norm;
+    "inconclusive" for an empty family, and a zero member is refused."""
     ratios_hx = []
     ratios_xh = []
     samples = []
@@ -194,10 +195,14 @@ def equivalence_report(
             {"sample": i, "h_norm": nb.h_norm, "x_norm": nb.x_norm,
              "ratio": nb.h_norm / nb.x_norm}
         )
+    params = {"s": s, "p": p, "weight": None if w is None else w.family}
+    if not samples:
+        return _ratio_report("norm_equivalence", params, family, [], samples,
+                             EQUIVALENCE_CAP)
     worst = max(max(ratios_hx), max(ratios_xh))
     return InequalityReport(
         name="norm_equivalence",
-        params={"s": s, "p": p, "weight": None if w is None else w.family},
+        params=params,
         family=f"{len(family)} samples",
         max_ratio=float(worst),
         median_ratio=float(np.median(ratios_hx)),
@@ -412,7 +417,9 @@ def dual_representation_check(
     p: float,
     w: Weight,
 ) -> InequalityReport:
-    """Check |integral(g . grad^s u)| <= ||g||_{L^p'_{w*}} ||grad^s u||_{L^p_w}."""
+    """Check |integral(g . grad^s u)| <= ||g||_{L^p'_{w*}} ||grad^s u||_{L^p_w};
+    "inconclusive" when no member has a nonzero bound, as then no pairing
+    is tested."""
     grid = gvec.grid
     hn = grid.h**grid.spec.n
     pprime = p / (p - 1.0)
@@ -433,9 +440,10 @@ def dual_representation_check(
         worst = max(worst, ratio)
         samples.append({"sample": i, "pairing": F, "bound": bound, "ratio": ratio})
     params = {"s": s, "p": p, "weight": w.family}
-    if not samples:
+    if not any(r["bound"] > 0.0 for r in samples):
+        # a zero bound makes its ratio 0 whatever the pairing: nothing tested
         return InequalityReport("dual_representation_holder", params, "degenerate",
-                                0.0, 0.0, 1.0, "inconclusive")
+                                0.0, 0.0, 1.0, "inconclusive", samples)
     # the Hoelder bound holds exactly; 1e-10 absorbs the rounding of the sums
     verdict = "bounded" if worst <= 1.0 + 1e-10 else "violated"
     return InequalityReport(

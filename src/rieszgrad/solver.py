@@ -377,14 +377,15 @@ def solve_linear(
 
 def _solve_frozen(prob: PDEProblem, a, b, x0, tol):
     """CG on -div^s(a grad^s x) = b over interior fields for a frozen
-    pointwise coefficient a; returns (x, CG iterations, converged)."""
+    pointwise coefficient a; returns x and the inner solve (CG iterations,
+    converged, preconditioner tag)."""
 
     def apply_K(v):
         return prob.project(prob.kit.elliptic(a, v))
 
-    prec, _ = _make_precond(prob, a)
+    prec, ptag = _make_precond(prob, a)
     x, history, ok = _cg(apply_K, prec, b, x0, tol, _MAX_CG)
-    return prob.project(x), len(history) - 1, ok
+    return prob.project(x), (len(history) - 1, ok, ptag)
 
 
 #: Armijo sufficient-decrease fraction of the line search
@@ -485,18 +486,22 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
     return _line_search(prob, f, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10)
 
 
-def _damped_update(st, a, d, its, inner_ok, minimize):
-    """Count the inner solve that gave d (its CG iterations its, whether it
-    converged, and its row of details["steps"]), then step from u along d
+def _damped_update(st, a, d, inner, minimize):
+    """Count the inner solve that gave d (inner: its CG iterations, whether
+    it converged and its preconditioner tag, which make its row of
+    details["steps"]), then step from u along d
     on the regularized energy, whose slope along d is
     h^n (sum a grad^s u . grad^s d - f . d) for a = _coeff at u: to the
     energy's minimum along d when minimize is set, else by the halving
     search from t = 1.  Records the energy and the step length."""
+    its, inner_ok, ptag = inner
     st.counts["inner_iterations"] += its
     st.counts["inner_unconverged"] += not inner_ok
     st.counts["steps"].append({"inner_iterations": its,
                                "inner_converged": bool(inner_ok),
+                               "preconditioner": ptag,
                                "eps": float(st.eps)})
+    st.record_preconditioner(ptag)
     gd = st.prob.kit.grad(d)
     e0 = _energy(st.prob, st.f, st.u, st.eps, st.gu)
     fd = np.sum(st.f * d)
@@ -518,9 +523,9 @@ def _kacanov_step(st):
     full step only contracts the error by about |2 - p|; at p = 2 the
     minimum is t = 1."""
     a = _coeff(st.prob.weight.values, st.prob.p, st.gu, st.eps)
-    uhat, its, ok = _solve_frozen(st.prob, a, st.f, st.u, 1e-12)
+    uhat, inner = _solve_frozen(st.prob, a, st.f, st.u, 1e-12)
     # an inner solve that misses its tolerance still supplies the step
-    _damped_update(st, a, st.prob.project(uhat - st.u), its, ok, True)
+    _damped_update(st, a, st.prob.project(uhat - st.u), inner, True)
 
 
 def _newton_step(st):
@@ -542,18 +547,19 @@ def _newton_step(st):
 
     b = -_residual(prob, gu, st.f, st.eps)
     forcing = min(0.1, st.residuals[-1]) if st.residuals else 0.1
-    prec, _ = _make_precond(prob, a)
+    prec, ptag = _make_precond(prob, a)
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
     d = prob.project(d)
     # Newton's natural step is 1: minimizing along d costs more CG overall
-    _damped_update(st, a, d, len(history) - 1, ok, False)
+    _damped_update(st, a, d, (len(history) - 1, ok, ptag), False)
 
 
 def _descent_stage(st):
     """Barzilai-Borwein steps at fixed eps, preconditioned by the spectral
     surrogate of the coefficient frozen at the stage's start."""
     prob, eps, kit = st.prob, st.eps, st.prob.kit
-    prec, _ = _make_precond(prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
+    prec, ptag = _make_precond(prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
+    st.record_preconditioner(ptag)
     e = _energy(prob, st.f, st.u, eps, st.gu)
     uprev = gprev = gn0 = None
     t = 1.0
@@ -594,9 +600,10 @@ def default_method(p: float) -> str:
 class _SolveState:
     """One nonlinear solve of prob by method: the interior right-hand side f
     with its norms fn (dual) and f2 (L2), the iterate u with gu = grad^s u,
-    eps, the report's counts, the energies and the certificates.  The
-    operators are prob.kit.  The Poincare loop swaps f between Kacanov
-    steps, which read neither fn nor f2."""
+    eps, the report's counts, the energies, the certificates and the
+    preconditioner the report names.  The operators are prob.kit.  The
+    Poincare loop swaps f between Kacanov steps, which read neither fn nor
+    f2."""
 
     def __init__(self, prob: PDEProblem, method: str | None):
         if prob.p < 1.1:
@@ -633,6 +640,13 @@ class _SolveState:
         self.f2 = max(float(np.sqrt(np.sum(self.f * self.f))), 1e-300)
         self.energies = []
         self.residuals = []
+        self.preconditioner = "spectral"
+
+    def record_preconditioner(self, ptag: str) -> None:
+        """Note a preconditioner the solve applied: the report names the
+        Jacobi sandwich when any inner solve or descent stage used it."""
+        if ptag != "spectral":
+            self.preconditioner = ptag
 
     def start(self, x0: np.ndarray | None) -> None:
         """Start at the projection of x0, or else at the frozen solve with
@@ -643,9 +657,10 @@ class _SolveState:
         if x0 is not None:
             self.u = prob.project(x0)
         else:
-            self.u, its, _ = _solve_frozen(
+            self.u, (its, _, ptag) = _solve_frozen(
                 prob, prob.weight.values, self.f, np.zeros_like(self.f), 1e-12
             )
+            self.record_preconditioner(ptag)
             if self.frozen:
                 self.counts["inner_iterations"] += its
         self.gu = prob.kit.grad(self.u)
@@ -703,10 +718,12 @@ def solve_plaplace(
     and newton, the CG iterations of all inner solves, the inner solves
     that missed their tolerance, the step length of every outer step
     ("step_lengths") and one row per outer step ("steps": its inner
-    solve's CG iterations and convergence, and its eps); the rows and the
-    initial guess's solve add up to "inner_iterations".  "stalled" flags a
-    run whose best certificate of its last 10 outer steps improved on the
-    best before them by less than a relative 1e-3.
+    solve's CG iterations, convergence and preconditioner, and its eps);
+    the rows and the initial guess's solve add up to "inner_iterations".
+    "stalled" flags a run whose best certificate of its last 10 outer
+    steps improved on the best before them by less than a relative 1e-3.
+    The report's preconditioner reads "spectral+jacobi" when any inner
+    solve or descent stage used the Jacobi sandwich, else "spectral".
     """
     st = _SolveState(prob, method)
     if tol is None:
@@ -753,6 +770,7 @@ def solve_plaplace(
         energies=[float(e) for e in st.energies],
         converged=converged,
         method=st.method,
+        preconditioner=st.preconditioner,
         details={"tol": tol, "final_eps": st.eps, **st.counts, "stalled": stalled},
     )
 

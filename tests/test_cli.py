@@ -65,6 +65,20 @@ class TestWeights:
         assert rec["in_class"] is True
 
 
+    def test_defaults_follow_n(self, tmp_path):
+        # origin -1 and the box centre per axis, as if given
+        base = ["weights", "--n", 2, "--N", 64, "--alpha", 0.5, "--p", 2, "--levels", 4]
+        outs = [tmp_path / "default", tmp_path / "given"]
+        assert run([*base, "--out", outs[0]]) == 0
+        assert run([*base, "--origin", -1, -1, "--x0", 0, 0, "--out", outs[1]]) == 0
+        texts = [(out / "weights.json").read_text() for out in outs]
+        assert texts[0] == texts[1]
+        rec = json.loads(texts[0])
+        assert rec["family"]["x0"] == [0.0, 0.0]
+        assert rec["cube_family"]["lo"] == [-1.0, -1.0]
+        assert rec["in_class"] is True and rec["constant"] >= 1.0
+
+
 class TestSolve:
     def test_manufactured_config(self, tmp_path):
         cfg = {
@@ -131,7 +145,8 @@ class TestSolve:
         assert all(isinstance(t, float) and t > 0.0 for t in steps)
         rows = rec["steps"]
         assert len(rows) == rec["iterations"]
-        assert all(set(row) == {"inner_iterations", "inner_converged", "eps"}
+        assert all(set(row) == {"inner_iterations", "inner_converged",
+                                "preconditioner", "eps"}
                    for row in rows)
         assert sum(row["inner_iterations"] for row in rows) < rec["inner_iterations"]
         history = (outs[0] / "history.csv").read_text().splitlines()
@@ -342,6 +357,90 @@ class TestPoincareCli:
         rec = json.loads((out / "poincare.json").read_text(), parse_constant=refuse)
         assert rec["converged"] is True
         assert rec["residual"] < 1e-8
+
+
+    @pytest.mark.parametrize("flags,given", [
+        ([], ["--lo", 0.75, 0.75, "--hi", 1.25, 1.25]),
+        (["--omega", "ball", "--alpha", 0.5], ["--center", 1.0, 1.0]),
+    ])
+    def test_defaults_follow_n(self, tmp_path, flags, given):
+        # lo/hi repeat 0.75/1.25 per axis; a ball and its weight sit at the
+        # box centre
+        base = ["poincare", "--n", 2, "--N", 32, "--s", 0.5, *flags]
+        outs = [tmp_path / "default", tmp_path / "given"]
+        assert run([*base, "--out", outs[0]]) == 0
+        assert run([*base, *given, "--out", outs[1]]) == 0
+        texts = [(out / "poincare.json").read_text() for out in outs]
+        assert texts[0] == texts[1]
+        rec = json.loads(texts[0])
+        assert rec["converged"] is True and rec["constant"] > 0
+
+
+class TestOnePathPerTask:
+    """A subcommand and a one-case sweep with the same parameters run the
+    same estimate."""
+
+    def test_weights(self, tmp_path):
+        assert run(["weights", "--alpha", 0.5, "--p", 2, "--levels", 5, "--N", 256,
+                    "--out", tmp_path / "w"]) == 0
+        rec = json.loads((tmp_path / "w" / "weights.json").read_text())
+        base = {"n": 1, "N": 256, "L": 2.0, "origin": [-1.0], "x0": [0.0],
+                "p": 2.0, "levels": 5}
+        case = run_sweep(tmp_path, {"task": "weights", "base": base,
+                                    "vary": {"alpha": [0.5]}})["alpha=0.5"]
+        assert case == {"constant": rec["constant"], "in_class": rec["in_class"]}
+
+    def test_poincare(self, tmp_path):
+        assert run(["poincare", "--s", 0.5, "--N", 128, "--alpha", 0.5,
+                    "--out", tmp_path / "p"]) == 0
+        rec = json.loads((tmp_path / "p" / "poincare.json").read_text())
+        base = {"n": 1, "N": 128, "L": 2.0, "p": 2.0, "alpha": 0.5, "seed": 0,
+                "omega": {"type": "box", "lo": [0.75], "hi": [1.25]}}
+        case = run_sweep(tmp_path, {"task": "poincare", "base": base,
+                                    "vary": {"s": [0.5]}})["s=0.5"]
+        assert case["constant"] == rec["constant"]
+        assert case["converged"] is rec["converged"] is True
+
+
+def run_sweep(tmp_path, cfg):
+    """Run a sweep config and return its sweep.json."""
+    path = tmp_path / "sweep_cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["sweep", "--config", path, "--out", tmp_path / "sw"]) == 0
+    return json.loads((tmp_path / "sw" / "sweep.json").read_text())
+
+
+class TestDeterminism:
+    """Criterion 10 beyond verify: the same arguments give the same
+    artifact bytes."""
+
+    @pytest.mark.parametrize("command", ["weights", "poincare", "sweep", "op"])
+    def test_same_arguments_same_artifacts(self, tmp_path, command):
+        if command == "weights":
+            args = ["weights", "--alpha", 0.5, "--p", 2, "--q", 4, "--levels", 5,
+                    "--N", 256]
+        elif command == "poincare":
+            args = ["poincare", "--s", 0.5, "--p", 3, "--N", 128, "--alpha", 0.5]
+        elif command == "sweep":
+            path = tmp_path / "sweep.json"
+            path.write_text(json.dumps({
+                "task": "poincare",
+                "base": {"n": 1, "N": 64, "L": 2.0, "p": 2.0,
+                         "omega": {"type": "ball", "center": [1.0], "radius": 0.3}},
+                "vary": {"s": [0.25, 0.75], "alpha": [None, 0.5]},
+            }))
+            args = ["sweep", "--config", path]
+        else:
+            g = make_grid(GridSpec(n=2, N=16, L=1.0))
+            write_field(bump(g, [0.5, 0.5], 0.2), tmp_path / "u.bin")
+            args = ["op", "grad", "--in", tmp_path / "u.bin", "--s", 0.5, "--csv"]
+        manifests = []
+        for name in ("a", "b"):
+            assert run([*args, "--out", tmp_path / name]) == 0
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+        assert manifests[0]["config_hash"] == manifests[1]["config_hash"]
+        assert len(manifests[0]["artifacts"]) >= 1
 
 
 class TestSweep:

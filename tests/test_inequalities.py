@@ -52,6 +52,12 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="zero"):
             iq.equivalence_report(fam, 0.5, 2.0)
 
+    def test_empty_family_inconclusive(self):
+        rep = iq.equivalence_report([], 0.5, 2.0)
+        assert rep.verdict == "inconclusive"
+        assert rep.family == "degenerate"
+        assert rep.max_ratio == 0.0 and rep.samples == []
+
     def test_hundred_sample_ratio_interval(self):
         # ratios stay inside a fixed two-sided interval across a large family
         g = grid1(N=128)
@@ -412,6 +418,22 @@ class TestDualRepresentation:
         rep = iq.dual_representation_check(gv, [], 0.5, 2.0, w)
         assert rep.verdict == "inconclusive"
         assert rep.median_ratio == 0.0
+
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_bounds_inconclusive(self, n):
+        # a constant field has zero fractional gradient and a zero field a
+        # zero one: every Hoelder bound is 0, so no pairing is tested
+        g = make_grid(GridSpec(n=n, N=16, L=1.0))
+        fam = [ScalarField(g, np.full(g.spec.shape, 3.0)),
+               ScalarField(g, np.zeros(g.spec.shape))]
+        gv = VectorField(g, tuple(ScalarField(g, np.ones(g.spec.shape))
+                                  for _ in range(n)))
+        w = wt.tabulated_weight(g, np.ones(g.spec.shape), 2.0)
+        rep = iq.dual_representation_check(gv, fam, 0.5, 2.0, w)
+        assert [row["bound"] for row in rep.samples] == [0.0, 0.0]
+        assert rep.verdict == "inconclusive"
+        assert rep.family == "degenerate"
 
 
 class TestEmbeddingChain:

@@ -392,6 +392,37 @@ class TestSolvePLaplace:
         assert all(type(row["eps"]) is float and row["eps"] > 0.0 for row in rows)
         assert rep.to_record()["steps"] == rows
 
+    @pytest.mark.parametrize("N,p,method,alpha,expected", [
+        (128, 1.5, "kacanov", None, "spectral+jacobi"),
+        (256, 2.0, "kacanov", None, "spectral"),
+        (256, 3.0, "newton", None, "spectral+jacobi"),
+        (256, 3.0, "descent", None, "spectral"),
+        (256, 3.0, "descent", 0.5, "spectral+jacobi"),
+    ])
+    def test_preconditioner_reported(self, monkeypatch, N, p, method, alpha,
+                                     expected):
+        g, mask, w = setup_1d(N=N, lo=0.55, hi=1.45)
+        if alpha is not None:
+            w = wt.power_weight(g, [1.0], alpha, p)
+        prob = sv.manufacture(g, mask, 0.5, p, w, bump(g, [1.0], 0.3, 1.0))
+        seen = []
+        make = sv._make_precond
+
+        def recording(*a, **k):
+            out = make(*a, **k)
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr(sv, "_make_precond", recording)
+        rep = sv.solve_plaplace(prob, method)
+        # the sandwich in any inner solve or descent stage names the solve's
+        assert rep.preconditioner == expected
+        assert (expected == "spectral+jacobi") == ("spectral+jacobi" in seen)
+        assert rep.to_record()["preconditioner"] == expected
+        if method != "descent":
+            # the initial guess's solve, then one inner solve per outer step
+            assert [row["preconditioner"] for row in rep.details["steps"]] == seen[1:]
+
     def test_zero_rhs(self):
         g, mask, w = setup_1d()
         prob = sv.PDEProblem(grid=g, mask=mask, s=0.5, p=3.0, weight=w,
@@ -781,7 +812,7 @@ class TestLineMinimum:
         eps = 1e-3
         gu = kit.grad(u)
         a = sv._coeff(w.values, p, gu, eps)
-        uhat, _, _ = sv._solve_frozen(prob, a, f, u, 1e-12)
+        uhat, _ = sv._solve_frozen(prob, a, f, u, 1e-12)
         d = prob.project(uhat - u)
         gd = kit.grad(d)
         e0 = sv._energy(prob, f, u, eps, gu)
