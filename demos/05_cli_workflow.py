@@ -15,7 +15,7 @@ print(f"working under {workdir}\n")
 
 # --- estimate a Muckenhoupt constant ------------------------------------------
 code = cli.main([
-    "weights", "--family", "power", "--alpha", "0.5", "--p", "2",
+    "weights", "--alpha", "0.5", "--p", "2",
     "--levels", "7", "--N", "512", "--out", str(workdir / "weights"),
 ])
 print(f"\nweights exit code: {code}")

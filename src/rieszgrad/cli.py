@@ -464,8 +464,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weights(args) -> int:
-    if args.family != "power":
-        raise ConfigError(f"unsupported weight family {args.family!r}")
     w, fam, est = _weights_estimate({
         "n": args.n, "N": args.N, "L": args.L,
         "origin": [-1.0] * args.n if args.origin is None else args.origin,
@@ -479,7 +477,7 @@ def _cmd_weights(args) -> int:
             w, w, args.s, args.p, args.q, fam
         )
     manifest = Manifest(Path(args.out), "weights", {k: getattr(args, k) for k in
-                        ("family", "alpha", "p", "q", "levels", "n", "N", "L")}, None)
+                        ("alpha", "p", "q", "levels", "n", "N", "L")}, None)
     manifest.emit(record, "json", "weights.json")
     manifest.close()
     print(json.dumps(record, indent=2, sort_keys=True))
@@ -547,7 +545,7 @@ def _cmd_solve(args) -> int:
     return 0 if report.converged else 1
 
 
-def _divergence(fields, order, j):
+def _divergence(fields, order):
     """div^order of the vector field whose n components are the inputs."""
     grid = fields[0].grid
     if len(fields) != grid.spec.n:
@@ -555,19 +553,20 @@ def _divergence(fields, order, j):
     return {"divergence": fo.fractional_divergence(VectorField(grid, tuple(fields)), order)}
 
 
-#: operator -> (the order flag it needs, or None; a map from the input
-#: fields, the order and the component to the output fields by file stem)
+#: operator -> (the one flag it takes: its order, or rt's component; a map
+#: from the input fields and that flag's value to the output fields by
+#: file stem)
 _OPERATORS = {
-    "grad": ("s", lambda fs, order, j: {
+    "grad": ("s", lambda fs, order: {
         f"gradient_{i}": c
         for i, c in enumerate(fo.riesz_gradient(fs[0], order).components)}),
     "div": ("s", _divergence),
-    "riesz": ("sigma", lambda fs, order, j: {"riesz": fo.riesz_potential(fs[0], order)}),
-    "bessel": ("sigma", lambda fs, order, j: {"bessel": fo.bessel_potential(fs[0], order)}),
-    "flap": ("sigma", lambda fs, order, j: {"flap": fo.fractional_laplacian(fs[0], order)}),
-    "rt": (None, lambda fs, order, j: {"rt": fo.riesz_transform(fs[0], j)}),
-    "Ts": ("s", lambda fs, order, j: {"Ts": fo.ts_multiplier(fs[0], order)}),
-    "Gs": ("s", lambda fs, order, j: {"Gs": fo.gs_multiplier(fs[0], order)}),
+    "riesz": ("sigma", lambda fs, order: {"riesz": fo.riesz_potential(fs[0], order)}),
+    "bessel": ("sigma", lambda fs, order: {"bessel": fo.bessel_potential(fs[0], order)}),
+    "flap": ("sigma", lambda fs, order: {"flap": fo.fractional_laplacian(fs[0], order)}),
+    "rt": ("component", lambda fs, j: {"rt": fo.riesz_transform(fs[0], j)}),
+    "Ts": ("s", lambda fs, order: {"Ts": fo.ts_multiplier(fs[0], order)}),
+    "Gs": ("s", lambda fs, order: {"Gs": fo.gs_multiplier(fs[0], order)}),
 }
 
 
@@ -576,16 +575,17 @@ def _cmd_op(args) -> int:
     for f in fields[1:]:
         if f.grid != fields[0].grid:
             raise ConfigError("input fields live on different grids")
-    order = args.s if args.s is not None else args.sigma
     name = args.operator
     needs, fn = _OPERATORS[name]
-    if needs and order is None:
+    for flag in ("s", "sigma", "component"):
+        if flag != needs and getattr(args, flag) is not None:
+            raise ConfigError(f"operator {name} takes no --{flag}")
+    value = getattr(args, needs)
+    if value is None:
         raise ConfigError(f"operator {name} needs --{needs}")
-    if name == "rt" and args.component is None:
-        raise ConfigError("rt needs --component")
     # the operators check their order and component: apply them before
     # the output directory is made
-    result = fn(fields, order, args.component)
+    result = fn(fields, value)
     manifest = Manifest(
         Path(args.out), "op",
         {"operator": name, "s": args.s, "sigma": args.sigma,
@@ -651,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=_cmd_verify)
 
     w = sub.add_parser("weights", help="estimate Muckenhoupt constants")
-    w.add_argument("--family", default="power")
     w.add_argument("--alpha", type=float, required=True)
     w.add_argument("--p", type=float, required=True)
     w.add_argument("--q", type=float, default=None)

@@ -390,6 +390,12 @@ def _solve_frozen(prob: PDEProblem, a, b, x0, tol):
 
 #: Armijo sufficient-decrease fraction of the line search
 _ARMIJO = 1e-4
+#: Kacanov's inner CG stops at _ETA times the last certificate, clipped to
+#: [_INNER_TOL, 0.1]: the residual-tied forcing of inexact Newton methods
+#: (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Without a
+#: certificate it stops at _INNER_TOL.
+_ETA = 0.1
+_INNER_TOL = 1e-12
 #: descent's cap on Barzilai-Borwein iterations per eps stage
 _MAX_INNER = 250
 #: cap on CG iterations per inner solve
@@ -488,17 +494,18 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
 
 def _damped_update(st, a, d, inner, minimize):
     """Count the inner solve that gave d (inner: its CG iterations, whether
-    it converged and its preconditioner tag, which make its row of
-    details["steps"]), then step from u along d
+    it converged, its preconditioner tag and the tolerance its CG was given,
+    which make its row of details["steps"]), then step from u along d
     on the regularized energy, whose slope along d is
     h^n (sum a grad^s u . grad^s d - f . d) for a = _coeff at u: to the
     energy's minimum along d when minimize is set, else by the halving
     search from t = 1.  Records the energy and the step length."""
-    its, inner_ok, ptag = inner
+    its, inner_ok, ptag, tol = inner
     st.counts["inner_iterations"] += its
     st.counts["inner_unconverged"] += not inner_ok
     st.counts["steps"].append({"inner_iterations": its,
                                "inner_converged": bool(inner_ok),
+                               "inner_tol": float(tol),
                                "preconditioner": ptag,
                                "eps": float(st.eps)})
     st.record_preconditioner(ptag)
@@ -521,11 +528,18 @@ def _kacanov_step(st):
     regularized energy's minimum along the step.  The energy's Hessian lies
     between p - 1 and 1 times the frozen operator (either way round), so the
     full step only contracts the error by about |2 - p|; at p = 2 the
-    minimum is t = 1."""
+    minimum is t = 1.  The frozen solve starts from u and stops at
+    _ETA times the last certificate, clipped to [1e-12, 0.1]; with no
+    certificate yet (a solve's first step, and every step of the Poincare
+    loop, which records none) it stops at 1e-12.  A truncated CG from u
+    still lowers the frozen quadratic energy, whose gradient at u is the
+    regularized energy's, so the step stays a descent direction."""
     a = _coeff(st.prob.weight.values, st.prob.p, st.gu, st.eps)
-    uhat, inner = _solve_frozen(st.prob, a, st.f, st.u, 1e-12)
+    tol = (max(_INNER_TOL, min(0.1, _ETA * st.residuals[-1])) if st.residuals
+           else _INNER_TOL)
+    uhat, inner = _solve_frozen(st.prob, a, st.f, st.u, tol)
     # an inner solve that misses its tolerance still supplies the step
-    _damped_update(st, a, st.prob.project(uhat - st.u), inner, True)
+    _damped_update(st, a, st.prob.project(uhat - st.u), (*inner, tol), True)
 
 
 def _newton_step(st):
@@ -551,7 +565,7 @@ def _newton_step(st):
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
     d = prob.project(d)
     # Newton's natural step is 1: minimizing along d costs more CG overall
-    _damped_update(st, a, d, (len(history) - 1, ok, ptag), False)
+    _damped_update(st, a, d, (len(history) - 1, ok, ptag, forcing), False)
 
 
 def _descent_stage(st):
@@ -658,7 +672,7 @@ class _SolveState:
             self.u = prob.project(x0)
         else:
             self.u, (its, _, ptag) = _solve_frozen(
-                prob, prob.weight.values, self.f, np.zeros_like(self.f), 1e-12
+                prob, prob.weight.values, self.f, np.zeros_like(self.f), _INNER_TOL
             )
             self.record_preconditioner(ptag)
             if self.frozen:
@@ -695,9 +709,11 @@ def solve_plaplace(
     """Iterative solve of the weighted fractional p-Laplace problem (g = 0).
 
     kacanov: freeze a_k = w (|grad^s u_k|^2 + eps_k^2)^((p-2)/2), solve the
-    linear problem, and move to the regularized energy's minimum along the
-    step, found from the energy's slope without a transform and accepted
-    under Armijo or an approximate Wolfe test (default tol 1e-8).  newton
+    linear problem by CG from u_k, stopped at 0.1 times the last certificate
+    (clipped to [1e-12, 0.1]; 1e-12 on the first step, which has none), and
+    move to the regularized energy's minimum along the step, found from the
+    energy's slope without a transform and accepted under Armijo or an
+    approximate Wolfe test (default tol 1e-8).  newton
     (p > 2 only): inexact Newton on the regularized energy, each Hessian
     solve stopped at the forcing tolerance min(0.1, last certificate) and
     preconditioned by the frozen Kacanov coefficient, damped by an Armijo
@@ -718,7 +734,8 @@ def solve_plaplace(
     and newton, the CG iterations of all inner solves, the inner solves
     that missed their tolerance, the step length of every outer step
     ("step_lengths") and one row per outer step ("steps": its inner
-    solve's CG iterations, convergence and preconditioner, and its eps);
+    solve's CG iterations, convergence, tolerance ("inner_tol") and
+    preconditioner, and its eps);
     the rows and the initial guess's solve add up to "inner_iterations".
     "stalled" flags a run whose best certificate of its last 10 outer
     steps improved on the best before them by less than a relative 1e-3.

@@ -1,5 +1,6 @@
 """CLI subcommand, serialization, and determinism tests."""
 
+import hashlib
 import json
 import math
 import struct
@@ -57,12 +58,28 @@ class TestVerify:
 class TestWeights:
     def test_power_half_constant(self, tmp_path, capsys):
         out = tmp_path / "w"
-        code = run(["weights", "--family", "power", "--alpha", 0.5, "--p", 2,
+        code = run(["weights", "--alpha", 0.5, "--p", 2,
                     "--levels", 7, "--N", 512, "--out", out])
         assert code == 0
         rec = json.loads((out / "weights.json").read_text())
         assert abs(rec["constant"] - 4.0 / 3.0) <= 0.02 * 4.0 / 3.0
         assert rec["in_class"] is True
+        # the hashed parameters name no weight family
+        params = {"alpha": 0.5, "p": 2.0, "q": None, "levels": 7, "n": 1,
+                  "N": 512, "L": 2.0}
+        blob = json.dumps(params, sort_keys=True).encode()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == hashlib.sha256(blob).hexdigest()
+
+    def test_family_flag_refused(self, tmp_path, capsys):
+        # the weight is always a power weight: there is nothing to select
+        out = tmp_path / "w"
+        with pytest.raises(SystemExit) as exc:
+            run(["weights", "--family", "power", "--alpha", 0.5, "--p", 2,
+                 "--out", out])
+        assert exc.value.code == 2
+        assert "--family" in capsys.readouterr().err
+        assert not out.exists()
 
 
     def test_defaults_follow_n(self, tmp_path):
@@ -146,7 +163,7 @@ class TestSolve:
         rows = rec["steps"]
         assert len(rows) == rec["iterations"]
         assert all(set(row) == {"inner_iterations", "inner_converged",
-                                "preconditioner", "eps"}
+                                "inner_tol", "preconditioner", "eps"}
                    for row in rows)
         assert sum(row["inner_iterations"] for row in rows) < rec["inner_iterations"]
         history = (outs[0] / "history.csv").read_text().splitlines()
@@ -282,6 +299,12 @@ class TestOp:
         ("rt", ["--component", 1], "riesz_transform needs a component index in [0, 1)"),
         ("grad", ["--s", 1.5], "riesz_gradient needs s in (0, 1), got 1.5"),
         ("flap", ["--sigma", 3], "fractional_laplacian needs order in (0, 2), got 3.0"),
+        ("grad", ["--sigma", 0.5], "operator grad takes no --sigma"),
+        ("grad", ["--s", 0.5, "--sigma", 0.5], "operator grad takes no --sigma"),
+        ("bessel", ["--s", 0.5], "operator bessel takes no --s"),
+        ("bessel", ["--s", 0.5, "--sigma", 0.7], "operator bessel takes no --s"),
+        ("rt", ["--component", 0, "--s", 0.5], "operator rt takes no --s"),
+        ("grad", ["--s", 0.5, "--component", 0], "operator grad takes no --component"),
     ])
     def test_arguments_checked_before_output(self, tmp_path, capsys, name,
                                              flags, message):

@@ -845,10 +845,93 @@ class TestLineMinimum:
         prob = sv.manufacture(g, mask, 0.5, 1.5, w, ustar)
         rep = sv.solve_plaplace(prob, "kacanov", tol=1e-8)
         assert rep.converged and rep.iterations <= 30
-        # warm-started inner solves stop at 1e-12 of the rhs, not of their
+        # warm-started inner solves stop relative to the rhs, not to their
         # own initial residual
         assert rep.details["inner_iterations"] <= 400
         assert rep.details["line_search_failures"] == 0
         steps = rep.details["step_lengths"]
         assert len(steps) == rep.iterations
         assert all(type(t) is float and t > 0.0 for t in steps)
+
+
+def node_centred(n, N, family):
+    """The perfbench solve problem of dimension n at p = 1.5: bump of
+    radius 0.3 centred on the grid node (1, ..., 1), Omega = [0.55, 1.45]^n."""
+    g = make_grid(GridSpec(n=n, N=N, L=2.0))
+    mask = np.ones(g.spec.shape, dtype=bool)
+    for c in g.coords():
+        mask &= (c >= 0.55) & (c <= 1.45)
+    if family == "power":
+        w = wt.power_weight(g, [1.0] * n, 0.5, 1.5)
+    else:
+        w = wt.tabulated_weight(g, np.ones(g.spec.shape), 1.5)
+    ustar = bump(g, [1.0] * n, 0.3, 1.0)
+    return sv.manufacture(g, mask, 0.5, 1.5, w, ustar), ustar
+
+
+def record_cg_tols(monkeypatch):
+    """The list of tolerances every later solver._cg call is given."""
+    given = []
+    cg = sv._cg
+
+    def recording(apply_K, prec, b, x0, tol, max_iter):
+        given.append(tol)
+        return cg(apply_K, prec, b, x0, tol, max_iter)
+
+    monkeypatch.setattr(sv, "_cg", recording)
+    return given
+
+
+class TestInexactKacanov:
+    """Each Kacanov step after the first stops its frozen CG at 0.1 times the
+    last certificate, clipped to [1e-12, 0.1]; Newton's forcing is
+    min(0.1, last certificate)."""
+
+    @pytest.mark.parametrize("p,method", [(1.5, "kacanov"), (3.0, "kacanov"),
+                                          (3.0, "newton")])
+    def test_inner_tol_follows_certificate(self, monkeypatch, p, method):
+        g, mask, w = setup_1d(N=256)
+        prob = sv.manufacture(g, mask, 0.5, p, w, bump(g, [1.0], 0.3, 1.0))
+        given = record_cg_tols(monkeypatch)
+        rep = sv.solve_plaplace(prob, method)
+        assert rep.converged
+        tols = [row["inner_tol"] for row in rep.details["steps"]]
+        # the initial guess's solve, then one inner solve per outer step
+        assert given == [1e-12, *tols]
+        res = rep.residuals
+        if method == "kacanov":
+            expected = [1e-12] + [max(1e-12, min(0.1, 0.1 * r)) for r in res[:-1]]
+        else:
+            expected = [0.1] + [min(0.1, r) for r in res[:-1]]
+        assert tols == expected
+        assert all(type(t) is float for t in tols)
+
+    @pytest.mark.parametrize("n,N,family", [(2, 64, "constant"), (3, 16, "power")])
+    def test_node_centred_cg_budget(self, n, N, family):
+        # 600 and 648 CG iterations with every inner solve at 1e-12
+        prob, ustar = node_centred(n, N, family)
+        rep = sv.solve_plaplace(prob, "kacanov")
+        assert rep.converged and rep.residuals[-1] < 1e-8
+        assert rep.details["inner_iterations"] <= 350
+        assert rep.details["inner_unconverged"] == 0
+        assert lp_norm(rep.solution - ustar, 2) <= 1e-7 * lp_norm(ustar, 2)
+        assert all(
+            rep.energies[i + 1] <= rep.energies[i] + 1e-12 * abs(rep.energies[i])
+            for i in range(len(rep.energies) - 1)
+        )
+
+    @pytest.mark.parametrize("p,constant,eigenvalue,residual,iterations", [
+        (1.5, 0.4734798025681736, 3.0693598879812236, 9.443516816800217e-09, 51),
+        (3.0, 0.5001976185272264, 7.990521803948588, 8.245648146069378e-09, 55),
+    ])
+    def test_poincare_steps_stay_exact(self, monkeypatch, p, constant, eigenvalue,
+                                       residual, iterations):
+        # the Poincare loop records no certificate, so every inner solve keeps
+        # 1e-12 and the estimate is bitwise that of exact inner solves
+        given = record_cg_tols(monkeypatch)
+        g, _, _ = setup_1d(N=256)
+        x = g.axes[0]
+        est = poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, p)
+        assert set(given) == {1e-12}
+        assert (est.constant, est.eigenvalue, est.residual, est.iterations) == (
+            constant, eigenvalue, residual, iterations)
