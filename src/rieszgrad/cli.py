@@ -97,33 +97,40 @@ COEFF_SCHEMA = {
     "additionalProperties": False,
 }
 
-RHS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"type": "string", "enum": ["manufactured", "field", "modes", "none"]},
-        "path": {"type": "string"},
-        "center": {"type": "array", "items": {"type": "number"}},
-        "radius": {"type": "number", "exclusiveMinimum": 0},
-        "sharpness": {"type": "number", "exclusiveMinimum": 0},
-        "modes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "k": {"type": "array", "items": {"type": "integer"}},
-                    "amplitude": {"type": "number"},
+def _field_schema(kinds: list) -> dict:
+    """A field config (``rhs`` or ``g``) of one of the given kinds."""
+    return {
+        "type": "object",
+        "properties": {
+            "kind": {"type": "string", "enum": kinds},
+            "path": {"type": "string"},
+            "center": {"type": "array", "items": {"type": "number"}},
+            "radius": {"type": "number", "exclusiveMinimum": 0},
+            "sharpness": {"type": "number", "exclusiveMinimum": 0},
+            "modes": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "properties": {
+                        "k": {"type": "array", "items": {"type": "integer"}},
+                        "amplitude": {"type": "number"},
+                    },
+                    "required": ["k", "amplitude"],
+                    "additionalProperties": False,
                 },
-                "required": ["k", "amplitude"],
-                "additionalProperties": False,
             },
         },
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-    "allOf": _kind_requires("kind", {"manufactured": ["center", "radius"],
-                                     "field": ["path"],
-                                     "modes": ["modes"]}),
-}
+        "required": ["kind"],
+        "additionalProperties": False,
+        "allOf": _kind_requires("kind", {"manufactured": ["center", "radius"],
+                                         "field": ["path"],
+                                         "modes": ["modes"]}),
+    }
+
+
+#: the right-hand side, and the exterior data g outside omega
+RHS_SCHEMA = _field_schema(["manufactured", "field", "modes"])
+G_SCHEMA = _field_schema(["none", "field", "modes"])
 
 SOLVE_SCHEMA = {
     "type": "object",
@@ -134,7 +141,7 @@ SOLVE_SCHEMA = {
         "p": {"type": "number", "exclusiveMinimum": 1},
         "coefficient": COEFF_SCHEMA,
         "rhs": RHS_SCHEMA,
-        "g": RHS_SCHEMA,
+        "g": G_SCHEMA,
         "solver": {
             "type": "object",
             "properties": {
@@ -340,27 +347,25 @@ def _build_weight(grid, cfg: dict, p: float):
 
 
 def _build_field(grid, cfg: dict, base_dir: Path) -> ScalarField:
-    kind = cfg["kind"]
-    if kind == "field":
+    """The field of a ``field`` or ``modes`` config: the schema admits no
+    other kind here (manufactured needs the operator, so the caller builds it)."""
+    if cfg["kind"] == "field":
         f = read_field(base_dir / cfg["path"])
         if f.grid != grid:
             raise ConfigError("field file grid does not match config grid")
         return f
-    if kind == "modes":
-        vals = np.zeros(grid.spec.shape)
-        coords = grid.coords()
-        for mode in cfg["modes"]:
-            k = mode["k"]
-            if len(k) != grid.spec.n:
-                raise ConfigError("rhs mode has wrong dimension")
-            phase = sum(
-                2.0 * np.pi * k[d] * coords[d] / grid.spec.L
-                for d in range(grid.spec.n)
-            )
-            vals += mode["amplitude"] * np.sin(phase)
-        return ScalarField(grid, vals)
-    # manufactured handled by the caller (needs the operator)
-    raise ConfigError(f"cannot build a field of kind {kind!r} here")
+    vals = np.zeros(grid.spec.shape)
+    coords = grid.coords()
+    for mode in cfg["modes"]:
+        k = mode["k"]
+        if len(k) != grid.spec.n:
+            raise ConfigError("rhs mode has wrong dimension")
+        phase = sum(
+            2.0 * np.pi * k[d] * coords[d] / grid.spec.L
+            for d in range(grid.spec.n)
+        )
+        vals += mode["amplitude"] * np.sin(phase)
+    return ScalarField(grid, vals)
 
 
 def _build_problem(config: dict, base_dir: Path):
@@ -387,7 +392,7 @@ def _build_problem(config: dict, base_dir: Path):
         c2 = coeff.get("c2", max(1.0, 1.0 + scale))
     gcfg = config.get("g", {"kind": "none"})
     exterior = None
-    if gcfg.get("kind", "none") not in ("none",):
+    if gcfg["kind"] != "none":
         exterior = _build_field(grid, gcfg, base_dir)
     rhs_cfg = config["rhs"]
     if rhs_cfg["kind"] == "manufactured":
@@ -511,16 +516,15 @@ def _cmd_solve(args) -> int:
     marks.append(time.perf_counter())
     scfg = config.get("solver", {})
     method = scfg.get("method", sv.default_method(prob.p))
-    tol = scfg.get("tol")
+    # pass only the keys the config sets, so every default lives in the
+    # solver; max_iter bounds CG iterations for pcg and outer steps otherwise
+    kwargs = {"tol": scfg["tol"]} if "tol" in scfg else {}
+    if "max_iter" in scfg:
+        kwargs["max_iter" if method == "pcg" else "max_outer"] = scfg["max_iter"]
     if method == "pcg":
-        report = sv.solve_linear(
-            prob, tol=tol if tol is not None else 1e-10,
-            max_iter=scfg.get("max_iter", 2000),
-        )
+        report = sv.solve_linear(prob, **kwargs)
     else:
-        report = sv.solve_plaplace(
-            prob, method=method, tol=tol, max_outer=scfg.get("max_iter", 200)
-        )
+        report = sv.solve_plaplace(prob, method=method, **kwargs)
     rec = report.to_record()
     rec["residual_final"] = sv.weak_residual_norm(prob, report.solution)
     if ustar is not None:

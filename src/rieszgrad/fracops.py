@@ -11,6 +11,10 @@ Symbols on the frequency lattice (japanese bracket ``<xi> = (1+4 pi^2 |xi|^2)^(1
     T_s                     (2 pi |xi|)^s / <xi>^s
     G_s                     <xi>^s / (1 + (2 pi |xi|)^s)
 
+Each kind is defined in one place, its entry in ``_KINDS``: order domain,
+value at xi = 0, formula, and whether it is odd.  The pointwise ``symbol``,
+the half-lattice symbols and the operator kit all read that table.
+
 Conventions on the torus lattice:
 
 * homogeneous symbols take the value 0 at xi = 0 (the discrete stand-in for
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,66 +70,57 @@ __all__ = [
     "pv_kernel",
 ]
 
-MULTIPLIER_KINDS = (
-    "riesz_gradient",
-    "fractional_divergence",
-    "riesz_potential",
-    "bessel_potential",
-    "fractional_laplacian",
-    "riesz_transform",
-    "T_s",
-    "G_s",
-    "derivative",
-)
 
-#: kinds whose symbol is odd in a single component and needs an index
-_COMPONENT_KINDS = {"riesz_gradient", "riesz_transform", "derivative"}
+class _Kind(NamedTuple):
+    """One multiplier kind: the open interval of its orders ("n" stands for
+    the dimension; None admits every real order), its value at xi = 0, its
+    formula f(order, r) of the angular wavenumber r = 2 pi |xi| > 0, and
+    whether it is odd, with symbol i xi_j f in a component j, rather than
+    even, with symbol f."""
+
+    orders: tuple | None
+    at_zero: float
+    f: Callable
+    odd: bool = False
 
 
-def _check_order(kind: str, order: float, n: int) -> None:
-    if kind in ("riesz_gradient", "fractional_divergence"):
-        if not (0.0 < order < 1.0):
-            raise ValueError(f"{kind} needs order in (0, 1), got {order}")
-    elif kind == "riesz_potential":
-        if not (0.0 < order < n):
-            raise ValueError(f"riesz_potential needs order in (0, {n}), got {order}")
-    elif kind == "fractional_laplacian":
-        if not (0.0 < order < 2.0):
-            raise ValueError(f"fractional_laplacian needs order in (0, 2), got {order}")
-    elif kind in ("T_s", "G_s"):
-        if not (0.0 < order < 1.0):
-            raise ValueError(f"{kind} needs order in (0, 1), got {order}")
-    elif kind in ("riesz_transform", "derivative", "bessel_potential"):
-        pass
-    else:
+_TWO_PI = 2.0 * np.pi
+_GRADIENT = _Kind((0, 1), 0.0, lambda o, r: _TWO_PI / r ** (1.0 - o), odd=True)
+
+#: Every multiplier kind, defined once; fractional_divergence shares the
+#: gradient's entry (its symbol is the dot product with the gradient's).
+#: <0> = 1, so the bessel_potential and G_s fills reproduce their formulas.
+_KINDS = {
+    "riesz_gradient": _GRADIENT,
+    "fractional_divergence": _GRADIENT,
+    "riesz_potential": _Kind((0, "n"), 0.0, lambda o, r: r ** (-o)),
+    "bessel_potential": _Kind(None, 1.0, lambda o, r: (1.0 + r**2) ** (-o / 2.0)),
+    "fractional_laplacian": _Kind((0, 2), 0.0, lambda o, r: r**o),
+    "riesz_transform": _Kind(None, 0.0, lambda o, r: -_TWO_PI / r, odd=True),
+    "T_s": _Kind((0, 1), 0.0, lambda o, r: r**o / (1.0 + r**2) ** (o / 2.0)),
+    "G_s": _Kind((0, 1), 1.0, lambda o, r: (1.0 + r**2) ** (o / 2.0) / (1.0 + r**o)),
+    "derivative": _Kind(None, 0.0, lambda o, r: _TWO_PI, odd=True),
+}
+
+MULTIPLIER_KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str, order: float, n: int, *components) -> _Kind:
+    """The entry of kind, once order lies in its domain in dimension n and,
+    for an odd kind, at least one component is given and each is an axis."""
+    entry = _KINDS.get(kind)
+    if entry is None:
         raise ValueError(f"unknown multiplier kind {kind!r}")
-
-
-def _even_symbol(kind, order, r):
-    """Even symbol as a function of the angular wavenumber r = 2 pi |xi| > 0."""
-    if kind == "riesz_potential":
-        return r ** (-order)
-    if kind == "bessel_potential":
-        return (1.0 + r**2) ** (-order / 2.0)
-    if kind == "fractional_laplacian":
-        return r**order
-    if kind == "T_s":
-        return r**order / (1.0 + r**2) ** (order / 2.0)
-    if kind == "G_s":
-        return (1.0 + r**2) ** (order / 2.0) / (1.0 + r**order)
-    raise ValueError(f"unknown multiplier kind {kind!r}")
-
-
-def _radial_factor(kind, order, r):
-    """f(r) of an odd symbol i xi_j f(2 pi |xi|); r > 0."""
-    two_pi = 2.0 * np.pi
-    if kind == "riesz_gradient":
-        return two_pi / r ** (1.0 - order)
-    if kind == "riesz_transform":
-        return -two_pi / r
-    if kind == "derivative":
-        return two_pi
-    raise ValueError(f"unknown multiplier kind {kind!r}")
+    if entry.orders is not None:
+        lo, hi = entry.orders
+        hi = n if hi == "n" else hi
+        if not lo < order < hi:
+            raise ValueError(f"{kind} needs order in ({lo}, {hi}), got {order}")
+    if entry.odd and (
+        not components or any(j is None or not 0 <= j < n for j in components)
+    ):
+        raise ValueError(f"{kind} needs a component index in [0, {n})")
+    return entry
 
 
 def symbol(kind: str, xi, order: float, component: int | None = None):
@@ -136,22 +132,14 @@ def symbol(kind: str, xi, order: float, component: int | None = None):
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     n = xi.size
-    _check_order(kind, order, n)
+    if component is None and _KINDS.get(kind) is _GRADIENT:
+        return np.array([symbol(kind, xi, order, j) for j in range(n)])
+    entry = _kind(kind, order, n, component)
     r = 2.0 * np.pi * float(np.sqrt(np.sum(xi * xi)))
-    if kind in ("riesz_gradient", "fractional_divergence") and component is None:
-        if r == 0.0:
-            return np.zeros(n, dtype=np.complex128)
-        return 1j * xi * _radial_factor("riesz_gradient", order, r)
-    if kind == "fractional_divergence":
-        kind = "riesz_gradient"
-    if kind in _COMPONENT_KINDS:
-        if component is None or not (0 <= component < n):
-            raise ValueError(f"{kind} needs a component index in [0, {n})")
     if r == 0.0:
-        return complex(1.0 if kind in ("bessel_potential", "G_s") else 0.0)
-    if kind in _COMPONENT_KINDS:
-        return complex(1j * xi[component] * _radial_factor(kind, order, r))
-    return complex(_even_symbol(kind, order, r))
+        return complex(entry.at_zero)
+    m = entry.f(order, r)
+    return complex(1j * xi[component] * m if entry.odd else m)
 
 
 def lattice_symbol(
@@ -178,16 +166,11 @@ def _symbol(grid: Grid, kind: str, order: float, component=None):
     Odd (component) symbols come back complex, even ones real.
     """
     n = grid.spec.n
-    if kind == "fractional_divergence":
-        kind = "riesz_gradient"
-    if kind in _COMPONENT_KINDS:
-        if component is None or not (0 <= component < n):
-            raise ValueError(f"{kind} needs a component index in [0, {n})")
+    entry = _kind(kind, order, n, component)
+    if entry.odd:
         return _odd_symbols(grid, kind, order, [component])[0]
-    _check_order(kind, order, n)
-    m = _even_symbol(kind, order, grid.half_wavenumber)
-    # <0> = 1 for the bessel kind, so its fill reproduces the formula at 0.
-    m[(0,) * n] = 1.0 if kind in ("bessel_potential", "G_s") else 0.0
+    m = entry.f(order, grid.half_wavenumber)
+    m[(0,) * n] = entry.at_zero
     return m
 
 
@@ -195,13 +178,13 @@ def _odd_symbols(grid: Grid, kind: str, order: float, components):
     """Symbols i xi_j f(2 pi |xi|) of the given components, all built from
     one radial factor f; 0 at the origin and on each component's Nyquist
     plane, index N/2 of its axis (+N/(2L) on the last axis)."""
-    _check_order(kind, order, grid.spec.n)
+    entry = _kind(kind, order, grid.spec.n, *components)
     xi, r = grid.half_xi, grid.half_wavenumber
-    f = _radial_factor(kind, order, r)
+    f = entry.f(order, r)
     syms = []
     for j in components:
         m = np.multiply(1j * xi[j], f, out=np.empty(r.shape, np.complex128))
-        m[(0,) * grid.spec.n] = 0.0
+        m[(0,) * grid.spec.n] = entry.at_zero
         m[(slice(None),) * j + (grid.spec.N // 2,)] = 0.0
         syms.append(m)
     return syms

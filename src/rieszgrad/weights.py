@@ -378,14 +378,8 @@ def sawyer_wheeden_constant(
         )
 
     val, cube = _family_sup(grid, [v.values, dual_vals], term, cubes)
-    record = {
-        "constant": float(val),
-        "argmax_cube": {"corner": list(cube[0]), "edge": cube[1]},
-        "cube_family": cubes.describe(),
-        "s": s,
-        "p": p,
-        "q": q,
-    }
+    record = CubeEstimate(float(val), cube, cubes.describe(),
+                          {"s": s, "p": p, "q": q}).to_record()
     if v.values.shape == w.values.shape and np.array_equal(v.values, w.values):
 
         def single(count, sums, edge):
@@ -393,11 +387,9 @@ def sawyer_wheeden_constant(
             return volume ** (s / n) * (hn * sums[0]) ** (1.0 / q - 1.0 / p)
 
         sval, scube = _family_sup(grid, [w.values], single, cubes)
-        record["single_weight_constant"] = float(sval)
-        record["single_weight_argmax"] = {
-            "corner": list(scube[0]),
-            "edge": scube[1],
-        }
+        one = CubeEstimate(float(sval), scube, record["cube_family"]).to_record()
+        record["single_weight_constant"] = one["constant"]
+        record["single_weight_argmax"] = one["argmax_cube"]
     return record
 
 

@@ -198,6 +198,22 @@ class TestSolve:
         assert f"at '{section}'" in err and f"'{key}' is a required property" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,value", [
+        ("rhs", {"kind": "none"}),
+        ("g", {"kind": "manufactured", "center": [1.0], "radius": 0.3}),
+    ])
+    def test_field_kind_it_cannot_build_refused_by_schema(self, tmp_path, capsys,
+                                                          section, value):
+        # rhs needs a field and g has no operator to manufacture one
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(with_keys(SOLVE_CFG, **{section: value})))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config invalid at '{section}/kind'" in err
+        assert f"{value['kind']!r} is not one of" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", [3, 24])
     def test_truncated_rhs_field_exit_2(self, tmp_path, capsys, size):
         g = make_grid(GridSpec(n=1, N=128, L=2.0))

@@ -64,6 +64,21 @@ class TestSymbol:
         with pytest.raises(ValueError, match="unknown"):
             fo.symbol("nope", [1.0], 0.5)
 
+    def test_unknown_kind_refused_by_apply_multiplier(self):
+        u = ScalarField(grid1(16), np.ones(16))
+        with pytest.raises(ValueError, match="unknown multiplier kind 'nope'"):
+            fo.apply_multiplier(u, "nope", 0.5)
+
+    def test_riesz_potential_domain_follows_n(self):
+        g = make_grid(GridSpec(n=2, N=16, L=1.0))
+        u = ScalarField(g, np.random.default_rng(5).standard_normal((16, 16)))
+        assert fo.symbol("riesz_potential", [1.0, 0.0], 1.5) == (2 * np.pi) ** -1.5
+        fo.riesz_potential(u, 1.5)
+        with pytest.raises(ValueError, match=r"riesz_potential needs order in \(0, 2\)"):
+            fo.symbol("riesz_potential", [1.0, 0.0], 2.5)
+        with pytest.raises(ValueError, match=r"riesz_potential needs order in \(0, 2\)"):
+            fo.riesz_potential(u, 2.5)
+
 
 class TestMultipliers:
     def test_laplacian_on_sine(self):
@@ -359,6 +374,23 @@ class TestHalfSpectrumLayer:
                 if j == n - 1:
                     # odd symbols vanish on the last axis's Nyquist column
                     assert np.all(half[..., N // 2] == 0.0), kind
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pointwise_symbol_matches_half_lattice(self, n):
+        # the same table entry, evaluated at one point and on the lattice;
+        # numpy's scalar and array pow may round differently, so not bitwise
+        N = 16 if n < 3 else 8
+        g = self._grid(n, N)
+        xi = [x.ravel() for x in g.half_xi]
+        for kind, order in HALF_SPECTRUM_CASES:
+            comps = range(n) if kind in COMPONENT_KINDS else [None]
+            for j in comps:
+                half = fo._symbol(g, kind, order, j)
+                for idx in np.ndindex(half.shape):
+                    if j is not None and idx[j] == N // 2:
+                        continue  # the Nyquist plane, zeroed on the lattice only
+                    got = fo.symbol(kind, [x[i] for x, i in zip(xi, idx)], order, j)
+                    assert abs(got - half[idx]) <= 1e-15 * abs(half[idx]), (kind, j, idx)
 
 
 #: public operators of fracops, each checked by TestOperatorOutputs
