@@ -346,9 +346,10 @@ def _build_weight(grid, cfg: dict, p: float):
     return wt.power_weight(grid, _centre(grid, cfg.get("x0")), cfg.get("alpha", 0.0), p)
 
 
-def _build_field(grid, cfg: dict, base_dir: Path) -> ScalarField:
-    """The field of a ``field`` or ``modes`` config: the schema admits no
-    other kind here (manufactured needs the operator, so the caller builds it)."""
+def _build_field(grid, cfg: dict, base_dir: Path, key: str) -> ScalarField:
+    """The field of a ``field`` or ``modes`` config read from ``key``: the
+    schema admits no other kind here (manufactured needs the operator, so the
+    caller builds it)."""
     if cfg["kind"] == "field":
         f = read_field(base_dir / cfg["path"])
         if f.grid != grid:
@@ -359,7 +360,7 @@ def _build_field(grid, cfg: dict, base_dir: Path) -> ScalarField:
     for mode in cfg["modes"]:
         k = mode["k"]
         if len(k) != grid.spec.n:
-            raise ConfigError("rhs mode has wrong dimension")
+            raise ConfigError(f"{key} mode has wrong dimension")
         phase = sum(
             2.0 * np.pi * k[d] * coords[d] / grid.spec.L
             for d in range(grid.spec.n)
@@ -393,7 +394,7 @@ def _build_problem(config: dict, base_dir: Path):
     gcfg = config.get("g", {"kind": "none"})
     exterior = None
     if gcfg["kind"] != "none":
-        exterior = _build_field(grid, gcfg, base_dir)
+        exterior = _build_field(grid, gcfg, base_dir, "g")
     rhs_cfg = config["rhs"]
     if rhs_cfg["kind"] == "manufactured":
         ustar = bump(
@@ -408,7 +409,7 @@ def _build_problem(config: dict, base_dir: Path):
             grid, mask, s, p, w, ustar, matrix=matrix, c1=c1, c2=c2
         )
         return prob, ustar
-    rhs = _build_field(grid, rhs_cfg, base_dir)
+    rhs = _build_field(grid, rhs_cfg, base_dir, "rhs")
     prob = sv.PDEProblem(
         grid=grid,
         mask=mask,

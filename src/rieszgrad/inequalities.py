@@ -11,10 +11,12 @@ fails beyond tolerance, and "inconclusive" for degenerate inputs.
 Identities that are exact come with their constants: the single-mode
 interpolation ratio is exactly one, and the Poincare constant is
 lambda^(-1/p) for the first eigenvalue lambda of the weighted fractional
-p-Laplacian, computed here for every p by one nonlinear inverse power
-iteration (Hein & Buehler, NIPS 2010) whose steps are warm-started Kacanov
-steps on one problem and one solver state per estimate; at p = 2 it is
-inverse iteration with CG inner solves.
+p-Laplacian.  At p = 2 that is the symmetric pencil K u = lambda w u, solved
+by preconditioned LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with one
+operator application per step and no inner solve; at every other p it is
+one nonlinear inverse power iteration (Hein & Buehler, NIPS 2010) whose
+steps are warm-started Kacanov steps on one problem and one solver state
+per estimate.
 
 Bump samples are spectrally truncated below the top octave (|k| <= N/4 per
 axis); this is the frequency-side counterpart of the spatial margin rule and
@@ -23,13 +25,14 @@ keeps the unpaired-Nyquist convention from polluting identity residuals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
-from .solver import PDEProblem, _residual, _SolveState
+from .solver import PDEProblem, _make_precond, _residual, _SolveState
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -232,31 +235,41 @@ def poincare_constant(
     p: float = 2.0,
     w: Weight | None = None,
     tol: float = 1e-8,
-    max_iter: int = 200,
+    max_iter: int | None = None,
     family=None,
     seed: int = 0,
 ) -> PoincareEstimate:
     """Best constant in ||u||_{L^p_w} <= C ||grad^s u||_{L^p_w} over interior u.
 
-    Nonlinear inverse power iteration on -div^s(w |grad^s u|^(p-2) grad^s u)
-    = lambda w |u|^(p-2) u, started from the family member with the smallest
-    Rayleigh quotient.  Each step is one warm-started Kacanov step, the
-    step :func:`solve_plaplace` takes, with right-hand side w |u|^(p-2) u,
-    started at the energy's minimizer on the ray through u, so the quotient
-    never rises; at p = 2 the step is an exact CG solve and this is inverse
-    iteration.  One problem and one solver state serve every step, which
-    changes only the state's right-hand side f = B u; a failed inner solve
-    or line search clears converged.
+    Solves -div^s(w |grad^s u|^(p-2) grad^s u) = lambda w |u|^(p-2) u for
+    its first eigenpair, started from the family member with the smallest
+    Rayleigh quotient.  At p = 2 this is the symmetric pencil K u = lambda
+    B u with B = w on Omega, solved by LOBPCG (method "lobpcg", see
+    _lobpcg): each step applies the solver's spectral preconditioner and K
+    once, and no inner solve runs.  At every other p it is the nonlinear
+    inverse power iteration (method "inverse_power"): each step is one
+    warm-started Kacanov step, the step :func:`solve_plaplace` takes, with
+    right-hand side w |u|^(p-2) u, started at the energy's minimizer on the
+    ray through u, so the quotient never rises.  One problem and one solver
+    state serve every step, which changes only the state's right-hand side
+    f = B u; a failed inner solve or line search clears converged.
+    Either way lambda never rises from step to step.  iterations counts
+    LOBPCG steps or inverse power steps; max_iter caps it and defaults to
+    2000 at p = 2 (the cap of :func:`solve_linear`, as each LOBPCG step
+    costs about one CG iteration) and 200 otherwise.
     lambda is the Rayleigh quotient <u, Tu> / <u, Bu> and the residual is
-    ||Tu - lambda Bu|| / (lambda ||Bu||).  The constant is lambda^(-1/p),
-    raised to the best family ratio when that is larger, so it dominates the
-    family; it is the sharp constant when the iteration reaches the first
-    eigenfunction.  p < 1.1 is refused and Omega needs the solver's 4h seam
-    margin.
+    ||Tu - lambda Bu|| / (lambda ||Bu||), both computed afresh at the
+    returned u; converged needs the residual below tol.  The constant is
+    lambda^(-1/p), raised to the best family ratio when that is larger, so it
+    dominates the family; it is the sharp constant when the iteration reaches
+    the first eigenfunction.  p < 1.1 is refused and Omega needs the
+    solver's 4h seam margin.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("interior mask is empty")
+    if max_iter is None:
+        max_iter = 2000 if p == 2.0 else 200
     if w is None:
         w = tabulated_weight(grid, np.ones(grid.spec.shape), p)
     if family is None:
@@ -286,6 +299,17 @@ def poincare_constant(
         )
         return Bu, lam, res
 
+    if p == 2.0:
+        u, iters = _lobpcg(prob, u, tol, max_iter)
+        _, lam, res = eigen(u)
+        return PoincareEstimate(
+            constant=max(lam**-0.5, family_max),
+            eigenvalue=lam,
+            residual=res,
+            iterations=iters,
+            converged=res < tol,
+            method="lobpcg",
+        )
     Bu, lam, res = eigen(u)
     st = _SolveState(prob, "kacanov")
     iters = 0
@@ -306,6 +330,106 @@ def poincare_constant(
         converged=res < tol and failures == 0,
         method="inverse_power",
     )
+
+
+#: LOBPCG's Rayleigh-Ritz drops a direction whose eigenvalue in the Gram
+#: matrix of B falls below this fraction of the largest one
+_GRAM_DROP = 1e-12
+#: cap on the Jacobi sweeps of _small_eigh
+_JACOBI_SWEEPS = 50
+
+
+def _small_eigh(A: np.ndarray):
+    """Eigenvalues in ascending order and unit eigenvectors (columns) of a
+    small symmetric matrix, by cyclic Jacobi rotations with Rutishauser's
+    formulas (Golub & Van Loan, Matrix Computations, sec. 8.5).  An
+    off-diagonal entry too small to change either diagonal entry it couples
+    is set to zero.  Plain Python on floats: numpy.linalg.eigh pages in
+    LAPACK code on its first call (0.8 MiB of resident memory with numpy
+    2.4's OpenBLAS) for what is here a 3 x 3 problem."""
+    m = len(A)
+    a = [[float(x) for x in row] for row in A]
+    v = [[float(i == j) for j in range(m)] for i in range(m)]
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    # quadratic convergence zeroes a 3 x 3 in a handful of sweeps; the cap
+    # only ends the loop on a non-finite entry
+    for _ in range(_JACOBI_SWEEPS):
+        if all(a[i][j] == 0.0 for i, j in pairs):
+            break
+        for i, j in pairs:
+            aij = a[i][j]
+            g = 100.0 * abs(aij)
+            if abs(a[i][i]) + g == abs(a[i][i]) and abs(a[j][j]) + g == abs(a[j][j]):
+                a[i][j] = a[j][i] = 0.0
+                continue
+            theta = (a[j][j] - a[i][i]) / (2.0 * aij)
+            t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
+            t = -t if theta < 0.0 else t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            sn = t * c
+            for row in a + v:
+                row[i], row[j] = c * row[i] - sn * row[j], sn * row[i] + c * row[j]
+            for k in range(m):
+                a[i][k], a[j][k] = c * a[i][k] - sn * a[j][k], sn * a[i][k] + c * a[j][k]
+            a[i][j] = a[j][i] = 0.0
+    order = sorted(range(m), key=lambda k: a[k][k])
+    return (np.array([a[k][k] for k in order]),
+            np.array([[row[k] for k in order] for row in v]))
+
+
+def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
+    """Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the
+    smallest eigenpair of K u = lambda B u, K = -div^s(w grad^s .) on
+    interior fields and B = w; returns (u, steps).
+
+    A step forms r = K x - lambda B x with lambda = <x, Kx> / <x, Bx> and
+    stops once ||r|| < tol lambda ||Bx||.  Otherwise it preconditions r by
+    the solver's spectral preconditioner, W = prec(r), applies K once, to
+    W, and runs Rayleigh-Ritz on span{x, W, P}, P the last step's update:
+    each column is scaled to unit B-norm, and directions whose B-Gram
+    eigenvalue is below _GRAM_DROP times the largest are dropped.  x, Kx, P
+    and KP follow by linear combination, so K is never applied to x again.
+    The Ritz value is the minimum of the quotient over a span that holds x,
+    so lambda never rises.  The Gram matrices are einsum sums, not matrix
+    products, which would page in BLAS code for these few columns.
+    """
+    w = prob.weight.values
+    prec, _ = _make_precond(prob)
+
+    def K(v):
+        return _residual(prob, prob.kit.grad(v), 0.0)
+
+    x = prob.project(x)
+    Kx = K(x)
+    P = KP = None
+    steps = 0
+    while True:
+        Bx = w * x
+        lam = float(np.sum(x * Kx) / np.sum(x * Bx))
+        r = Kx - lam * Bx
+        if np.sum(r * r) < (tol * lam) ** 2 * np.sum(Bx * Bx) or steps == max_iter:
+            return x, steps
+        W = prec(r)
+        cols, kcols = [x, W], [Kx, K(W)]
+        if P is not None:
+            cols.append(P)
+            kcols.append(KP)
+        S = np.stack([c.ravel() for c in cols])
+        KS = np.stack([c.ravel() for c in kcols])
+        GB = np.einsum("ik,jk->ij", S, w.ravel() * S)
+        GK = np.einsum("ik,jk->ij", S, KS)
+        scale = 1.0 / np.sqrt(np.maximum(np.diag(GB), 1e-300))
+        d, V = _small_eigh(scale[:, None] * (GB + GB.T) * scale / 2.0)
+        keep = d > _GRAM_DROP * d[-1]
+        T = V[:, keep] / np.sqrt(d[keep])
+        GK = scale[:, None] * (GK + GK.T) * scale / 2.0
+        _, Y = _small_eigh(np.einsum("ki,kl,lj->ij", T, GK, T))
+        c = scale * np.einsum("ij,j->i", T, Y[:, 0])
+        P = sum(ci * v for ci, v in zip(c[1:], cols[1:]))
+        KP = sum(ci * v for ci, v in zip(c[1:], kcols[1:]))
+        x = c[0] * x + P
+        Kx = c[0] * Kx + KP
+        steps += 1
 
 
 def _interior_family(grid: Grid, mask: np.ndarray, seed: int, count: int = 8):

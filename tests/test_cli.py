@@ -227,6 +227,16 @@ class TestSolve:
         assert "error: field header is cut short" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section", ["rhs", "g"])
+    def test_mode_of_wrong_dimension_exit_2(self, tmp_path, capsys, section):
+        modes = {"kind": "modes", "modes": [{"k": [1, 2], "amplitude": 0.1}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(with_keys(SOLVE_CFG, **{section: modes})))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {section} mode has wrong dimension\n"
+        assert not (out / "solution.bin").exists()
+
     def test_manifest_timings(self, tmp_path):
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(SOLVE_CFG))

@@ -94,6 +94,85 @@ class TestPoincare:
         assert abs(est.constant - lam_min**-0.5) <= 1e-8 * est.constant
         assert est.converged
 
+    def test_weighted_2d_eigensolve_matches_dense_oracle(self):
+        # the p = 2 pencil K u = lambda B u with a power weight in 2D: K
+        # assembled column by column, lambda_1 from the symmetric matrix
+        # B^(-1/2) K B^(-1/2)
+        g = make_grid(GridSpec(n=2, N=16, L=2.0))
+        X, Y = g.coords()
+        mask = (np.abs(X - 1.0) <= 0.45) & (np.abs(Y - 1.0) <= 0.45)
+        w = wt.power_weight(g, [1.0, 1.0], 0.5, 2.0)
+        est = iq.poincare_constant(g, mask, 0.5, 2.0, w=w, tol=1e-10)
+        assert est.method == "lobpcg" and est.converged
+        idx = np.flatnonzero(mask)
+        ops = fo._RieszOps(g, 0.5)
+        dense = np.zeros((idx.size, idx.size))
+        for col, i in enumerate(idx):
+            e = np.zeros(g.spec.shape)
+            e.flat[i] = 1.0
+            dense[:, col] = ops.elliptic(w.values, e).ravel()[idx]
+        binv = 1.0 / np.sqrt(w.values.ravel()[idx])
+        sym = binv[:, None] * dense * binv
+        lam_min = np.linalg.eigvalsh(0.5 * (sym + sym.T))[0]
+        assert abs(est.eigenvalue - lam_min) <= 1e-8 * lam_min
+
+    @pytest.mark.parametrize("alpha,eigenvalue", [
+        (2.0, 10.437485805997719),
+        (3.0, 11.730613308265458),
+    ])
+    def test_weight_outside_a2_within_default_cap(self, alpha, eigenvalue):
+        # |x - 1|^alpha is not an A_2 weight for alpha >= 1: the spectral
+        # preconditioner ignores the weight's zero, so LOBPCG needs some 300
+        # steps; the eigenvalues are those of exact inverse iteration
+        g = grid1(N=256, L=2.0)
+        x = g.axes[0]
+        w = wt.power_weight(g, [1.0], alpha, 2.0)
+        est = iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 2.0, w=w)
+        assert est.converged
+        assert abs(est.eigenvalue - eigenvalue) <= 1e-10 * eigenvalue
+
+    def test_p2_one_operator_application_per_step(self, monkeypatch):
+        # LOBPCG runs no inner solve and applies grad^s once per step, plus
+        # the start's K x and the fresh residual at the end
+        calls = {"cg": 0, "grad": 0}
+        cg, grad = sv._cg, fo._RieszOps.grad
+
+        def counted_cg(*args):
+            calls["cg"] += 1
+            return cg(*args)
+
+        def counted_grad(self, u):
+            calls["grad"] += 1
+            return grad(self, u)
+
+        monkeypatch.setattr(sv, "_cg", counted_cg)
+        monkeypatch.setattr(fo._RieszOps, "grad", counted_grad)
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        w = wt.power_weight(g, [1.0], 0.5, 2.0)
+        est = iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 2.0, w=w)
+        assert est.converged and est.iterations > 1
+        assert calls["cg"] == 0
+        assert calls["grad"] <= est.iterations + 4
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_small_eigh_matches_lapack(self, m):
+        # LOBPCG's Rayleigh-Ritz eigensolver against numpy.linalg.eigh on
+        # symmetric matrices whose rows and columns are scaled over 16
+        # decades, as unnormalized Gram matrices are
+        rng = np.random.default_rng(m)
+        for _ in range(50):
+            D = np.diag(10.0 ** rng.uniform(-8, 8, size=m))
+            A = rng.standard_normal((m, m))
+            A = D @ (A + A.T) @ D
+            d, V = iq._small_eigh(A)
+            ref = np.linalg.eigvalsh(A)
+            scale = np.abs(A).max()
+            assert np.all(np.diff(d) >= 0.0)
+            assert np.abs(d - ref).max() <= 1e-13 * scale
+            assert np.abs(V.T @ V - np.eye(m)).max() <= 1e-14
+            assert np.abs(A @ V - V * d).max() <= 1e-13 * scale
+
     def test_monotone_in_domain(self):
         g = grid1(N=128, L=2.0)
         x = g.axes[0]
@@ -170,14 +249,14 @@ class TestPoincare:
     def test_failed_inner_cg_not_converged(self, monkeypatch):
         # the inner solves are exact but flagged as failed: the outer
         # iteration still meets its tolerance, and the estimate must not
-        # claim convergence
+        # claim convergence (p = 3: the p = 2 estimate runs no inner solve)
         g = grid1(N=128, L=2.0)
         x = g.axes[0]
         mask = (x >= 0.75) & (x <= 1.25)
-        assert iq.poincare_constant(g, mask, 0.5, 2.0).converged
+        assert iq.poincare_constant(g, mask, 0.5, 3.0).converged
         cg = sv._cg
         monkeypatch.setattr(sv, "_cg", lambda *a, **k: (*cg(*a, **k)[:2], False))
-        est = iq.poincare_constant(g, mask, 0.5, 2.0)
+        est = iq.poincare_constant(g, mask, 0.5, 3.0)
         assert est.residual < 1e-8
         assert est.converged is False
 
@@ -189,8 +268,8 @@ class TestPoincare:
     ])
     def test_pinned_estimates(self, p, constant, iterations):
         # constants and iteration counts of the inverse power loop with the
-        # line-minimized Kacanov step; a step rule may cut the count but not
-        # move the constant
+        # line-minimized Kacanov step (LOBPCG at p = 2); a step rule may cut
+        # the count but not move the constant
         g = grid1(N=256, L=2.0)
         x = g.axes[0]
         est = iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, p)
@@ -242,7 +321,7 @@ class TestPoincare:
         assert est.residual < 1e-8
         assert est.constant == est.eigenvalue ** (-1.0 / 3.0)
 
-    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_eigenvalue_non_increasing(self, p):
         g = grid1(N=128, L=2.0)
         x = g.axes[0]
