@@ -32,6 +32,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
+from .fracops import _sum
 from .solver import PDEProblem, _make_precond, _residual, _SolveState
 from .weights import Weight, dual_weight, tabulated_weight
 
@@ -263,7 +264,9 @@ def poincare_constant(
     lambda^(-1/p), raised to the best family ratio when that is larger, so it
     dominates the family; it is the sharp constant when the iteration reaches
     the first eigenfunction.  p < 1.1 is refused and Omega needs the
-    solver's 4h seam margin.
+    solver's 4h seam margin.  On the whole torus only p = 2 with a constant
+    weight is admitted: T u is mean-free there and w |u|^(p-2) u otherwise
+    is not, so no step could bring the residual to zero.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
@@ -272,6 +275,12 @@ def poincare_constant(
         max_iter = 2000 if p == 2.0 else 200
     if w is None:
         w = tabulated_weight(grid, np.ones(grid.spec.shape), p)
+    if mask.all() and (p != 2.0 or np.ptp(w.values) > 0.0):
+        raise ValueError(
+            "on the whole torus T u is mean-free and w |u|^(p-2) u is not unless "
+            "p = 2 and w is constant, so the eigen-residual cannot vanish; give "
+            "omega as a proper subdomain"
+        )
     if family is None:
         family = _interior_family(grid, mask, seed)
     u = None
@@ -293,9 +302,9 @@ def poincare_constant(
         """(B u, lambda, residual) of an interior field u."""
         Bu = w.values * np.sign(u) * np.abs(u) ** (p - 1.0)
         Tu = _residual(prob, prob.kit.grad(u), 0.0)
-        lam = float(np.sum(u * Tu) / np.sum(u * Bu))
+        lam = float(_sum(u * Tu) / _sum(u * Bu))
         res = float(
-            np.sqrt(np.sum((Tu - lam * Bu) ** 2)) / (lam * np.sqrt(np.sum(Bu * Bu)))
+            np.sqrt(_sum((Tu - lam * Bu) ** 2)) / (lam * np.sqrt(_sum(Bu * Bu)))
         )
         return Bu, lam, res
 
@@ -405,9 +414,9 @@ def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
     steps = 0
     while True:
         Bx = w * x
-        lam = float(np.sum(x * Kx) / np.sum(x * Bx))
+        lam = float(_sum(x * Kx) / _sum(x * Bx))
         r = Kx - lam * Bx
-        if np.sum(r * r) < (tol * lam) ** 2 * np.sum(Bx * Bx) or steps == max_iter:
+        if _sum(r * r) < (tol * lam) ** 2 * _sum(Bx * Bx) or steps == max_iter:
             return x, steps
         W = prec(r)
         cols, kcols = [x, W], [Kx, K(W)]
@@ -555,7 +564,7 @@ def dual_representation_check(
         gr = fo.riesz_gradient(u, s)
         F = hn * float(
             sum(
-                np.sum(a.values * b.values)
+                _sum(a.values * b.values)
                 for a, b in zip(gvec.components, gr.components)
             )
         )

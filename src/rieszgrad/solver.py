@@ -28,7 +28,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .grid import Grid, ScalarField, VectorField, lp_norm
-from .fracops import _RieszOps
+from .fracops import _RieszOps, _sum
 from .weights import Weight
 
 __all__ = [
@@ -244,12 +244,12 @@ def _energy(prob: PDEProblem, f: np.ndarray, u: np.ndarray, eps: float, gr=None)
     if gr is None:
         gr = prob.kit.grad(u)
     if prob.matrix is not None:
-        bulk = 0.5 * np.sum(np.stack(gr) * _flux(prob, gr, eps))
+        bulk = 0.5 * _sum(np.stack(gr) * _flux(prob, gr, eps))
     else:
         mag2 = sum(c * c for c in gr)
         w = prob.weight.values
-        bulk = np.sum(w * (mag2 + eps * eps) ** (prob.p / 2.0)) / prob.p
-    return float(prob.kit.hn * (bulk - np.sum(f * u)))
+        bulk = _sum(w * (mag2 + eps * eps) ** (prob.p / 2.0)) / prob.p
+    return float(prob.kit.hn * (bulk - _sum(f * u)))
 
 
 def weak_residual_norm(prob: PDEProblem, u: ScalarField) -> float:
@@ -300,7 +300,7 @@ def _cg(apply_K, prec, b, x0, tol, max_iter):
     for the Solution of Linear Systems, SIAM 1994, sec. 4.2); from x0 = 0
     the two rules agree.  The history is relative to b as well.
     """
-    bb = float(np.sum(b * b))
+    bb = float(_sum(b * b))
     if bb == 0.0:
         # K is positive definite on admissible fields: K x = 0 only for x = 0
         return np.zeros_like(b), [0.0], True
@@ -308,15 +308,15 @@ def _cg(apply_K, prec, b, x0, tol, max_iter):
     r = b - apply_K(x)
     z = prec(r)
     d = z.copy()
-    rz = float(np.sum(r * z))
+    rz = float(_sum(r * z))
     if rz == 0.0:
         return x, [0.0], True
     # from a zero start r is b, so r.M^-1 r already is b.M^-1 b
-    rz0 = max(float(np.sum(b * prec(b))) if x.any() else rz, 1e-300)
+    rz0 = max(float(_sum(b * prec(b))) if x.any() else rz, 1e-300)
     history = [float(np.sqrt(rz / rz0))]
     for _ in range(max_iter):
         Ad = apply_K(d)
-        dAd = float(np.sum(d * Ad))
+        dAd = float(_sum(d * Ad))
         if dAd <= 0.0:
             raise EllipticityError(
                 "conjugate gradients hit a non-positive curvature direction"
@@ -325,9 +325,9 @@ def _cg(apply_K, prec, b, x0, tol, max_iter):
         x += alpha * d
         r -= alpha * Ad
         z = prec(r)
-        rznew = float(np.sum(r * z))
+        rznew = float(_sum(r * z))
         history.append(np.sqrt(max(rznew, 0.0) / rz0))
-        if rznew <= tol * tol * rz0 and float(np.sum(r * r)) <= tol * tol * bb:
+        if rznew <= tol * tol * rz0 and float(_sum(r * r)) <= tol * tol * bb:
             return x, history, True
         d = z + (rznew / rz) * d
         rz = rznew
@@ -396,7 +396,7 @@ _ARMIJO = 1e-4
 #: certificate it stops at _INNER_TOL.
 _ETA = 0.1
 _INNER_TOL = 1e-12
-#: descent's cap on Barzilai-Borwein iterations per eps stage
+#: descent's cap on nonlinear CG steps per eps stage
 _MAX_INNER = 250
 #: cap on CG iterations per inner solve
 _MAX_CG = 2000
@@ -458,7 +458,7 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
     def dphi(t):
         gt = [c + t * cd for c, cd in zip(gu, gd)]
         at = _coeff(w, p, gt, eps)
-        return gt, hn * (sum(np.sum(at * c * cd) for c, cd in zip(gt, gd)) - fd)
+        return gt, hn * (sum(_sum(at * c * cd) for c, cd in zip(gt, gd)) - fd)
 
     if slope < 0.0:
         lo, slo, hi, shi = 0.0, slope, None, None
@@ -511,8 +511,8 @@ def _damped_update(st, a, d, inner, minimize):
     st.record_preconditioner(ptag)
     gd = st.prob.kit.grad(d)
     e0 = _energy(st.prob, st.f, st.u, st.eps, st.gu)
-    fd = np.sum(st.f * d)
-    slope = st.prob.kit.hn * (sum(np.sum(a * c * cd) for c, cd in zip(st.gu, gd)) - fd)
+    fd = _sum(st.f * d)
+    slope = st.prob.kit.hn * (sum(_sum(a * c * cd) for c, cd in zip(st.gu, gd)) - fd)
     args = (st.prob, st.f, st.u, st.gu, d, gd, st.eps, e0, slope)
     if minimize:
         t, st.u, st.gu, e, ok = _line_minimum(*args, fd)
@@ -546,9 +546,13 @@ def _newton_step(st):
     """Solve H d = f - T_eps(u) with the regularized energy's Hessian
     H v = -div^s(a (grad^s v + (p-2) (g . grad^s v)/m g)), g = grad^s u and
     m = |g|^2 + eps^2, from zero to the relative forcing tolerance
-    min(0.1, r) with r the last certificate, then damp the step by the line
-    search.  The frozen Kacanov operator (the Hessian without its rank-one
-    term) preconditions the solve through its spectral surrogate."""
+    min(0.1, max(r, 0.5 tol / r)) with r the last certificate (0.1 on the
+    first step, which has none), then damp the step by the line search.
+    The 0.5 tol / r floor is Kelley's safeguard against oversolving
+    (Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+    eq. 6.20): a step that cuts r by its forcing already meets tol.  The
+    frozen Kacanov operator (the Hessian without its rank-one term)
+    preconditions the solve through its spectral surrogate."""
     prob, gu, kit = st.prob, st.gu, st.prob.kit
     a = _coeff(prob.weight.values, prob.p, gu, st.eps)
     m = sum(c * c for c in gu) + st.eps * st.eps
@@ -560,7 +564,8 @@ def _newton_step(st):
         return prob.project(-kit.div([a * cv + gdot * c for c, cv in zip(gu, gv)]))
 
     b = -_residual(prob, gu, st.f, st.eps)
-    forcing = min(0.1, st.residuals[-1]) if st.residuals else 0.1
+    r = st.residuals[-1] if st.residuals else 1.0
+    forcing = min(0.1, max(r, 0.5 * st.tol / r))
     prec, ptag = _make_precond(prob, a)
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
     d = prob.project(d)
@@ -569,32 +574,45 @@ def _newton_step(st):
 
 
 def _descent_stage(st):
-    """Barzilai-Borwein steps at fixed eps, preconditioned by the spectral
-    surrogate of the coefficient frozen at the stage's start."""
+    """Preconditioned Polak-Ribiere+ nonlinear CG at fixed eps (Gilbert &
+    Nocedal, SIAM J. Optim. 2, 1992), preconditioned by the spectral
+    surrogate of the coefficient frozen at the stage's start.
+
+    With g the regularized residual at u and pg its preconditioned image,
+    beta = max(0, g . (pg - pg_prev) / g_prev . pg_prev) and the direction is
+    d = -pg + beta d_prev.  grad^s is linear, so grad^s d follows from
+    grad^s pg and the last direction's gradient: one grad^s and one
+    preconditioner application per step.  The slope along d is h^n g . d,
+    exact by the discrete integration by parts; a direction that does not
+    descend restarts at -pg.  Each step moves to the regularized energy's
+    minimum along d (_line_minimum), as Kacanov's does.  The stage
+    ends once sqrt(g . pg) falls by 1e-3 from its start or below 1e-13 times
+    the dual norm of f, or after _MAX_INNER steps."""
     prob, eps, kit = st.prob, st.eps, st.prob.kit
     prec, ptag = _make_precond(prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
     st.record_preconditioner(ptag)
     e = _energy(prob, st.f, st.u, eps, st.gu)
-    uprev = gprev = gn0 = None
-    t = 1.0
+    d = gd = pg_prev = gn0 = None
     for _ in range(_MAX_INNER):
-        gvec = _residual(prob, st.gu, st.f, eps)
-        pg = prec(gvec)
-        gdot = float(np.sum(gvec * pg))
+        g = _residual(prob, st.gu, st.f, eps)
+        pg = prec(g)
+        gdot = float(_sum(g * pg))
         gn = np.sqrt(max(gdot, 0.0))
         if gn0 is None:
             gn0 = gn
         if gn < 1e-3 * gn0 or gn < 1e-13 * st.fn:
             break
-        if uprev is not None:
-            du = st.u - uprev
-            den = float(np.sum((pg - gprev) * du))
-            if den > 0:
-                t = float(np.sum(du * du)) / den
-        gd = [-c for c in kit.grad(pg)]
-        uprev, gprev = st.u, pg
-        _, st.u, st.gu, e, ok = _line_search(
-            prob, st.f, st.u, st.gu, -pg, gd, eps, e, -kit.hn * gdot, min(t, 1e8), 1e-18
+        gpg = kit.grad(pg)
+        beta = 0.0 if d is None else max(0.0, float(_sum(g * (pg - pg_prev))) / gdot_prev)
+        if beta > 0.0:
+            d = beta * d - pg
+            gd = [beta * c - cp for c, cp in zip(gd, gpg)]
+            slope = kit.hn * float(_sum(g * d))
+        if beta == 0.0 or slope >= 0.0:
+            d, gd, slope = -pg, [-c for c in gpg], -kit.hn * gdot
+        pg_prev, gdot_prev = pg, gdot
+        _, st.u, st.gu, e, ok = _line_minimum(
+            prob, st.f, st.u, st.gu, d, gd, eps, e, slope, _sum(st.f * d)
         )
         st.energies.append(e)
         st.counts["line_search_failures"] += not ok
@@ -612,14 +630,15 @@ def default_method(p: float) -> str:
 
 
 class _SolveState:
-    """One nonlinear solve of prob by method: the interior right-hand side f
-    with its norms fn (dual) and f2 (L2), the iterate u with gu = grad^s u,
-    eps, the report's counts, the energies, the certificates and the
+    """One nonlinear solve of prob by method to the certificate tol (default
+    1e-8, and 1e-6 for descent): the interior right-hand side f with its
+    norms fn (dual) and f2 (L2), the iterate u with gu = grad^s u, eps, the
+    report's counts, the energies, the certificates and the
     preconditioner the report names.  The operators are prob.kit.  The
     Poincare loop swaps f between Kacanov steps, which read neither fn nor
     f2."""
 
-    def __init__(self, prob: PDEProblem, method: str | None):
+    def __init__(self, prob: PDEProblem, method: str | None, tol: float | None = None):
         if prob.p < 1.1:
             raise ValueError(
                 "p below 1.1 leaves the regularized coefficient too degenerate; "
@@ -645,13 +664,14 @@ class _SolveState:
         self.prob, self.method = prob, method
         # kacanov and newton share the eps schedule and the strict certificate
         self.frozen = method != "descent"
+        self.tol = tol if tol is not None else (1e-8 if self.frozen else 1e-6)
         self.counts = {"line_search_failures": 0}
         if self.frozen:
             self.counts.update(inner_iterations=0, inner_unconverged=0,
                                step_lengths=[], steps=[])
         self.f = _rhs_field(prob)
         self.fn = prob.kit.dual_norm(self.f)
-        self.f2 = max(float(np.sqrt(np.sum(self.f * self.f))), 1e-300)
+        self.f2 = max(float(np.sqrt(_sum(self.f * self.f))), 1e-300)
         self.energies = []
         self.residuals = []
         self.preconditioner = "spectral"
@@ -694,7 +714,7 @@ class _SolveState:
         r = _residual(self.prob, self.gu, self.f)
         rn = self.prob.kit.dual_norm(r) / self.fn
         if self.frozen:
-            rn = max(rn, float(np.sqrt(np.sum(r * r))) / self.f2)
+            rn = max(rn, float(np.sqrt(_sum(r * r))) / self.f2)
         self.residuals.append(rn)
         return rn
 
@@ -715,17 +735,18 @@ def solve_plaplace(
     energy's slope without a transform and accepted under Armijo or an
     approximate Wolfe test (default tol 1e-8).  newton
     (p > 2 only): inexact Newton on the regularized energy, each Hessian
-    solve stopped at the forcing tolerance min(0.1, last certificate) and
-    preconditioned by the frozen Kacanov coefficient, damped by an Armijo
-    halving search from t = 1, with Kacanov's eps schedule and tolerance.
-    Below p = 2 newton stays unconverged after 200 steps on problems whose
-    solution is centred on a grid node, and at p = 2 the problem is linear,
-    so newton is refused there.  descent:
-    Barzilai-Borwein steps on the regularized energy with the same halving
-    search, preconditioned per stage by the frozen coefficient's spectral
-    surrogate, with eps following a homotopy from a large value (default
-    tol 1e-6; a first-order method cannot certify much smaller dual
-    residuals at the regularization floor).  All run one outer
+    solve stopped at the forcing tolerance min(0.1, max(r, 0.5 tol / r)),
+    r the last certificate (0.1 on the first step), and preconditioned by
+    the frozen Kacanov coefficient, damped by an Armijo halving search from
+    t = 1, with Kacanov's eps schedule and tolerance.  Below p = 2 newton
+    stays unconverged after 200 steps on problems whose solution is centred
+    on a grid node, and at p = 2 the problem is linear, so newton is refused
+    there.  descent: preconditioned Polak-Ribiere+ nonlinear CG on the
+    regularized energy, each step moved to the energy's minimum along its
+    direction as Kacanov's is, preconditioned per stage by the frozen
+    coefficient's spectral surrogate, with eps following a homotopy from a
+    large value (default tol 1e-6; a first-order method cannot certify much
+    smaller dual residuals at the regularization floor).  All run one outer
     loop and declare convergence on the unregularized weak residual
     (relative dual norm).  The default method is default_method(p), with
     kacanov at p = 2.
@@ -742,9 +763,8 @@ def solve_plaplace(
     The report's preconditioner reads "spectral+jacobi" when any inner
     solve or descent stage used the Jacobi sandwich, else "spectral".
     """
-    st = _SolveState(prob, method)
-    if tol is None:
-        tol = 1e-8 if st.frozen else 1e-6
+    st = _SolveState(prob, method, tol)
+    tol = st.tol
     if st.fn == 0.0:
         # zero data: the unique minimizer is zero (energy vanishes there)
         zero = ScalarField(prob.grid, np.zeros(prob.grid.spec.shape))
@@ -807,16 +827,16 @@ def monotonicity_gap(
     fu = _flux(prob, gu, 0.0)
     fv = _flux(prob, gv, 0.0)
     lhs = kit.hn * float(
-        sum(np.sum((a - b) * (x - y)) for a, b, x, y in zip(fu, fv, gu, gv))
+        sum(_sum((a - b) * (x - y)) for a, b, x, y in zip(fu, fv, gu, gv))
     )
     w = prob.weight.values
     p = prob.p
-    diff_p = (kit.hn * float(np.sum(sum((x - y) ** 2 for x, y in zip(gu, gv)) ** (p / 2.0) * w))) ** (1.0 / p)
+    diff_p = (kit.hn * float(_sum(sum((x - y) ** 2 for x, y in zip(gu, gv)) ** (p / 2.0) * w))) ** (1.0 / p)
     if p >= 2.0:
         lower = 2.0 ** (2.0 - p) * diff_p**p
     else:
-        nu = (kit.hn * float(np.sum(sum(x * x for x in gu) ** (p / 2.0) * w))) ** (1.0 / p)
-        nv = (kit.hn * float(np.sum(sum(y * y for y in gv) ** (p / 2.0) * w))) ** (1.0 / p)
+        nu = (kit.hn * float(_sum(sum(x * x for x in gu) ** (p / 2.0) * w))) ** (1.0 / p)
+        nv = (kit.hn * float(_sum(sum(y * y for y in gv) ** (p / 2.0) * w))) ** (1.0 / p)
         total = nu + nv
         lower = 0.0 if total == 0.0 else (p - 1.0) * diff_p**2 * total ** (p - 2.0)
     return lhs, lower

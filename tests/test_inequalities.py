@@ -214,6 +214,24 @@ class TestPoincare:
         with pytest.raises(ValueError, match="p below 1.1"):
             iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 1.05)
 
+    @pytest.mark.parametrize("p,alpha", [(2.0, 0.5), (3.0, 0.5), (1.5, 0.0), (3.0, 0.0)])
+    def test_whole_torus_refused(self, p, alpha):
+        # on the whole torus T u is mean-free and w |u|^(p-2) u is not unless
+        # p = 2 and w is constant, so the eigen-residual cannot vanish
+        g = grid1(N=64, L=2.0)
+        w = wt.power_weight(g, [1.0], alpha, p)
+        with pytest.raises(ValueError, match="whole torus"):
+            iq.poincare_constant(g, np.ones(64, dtype=bool), 0.5, p, w=w)
+
+    @pytest.mark.parametrize("w", [None, 2.0])
+    def test_constant_weight_whole_torus(self, w):
+        # the first nonzero eigenvalue of (-Lap)^(1/2) on a torus of side 2
+        g = grid1(N=64, L=2.0)
+        if w is not None:
+            w = wt.tabulated_weight(g, np.full(64, w), 2.0)
+        est = iq.poincare_constant(g, np.ones(64, dtype=bool), 0.5, 2.0, w=w)
+        assert est.converged and abs(est.eigenvalue - np.pi) <= 1e-8 * np.pi
+
     def test_ratio_well_defined(self):
         # a nonzero interior-supported field never has a vanishing gradient
         # (it is nonconstant, so some nonzero mode survives the symbol)

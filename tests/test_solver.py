@@ -854,19 +854,19 @@ class TestLineMinimum:
         assert all(type(t) is float and t > 0.0 for t in steps)
 
 
-def node_centred(n, N, family):
-    """The perfbench solve problem of dimension n at p = 1.5: bump of
-    radius 0.3 centred on the grid node (1, ..., 1), Omega = [0.55, 1.45]^n."""
+def node_centred(n, N, family, p=1.5):
+    """The perfbench solve problem of dimension n: bump of radius 0.3
+    centred on the grid node (1, ..., 1), Omega = [0.55, 1.45]^n."""
     g = make_grid(GridSpec(n=n, N=N, L=2.0))
     mask = np.ones(g.spec.shape, dtype=bool)
     for c in g.coords():
         mask &= (c >= 0.55) & (c <= 1.45)
     if family == "power":
-        w = wt.power_weight(g, [1.0] * n, 0.5, 1.5)
+        w = wt.power_weight(g, [1.0] * n, 0.5, p)
     else:
-        w = wt.tabulated_weight(g, np.ones(g.spec.shape), 1.5)
+        w = wt.tabulated_weight(g, np.ones(g.spec.shape), p)
     ustar = bump(g, [1.0] * n, 0.3, 1.0)
-    return sv.manufacture(g, mask, 0.5, 1.5, w, ustar), ustar
+    return sv.manufacture(g, mask, 0.5, p, w, ustar), ustar
 
 
 def record_cg_tols(monkeypatch):
@@ -885,7 +885,7 @@ def record_cg_tols(monkeypatch):
 class TestInexactKacanov:
     """Each Kacanov step after the first stops its frozen CG at 0.1 times the
     last certificate, clipped to [1e-12, 0.1]; Newton's forcing is
-    min(0.1, last certificate)."""
+    min(0.1, max(r, 0.5 tol / r)) with r the last certificate."""
 
     @pytest.mark.parametrize("p,method", [(1.5, "kacanov"), (3.0, "kacanov"),
                                           (3.0, "newton")])
@@ -902,7 +902,8 @@ class TestInexactKacanov:
         if method == "kacanov":
             expected = [1e-12] + [max(1e-12, min(0.1, 0.1 * r)) for r in res[:-1]]
         else:
-            expected = [0.1] + [min(0.1, r) for r in res[:-1]]
+            # Kelley's safeguard: no tighter than the last step needs
+            expected = [0.1] + [min(0.1, max(r, 0.5 * 1e-8 / r)) for r in res[:-1]]
         assert tols == expected
         assert all(type(t) is float for t in tols)
 
@@ -935,3 +936,111 @@ class TestInexactKacanov:
         assert set(given) == {1e-12}
         assert (est.constant, est.eigenvalue, est.residual, est.iterations) == (
             constant, eigenvalue, residual, iterations)
+
+
+def criterion_8(p):
+    """Criterion 8's problem: 1D N = 256, Omega = [0.6, 1.4], constant weight."""
+    g, mask, w = setup_1d(N=256)
+    ustar = bump(g, [1.0], 0.3, 1.0)
+    return sv.manufacture(g, mask, 0.5, p, w, ustar), ustar
+
+
+class TestDescent:
+    """descent is preconditioned Polak-Ribiere+ nonlinear CG stepping to the
+    regularized energy's minimum along each direction."""
+
+    # Barzilai-Borwein steps with the halving search took 602, 141, 1257
+    # and 133 steps on these problems; the first two are the perfbench
+    # descent cases
+    @pytest.mark.parametrize("case,p,budget", [
+        ("1d power", 3.0, 200), ("2d power", 1.5, 94),
+        ("criterion 8", 1.5, 150), ("criterion 8", 3.0, 88),
+    ])
+    def test_step_budget(self, case, p, budget):
+        if case == "criterion 8":
+            prob, ustar = criterion_8(p)
+        else:
+            n = int(case[0])
+            prob, ustar = node_centred(n, 256 if n == 1 else 64, "power", p)
+        rep = sv.solve_plaplace(prob, "descent")
+        assert rep.converged and rep.iterations <= budget
+        assert rep.details["line_search_failures"] == 0
+        assert rep.details["stalled"] is False
+        assert all(
+            rep.energies[i + 1] <= rep.energies[i] + 1e-12
+            for i in range(len(rep.energies) - 1)
+        )
+        assert lp_norm(rep.solution - ustar, 2) <= 1e-4 * lp_norm(ustar, 2)
+
+    def test_one_gradient_and_one_preconditioner_per_step(self, monkeypatch):
+        prob, ustar = criterion_8(3.0)
+        calls = {"grad": 0, "prec": 0}
+        grad, make = fo._RieszOps.grad, sv._make_precond
+
+        def counted_grad(self, u):
+            calls["grad"] += 1
+            return grad(self, u)
+
+        def counted_make(*a, **k):
+            prec, ptag = make(*a, **k)
+
+            def counted(r):
+                calls["prec"] += 1
+                return prec(r)
+
+            return counted, ptag
+
+        monkeypatch.setattr(fo._RieszOps, "grad", counted_grad)
+        monkeypatch.setattr(sv, "_make_precond", counted_make)
+        # a given start skips the initial guess's CG solve
+        rep = sv.solve_plaplace(prob, "descent", x0=0.5 * ustar)
+        assert rep.converged and rep.iterations > 0
+        # the start's gradient, then grad^s pg once per step
+        assert calls["grad"] == rep.iterations + 1
+        # once per step, and once more where a stage meets its stop rule
+        stages = len(rep.residuals)
+        assert rep.iterations <= calls["prec"] <= rep.iterations + stages
+
+    def test_restart_when_not_a_descent_direction(self, monkeypatch):
+        # the first step overshoots its minimum four times over, so that the
+        # Polak-Ribiere+ direction of the second step ascends; that step must
+        # restart at -pg
+        prob, ustar = criterion_8(3.0)
+        kit = prob.kit
+        seen, steps = [], []
+        make, line_minimum = sv._make_precond, sv._line_minimum
+
+        def recording_make(*a, **k):
+            prec, ptag = make(*a, **k)
+
+            def recording(r):
+                out = prec(r)
+                seen.append((r, out))
+                return out
+
+            return recording, ptag
+
+        def overshooting(prob, f, u, gu, d, gd, eps, e0, slope, fd):
+            steps.append((d, gd, slope))
+            t, ut, gt, et, ok = line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd)
+            if len(steps) == 1:
+                t = 4.0 * t
+                ut, gt = u + t * d, [c + t * cd for c, cd in zip(gu, gd)]
+                et = sv._energy(prob, f, ut, eps, gt)
+            return t, ut, gt, et, ok
+
+        monkeypatch.setattr(sv, "_make_precond", recording_make)
+        monkeypatch.setattr(sv, "_line_minimum", overshooting)
+        sv.solve_plaplace(prob, "descent", x0=0.5 * ustar, max_outer=1)
+        (g1, pg1), (g2, pg2) = seen[:2]
+        d1 = steps[0][0]
+        assert np.array_equal(d1, -pg1)
+        beta = max(0.0, float(np.sum(g2 * (pg2 - pg1))) / float(np.sum(g1 * pg1)))
+        assert beta > 0.0
+        assert float(np.sum(g2 * (beta * d1 - pg2))) >= 0.0
+        d2, gd2, slope2 = steps[1]
+        assert np.array_equal(d2, -pg2)
+        assert all(np.array_equal(a, -b) for a, b in zip(gd2, kit.grad(pg2)))
+        assert slope2 == -kit.hn * float(np.sum(g2 * pg2)) < 0.0
+        # every direction the search is given descends
+        assert all(slope < 0.0 for _, _, slope in steps)
