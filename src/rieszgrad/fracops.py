@@ -268,6 +268,26 @@ class _RieszOps:
         return _symbol(self.grid, "fractional_laplacian", 2.0 * self.s)
 
     @cached_property
+    def lap_shift(self) -> float:
+        """(2 pi / L)^(2s), the smallest nonzero value of lap_sym."""
+        return (_TWO_PI / self.grid.spec.L) ** (2.0 * self.s)
+
+    @cached_property
+    def diag_sym(self) -> np.ndarray:
+        """Half spectrum of kappa = sum_j g_j^2, g_j the real-space kernel of
+        component j of grad^s (the inverse transform of its symbol).  Each
+        g_j is odd, so -div^s(a grad^s .) has the diagonal a * kappa, the
+        circular convolution multiply(diag_sym, a).  kappa is even, so its
+        spectrum is real."""
+        kappa = sum(_irfft(self.grid, m.copy()) ** 2 for m in self.grad_syms)
+        return _rfft(self.grid, kappa).real.copy()
+
+    @cached_property
+    def diag_sum(self) -> float:
+        """sum(kappa): the diagonal a * kappa of a unit coefficient."""
+        return float(self.diag_sym[(0,) * self.grid.spec.n])
+
+    @cached_property
     def _dual_sym(self) -> np.ndarray:
         return _symbol(self.grid, "riesz_potential", self.s)
 

@@ -246,8 +246,9 @@ def poincare_constant(
     its first eigenpair, started from the family member with the smallest
     Rayleigh quotient.  At p = 2 this is the symmetric pencil K u = lambda
     B u with B = w on Omega, solved by LOBPCG (method "lobpcg", see
-    _lobpcg): each step applies the solver's spectral preconditioner and K
-    once, and no inner solve runs.  At every other p it is the nonlinear
+    _lobpcg): each step applies the solver's preconditioner for w (the
+    shifted (-Lap)^s scaled by the operator's diagonal) and K once, and no
+    inner solve runs.  At every other p it is the nonlinear
     inverse power iteration (method "inverse_power"): each step is one
     warm-started Kacanov step, the step :func:`solve_plaplace` takes, with
     right-hand side w |u|^(p-2) u, started at the energy's minimizer on the
@@ -393,8 +394,10 @@ def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
 
     A step forms r = K x - lambda B x with lambda = <x, Kx> / <x, Bx> and
     stops once ||r|| < tol lambda ||Bx||.  Otherwise it preconditions r by
-    the solver's spectral preconditioner, W = prec(r), applies K once, to
-    W, and runs Rayleigh-Ritz on span{x, W, P}, P the last step's update:
+    the solver's preconditioner for w (solver._make_precond: the shifted
+    (-Lap)^s scaled on both sides by the operator's diagonal),
+    W = prec(r), applies K once, to W, and runs Rayleigh-Ritz on
+    span{x, W, P}, P the last step's update:
     each column is scaled to unit B-norm, and directions whose B-Gram
     eigenvalue is below _GRAM_DROP times the largest are dropped.  x, Kx, P
     and KP follow by linear combination, so K is never applied to x again.

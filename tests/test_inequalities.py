@@ -121,9 +121,8 @@ class TestPoincare:
         (3.0, 11.730613308265458),
     ])
     def test_weight_outside_a2_within_default_cap(self, alpha, eigenvalue):
-        # |x - 1|^alpha is not an A_2 weight for alpha >= 1: the spectral
-        # preconditioner ignores the weight's zero, so LOBPCG needs some 300
-        # steps; the eigenvalues are those of exact inverse iteration
+        # |x - 1|^alpha is not an A_2 weight for alpha >= 1; the eigenvalues
+        # are those of exact inverse iteration
         g = grid1(N=256, L=2.0)
         x = g.axes[0]
         w = wt.power_weight(g, [1.0], alpha, 2.0)
