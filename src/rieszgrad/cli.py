@@ -3,10 +3,14 @@
 Subcommands: ``verify`` (identity/inequality suite; nonzero exit on any
 failure), ``weights`` (Muckenhoupt constants), ``poincare``, ``solve``,
 ``op`` (apply one fractional operator to a field file), ``sweep``
-(parameter grids).  Every run writes a manifest recording the exact
-configuration, seed, package version and sha256 of each artifact (``solve``
-adds its wall time per stage); identical config and seed reproduce identical
-artifact bytes.
+(parameter grids).  Every run writes a manifest with the seed, package
+version, sha256 of each artifact (``solve`` adds its wall time per stage)
+and a hash of the configuration: the config file for ``solve`` and
+``sweep``, every parsed flag but ``--out`` otherwise.  So runs with
+different results never share a hash; two spellings of one default
+(``--x0`` left out, ``--x0 0.0``) hash apart, which is harmless.  Each
+artifact's file suffix picks its format.  Identical config and seed
+reproduce identical artifact bytes.
 
 Exit codes: 0 success, 1 numeric violation in verify, 2 config/schema
 violation.
@@ -247,10 +251,10 @@ class Manifest:
             "artifacts": [],
         }
 
-    def emit(self, obj, fmt: str, name: str) -> Path:
+    def emit(self, obj, name: str) -> Path:
         """``emit`` obj to the file ``name`` of the output directory and
         record the file's sha256."""
-        path = emit(obj, fmt, self.out / name)
+        path = emit(obj, self.out / name)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         self.record["artifacts"].append({"path": path.name, "sha256": digest})
         return path
@@ -265,10 +269,12 @@ class Manifest:
         return path
 
 
-def emit(obj, fmt: str, path) -> Path:
-    """Serialize a field or report: json/csv for records, bin/csv for fields,
-    csv for a (header, rows) pair whose rows the caller has formatted."""
+def emit(obj, path) -> Path:
+    """Serialize obj in the format of path's suffix: a field to .bin or
+    .csv, a record (or an object with ``to_record``) to .json, a
+    (header, rows) table whose rows the caller has formatted to .csv."""
     path = Path(path)
+    fmt = path.suffix[1:]
     if isinstance(obj, ScalarField):
         if fmt == "bin":
             write_field(obj, path)
@@ -276,23 +282,10 @@ def emit(obj, fmt: str, path) -> Path:
             field_to_csv(obj, path)
         else:
             raise ValueError(f"fields serialize to bin or csv, not {fmt!r}")
-        return path
-    record = obj.to_record() if hasattr(obj, "to_record") else obj
-    if fmt == "json":
-        _dump_json(record, path)
+    elif fmt == "json":
+        _dump_json(obj.to_record() if hasattr(obj, "to_record") else obj, path)
     elif fmt == "csv":
-        if hasattr(obj, "history_rows"):
-            header, rows = ["iteration", "residual", "energy"], obj.history_rows()
-        elif hasattr(obj, "rows"):
-            samples = obj.rows()
-            if not samples:
-                raise ValueError("report has no sample rows to serialize")
-            header = sorted(samples[0])
-            rows = [[sample[k] for k in header] for sample in samples]
-        elif isinstance(obj, tuple):
-            header, rows = obj
-        else:
-            raise ValueError("object has no tabular representation")
+        header, rows = obj
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -300,6 +293,12 @@ def emit(obj, fmt: str, path) -> Path:
     else:
         raise ValueError(f"unsupported format {fmt!r}")
     return path
+
+
+def _flags(args) -> dict:
+    """Every parsed flag but ``--out``, and not the dispatch function: the
+    configuration a flag-driven command hashes."""
+    return {k: v for k, v in vars(args).items() if k not in ("out", "func")}
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +396,9 @@ def _build_problem(config: dict, base_dir: Path):
         exterior = _build_field(grid, gcfg, base_dir, "g")
     rhs_cfg = config["rhs"]
     if rhs_cfg["kind"] == "manufactured":
+        if exterior is not None:
+            raise ConfigError("a manufactured rhs solves with g = 0: give g "
+                              "only with an rhs of kind field or modes")
         ustar = bump(
             grid,
             rhs_cfg["center"],
@@ -455,11 +457,11 @@ def _poincare_estimate(case: dict):
 
 def _cmd_verify(args) -> int:
     results = suite_mod.run_suite(quick=args.quick, seed=args.seed)
-    manifest = Manifest(Path(args.out), "verify", {"quick": args.quick}, args.seed)
-    report = manifest.emit([r.to_record() for r in results], "json", "verify_report.json")
+    manifest = Manifest(Path(args.out), "verify", _flags(args), args.seed)
+    report = manifest.emit([r.to_record() for r in results], "verify_report.json")
     manifest.emit((["name", "passed", "observed", "tolerance"],
                    [[r.name, r.passed, repr(r.observed), repr(r.tolerance)]
-                    for r in results]), "csv", "verify_report.csv")
+                    for r in results]), "verify_report.csv")
     manifest.close()
     failures = [r for r in results if not r.passed]
     for r in results:
@@ -482,9 +484,8 @@ def _cmd_weights(args) -> int:
         record["sawyer_wheeden"] = wt.sawyer_wheeden_constant(
             w, w, args.s, args.p, args.q, fam
         )
-    manifest = Manifest(Path(args.out), "weights", {k: getattr(args, k) for k in
-                        ("alpha", "p", "q", "levels", "n", "N", "L")}, None)
-    manifest.emit(record, "json", "weights.json")
+    manifest = Manifest(Path(args.out), "weights", _flags(args), None)
+    manifest.emit(record, "weights.json")
     manifest.close()
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
@@ -499,9 +500,8 @@ def _cmd_poincare(args) -> int:
         "s": args.s, "p": args.p, "alpha": args.alpha, "seed": args.seed,
     })
     record = {**est.to_record(), "s": args.s, "p": args.p, "omega": args.omega}
-    manifest = Manifest(Path(args.out), "poincare", {k: getattr(args, k) for k in
-                        ("omega", "s", "p", "n", "N", "L", "alpha")}, args.seed)
-    manifest.emit(record, "json", "poincare.json")
+    manifest = Manifest(Path(args.out), "poincare", _flags(args), args.seed)
+    manifest.emit(record, "poincare.json")
     manifest.close()
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0 if est.converged else 1
@@ -534,9 +534,10 @@ def _cmd_solve(args) -> int:
         rec["manufactured_relative_error"] = float(num / den)
     marks.append(time.perf_counter())
     manifest = Manifest(Path(args.out), "solve", config, scfg.get("seed"))
-    manifest.emit(rec, "json", "solve_report.json")
-    manifest.emit(report.solution, "bin", "solution.bin")
-    manifest.emit(report, "csv", "history.csv")
+    manifest.emit(rec, "solve_report.json")
+    manifest.emit(report.solution, "solution.bin")
+    manifest.emit((["iteration", "residual", "energy"], report.history_rows()),
+                  "history.csv")
     marks.append(time.perf_counter())
     # wall-clock seconds per stage; only the manifest may hold them
     manifest.record["timings"] = {
@@ -550,28 +551,21 @@ def _cmd_solve(args) -> int:
     return 0 if report.converged else 1
 
 
-def _divergence(fields, order):
-    """div^order of the vector field whose n components are the inputs."""
-    grid = fields[0].grid
-    if len(fields) != grid.spec.n:
-        raise ConfigError(f"div needs {grid.spec.n} component files")
-    return {"divergence": fo.fractional_divergence(VectorField(grid, tuple(fields)), order)}
-
-
-#: operator -> (the one flag it takes: its order, or rt's component; a map
-#: from the input fields and that flag's value to the output fields by
-#: file stem)
+#: operator -> (the one flag it takes: its order, or rt's component; how
+#: many input files it takes, "n" for one per axis; a map from the input
+#: fields and that flag's value to the output fields by file stem)
 _OPERATORS = {
-    "grad": ("s", lambda fs, order: {
+    "grad": ("s", 1, lambda fs, order: {
         f"gradient_{i}": c
         for i, c in enumerate(fo.riesz_gradient(fs[0], order).components)}),
-    "div": ("s", _divergence),
-    "riesz": ("sigma", lambda fs, order: {"riesz": fo.riesz_potential(fs[0], order)}),
-    "bessel": ("sigma", lambda fs, order: {"bessel": fo.bessel_potential(fs[0], order)}),
-    "flap": ("sigma", lambda fs, order: {"flap": fo.fractional_laplacian(fs[0], order)}),
-    "rt": ("component", lambda fs, j: {"rt": fo.riesz_transform(fs[0], j)}),
-    "Ts": ("s", lambda fs, order: {"Ts": fo.ts_multiplier(fs[0], order)}),
-    "Gs": ("s", lambda fs, order: {"Gs": fo.gs_multiplier(fs[0], order)}),
+    "div": ("s", "n", lambda fs, order: {"divergence": fo.fractional_divergence(
+        VectorField(fs[0].grid, tuple(fs)), order)}),
+    "riesz": ("sigma", 1, lambda fs, order: {"riesz": fo.riesz_potential(fs[0], order)}),
+    "bessel": ("sigma", 1, lambda fs, order: {"bessel": fo.bessel_potential(fs[0], order)}),
+    "flap": ("sigma", 1, lambda fs, order: {"flap": fo.fractional_laplacian(fs[0], order)}),
+    "rt": ("component", 1, lambda fs, j: {"rt": fo.riesz_transform(fs[0], j)}),
+    "Ts": ("s", 1, lambda fs, order: {"Ts": fo.ts_multiplier(fs[0], order)}),
+    "Gs": ("s", 1, lambda fs, order: {"Gs": fo.gs_multiplier(fs[0], order)}),
 }
 
 
@@ -581,7 +575,11 @@ def _cmd_op(args) -> int:
         if f.grid != fields[0].grid:
             raise ConfigError("input fields live on different grids")
     name = args.operator
-    needs, fn = _OPERATORS[name]
+    needs, count, fn = _OPERATORS[name]
+    if count == "n":
+        count = fields[0].grid.spec.n
+    if len(fields) != count:
+        raise ConfigError(f"operator {name} takes {count} input file(s), got {len(fields)}")
     for flag in ("s", "sigma", "component"):
         if flag != needs and getattr(args, flag) is not None:
             raise ConfigError(f"operator {name} takes no --{flag}")
@@ -591,16 +589,11 @@ def _cmd_op(args) -> int:
     # the operators check their order and component: apply them before
     # the output directory is made
     result = fn(fields, value)
-    manifest = Manifest(
-        Path(args.out), "op",
-        {"operator": name, "s": args.s, "sigma": args.sigma,
-         "component": args.component, "inputs": [str(p) for p in args.input]},
-        None,
-    )
+    manifest = Manifest(Path(args.out), "op", _flags(args), None)
     for stem, field in result.items():
-        manifest.emit(field, "bin", f"{stem}.bin")
+        manifest.emit(field, f"{stem}.bin")
         if args.csv:
-            manifest.emit(field, "csv", f"{stem}.csv")
+            manifest.emit(field, f"{stem}.csv")
     manifest.close()
     print(f"wrote {len(result)} field(s) to {manifest.out}")
     return 0
@@ -630,11 +623,11 @@ def _cmd_sweep(args) -> int:
         cases.append((case_id, case))
     manifest = Manifest(Path(args.out), "sweep", config, None)
     ordered = {cid: _sweep_case(task, c) for cid, c in sorted(cases)}
-    path = manifest.emit(ordered, "json", "sweep.json")
+    path = manifest.emit(ordered, "sweep.json")
     fields = sorted(next(iter(ordered.values())))
     manifest.emit((["case", *fields],
                    [[cid] + [repr(rec[k]) for k in fields] for cid, rec in ordered.items()]),
-                  "csv", "sweep.csv")
+                  "sweep.csv")
     manifest.close()
     print(f"{len(cases)} cases -> {path}")
     return 0

@@ -150,9 +150,6 @@ class InequalityReport:
             "verdict": self.verdict,
         }
 
-    def rows(self) -> list[dict]:
-        return self.samples
-
 
 def _verdict(maxval: float, cap: float) -> str:
     return "bounded" if maxval <= cap else "inconclusive"

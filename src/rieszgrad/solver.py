@@ -409,8 +409,10 @@ def _solve_frozen(prob: PDEProblem, a, b, x0, tol):
     return prob.project(x), (len(history) - 1, ok)
 
 
-#: Armijo sufficient-decrease fraction of the line search
+#: Armijo sufficient-decrease fraction of the halving line search, which
+#: starts at t = 1 and takes the step it reaches at _T_MIN without decrease
 _ARMIJO = 1e-4
+_T_MIN = 1e-10
 #: Kacanov's inner CG stops at _ETA times the last certificate, clipped to
 #: [_INNER_TOL, 0.1]: the residual-tied forcing of inexact Newton methods
 #: (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Without a
@@ -437,13 +439,14 @@ _WOLFE_EPS = 1e-10
 _WOLFE_SIGMA = 0.9
 
 
-def _line_search(prob, f, u, gu, d, gd, eps, e0, slope, t, t_min):
-    """Armijo backtracking by halving on the regularized energy from u along d.
+def _line_search(prob, f, u, gu, d, gd, eps, e0, slope):
+    """Armijo backtracking by halving from t = 1 on the regularized energy
+    from u along d.
 
     gu and gd are grad^s u and grad^s d, f is the interior rhs and slope is
     the energy's directional derivative along d.  grad^s is linear, so a
     trial's gradient is gu + t gd and a trial costs no transform.  Returns
-    (t, u + t d, its gradient, its energy, ok).  When t falls to t_min
+    (t, u + t d, its gradient, its energy, ok).  When t falls to _T_MIN
     without sufficient decrease, the tiny step is still taken and ok is False.
     """
 
@@ -452,7 +455,8 @@ def _line_search(prob, f, u, gu, d, gd, eps, e0, slope, t, t_min):
         gt = [a + t * b for a, b in zip(gu, gd)]
         return ut, gt, _energy(prob, f, ut, eps, gt)
 
-    while t > t_min:
+    t = 1.0
+    while t > _T_MIN:
         ut, gt, et = trial(t)
         if et <= e0 + _ARMIJO * t * slope:
             return t, ut, gt, et, True
@@ -510,7 +514,7 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
         )
         if armijo or wolfe:
             return t, ut, gt, et, True
-    return _line_search(prob, f, u, gu, d, gd, eps, e0, slope, 1.0, 1e-10)
+    return _line_search(prob, f, u, gu, d, gd, eps, e0, slope)
 
 
 def _damped_update(st, a, d, inner, minimize):
@@ -537,7 +541,7 @@ def _damped_update(st, a, d, inner, minimize):
     if minimize:
         t, st.u, st.gu, e, ok = _line_minimum(*args, fd)
     else:
-        t, st.u, st.gu, e, ok = _line_search(*args, 1.0, 1e-10)
+        t, st.u, st.gu, e, ok = _line_search(*args)
     st.energies.append(e)
     st.counts["line_search_failures"] += not ok
     st.counts["step_lengths"].append(float(t))

@@ -64,9 +64,11 @@ class TestWeights:
         rec = json.loads((out / "weights.json").read_text())
         assert abs(rec["constant"] - 4.0 / 3.0) <= 0.02 * 4.0 / 3.0
         assert rec["in_class"] is True
-        # the hashed parameters name no weight family
-        params = {"alpha": 0.5, "p": 2.0, "q": None, "levels": 7, "n": 1,
-                  "N": 512, "L": 2.0}
+        # the hash covers every flag but --out, and the flags name no
+        # weight family
+        params = {"command": "weights", "alpha": 0.5, "p": 2.0, "q": None,
+                  "s": 0.5, "levels": 7, "n": 1, "N": 512, "L": 2.0,
+                  "origin": None, "x0": None}
         blob = json.dumps(params, sort_keys=True).encode()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == hashlib.sha256(blob).hexdigest()
@@ -237,6 +239,23 @@ class TestSolve:
         assert capsys.readouterr().err == f"error: {section} mode has wrong dimension\n"
         assert not (out / "solution.bin").exists()
 
+    @pytest.mark.parametrize("g", [
+        {"kind": "modes", "modes": [{"k": [3], "amplitude": 5.0}]},
+        {"kind": "field", "path": "g.bin"},
+    ])
+    def test_g_with_manufactured_rhs_exit_2(self, tmp_path, capsys, g):
+        # a manufactured problem has g = 0: a given g would be dropped
+        grid = make_grid(GridSpec(n=1, N=128, L=2.0))
+        write_field(bump(grid, [0.2], 0.1), tmp_path / "g.bin")
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(with_keys(SOLVE_CFG, g=g)))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: a manufactured rhs solves with g = 0: give g only with an "
+            "rhs of kind field or modes\n")
+        assert not out.exists()
+
     def test_manifest_timings(self, tmp_path):
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(SOLVE_CFG))
@@ -317,6 +336,28 @@ class TestOp:
         assert run(["op", "div", "--in", tmp_path / "u.bin", "--s", 0.5,
                     "--out", tmp_path / "d"]) == 2
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("name,flags", [
+        ("grad", ["--s", 0.5]),
+        ("div", ["--s", 0.5]),
+        ("riesz", ["--sigma", 0.5]),
+        ("bessel", ["--sigma", 0.5]),
+        ("flap", ["--sigma", 1.0]),
+        ("rt", ["--component", 0]),
+        ("Ts", ["--s", 0.5]),
+        ("Gs", ["--s", 0.5]),
+    ])
+    def test_input_count_checked_before_output(self, tmp_path, capsys, name, flags):
+        # in 1D every operator, div too, takes exactly one input file
+        g = make_grid(GridSpec(n=1, N=64, L=1.0))
+        write_field(bump(g, [0.5], 0.2), tmp_path / "a.bin")
+        write_field(bump(g, [0.4], 0.2), tmp_path / "b.bin")
+        out = tmp_path / "o"
+        assert run(["op", name, "--in", tmp_path / "a.bin", tmp_path / "b.bin",
+                    *flags, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: operator {name} takes 1 input file(s), got 2\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name,flags,message", [
         ("grad", [], "operator grad needs --s"),
@@ -492,6 +533,39 @@ class TestDeterminism:
         assert len(manifests[0]["artifacts"]) >= 1
 
 
+class TestConfigHash:
+    """config_hash covers every flag but --out: runs that differ in one
+    flag, and so may differ in result, get different hashes."""
+
+    @pytest.mark.parametrize("base,a,b", [
+        (["verify", "--quick"], ["--seed", 0], ["--seed", 1]),
+        (["weights", "--alpha", 0.5, "--p", 2, "--N", 64, "--levels", 3],
+         ["--x0", 0.0], ["--x0", 0.3]),
+        (["weights", "--alpha", 0.5, "--p", 2, "--N", 64, "--levels", 3],
+         [], ["--origin", -1.5]),
+        (["weights", "--alpha", 0.5, "--p", 2, "--q", 4, "--N", 64, "--levels", 3],
+         [], ["--s", 0.25]),
+        (["poincare", "--s", 0.5, "--N", 64], ["--lo", 0.7], ["--lo", 0.75]),
+        (["poincare", "--s", 0.5, "--N", 64], [], ["--hi", 1.3]),
+        (["poincare", "--s", 0.5, "--N", 64, "--omega", "ball"], [], ["--center", 1.05]),
+        (["poincare", "--s", 0.5, "--N", 64, "--omega", "ball"], [], ["--radius", 0.3]),
+        (["op", "grad", "--s", 0.5], [], ["--csv"]),
+    ], ids=["verify-seed", "weights-x0", "weights-origin", "weights-s",
+            "poincare-lo", "poincare-hi", "poincare-center", "poincare-radius",
+            "op-csv"])
+    def test_one_flag_changes_hash(self, tmp_path, base, a, b):
+        if base[0] == "op":
+            g = make_grid(GridSpec(n=1, N=64, L=1.0))
+            write_field(bump(g, [0.5], 0.2), tmp_path / "u.bin")
+            base = [*base, "--in", tmp_path / "u.bin"]
+        hashes = []
+        for name, flags in (("a", a), ("again", a), ("b", b)):
+            out = tmp_path / name
+            assert run([*base, *flags, "--out", out]) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
+
+
 class TestSweep:
     def test_weights_sweep(self, tmp_path):
         cfg = {
@@ -594,12 +668,12 @@ class TestEmit:
     def test_field_formats(self, tmp_path):
         g = make_grid(GridSpec(n=1, N=16, L=1.0))
         u = ScalarField(g, np.arange(16.0))
-        cli.emit(u, "bin", tmp_path / "u.bin")
+        cli.emit(u, tmp_path / "u.bin")
         assert np.array_equal(read_field(tmp_path / "u.bin").values, u.values)
-        cli.emit(u, "csv", tmp_path / "u.csv")
+        cli.emit(u, tmp_path / "u.csv")
         assert (tmp_path / "u.csv").read_text().startswith("x1,value")
         with pytest.raises(ValueError, match="bin or csv"):
-            cli.emit(u, "json", tmp_path / "u.json")
+            cli.emit(u, tmp_path / "u.json")
 
     def test_report_formats(self, tmp_path):
         g = make_grid(GridSpec(n=1, N=16, L=1.0))
@@ -611,22 +685,21 @@ class TestEmit:
             converged=True,
             method="pcg",
         )
-        cli.emit(rep, "json", tmp_path / "r.json")
+        cli.emit(rep, tmp_path / "r.json")
         rec = json.loads((tmp_path / "r.json").read_text())
         assert rec["residuals"] == [1.0, 0.1, 0.01]
-        cli.emit(rep, "csv", tmp_path / "r.csv")
+        cli.emit((["iteration", "residual", "energy"], rep.history_rows()),
+                 tmp_path / "r.csv")
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert len(lines) == 4
         with pytest.raises(ValueError, match="unsupported format"):
-            cli.emit(rep, "bin", tmp_path / "r.bin")
+            cli.emit(rep, tmp_path / "r.bin")
 
-    def test_inequality_report_csv(self, tmp_path):
-        from rieszgrad import inequalities as iq
-        g = make_grid(GridSpec(n=1, N=64, L=1.0))
-        fam = iq.standard_family(g, seed=0, bumps=2, modes=1)
-        rep = iq.gn_report(fam, 0.1, 0.4, 0.8, 2.0)
-        cli.emit(rep, "json", tmp_path / "gn.json")
-        cli.emit(rep, "csv", tmp_path / "gn.csv")
-        lines = (tmp_path / "gn.csv").read_text().splitlines()
-        assert lines[0] == "ratio,sample"
-        assert len(lines) == 4
+    @pytest.mark.parametrize("name", ["r.txt", "r", "r.JSON"])
+    def test_unknown_suffix_refused(self, tmp_path, name):
+        g = make_grid(GridSpec(n=1, N=16, L=1.0))
+        for obj, message in [({"a": 1}, "unsupported format"),
+                             (ScalarField(g, np.zeros(16)), "bin or csv")]:
+            with pytest.raises(ValueError, match=message):
+                cli.emit(obj, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []

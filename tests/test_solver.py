@@ -796,12 +796,14 @@ class TestLineSearch:
         eps = 0.0 if kind == "matrix" else 1e-3
         kit = fo._RieszOps(g, 0.5)
         u, d = interior_fields(g, prob.mask, 2, seed=13)
-        gu, gd = kit.grad(u.values), kit.grad(d.values)
-        # an infinite reference energy accepts the first trial, at t
+        # the search starts at 1: scaling d by t makes its first trial u + t d
+        dt = t * d.values
+        gu, gd = kit.grad(u.values), kit.grad(dt)
+        # an infinite reference energy accepts the first trial
         t_out, ut, _, trial, ok = sv._line_search(
-            prob, sv._rhs_field(prob), u.values, gu, d.values, gd, eps, np.inf, 0.0, t, 0.0
+            prob, sv._rhs_field(prob), u.values, gu, dt, gd, eps, np.inf, 0.0
         )
-        assert ok and t_out == t
+        assert ok and t_out == 1.0
         assert np.array_equal(ut, u.values + t * d.values)
         direct = sv.energy(prob, ScalarField(g, ut), eps)
         gt = fo.riesz_gradient(ScalarField(g, ut), 0.5)
@@ -825,9 +827,9 @@ class TestLineSearch:
         assert slope > 0.0
         e0 = sv._energy(prob, f, u, eps, gu)
         t, ut, gt, et, ok = sv._line_search(
-            prob, f, u, gu, d, kit.grad(d), eps, e0, slope, 1.0, 1e-10
+            prob, f, u, gu, d, kit.grad(d), eps, e0, slope
         )
-        assert not ok and 0.0 < t <= 1e-10
+        assert not ok and 0.0 < t <= sv._T_MIN == 1e-10
         assert np.array_equal(ut, u + t * d)
         assert et == sv._energy(prob, f, ut, eps, gt)
 
