@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -28,7 +29,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .grid import (
@@ -206,25 +206,45 @@ SWEEP_CASE_SCHEMAS = {
     },
 }
 
-# Built once: ``jsonschema.validate`` checks its schema against the
-# metaschema on every call, which costs far more than checking a config.
-# The tests run that metaschema check on each of these schemas.
-SOLVE_VALIDATOR = jsonschema.Draft202012Validator(SOLVE_SCHEMA)
-SWEEP_VALIDATOR = jsonschema.Draft202012Validator(SWEEP_SCHEMA)
-SWEEP_CASE_VALIDATORS = {
-    task: jsonschema.Draft202012Validator(schema)
-    for task, schema in SWEEP_CASE_SCHEMAS.items()
-}
+
+@functools.cache
+def _validators() -> dict:
+    """The validators of SOLVE_SCHEMA, SWEEP_SCHEMA and each sweep case
+    schema, built once, on first use, and read as the module attributes
+    SOLVE_VALIDATOR, SWEEP_VALIDATOR and SWEEP_CASE_VALIDATORS.
+
+    Built once because ``jsonschema.validate`` checks its schema against
+    the metaschema on every call, which costs far more than checking a
+    config (the tests run that check on each of these schemas); on first
+    use because importing jsonschema costs more than the set-up of most
+    runs, and only ``solve`` and ``sweep`` validate.
+    """
+    from jsonschema import Draft202012Validator as Validator
+
+    return {
+        "SOLVE_VALIDATOR": Validator(SOLVE_SCHEMA),
+        "SWEEP_VALIDATOR": Validator(SWEEP_SCHEMA),
+        "SWEEP_CASE_VALIDATORS": {
+            task: Validator(schema) for task, schema in SWEEP_CASE_SCHEMAS.items()
+        },
+    }
+
+
+def __getattr__(name: str):
+    if name in ("SOLVE_VALIDATOR", "SWEEP_VALIDATOR", "SWEEP_CASE_VALIDATORS"):
+        return _validators()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(Exception):
     pass
 
 
-def _validate(config: dict, validator: jsonschema.Draft202012Validator,
-              what: str = "config") -> None:
+def _validate(config: dict, validator, what: str = "config") -> None:
     """Raise ConfigError naming the error ``jsonschema.validate`` would raise."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(validator.iter_errors(config))
     if error is not None:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"{what} invalid at '{path}': {error.message}")
@@ -511,7 +531,7 @@ def _cmd_solve(args) -> int:
     cfg_path = Path(args.config)
     config = json.loads(cfg_path.read_text())
     marks = [time.perf_counter()]
-    _validate(config, SOLVE_VALIDATOR)
+    _validate(config, _validators()["SOLVE_VALIDATOR"])
     marks.append(time.perf_counter())
     prob, ustar = _build_problem(config, cfg_path.parent)
     marks.append(time.perf_counter())
@@ -611,7 +631,7 @@ def _sweep_case(task: str, case: dict) -> dict:
 def _cmd_sweep(args) -> int:
     cfg_path = Path(args.config)
     config = json.loads(cfg_path.read_text())
-    _validate(config, SWEEP_VALIDATOR)
+    _validate(config, _validators()["SWEEP_VALIDATOR"])
     task = config["task"]
     keys = sorted(config["vary"].keys())
     cases = []
@@ -619,7 +639,8 @@ def _cmd_sweep(args) -> int:
         case = dict(config["base"])
         case.update(dict(zip(keys, combo)))
         case_id = ",".join(f"{k}={v}" for k, v in zip(keys, combo))
-        _validate(case, SWEEP_CASE_VALIDATORS[task], f"sweep case '{case_id}'")
+        _validate(case, _validators()["SWEEP_CASE_VALIDATORS"][task],
+                  f"sweep case '{case_id}'")
         cases.append((case_id, case))
     manifest = Manifest(Path(args.out), "sweep", config, None)
     ordered = {cid: _sweep_case(task, c) for cid, c in sorted(cases)}

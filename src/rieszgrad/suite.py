@@ -5,6 +5,18 @@ residual (or ratio) and its tolerance; the CLI ``verify`` subcommand runs the
 whole list and exits nonzero if anything fails.  Sizes are parameterized so
 the same code drives both the quick smoke configuration and the full
 acceptance-scale run.
+
+The identity suite runs on fracops' half-spectrum layer (``_rfft``,
+``_irfft``, the symbols) rather than through the public operators, so that
+it transforms each input once and builds each symbol once: per sample pair
+(u, v), the spectra of u, u - mean(u) and v and of the classical gradient of
+u - mean(u) serve every identity at every s; per call, the derivative and
+Riesz-transform symbols serve every pair; per pair and s, each symbol of
+that order is built once, the grad^s ones serving grad^s(u - mean(u)),
+grad^s v, div^s and grad^s u alike.  The layer is the one the public
+operators apply, with the same symbols in the same order of operations, so
+every residual equals, bit for bit, the one the public operators give
+(``tests/test_suite.py`` holds that oracle).
 """
 
 from __future__ import annotations
@@ -22,7 +34,6 @@ from .grid import (
     inverse_transform,
     lp_norm,
     make_grid,
-    remove_mean,
     sample,
 )
 from . import fracops as fo
@@ -68,69 +79,117 @@ def _result(name, observed, tolerance, **details) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _identity_residuals(u: ScalarField, v: ScalarField, s: float) -> dict:
-    """Worst relative residual of each operator identity on one sample pair."""
-    g = u.grid
-    n = g.spec.n
-    hn = g.h**n
-    out = {}
-    um = remove_mean(u)
-    gr = fo.riesz_gradient(um, s)
+def _norm(g, x) -> float:
+    """lp_norm(., 2) of a raw array, or of a vector field given as the list
+    of its component arrays (wrapped without a copy)."""
+    if isinstance(x, list):
+        return lp_norm(VectorField(g, tuple(ScalarField._own(g, c) for c in x)), 2)
+    return lp_norm(ScalarField._own(g, x), 2)
 
-    # integration by parts: <grad^s u, V> = -<u, div^s V>
-    V = fo.riesz_gradient(v, s)
-    lhs = hn * sum(
-        float(np.sum(gr.components[j].values * V.components[j].values))
-        for j in range(n)
-    )
-    dv = fo.fractional_divergence(V, s)
-    rhs = -hn * float(np.sum(um.values * dv.values))
-    scale = lp_norm(gr, 2) * lp_norm(V, 2) + lp_norm(um, 2) * lp_norm(dv, 2)
-    out["integration_by_parts"] = abs(lhs - rhs) / (scale if scale else 1.0)
 
-    # fundamental theorem of calculus (mean-zero): u = I_s(R . grad^s u)
-    acc = None
-    for j in range(n):
-        t = fo.riesz_transform(gr.components[j], j)
+def _added(acc, terms):
+    """acc + t_0 + t_1 + ..., left to right as the fields' own sums; acc None
+    starts from t_0."""
+    for t in terms:
         acc = t if acc is None else acc + t
-    rec = fo.riesz_potential(acc, s)
-    out["fundamental_theorem"] = lp_norm(rec - um, 2) / lp_norm(um, 2)
+    return acc
 
-    # commutation: grad^s u = D(I_{1-s} u) = I_{1-s}(D u)
-    route1 = fo.spectral_gradient(fo.riesz_potential(um, 1.0 - s))
-    route2 = tuple(
-        fo.riesz_potential(c, 1.0 - s) for c in fo.spectral_gradient(um).components
-    )
-    den = max(lp_norm(gr.components[j], 2) for j in range(n))
-    comm = max(
-        max(lp_norm(gr.components[j] - route1.components[j], 2) for j in range(n)),
-        max(lp_norm(gr.components[j] - route2[j], 2) for j in range(n)),
-    )
-    out["gradient_of_potential"] = comm / den
 
-    # bessel inverse: Lambda_s Lambda_{-s} = id
-    br = fo.bessel_potential(fo.bessel_potential(u, s), -s)
-    out["bessel_roundtrip"] = lp_norm(br - u, 2) / lp_norm(u, 2)
+def _dot(syms, spectra):
+    """sum_j m_j F_j, accumulated in place as fracops._div sums, from
+    spectra already at hand."""
+    acc = syms[0] * spectra[0]
+    for m, F in zip(syms[1:], spectra[1:]):
+        acc += m * F
+    return acc
 
-    # -div^s grad^s = (-Lap)^s
-    dg = fo.fractional_divergence(fo.riesz_gradient(u, s), s)
-    lap = fo.fractional_laplacian(u, 2.0 * s)
-    out["div_grad_laplacian"] = lp_norm(dg + lap, 2) / lp_norm(lap, 2)
 
-    # space equivalence construction: u = Lambda_s(G_s(id + sum R_j d_j^s) u)
-    acc = u
-    for j in range(n):
-        dju = fo.apply_multiplier(u, "riesz_gradient", s, component=j)
-        acc = acc + fo.riesz_transform(dju, j)
-    rec2 = fo.bessel_potential(fo.gs_multiplier(acc, s), s)
-    out["bessel_reconstruction"] = lp_norm(rec2 - u, 2) / lp_norm(u, 2)
+def _identity_residuals(g, u, v, s_values, d_syms, r_syms):
+    """Yield (identity, relative residual) for one sample pair (u, v), raw
+    arrays, at every s; d_syms and r_syms are the derivative and
+    Riesz-transform symbols of every component."""
+    hn = g.h**g.spec.n
+    _rfft, _irfft, _symbol = fo._rfft, fo._irfft, fo._symbol
 
-    # Riesz potential semigroup on mean-zero fields: I_a I_b = I_{a+b}
-    a, b = 0.3 * s, 0.5 * s
-    two = fo.riesz_potential(fo.riesz_potential(um, a), b)
-    one = fo.riesz_potential(um, a + b)
-    out["potential_semigroup"] = lp_norm(two - one, 2) / lp_norm(one, 2)
-    return out
+    def times(m, F):  # the field whose half spectrum is m F
+        return _irfft(g, m * F)
+
+    um = u - np.mean(u)
+    Fu, Fum, Fv = _rfft(g, u), _rfft(g, um), _rfft(g, v)
+    # made at its first use, so that it is not held through the largest
+    # step, integration by parts
+    FDum = None
+    nu, num = _norm(g, u), _norm(g, um)
+    # the identities run in the order that releases grad^s's symbols and
+    # grad^s u earliest; none depends on another's result
+    for s in s_values:
+        grad = fo._odd_symbols(g, "riesz_gradient", s, range(g.spec.n))
+        gr = [times(m, Fum) for m in grad]
+
+        # integration by parts: <grad^s u, V> = -<u, div^s V>
+        V = [times(m, Fv) for m in grad]
+        lhs = hn * sum(float(np.sum(a * b)) for a, b in zip(gr, V))
+        dv = fo._div(g, grad, V)
+        rhs = -hn * float(np.sum(um * dv))
+        scale = _norm(g, gr) * _norm(g, V) + num * _norm(g, dv)
+        del V, dv
+        yield "integration_by_parts", abs(lhs - rhs) / (scale if scale else 1.0)
+
+        # -div^s grad^s = (-Lap)^s; the spectra of grad^s u's components
+        # feed div^s here and the R_j of the reconstruction next
+        FGu = [_rfft(g, times(m, Fu)) for m in grad]
+        dg = _irfft(g, _dot(grad, FGu))
+        del grad
+        lap = times(_symbol(g, "fractional_laplacian", 2.0 * s), Fu)
+        r = _norm(g, dg + lap) / _norm(g, lap)
+        del dg, lap
+        yield "div_grad_laplacian", r
+
+        # space equivalence construction: u = Lambda_s(G_s(id + sum R_j d_j^s) u),
+        # with d_j^s u the j-th component of grad^s u
+        acc = _added(u, (times(m, F) for m, F in zip(r_syms, FGu)))
+        del FGu
+        bessel = _symbol(g, "bessel_potential", s)
+        rec = fo._multiply(g, bessel, fo._multiply(g, _symbol(g, "G_s", s), acc))
+        r = _norm(g, rec - u) / nu
+        del acc, rec
+        yield "bessel_reconstruction", r
+
+        # bessel inverse: Lambda_s Lambda_{-s} = id
+        br = fo._multiply(g, _symbol(g, "bessel_potential", -s), times(bessel, Fu))
+        r = _norm(g, br - u) / nu
+        del bessel, br
+        yield "bessel_roundtrip", r
+
+        # fundamental theorem of calculus (mean-zero): u = I_s(R . grad^s u)
+        acc = _added(None, (fo._multiply(g, m, c) for m, c in zip(r_syms, gr)))
+        rec = fo._multiply(g, _symbol(g, "riesz_potential", s), acc)
+        r = _norm(g, rec - um) / num
+        del acc, rec
+        yield "fundamental_theorem", r
+
+        # commutation: grad^s u = D(I_{1-s} u) = I_{1-s}(D u), one
+        # component of each route at a time
+        if FDum is None:  # spectra of the classical gradient of u - mean(u)
+            FDum = [_rfft(g, times(m, Fum)) for m in d_syms]
+        pot = _symbol(g, "riesz_potential", 1.0 - s)
+        Fp = _rfft(g, times(pot, Fum))
+        den = max(_norm(g, c) for c in gr)
+        comm = max(
+            max(_norm(g, a - times(m, Fp)) for a, m in zip(gr, d_syms)),
+            max(_norm(g, a - times(pot, F)) for a, F in zip(gr, FDum)),
+        )
+        del gr, pot, Fp
+        yield "gradient_of_potential", comm / den
+
+        # Riesz potential semigroup on mean-zero fields: I_a I_b = I_{a+b}
+        a, b = 0.3 * s, 0.5 * s
+        two = fo._multiply(g, _symbol(g, "riesz_potential", b),
+                           times(_symbol(g, "riesz_potential", a), Fum))
+        one = times(_symbol(g, "riesz_potential", a + b), Fum)
+        r = _norm(g, two - one) / _norm(g, one)
+        del two, one
+        yield "potential_semigroup", r
 
 
 def identity_checks(
@@ -141,15 +200,26 @@ def identity_checks(
     seed: int = 0,
     tol: float = 1e-10,
 ) -> list[CheckResult]:
-    """Run the operator-identity suite on seeded bumps; one result per identity."""
+    """Run the operator-identity suite on seeded bumps; one result per identity.
+
+    Work is shared as the module docstring says; besides, the spectra of
+    grad^s u's components feed both div^s and the R_j of the reconstruction
+    (d_j^s u is bitwise the j-th component of grad^s u), and each identity
+    releases its intermediates once its residual is known.  Nothing is kept
+    between calls.  Each residual is bitwise the one the public operators
+    give.
+    """
     grid = make_grid(GridSpec(n=n, N=N, L=1.0))
     fam = iq.bump_family(grid, count, seed=seed)
     fam_v = iq.bump_family(grid, count, seed=seed + 1)
+    d_syms = fo._odd_symbols(grid, "derivative", 0.0, range(n))
+    r_syms = fo._odd_symbols(grid, "riesz_transform", 0.0, range(n))
     worst: dict[str, float] = {}
     for u, v in zip(fam, fam_v):
-        for s in s_values:
-            for name, r in _identity_residuals(u, v, s).items():
-                worst[name] = max(worst.get(name, 0.0), r)
+        for name, r in _identity_residuals(
+            grid, u.values, v.values, s_values, d_syms, r_syms
+        ):
+            worst[name] = max(worst.get(name, 0.0), r)
     return [
         _result(f"identity[{name}] n={n} N={N}", r, tol,
                 samples=count, s_values=list(s_values))
@@ -394,9 +464,11 @@ def run_suite(quick: bool = True, seed: int = 0) -> list[CheckResult]:
     if quick:
         results += identity_checks(1, 128, count=10, seed=seed)
         results += identity_checks(2, 64, count=5, seed=seed)
+        results += identity_checks(3, 16, count=2, seed=seed)
     else:
         results += identity_checks(1, 256, count=100, seed=seed)
         results += identity_checks(2, 128, count=100, seed=seed)
+        results += identity_checks(3, 32, count=10, seed=seed)
     results.append(constants_check())
     results += pv_check(s_values=(0.5,) if quick else (0.25, 0.5, 0.75))
     results += weights_checks(N=256 if quick else 512, levels=6 if quick else 7)

@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -612,6 +616,17 @@ def validate_error(instance, schema, what):
         jsonschema.validate(instance, schema)
     where = "/".join(str(p) for p in info.value.absolute_path) or "<root>"
     return f"error: {what} invalid at '{where}': {info.value.message}\n"
+
+
+def test_import_leaves_jsonschema_out():
+    """jsonschema is imported on the first validation, not with the CLI."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, rieszgrad.cli; print('jsonschema' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"
 
 
 class TestSchemas:
