@@ -210,8 +210,8 @@ SWEEP_CASE_SCHEMAS = {
 @functools.cache
 def _validators() -> dict:
     """The validators of SOLVE_SCHEMA, SWEEP_SCHEMA and each sweep case
-    schema, built once, on first use, and read as the module attributes
-    SOLVE_VALIDATOR, SWEEP_VALIDATOR and SWEEP_CASE_VALIDATORS.
+    schema, keyed SOLVE_VALIDATOR, SWEEP_VALIDATOR and SWEEP_CASE_VALIDATORS
+    (a dict by task), built once, on first use.
 
     Built once because ``jsonschema.validate`` checks its schema against
     the metaschema on every call, which costs far more than checking a
@@ -228,12 +228,6 @@ def _validators() -> dict:
             task: Validator(schema) for task, schema in SWEEP_CASE_SCHEMAS.items()
         },
     }
-
-
-def __getattr__(name: str):
-    if name in ("SOLVE_VALIDATOR", "SWEEP_VALIDATOR", "SWEEP_CASE_VALIDATORS"):
-        return _validators()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(Exception):
@@ -654,7 +648,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each subcommand's handler is bound at build time."""
     ap = argparse.ArgumentParser(
         prog="rieszgrad",
         description="Riesz fractional calculus: verification, weights, and solvers",

@@ -32,8 +32,9 @@ the h^n scaling cancel inside a multiplier and a real inverse has no
 imaginary residue, so the phase, the scaling and the residue guard live only
 in the public ``forward_transform`` and ``inverse_transform``.
 
-An independent principal-value quadrature of the Riesz fractional gradient is
-provided for cross-validating the spectral route; it never touches a symbol.
+An independent principal-value quadrature of the Riesz fractional gradient in
+one dimension, truncated at the fixed radii 2h and L/4, cross-validates the
+spectral route; it never touches a symbol.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ __all__ = [
     "constants",
     "gradient_normalization",
     "riesz_normalization",
-    "pv_kernel",
 ]
 
 
@@ -426,121 +426,67 @@ def constants(n: int, s: float) -> FracConstants:
 
 
 # ---------------------------------------------------------------------------
-# Principal-value quadrature of the Riesz fractional gradient: an oracle that
-# never evaluates a Fourier symbol.
+# Principal-value quadrature of the Riesz fractional gradient in 1D: an oracle
+# that never evaluates a Fourier symbol.
 # ---------------------------------------------------------------------------
 
 
-def pv_kernel(z, s: float, n: int) -> np.ndarray:
-    """Vector kernel c_{n,s} z / |z|^{n+s+1}; odd: pv_kernel(-z) = -pv_kernel(z)."""
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    r = float(np.sqrt(_sum(z * z)))
-    if r == 0.0:
-        raise ValueError("kernel is singular at z = 0")
-    return gradient_normalization(n, s) * z / r ** (n + s + 1)
-
-
-#: surface area of the unit sphere in R^n
-_SPHERE_AREA = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
-
-
-def _fd_gradient(u: ScalarField) -> list[np.ndarray]:
-    """Fourth-order centered finite-difference gradient (periodic rolls).
+def _fd_derivative(v: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order centered finite difference of a periodic 1D array (rolls).
 
     Used only by the principal-value oracle, which must stay independent of
     the spectral machinery.
     """
-    h = u.grid.h
-    v = u.values
-    grads = []
-    for axis in range(u.grid.spec.n):
-        gp1 = np.roll(v, -1, axis=axis)
-        gm1 = np.roll(v, 1, axis=axis)
-        gp2 = np.roll(v, -2, axis=axis)
-        gm2 = np.roll(v, 2, axis=axis)
-        grads.append((-gp2 + 8.0 * gp1 - 8.0 * gm1 + gm2) / (12.0 * h))
-    return grads
+    gp1 = np.roll(v, -1, axis=0)
+    gm1 = np.roll(v, 1, axis=0)
+    gp2 = np.roll(v, -2, axis=0)
+    gm2 = np.roll(v, 2, axis=0)
+    return (-gp2 + 8.0 * gp1 - 8.0 * gm1 + gm2) / (12.0 * h)
 
 
-def _pv_weights(grid: Grid, s: float, eps: float, radius: float):
-    """Quadrature weights for the truncated kernel, per lattice offset.
+def riesz_gradient_pv(u: ScalarField, s: float) -> VectorField:
+    """Truncated principal-value quadrature of the 1D Riesz fractional gradient.
 
-    Yields (offset index tuple, weight vector).  In one dimension the weight
-    is the exact kernel moment over the offset's cell clipped to
-    [eps, radius] (product integration; the |z|^(-s) moment defeats the
-    midpoint rule's O(h^(1-s)) error near the singularity).  In higher
-    dimensions cells are not radially alignable, so the midpoint value
-    z |z|^(-(n+s+1)) h^n is used.
-    """
-    n, h = grid.spec.n, grid.h
-    L = grid.spec.L
-    offsets = []
-    if n == 1:
-        z = h * np.arange(grid.spec.N)
-        z -= L * np.round(z / L)
-        for k in range(1, grid.spec.N):
-            a = max(abs(z[k]) - h / 2.0, eps)
-            b = min(abs(z[k]) + h / 2.0, radius)
-            if b <= a:
-                continue
-            w = (a ** (-s) - b ** (-s)) / s
-            offsets.append(((k,), np.array([np.sign(z[k]) * w])))
-        return offsets
-    ax = h * np.arange(grid.spec.N)
-    ax -= L * np.round(ax / L)
-    zs = np.meshgrid(*(ax,) * n, indexing="ij")
-    r = np.sqrt(sum(zz * zz for zz in zs))
-    keep = (r >= eps * (1.0 - 1e-12)) & (r <= radius * (1.0 + 1e-12))
-    for idx in np.argwhere(keep):
-        idx = tuple(int(i) for i in idx)
-        rr = r[idx]
-        zvec = np.array([zs[d][idx] for d in range(n)])
-        offsets.append((idx, zvec * rr ** (-(n + s + 1.0)) * h**n))
-    return offsets
-
-
-def riesz_gradient_pv(
-    u: ScalarField,
-    s: float,
-    eps: float | None = None,
-    radius: float | None = None,
-) -> VectorField:
-    """Truncated principal-value quadrature of the Riesz fractional gradient.
-
-    Real-space sum of c_{n,s} (u(x)-u(y)) (x-y) / |x-y|^{n+s+1} over lattice
-    offsets with eps <= |x-y| <= radius (periodic minimal-image distance),
-    plus the analytic linear moment of the dropped shell |x-y| < eps: by the
-    kernel's odd symmetry that shell integral equals
-    grad u(x) . (area(S^{n-1}) / (n (1-s))) eps^{1-s} + O(eps^{3-s}).
-    The gradient there is a fourth-order finite difference, so the oracle
-    never evaluates a Fourier symbol.
+    Real-space sum of c_{1,s} (u(x)-u(y)) (x-y) / |x-y|^{s+2} over lattice
+    offsets with eps <= |x-y| <= R (periodic minimal-image distance), with
+    the fixed truncation eps = 2h and R = L/4.  Each offset's weight is the
+    exact kernel moment over its cell clipped to [eps, R] (product
+    integration; the |z|^(-s) moment defeats the midpoint rule's O(h^(1-s))
+    error near the singularity).  The dropped shell |x-y| < eps adds its
+    analytic linear moment: by the kernel's odd symmetry it equals
+    u'(x) 2 eps^(1-s) / (1-s) + O(eps^(3-s)), with u' a fourth-order finite
+    difference, so the oracle never evaluates a Fourier symbol.
 
     The oracle approximates the free-space operator; for a bump of support
-    radius rho it is trustworthy on the window |x - center| <= radius - 2 rho
+    radius rho it is trustworthy on the window |x - center| <= R - 2 rho
     (outside, sources beyond the cutoff are dropped and the comparison with
     the periodized spectral operator is meaningless).
+
+    Only n = 1; the n = 2, 3 oracle is the closed-form Gaussian image sum
+    planned in ROADMAP item 4.
     """
     g = u.grid
-    n, h, L = g.spec.n, g.h, g.spec.L
+    if g.spec.n != 1:
+        raise ValueError(
+            f"riesz_gradient_pv is one-dimensional, got n = {g.spec.n}; the "
+            "n = 2, 3 oracle is the closed-form Gaussian image sum of ROADMAP "
+            "item 4, not yet built"
+        )
     if not (0.0 < s < 1.0):
         raise ValueError(f"riesz_gradient_pv needs s in (0, 1), got {s}")
-    eps = 2.0 * h if eps is None else float(eps)
-    radius = L / 4.0 if radius is None else float(radius)
-    if eps < h * (1.0 - 1e-12):
-        raise ValueError(f"eps = {eps} is below the grid spacing {h}")
-    if radius >= L / 2.0:
-        raise ValueError(f"radius = {radius} must stay below L/2 = {L/2}")
-    c = gradient_normalization(n, s)
+    h, L = g.h, g.spec.L
+    eps, radius = 2.0 * h, L / 4.0
     v = u.values
-    out = [np.zeros(g.spec.shape) for _ in range(n)]
-    for idx, w in _pv_weights(g, s, eps, radius):
-        shift = v - np.roll(v, idx, axis=tuple(range(n)))
-        for j in range(n):
-            if w[j] != 0.0:
-                out[j] += shift * w[j]
-    shell = _SPHERE_AREA[n] / (n * (1.0 - s)) * eps ** (1.0 - s)
-    fd = _fd_gradient(u)
-    comps = tuple(
-        ScalarField(g, c * (out[j] + shell * fd[j])) for j in range(n)
-    )
-    return VectorField(g, comps)
+    z = h * np.arange(g.spec.N)
+    z -= L * np.round(z / L)
+    out = np.zeros(g.spec.shape)
+    for k in range(1, g.spec.N):
+        a = max(abs(z[k]) - h / 2.0, eps)
+        b = min(abs(z[k]) + h / 2.0, radius)
+        if b <= a:
+            continue
+        w = (a ** (-s) - b ** (-s)) / s
+        out += (v - np.roll(v, k, axis=0)) * (np.sign(z[k]) * w)
+    shell = 2.0 / (1.0 - s) * eps ** (1.0 - s)
+    pv = gradient_normalization(1, s) * (out + shell * _fd_derivative(v, h))
+    return VectorField(g, (ScalarField(g, pv),))

@@ -403,7 +403,7 @@ def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
     products, which would page in BLAS code for these few columns.
     """
     w = prob.weight.values
-    prec, _ = _make_precond(prob)
+    prec = _make_precond(prob)
 
     def K(v):
         return _residual(prob, prob.kit.grad(v), 0.0)

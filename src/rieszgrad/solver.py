@@ -21,7 +21,7 @@ residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import zip_longest
 
@@ -268,7 +268,7 @@ def weak_residual_norm(prob: PDEProblem, u: ScalarField) -> float:
 def _make_precond(prob: PDEProblem, coeff: np.ndarray | None = None):
     """Preconditioner of -div^s(a grad^s .) on interior fields for the
     pointwise coefficient a = coeff (by default the weight, or trace(A)/n
-    of a matrix coefficient); returns it and its diagonal scale D:
+    of a matrix coefficient), with diagonal scale D:
 
         M^-1 r = P D^-1 F^-1[F(D^-1 r) / (med (|2 pi xi|^(2s) + (2 pi/L)^(2s)))]
         D^2 = min(a / med, (a * kappa) / (med sum(kappa)))
@@ -307,7 +307,7 @@ def _make_precond(prob: PDEProblem, coeff: np.ndarray | None = None):
     def prec(r):
         return prob.project(kit.multiply(inv, r / d) / d)
 
-    return prec, d
+    return prec
 
 
 def _cg(apply_K, prec, b, x0, tol, max_iter):
@@ -380,7 +380,7 @@ def solve_linear(
     b = f - apply_K(G) if prob.exterior is not None else f
     b = prob.project(b)
     start = prob.project(x0.values) if x0 is not None else np.zeros_like(b)
-    prec, _ = _make_precond(prob)
+    prec = _make_precond(prob)
     x, history, ok = _cg(apply_K, prec, b, start, tol, max_iter)
     u = prob.project(x) + G
     uf = ScalarField(prob.grid, u)
@@ -404,7 +404,7 @@ def _solve_frozen(prob: PDEProblem, a, b, x0, tol):
     def apply_K(v):
         return prob.project(prob.kit.elliptic(a, v))
 
-    prec, _ = _make_precond(prob, a)
+    prec = _make_precond(prob, a)
     x, history, ok = _cg(apply_K, prec, b, x0, tol, _MAX_CG)
     return prob.project(x), (len(history) - 1, ok)
 
@@ -590,7 +590,7 @@ def _newton_step(st):
     b = -_residual(prob, gu, st.f, st.eps)
     r = st.residuals[-1] if st.residuals else 1.0
     forcing = min(0.1, max(r, 0.5 * st.tol / r))
-    prec, _ = _make_precond(prob, a)
+    prec = _make_precond(prob, a)
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
     d = prob.project(d)
     # Newton's natural step is 1: minimizing along d costs more CG overall
@@ -613,7 +613,7 @@ def _descent_stage(st):
     ends once sqrt(g . pg) falls by 1e-3 from its start or below 1e-13 times
     the dual norm of f, or after _MAX_INNER steps."""
     prob, eps, kit = st.prob, st.eps, st.prob.kit
-    prec, _ = _make_precond(prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
+    prec = _make_precond(prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
     e = _energy(prob, st.f, st.u, eps, st.gu)
     d = gd = pg_prev = gn0 = None
     for _ in range(_MAX_INNER):
@@ -868,12 +868,14 @@ def manufacture(
 ) -> PDEProblem:
     """Problem whose exact discrete solution is u_star (g = 0): f := T(u_star).
 
-    u_star must be supported strictly inside the mask.
+    u_star must be supported strictly inside the mask.  The problem is
+    validated and its kit built once: f is computed with the kit of the
+    problem it is then set on.
     """
     outside = ~np.asarray(mask, dtype=bool)
     if np.any(u_star.values[outside] != 0.0):
         raise ValueError("u_star must vanish outside the interior mask")
-    probe = PDEProblem(
+    prob = PDEProblem(
         grid=grid,
         mask=mask,
         s=s,
@@ -884,6 +886,7 @@ def manufacture(
         c1=c1,
         c2=c2,
     )
-    kit = probe.kit
-    fl = _flux(probe, kit.grad(u_star.values), 0.0)
-    return replace(probe, rhs=ScalarField(grid, -kit.div(fl)))
+    kit = prob.kit
+    fl = _flux(prob, kit.grad(u_star.values), 0.0)
+    object.__setattr__(prob, "rhs", ScalarField(grid, -kit.div(fl)))
+    return prob

@@ -241,14 +241,15 @@ def constants_check() -> CheckResult:
                    n_values=[1, 2, 3], s_points=99)
 
 
-def pv_check(
-    s_values=(0.25, 0.5, 0.75),
-    N_coarse: int = 128,
-    N_fine: int = 256,
-    tol: float = 1e-2,
-    min_gain: float = 2.0,
-) -> list[CheckResult]:
-    """Cross-validate the spectral gradient against the PV quadrature.
+#: the PV cross-check's grids (n = 1, L = 1), its bar on the fine grid's
+#: windowed error and the least coarse/fine error ratio it accepts
+_PV_N_COARSE, _PV_N_FINE = 128, 256
+_PV_TOL = 1e-2
+_PV_MIN_GAIN = 2.0
+
+
+def pv_check(s_values=(0.25, 0.5, 0.75)) -> list[CheckResult]:
+    """Cross-validate the spectral gradient against the 1D PV quadrature.
 
     The comparison runs on the window |x - center| <= R - 2 rho where the
     truncated free-space quadrature is a faithful oracle (rho = L/16 bump).
@@ -256,7 +257,7 @@ def pv_check(
     out = []
     for s in s_values:
         errs = {}
-        for N in (N_coarse, N_fine):
+        for N in (_PV_N_COARSE, _PV_N_FINE):
             grid = make_grid(GridSpec(n=1, N=N, L=1.0))
             rho = 1.0 / 16.0
             u = bump(grid, [0.5], rho, 1.0)
@@ -269,16 +270,16 @@ def pv_check(
                 / np.sqrt(np.sum(sp.components[0].values[win] ** 2))
             )
         out.append(
-            _result(f"pv_agreement s={s}", errs[N_fine], tol,
-                    coarse_error=errs[N_coarse])
+            _result(f"pv_agreement s={s}", errs[_PV_N_FINE], _PV_TOL,
+                    coarse_error=errs[_PV_N_COARSE])
         )
-        gain = errs[N_coarse] / errs[N_fine]
+        gain = errs[_PV_N_COARSE] / errs[_PV_N_FINE]
         out.append(
             CheckResult(
                 name=f"pv_refinement_gain s={s}",
-                passed=bool(gain >= min_gain),
+                passed=bool(gain >= _PV_MIN_GAIN),
                 observed=float(gain),
-                tolerance=float(min_gain),
+                tolerance=float(_PV_MIN_GAIN),
                 details={"direction": "observed >= tolerance"},
             )
         )

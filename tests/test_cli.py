@@ -1,5 +1,7 @@
 """CLI subcommand, serialization, and determinism tests."""
 
+import argparse
+import functools
 import hashlib
 import json
 import math
@@ -629,9 +631,32 @@ def test_import_leaves_jsonschema_out():
     assert done.stdout == "False\n"
 
 
+def test_parser_built_once_per_process(tmp_path, monkeypatch):
+    """main parses every call with one parser, and a flag given to one call
+    does not carry over to the next."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    flags = ["weights", "--alpha", 0.5, "--p", 2, "--levels", 3, "--N", 64]
+    assert run([*flags, "--q", 4, "--x0", 0.1, "--out", tmp_path / "a"]) == 0
+    # the top-level parser and one per subcommand
+    assert len(built) == 7
+    assert run([*flags, "--out", tmp_path / "b"]) == 0
+    assert len(built) == 7
+    args = cli.build_parser().parse_args([str(f) for f in flags])
+    assert (args.q, args.x0, args.out) == (None, None, "weights_out")
+
+
 class TestSchemas:
     @pytest.mark.parametrize("validator", [
-        cli.SOLVE_VALIDATOR, cli.SWEEP_VALIDATOR, *cli.SWEEP_CASE_VALIDATORS.values(),
+        cli._validators()["SOLVE_VALIDATOR"], cli._validators()["SWEEP_VALIDATOR"],
+        *cli._validators()["SWEEP_CASE_VALIDATORS"].values(),
     ])
     def test_schema_passes_metaschema(self, validator):
         jsonschema.Draft202012Validator.check_schema(validator.schema)

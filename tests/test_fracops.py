@@ -470,13 +470,6 @@ class TestPVQuadrature:
         v = fo.riesz_gradient_pv(u, 0.5)
         assert np.max(np.abs(v.components[0].values)) == 0.0
 
-    def test_kernel_antisymmetry(self):
-        z = np.array([0.37])
-        k = fo.pv_kernel(z, 0.5, 1)
-        assert np.allclose(k, -fo.pv_kernel(-z, 0.5, 1))
-        z2 = np.array([0.2, -0.4])
-        assert np.allclose(fo.pv_kernel(z2, 0.3, 2), -fo.pv_kernel(-z2, 0.3, 2))
-
     def test_agreement_and_refinement(self):
         # window |x - c| <= R - 2 rho, where the truncated oracle is valid
         rho = 1.0 / 16.0
@@ -494,13 +487,18 @@ class TestPVQuadrature:
             assert errs[256] <= 1e-2
             assert errs[128] / errs[256] >= 2.0
 
-    def test_parameter_validation(self):
-        g = grid1()
-        u = bump(g, [0.5], 0.1)
-        with pytest.raises(ValueError, match="below the grid spacing"):
-            fo.riesz_gradient_pv(u, 0.5, eps=g.h / 4)
-        with pytest.raises(ValueError, match="below L/2"):
-            fo.riesz_gradient_pv(u, 0.5, radius=0.6)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_dimensional_only(self, n):
+        g = make_grid(GridSpec(n=n, N=16, L=1.0))
+        u = bump(g, [0.5] * n, 0.2, 1.0)
+        with pytest.raises(ValueError, match="one-dimensional.*Gaussian"):
+            fo.riesz_gradient_pv(u, 0.5)
+
+    def test_order_validation(self):
+        u = bump(grid1(), [0.5], 0.1)
+        for s in (0.0, 1.0):
+            with pytest.raises(ValueError, match="s in \\(0, 1\\)"):
+                fo.riesz_gradient_pv(u, s)
 
 
 class TestConstants:

@@ -186,21 +186,28 @@ class TestEnergy:
         assert abs(sv.energy(prob, u, eps) - old) <= 1e-12 * abs(old)
 
 
+def record_kits(monkeypatch) -> list:
+    """Every _RieszOps built from now on, in order."""
+    made = []
+
+    class Counted(fo._RieszOps):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fo, "_RieszOps", Counted)
+    monkeypatch.setattr(sv, "_RieszOps", Counted)
+    return made
+
+
 class TestOneKitPerProblem:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_helpers_share_the_problem_kit(self, monkeypatch, p):
-        made = []
-
-        class Counted(fo._RieszOps):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(fo, "_RieszOps", Counted)
-        monkeypatch.setattr(sv, "_RieszOps", Counted)
+        made = record_kits(monkeypatch)
         g, mask, w = setup_1d()
         prob = sv.manufacture(g, mask, 0.5, p, w, bump(g, [1.0], 0.3, 1.0))
         u, v = interior_fields(g, mask, 2, seed=18)
+        kit = prob.kit
         made.clear()
         sv.apply_operator(prob, u)
         sv.energy(prob, u)
@@ -209,6 +216,16 @@ class TestOneKitPerProblem:
         sv.monotonicity_gap(prob, u, v)
         if p == 2.0:
             sv.solve_linear(prob)
+        assert rep.converged
+        assert made == [] and prob.kit is kit
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_manufactured_problem_builds_one_kit(self, monkeypatch, p):
+        # manufacture computes f with the kit of the problem it returns
+        made = record_kits(monkeypatch)
+        g, mask, w = setup_1d()
+        prob = sv.manufacture(g, mask, 0.5, p, w, bump(g, [1.0], 0.3, 1.0))
+        rep = sv.solve_linear(prob) if p == 2.0 else sv.solve_plaplace(prob)
         assert rep.converged
         assert len(made) == 1 and made[0] is prob.kit
 
@@ -661,13 +678,17 @@ class TestPreconditioner:
         diag = kit.multiply(kit.diag_sym, a)
         assert np.max(np.abs(diag - dense) / dense) <= 1e-12
         if coefficient == "constant":
-            # a constant coefficient leaves the sandwich at D = 1
+            # a constant coefficient leaves the sandwich at D = 1: the
+            # preconditioner is the bare shifted spectral inverse
             whole = np.ones(g.spec.shape, dtype=bool)
             prob = sv.PDEProblem(grid=g, mask=whole, s=0.5, p=2.0,
                                  weight=wt.tabulated_weight(g, a, 2.0),
                                  rhs=ScalarField(g, np.zeros(g.spec.shape)))
-            _, d = sv._make_precond(prob)
-            assert np.max(np.abs(d - 1.0)) <= 1e-14
+            r = np.random.default_rng(7).standard_normal(g.spec.shape)
+            inv = 1.0 / (2.5 * kit.lap_sym + 2.5 * kit.lap_shift)
+            bare = prob.project(kit.multiply(inv, r))
+            got = sv._make_precond(prob)(r)
+            assert np.max(np.abs(got - bare)) <= 1e-14 * np.max(np.abs(bare))
 
     # the mass term 1 of the spectral-only preconditioner took 76 / 34 / 40
     # CG iterations in 1D and 50 / 25 / 32 in 2D
@@ -1076,13 +1097,13 @@ class TestDescent:
             return grad(self, u)
 
         def counted_make(*a, **k):
-            prec, ptag = make(*a, **k)
+            prec = make(*a, **k)
 
             def counted(r):
                 calls["prec"] += 1
                 return prec(r)
 
-            return counted, ptag
+            return counted
 
         monkeypatch.setattr(fo._RieszOps, "grad", counted_grad)
         monkeypatch.setattr(sv, "_make_precond", counted_make)
@@ -1105,14 +1126,14 @@ class TestDescent:
         make, line_minimum = sv._make_precond, sv._line_minimum
 
         def recording_make(*a, **k):
-            prec, ptag = make(*a, **k)
+            prec = make(*a, **k)
 
             def recording(r):
                 out = prec(r)
                 seen.append((r, out))
                 return out
 
-            return recording, ptag
+            return recording
 
         def overshooting(prob, f, u, gu, d, gd, eps, e0, slope, fd):
             steps.append((d, gd, slope))
