@@ -271,7 +271,8 @@ def _make_precond(prob: PDEProblem, coeff: np.ndarray | None = None):
     of a matrix coefficient), with diagonal scale D:
 
         M^-1 r = P D^-1 F^-1[F(D^-1 r) / (med (|2 pi xi|^(2s) + (2 pi/L)^(2s)))]
-        D^2 = min(a / med, (a * kappa) / (med sum(kappa)))
+        D^2 = (a * kappa) / (med sum(kappa))                  for p > 2,
+        D^2 = min(a / med, (a * kappa) / (med sum(kappa)))    for p <= 2,
 
     with med the median of a on Omega, P the projection onto admissible
     fields and a * kappa the exact diagonal of the operator
@@ -284,13 +285,19 @@ def _make_precond(prob: PDEProblem, coeff: np.ndarray | None = None):
 
     Why the minimum: kappa vanishes at 0 (each kernel g_j is odd), so the
     diagonal at x averages a over the neighbours of x and leaves a(x) out.
-    A spike of a at one node (a p < 2 coefficient at a zero of grad^s u)
-    enters the diagonals of its neighbours, so scaling by the diagonal
-    alone lets it stiffen them all, while scaling by a alone lets it
-    stiffen its own node; the minimum takes the softer scale at every
-    point.  On the p < 2 solves either scale alone took 1.6 to 21 times
-    the CG iterations of the minimum.  The diagonal costs two transforms
-    per call; kappa's spectrum is built once per kit.
+    Only a p < 2 coefficient spikes at the zeros of grad^s u.  Such a
+    spike at one node enters the diagonals of its neighbours, so scaling
+    by the diagonal alone lets it stiffen them all, while scaling by a
+    alone lets it stiffen its own node; the minimum takes the softer scale
+    at every point.  On the p < 2 solves either scale alone took 1.6 to 21
+    times the CG iterations of the minimum.  A p > 2 coefficient dips to
+    zero there instead, and the minimum would copy each dip into D; the
+    diagonal averages it out.  On the three p = 3 benchmark solves that
+    took 0.41 to 0.49 times the CG iterations or descent steps of the
+    minimum, and it turned p = 4 and 6 runs that overflowed or stalled
+    into converged ones.  At p = 2 a is the weight and the two forms did
+    the same work.  The diagonal costs two transforms per call; kappa's
+    spectrum is built once per kit.
     """
     if coeff is None:
         if prob.matrix is not None:
@@ -301,7 +308,7 @@ def _make_precond(prob: PDEProblem, coeff: np.ndarray | None = None):
     kit = prob.kit
     med = float(np.median(coeff[prob.mask]))
     diag = kit.multiply(kit.diag_sym, coeff) / kit.diag_sum
-    d = np.sqrt(np.minimum(coeff, diag) / med)
+    d = np.sqrt((diag if prob.p > 2.0 else np.minimum(coeff, diag)) / med)
     inv = 1.0 / (med * kit.lap_sym + med * kit.lap_shift)
 
     def prec(r):
@@ -447,7 +454,9 @@ def _line_search(prob, f, u, gu, d, gd, eps, e0, slope):
     the energy's directional derivative along d.  grad^s is linear, so a
     trial's gradient is gu + t gd and a trial costs no transform.  Returns
     (t, u + t d, its gradient, its energy, ok).  When t falls to _T_MIN
-    without sufficient decrease, the tiny step is still taken and ok is False.
+    without sufficient decrease, the tiny step is still taken and ok is False;
+    a non-finite energy fails the Armijo test, and if the floor's energy is
+    not finite either, no step is taken: t = 0, u, gu and e0 come back.
     """
 
     def trial(t):
@@ -461,7 +470,10 @@ def _line_search(prob, f, u, gu, d, gd, eps, e0, slope):
         if et <= e0 + _ARMIJO * t * slope:
             return t, ut, gt, et, True
         t *= 0.5
-    return (t, *trial(t), False)
+    ut, gt, et = trial(t)
+    if not np.isfinite(et):
+        return 0.0, u, gu, e0, False
+    return t, ut, gt, et, False
 
 
 def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
@@ -473,10 +485,12 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
     bracketed from [0, 1] by doubling the upper end while phi' < 0 (up to
     _T_MAX), then found by regula falsi, bisecting when the secant lands in
     the outer tenth of the bracket, until |phi'(t)| <= _SLOPE_STOP |phi'(0)|
-    or _MAX_SLOPES slopes.  t is accepted under Armijo or the approximate
-    Wolfe test of Hager & Zhang (SIAM J. Optim. 16, 2005), which survives
-    energy differences at round-off; otherwise this falls back to the
-    halving search from t = 1.  Returns what _line_search returns.
+    or _MAX_SLOPES slopes.  A non-finite phi'(t) (an overflow along a huge
+    d) counts as past the minimum and is bisected, never interpolated.  t is
+    accepted under Armijo or the approximate Wolfe test of Hager & Zhang
+    (SIAM J. Optim. 16, 2005), which survives energy differences at
+    round-off and fails a non-finite phi(t); otherwise this falls back to
+    the halving search from t = 1.  Returns what _line_search returns.
     """
     w, p, hn = prob.weight.values, prob.p, prob.kit.hn
 
@@ -492,7 +506,7 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
         for _ in range(_MAX_SLOPES - 1):
             if abs(st) <= _SLOPE_STOP * abs(slope):
                 break
-            if st < 0.0:
+            if -np.inf < st < 0.0:
                 lo, slo = t, st
             else:
                 hi, shi = t, st
@@ -500,11 +514,13 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
                 if t >= _T_MAX:
                     break
                 t *= 2.0
-            else:
+            elif np.isfinite(shi):
                 t = lo - slo * (hi - lo) / (shi - slo)
                 edge = 0.1 * (hi - lo)
                 if not lo + edge <= t <= hi - edge:
                     t = 0.5 * (lo + hi)
+            else:
+                t = 0.5 * (lo + hi)
             gt, st = dphi(t)
         ut = u + t * d
         et = _energy(prob, f, ut, eps, gt)
@@ -608,10 +624,13 @@ def _descent_stage(st):
     grad^s pg and the last direction's gradient: one grad^s and one
     preconditioner application per step.  The slope along d is h^n g . d,
     exact by the discrete integration by parts; a direction that does not
-    descend restarts at -pg.  Each step moves to the regularized energy's
-    minimum along d (_line_minimum), as Kacanov's does.  The stage
-    ends once sqrt(g . pg) falls by 1e-3 from its start or below 1e-13 times
-    the dual norm of f, or after _MAX_INNER steps."""
+    descend, or whose beta or slope is not finite, restarts at -pg.  Each
+    step moves to the regularized energy's minimum along d (_line_minimum),
+    as Kacanov's does.  The stage ends once sqrt(g . pg) falls by 1e-3 from
+    its start or below 1e-13 times the dual norm of f, or after _MAX_INNER
+    steps.  It also ends, naming the reason in the report's "breakdown",
+    when g . pg is not finite or the line search finds no finite energy
+    along d; u then keeps its last finite value."""
     prob, eps, kit = st.prob, st.eps, st.prob.kit
     prec = _make_precond(prob, _coeff(prob.weight.values, prob.p, st.gu, eps))
     e = _energy(prob, st.f, st.u, eps, st.gu)
@@ -620,6 +639,9 @@ def _descent_stage(st):
         g = _residual(prob, st.gu, st.f, eps)
         pg = prec(g)
         gdot = float(_sum(g * pg))
+        if not np.isfinite(gdot):
+            st.counts["breakdown"] = "non-finite preconditioned residual"
+            return
         gn = np.sqrt(max(gdot, 0.0))
         if gn0 is None:
             gn0 = gn
@@ -627,18 +649,21 @@ def _descent_stage(st):
             break
         gpg = kit.grad(pg)
         beta = 0.0 if d is None else max(0.0, float(_sum(g * (pg - pg_prev))) / gdot_prev)
-        if beta > 0.0:
+        if 0.0 < beta < np.inf:
             d = beta * d - pg
             gd = [beta * c - cp for c, cp in zip(gd, gpg)]
             slope = kit.hn * float(_sum(g * d))
-        if beta == 0.0 or slope >= 0.0:
+        if not 0.0 < beta < np.inf or not -np.inf < slope < 0.0:
             d, gd, slope = -pg, [-c for c in gpg], -kit.hn * gdot
         pg_prev, gdot_prev = pg, gdot
-        _, st.u, st.gu, e, ok = _line_minimum(
+        t, st.u, st.gu, e, ok = _line_minimum(
             prob, st.f, st.u, st.gu, d, gd, eps, e, slope, _sum(st.f * d)
         )
-        st.energies.append(e)
         st.counts["line_search_failures"] += not ok
+        if t == 0.0:
+            st.counts["breakdown"] = "no finite energy along the search direction"
+            return
+        st.energies.append(e)
 
 
 _STEPS = {"kacanov": _kacanov_step, "newton": _newton_step, "descent": _descent_stage}
@@ -774,6 +799,9 @@ def solve_plaplace(
     the rows and the initial guess's solve add up to "inner_iterations".
     "stalled" flags a run whose best certificate of its last 10 outer
     steps improved on the best before them by less than a relative 1e-3.
+    A descent run that meets a non-finite value it cannot restart past
+    stops unconverged at its last finite iterate, with the reason in
+    "breakdown" (absent from every other report).
     Every CG solve and descent stage uses the one preconditioner of
     _make_precond, which the report and each row name "spectral+diagonal".
     """
@@ -802,6 +830,8 @@ def solve_plaplace(
         st.step()
         if st.certificate() < tol:
             converged = True
+            break
+        if "breakdown" in st.counts:
             break
         if not st.frozen and len(st.residuals) > 3 and st.eps <= st.eps_min * 1.001:
             # descent at the regularization floor with no progress left
