@@ -39,7 +39,6 @@ from .grid import (
     field_to_csv,
     make_grid,
     read_field,
-    sample,
     write_field,
 )
 from . import fracops as fo

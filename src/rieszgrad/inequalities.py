@@ -25,7 +25,6 @@ keeps the unpaired-Nyquist convention from polluting identity residuals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -342,46 +341,6 @@ def poincare_constant(
 #: LOBPCG's Rayleigh-Ritz drops a direction whose eigenvalue in the Gram
 #: matrix of B falls below this fraction of the largest one
 _GRAM_DROP = 1e-12
-#: cap on the Jacobi sweeps of _small_eigh
-_JACOBI_SWEEPS = 50
-
-
-def _small_eigh(A: np.ndarray):
-    """Eigenvalues in ascending order and unit eigenvectors (columns) of a
-    small symmetric matrix, by cyclic Jacobi rotations with Rutishauser's
-    formulas (Golub & Van Loan, Matrix Computations, sec. 8.5).  An
-    off-diagonal entry too small to change either diagonal entry it couples
-    is set to zero.  Plain Python on floats: numpy.linalg.eigh pages in
-    LAPACK code on its first call (0.8 MiB of resident memory with numpy
-    2.4's OpenBLAS) for what is here a 3 x 3 problem."""
-    m = len(A)
-    a = [[float(x) for x in row] for row in A]
-    v = [[float(i == j) for j in range(m)] for i in range(m)]
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    # quadratic convergence zeroes a 3 x 3 in a handful of sweeps; the cap
-    # only ends the loop on a non-finite entry
-    for _ in range(_JACOBI_SWEEPS):
-        if all(a[i][j] == 0.0 for i, j in pairs):
-            break
-        for i, j in pairs:
-            aij = a[i][j]
-            g = 100.0 * abs(aij)
-            if abs(a[i][i]) + g == abs(a[i][i]) and abs(a[j][j]) + g == abs(a[j][j]):
-                a[i][j] = a[j][i] = 0.0
-                continue
-            theta = (a[j][j] - a[i][i]) / (2.0 * aij)
-            t = 1.0 / (abs(theta) + math.hypot(theta, 1.0))
-            t = -t if theta < 0.0 else t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            sn = t * c
-            for row in a + v:
-                row[i], row[j] = c * row[i] - sn * row[j], sn * row[i] + c * row[j]
-            for k in range(m):
-                a[i][k], a[j][k] = c * a[i][k] - sn * a[j][k], sn * a[i][k] + c * a[j][k]
-            a[i][j] = a[j][i] = 0.0
-    order = sorted(range(m), key=lambda k: a[k][k])
-    return (np.array([a[k][k] for k in order]),
-            np.array([[row[k] for k in order] for row in v]))
 
 
 def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
@@ -394,7 +353,7 @@ def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
     the solver's preconditioner for w (solver._make_precond: the shifted
     (-Lap)^s scaled on both sides by the operator's diagonal),
     W = prec(r), applies K once, to W, and runs Rayleigh-Ritz on
-    span{x, W, P}, P the last step's update:
+    span{x, W, P}, P the last step's update, by numpy.linalg.eigh:
     each column is scaled to unit B-norm, and directions whose B-Gram
     eigenvalue is below _GRAM_DROP times the largest are dropped.  x, Kx, P
     and KP follow by linear combination, so K is never applied to x again.
@@ -428,11 +387,11 @@ def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
         GB = np.einsum("ik,jk->ij", S, w.ravel() * S)
         GK = np.einsum("ik,jk->ij", S, KS)
         scale = 1.0 / np.sqrt(np.maximum(np.diag(GB), 1e-300))
-        d, V = _small_eigh(scale[:, None] * (GB + GB.T) * scale / 2.0)
+        d, V = np.linalg.eigh(scale[:, None] * (GB + GB.T) * scale / 2.0)
         keep = d > _GRAM_DROP * d[-1]
         T = V[:, keep] / np.sqrt(d[keep])
         GK = scale[:, None] * (GK + GK.T) * scale / 2.0
-        _, Y = _small_eigh(np.einsum("ki,kl,lj->ij", T, GK, T))
+        _, Y = np.linalg.eigh(np.einsum("ki,kl,lj->ij", T, GK, T))
         c = scale * np.einsum("ij,j->i", T, Y[:, 0])
         P = sum(ci * v for ci, v in zip(c[1:], cols[1:]))
         KP = sum(ci * v for ci, v in zip(c[1:], kcols[1:]))

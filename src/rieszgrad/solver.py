@@ -27,7 +27,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .grid import Grid, ScalarField, VectorField, lp_norm
+from .grid import Grid, ScalarField, VectorField
 from .fracops import _RieszOps, _sum
 from .weights import Weight
 

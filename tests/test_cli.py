@@ -620,12 +620,15 @@ def validate_error(instance, schema, what):
     return f"error: {what} invalid at '{where}': {info.value.message}\n"
 
 
-def test_import_leaves_jsonschema_out():
-    """jsonschema is imported on the first validation, not with the CLI."""
+@pytest.mark.parametrize("module", ["jsonschema", "scipy", "mpmath"])
+def test_import_leaves_module_out(module):
+    """Importing the package and its CLI loads none of these: jsonschema is
+    imported on the first validation, numpy is the only numeric dependency,
+    and mpmath is a test extra."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, rieszgrad.cli; print('jsonschema' in sys.modules)"
+    code = f"import sys, rieszgrad, rieszgrad.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"

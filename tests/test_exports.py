@@ -1,5 +1,7 @@
-"""Every public module's ``__all__`` names only what the module defines."""
+"""Every public module's ``__all__`` names only what the module defines, and
+every library module uses what it imports."""
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 MODULES = ["grid", "fracops", "weights", "inequalities", "solver", "suite"]
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rieszgrad"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -34,3 +37,25 @@ def test_traced_targets_resolve():
             if not callable(getattr(owner, meth, None)):
                 missing.append(f"{mod}.{cls}.{meth}")
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.stem)
+def test_imports_are_used(path):
+    # a name an import binds is read somewhere in the module, or listed in
+    # its __all__; __future__ features bind no name, and __init__.py only
+    # re-exports
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    assert sorted(bound - used) == []

@@ -154,24 +154,6 @@ class TestPoincare:
         assert calls["cg"] == 0
         assert calls["grad"] <= est.iterations + 4
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_small_eigh_matches_lapack(self, m):
-        # LOBPCG's Rayleigh-Ritz eigensolver against numpy.linalg.eigh on
-        # symmetric matrices whose rows and columns are scaled over 16
-        # decades, as unnormalized Gram matrices are
-        rng = np.random.default_rng(m)
-        for _ in range(50):
-            D = np.diag(10.0 ** rng.uniform(-8, 8, size=m))
-            A = rng.standard_normal((m, m))
-            A = D @ (A + A.T) @ D
-            d, V = iq._small_eigh(A)
-            ref = np.linalg.eigvalsh(A)
-            scale = np.abs(A).max()
-            assert np.all(np.diff(d) >= 0.0)
-            assert np.abs(d - ref).max() <= 1e-13 * scale
-            assert np.abs(V.T @ V - np.eye(m)).max() <= 1e-14
-            assert np.abs(A @ V - V * d).max() <= 1e-13 * scale
-
     def test_monotone_in_domain(self):
         g = grid1(N=128, L=2.0)
         x = g.axes[0]

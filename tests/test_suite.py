@@ -1,4 +1,7 @@
-"""The identity suite against the public operators, and its transform count."""
+"""The identity suite against the public operators, and its transform count;
+the Poincare family rows against a wrong eigenvalue."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from rieszgrad import fracops as fo
 from rieszgrad import inequalities as iq
 from rieszgrad import suite
-from rieszgrad.grid import GridSpec, lp_norm, make_grid, remove_mean
+from rieszgrad.grid import GridSpec, ScalarField, lp_norm, make_grid, remove_mean
 
 S_VALUES = (0.25, 0.5, 0.75)
 
@@ -110,3 +113,37 @@ def test_transform_count(monkeypatch, s_values, transforms):
     monkeypatch.setattr(fo, "_irfft", counted(fo._irfft))
     suite.identity_checks(3, 16, s_values, count=1)
     assert len(calls) == transforms
+
+
+def family_ratio(grid, mask, fam, p, constant):
+    """Worst ||u||_p / (C ||grad^(1/2) u||_p) over the family's interior fields."""
+    worst = 0.0
+    for u in fam:
+        ui = ScalarField(grid, np.where(mask, u.values, 0.0))
+        worst = max(worst, lp_norm(ui, p) / (lp_norm(fo.riesz_gradient(ui, 0.5), p) * constant))
+    return worst
+
+
+def test_family_rows_catch_a_wrong_eigenvalue(monkeypatch):
+    """An eigenvalue 100 times too large, with the constant still raised to
+    the maximum over the estimate's own family: the rows, which test
+    lambda^(-1/p) on an unseen family, fail; the same comparison against the
+    constant on the estimate's family cannot."""
+    real = iq.poincare_constant
+    seen = []
+
+    def inflated(grid, mask, s, p=2.0, **kwargs):
+        est = real(grid, mask, s, p, **kwargs)
+        fam = iq._interior_family(grid, mask, kwargs.get("seed", 0))
+        lam = 100.0 * est.eigenvalue
+        constant = max(lam ** (-1.0 / p), 1.0 / family_ratio(grid, mask, fam, p, 1.0))
+        seen.append((grid, mask, fam, p, constant))
+        return dataclasses.replace(est, eigenvalue=lam, constant=constant)
+
+    monkeypatch.setattr(iq, "poincare_constant", inflated)
+    rows = {r.name: r for r in suite.poincare_check(seed=0)}
+    for name in ("poincare_family_inequality", "poincare_p3_family_inequality"):
+        assert not rows[name].passed
+    assert len(seen) == 2
+    for grid, mask, fam, p, constant in seen:
+        assert family_ratio(grid, mask, fam, p, constant) <= 1.0 + 1e-8
