@@ -87,7 +87,7 @@ class GridSpec:
 
 
 class Grid:
-    """A GridSpec with cached coordinates, frequency lattice and phase factors.
+    """A GridSpec with cached coordinates and half frequency lattice.
 
     Build through :func:`make_grid`.  The frequencies per axis are
     ``numpy.fft.fftfreq(N, d=h) == k/L`` in FFT order; the Nyquist entry is the
@@ -103,14 +103,6 @@ class Grid:
         n, N, h = spec.n, spec.N, spec.h
         self.h = h
         self.axes = tuple(spec.origin[d] + h * np.arange(N) for d in range(n))
-        freq = np.fft.fftfreq(N, d=h)  # k/L, FFT order
-        self.freq_axes = (freq,) * n
-        # Origin phase exp(-2 pi i origin . xi), stored per axis for cheap
-        # broadcasting; all-ones when the origin is zero.
-        self._phase = [
-            np.exp(-2j * np.pi * spec.origin[d] * freq) for d in range(n)
-        ]
-        self._has_phase = any(o != 0.0 for o in spec.origin)
 
     @cached_property
     def half_xi(self) -> tuple[np.ndarray, ...]:
@@ -138,13 +130,14 @@ class Grid:
         return np.meshgrid(*self.axes, indexing="ij")
 
     def _apply_phase(self, F: np.ndarray, conj: bool) -> np.ndarray:
-        if not self._has_phase:
-            return F
+        """F times the origin phase exp(-2 pi i origin . xi), or its conjugate:
+        one factor per axis whose origin is non-zero."""
         out = F
-        for d, ph in enumerate(self._phase):
-            shape = [1] * self.spec.n
-            shape[d] = self.spec.N
-            out = out * (np.conj(ph) if conj else ph).reshape(shape)
+        for d, o in enumerate(self.spec.origin):
+            if o != 0.0:
+                ph = np.exp(-2j * np.pi * o * np.fft.fftfreq(self.spec.N, d=self.h))
+                shape = [-1 if e == d else 1 for e in range(self.spec.n)]
+                out = out * (np.conj(ph) if conj else ph).reshape(shape)
         return out
 
     def __eq__(self, other) -> bool:

@@ -46,10 +46,6 @@ __all__ = [
 ]
 
 
-#: the name every report and steps row gives the one preconditioner
-_PRECONDITIONER = "spectral+diagonal"
-
-
 class EllipticityError(RuntimeError):
     """Raised when the interior operator stops being positive definite."""
 
@@ -179,7 +175,6 @@ class SolveReport:
     energies: list[float]
     converged: bool
     method: str
-    preconditioner: str = _PRECONDITIONER
     details: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
@@ -187,7 +182,6 @@ class SolveReport:
             "method": self.method,
             "iterations": self.iterations,
             "converged": self.converged,
-            "preconditioner": self.preconditioner,
             "residuals": self.residuals,
             "energies": self.energies,
             **self.details,
@@ -547,7 +541,6 @@ def _damped_update(st, a, d, inner, minimize):
     st.counts["steps"].append({"inner_iterations": its,
                                "inner_converged": bool(inner_ok),
                                "inner_tol": float(tol),
-                               "preconditioner": _PRECONDITIONER,
                                "eps": float(st.eps)})
     gd = st.prob.kit.grad(d)
     e0 = _energy(st.prob, st.f, st.u, st.eps, st.gu)
@@ -757,6 +750,23 @@ class _SolveState:
         self.residuals.append(rn)
         return rn
 
+    def report(self, converged: bool) -> SolveReport:
+        """The report of the solve at u, with its certificates, energies,
+        final eps and counts; "stalled" as solve_plaplace describes it."""
+        r = self.residuals
+        stalled = len(r) > _STALL_WINDOW and (
+            min(r[-_STALL_WINDOW:]) >= (1.0 - _STALL_GAIN) * min(r[:-_STALL_WINDOW]))
+        return SolveReport(
+            solution=ScalarField(self.prob.grid, self.prob.project(self.u)),
+            iterations=len(self.energies) - 1,
+            residuals=[float(x) for x in r],
+            energies=[float(e) for e in self.energies],
+            converged=converged,
+            method=self.method,
+            details={"tol": self.tol, "final_eps": self.eps, **self.counts,
+                     "stalled": stalled},
+        )
+
 
 def solve_plaplace(
     prob: PDEProblem,
@@ -794,32 +804,21 @@ def solve_plaplace(
     and newton, the CG iterations of all inner solves, the inner solves
     that missed their tolerance, the step length of every outer step
     ("step_lengths") and one row per outer step ("steps": its inner
-    solve's CG iterations, convergence, tolerance ("inner_tol") and
-    preconditioner, and its eps);
+    solve's CG iterations, convergence, tolerance ("inner_tol") and eps);
     the rows and the initial guess's solve add up to "inner_iterations".
     "stalled" flags a run whose best certificate of its last 10 outer
     steps improved on the best before them by less than a relative 1e-3.
     A descent run that meets a non-finite value it cannot restart past
     stops unconverged at its last finite iterate, with the reason in
-    "breakdown" (absent from every other report).
-    Every CG solve and descent stage uses the one preconditioner of
-    _make_precond, which the report and each row name "spectral+diagonal".
+    "breakdown" (absent from every other report).  Zero data gives the
+    zero solution, converged, with final_eps 0.
     """
     st = _SolveState(prob, method, tol)
-    tol = st.tol
     if st.fn == 0.0:
         # zero data: the unique minimizer is zero (energy vanishes there)
-        zero = ScalarField(prob.grid, np.zeros(prob.grid.spec.shape))
-        return SolveReport(
-            solution=zero,
-            iterations=0,
-            residuals=[0.0],
-            energies=[0.0],
-            converged=True,
-            method=st.method,
-            details={"tol": tol, "note": "zero right-hand side", **st.counts,
-                     "stalled": False},
-        )
+        st.u, st.eps = np.zeros_like(st.f), 0.0
+        st.residuals, st.energies = [0.0], [0.0]
+        return st.report(True)
 
     st.start(None if x0 is None else x0.values)
     # every step appends one energy and counts its failures and inner
@@ -828,7 +827,7 @@ def solve_plaplace(
     converged = False
     for _ in range(max_outer):
         st.step()
-        if st.certificate() < tol:
+        if st.certificate() < st.tol:
             converged = True
             break
         if "breakdown" in st.counts:
@@ -839,20 +838,7 @@ def solve_plaplace(
                 break
         st.eps = (max(st.eps * 0.5, 1e-15 * st.scale) if st.frozen
                   else max(st.eps * 0.25, st.eps_min))
-
-    stalled = len(st.residuals) > _STALL_WINDOW and min(
-        st.residuals[-_STALL_WINDOW:]
-    ) >= (1.0 - _STALL_GAIN) * min(st.residuals[:-_STALL_WINDOW])
-
-    return SolveReport(
-        solution=ScalarField(prob.grid, prob.project(st.u)),
-        iterations=len(st.energies) - 1,
-        residuals=[float(r) for r in st.residuals],
-        energies=[float(e) for e in st.energies],
-        converged=converged,
-        method=st.method,
-        details={"tol": tol, "final_eps": st.eps, **st.counts, "stalled": stalled},
-    )
+    return st.report(converged)
 
 
 def monotonicity_gap(

@@ -310,22 +310,27 @@ def _family_sup(grid: Grid, arrays, term, cubes: CubeFamily):
     return best, best_cube
 
 
+def _estimate(grid: Grid, arrays, term, cubes: CubeFamily, params=None) -> CubeEstimate:
+    """The family supremum of term (see _family_sup) with its provenance."""
+    val, cube = _family_sup(grid, arrays, term, cubes)
+    return CubeEstimate(float(val), cube, cubes.describe(), params or {})
+
+
+def _two_average(w: Weight, expo: float, power: float, cubes: CubeFamily, params):
+    """sup_Q (avg_Q w)(avg_Q w^expo)^power over the family."""
+
+    def term(count, sums, edge):
+        return (sums[0] / count) * (sums[1] / count) ** power
+
+    return _estimate(w.grid, [w.values, w.values**expo], term, cubes,
+                     {"family": w.family, **params})
+
+
 def ap_constant(w: Weight, p: float, cubes: CubeFamily) -> CubeEstimate:
     """Estimate [w]_p = sup_Q (avg_Q w)(avg_Q w^(-1/(p-1)))^(p-1)."""
     if not (p > 1):
         raise ValueError(f"p must exceed 1, got {p}")
-    dual_vals = w.values ** (-1.0 / (p - 1.0))
-
-    def term(count, sums, edge):
-        return (sums[0] / count) * (sums[1] / count) ** (p - 1.0)
-
-    val, cube = _family_sup(w.grid, [w.values, dual_vals], term, cubes)
-    return CubeEstimate(
-        value=float(val),
-        argmax_cube=cube,
-        family=cubes.describe(),
-        params={"family": w.family, "p": p},
-    )
+    return _two_average(w, -1.0 / (p - 1.0), p - 1.0, cubes, {"p": p})
 
 
 def apq_constant(w: Weight, p: float, q: float, cubes: CubeFamily) -> CubeEstimate:
@@ -333,19 +338,7 @@ def apq_constant(w: Weight, p: float, q: float, cubes: CubeFamily) -> CubeEstima
     if not (1 < p < q):
         raise ValueError(f"need 1 < p < q, got p={p}, q={q}")
     pprime = p / (p - 1.0)
-    expo = -pprime / q
-    aux = w.values**expo
-
-    def term(count, sums, edge):
-        return (sums[0] / count) * (sums[1] / count) ** (q / pprime)
-
-    val, cube = _family_sup(w.grid, [w.values, aux], term, cubes)
-    return CubeEstimate(
-        value=float(val),
-        argmax_cube=cube,
-        family=cubes.describe(),
-        params={"family": w.family, "p": p, "q": q},
-    )
+    return _two_average(w, -pprime / q, q / pprime, cubes, {"p": p, "q": q})
 
 
 def sawyer_wheeden_constant(
@@ -377,17 +370,15 @@ def sawyer_wheeden_constant(
             * (hn * sums[1]) ** (1.0 / pprime)
         )
 
-    val, cube = _family_sup(grid, [v.values, dual_vals], term, cubes)
-    record = CubeEstimate(float(val), cube, cubes.describe(),
-                          {"s": s, "p": p, "q": q}).to_record()
+    record = _estimate(grid, [v.values, dual_vals], term, cubes,
+                       {"s": s, "p": p, "q": q}).to_record()
     if v.values.shape == w.values.shape and np.array_equal(v.values, w.values):
 
         def single(count, sums, edge):
             volume = edge**n
             return volume ** (s / n) * (hn * sums[0]) ** (1.0 / q - 1.0 / p)
 
-        sval, scube = _family_sup(grid, [w.values], single, cubes)
-        one = CubeEstimate(float(sval), scube, record["cube_family"]).to_record()
+        one = _estimate(grid, [w.values], single, cubes).to_record()
         record["single_weight_constant"] = one["constant"]
         record["single_weight_argmax"] = one["argmax_cube"]
     return record
@@ -403,6 +394,9 @@ def weighted_measure(w: Weight, region) -> float:
         return float(hn * np.sum(w.values[region]))
     corner, edge = region
     corner = np.atleast_1d(np.asarray(corner, dtype=np.float64))
+    if corner.shape != (grid.spec.n,):
+        raise ValueError(f"cube corner must have {grid.spec.n} entries, "
+                         f"got {corner.size}")
     sl = []
     for d in range(grid.spec.n):
         lo, hi = _axis_ranges(grid, d, corner[d], edge)

@@ -171,7 +171,7 @@ class TestSolve:
         rows = rec["steps"]
         assert len(rows) == rec["iterations"]
         assert all(set(row) == {"inner_iterations", "inner_converged",
-                                "inner_tol", "preconditioner", "eps"}
+                                "inner_tol", "eps"}
                    for row in rows)
         assert sum(row["inner_iterations"] for row in rows) < rec["inner_iterations"]
         history = (outs[0] / "history.csv").read_text().splitlines()
@@ -297,6 +297,30 @@ class TestSolve:
         rec = json.loads((out / "solve_report.json").read_text())
         assert rec["converged"] is True
         assert rec["residual_final"] <= 1e-8
+
+    @pytest.mark.parametrize("p,method", [(2.0, "pcg"), (3.0, "newton")])
+    def test_max_iter_caps_the_solve(self, tmp_path, p, method):
+        # CG iterations for pcg, outer steps for newton
+        cfg = with_keys(SOLVE_CFG, p=p, solver={"method": method, "max_iter": 1})
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert run(["solve", "--config", path, "--out", out]) == 1
+        rec = json.loads((out / "solve_report.json").read_text())
+        assert rec["method"] == method
+        assert rec["iterations"] == 1 and rec["converged"] is False
+
+    def test_full_omega(self, tmp_path):
+        cfg = with_keys(SOLVE_CFG, omega={"type": "full"},
+                        rhs={"kind": "modes", "modes": [{"k": [2], "amplitude": 1.0}]})
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert run(["solve", "--config", path, "--out", out]) == 0
+        rec = json.loads((out / "solve_report.json").read_text())
+        assert rec["converged"] is True and rec["residual_final"] <= 1e-8
+        # on the whole torus the solution is mean-free
+        assert abs(np.mean(read_field(out / "solution.bin").values)) <= 1e-12
 
 
 class TestOp:

@@ -448,6 +448,15 @@ class TestSLimit:
         rep = iq.s_limit_report(ScalarField(g, np.ones(128)))
         assert rep.verdict == "inconclusive"
 
+    def test_max_ratio_is_the_largest_error(self):
+        # s values out of order: the largest error is not the first
+        g = grid1(N=256)
+        u = sample(lambda x: np.sin(2 * np.pi * 3 * x), g)
+        rep = iq.s_limit_report(u, s_values=(0.999, 0.9))
+        errs = [row["relative_error"] for row in rep.samples]
+        assert errs[0] < errs[1]
+        assert rep.max_ratio == errs[1]
+
 
 class TestDualRepresentation:
     def test_zero_functional(self):

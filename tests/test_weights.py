@@ -296,6 +296,13 @@ class TestWeightedMeasure:
         )
         assert abs(whole - parts) <= 1e-12 * whole
 
+    @pytest.mark.parametrize("corner", [(0.25,), (0.25, 0.25, 0.25)])
+    def test_corner_of_wrong_length_refused(self, corner):
+        g = make_grid(GridSpec(n=2, N=32, L=1.5))
+        w = wt.tabulated_weight(g, np.ones((32, 32)), 2.0)
+        with pytest.raises(ValueError, match="must have 2 entries"):
+            wt.weighted_measure(w, (corner, 0.5))
+
     def test_power_integral_refines(self):
         # integral of |x|^(1/2) over [0, 1] is 2/3
         errs = []
