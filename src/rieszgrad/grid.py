@@ -129,6 +129,12 @@ class Grid:
         """Meshgrid coordinate arrays (``indexing='ij'``)."""
         return np.meshgrid(*self.axes, indexing="ij")
 
+    def sparse_coords(self) -> list[np.ndarray]:
+        """The axes as broadcastable arrays, axis d varying along dimension d
+        only: an elementwise expression in them takes the values it takes in
+        :meth:`coords` without building n full arrays."""
+        return np.meshgrid(*self.axes, indexing="ij", sparse=True)
+
     def _apply_phase(self, F: np.ndarray, conj: bool) -> np.ndarray:
         """F times the origin phase exp(-2 pi i origin . xi), or its conjugate:
         one factor per axis whose origin is non-zero."""
@@ -341,8 +347,7 @@ def bump(grid: Grid, center, radius: float, sharpness: float = 1.0) -> ScalarFie
             raise ValueError(
                 "ball(center, radius) must lie inside the box with margin >= radius"
             )
-    coords = grid.coords()
-    r2 = sum((x - c) ** 2 for x, c in zip(coords, center)) / radius**2
+    r2 = sum((x - c) ** 2 for x, c in zip(grid.sparse_coords(), center)) / radius**2
     vals = np.zeros(grid.spec.shape)
     inside = r2 < 1.0
     with np.errstate(divide="ignore", over="ignore"):

@@ -416,8 +416,8 @@ _ARMIJO = 1e-4
 _T_MIN = 1e-10
 #: Kacanov's inner CG stops at _ETA times the last certificate, clipped to
 #: [_INNER_TOL, 0.1]: the residual-tied forcing of inexact Newton methods
-#: (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Without a
-#: certificate it stops at _INNER_TOL.
+#: (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Only the
+#: Poincare loop's steps, which follow no certificate, stop at _INNER_TOL.
 _ETA = 0.1
 _INNER_TOL = 1e-12
 #: descent's cap on nonlinear CG steps per eps stage
@@ -556,20 +556,25 @@ def _damped_update(st, a, d, inner, minimize):
     st.counts["step_lengths"].append(float(t))
 
 
+def _kacanov_tol(r: float) -> float:
+    """Kacanov's inner tolerance after certificate r: _ETA r clipped to
+    [_INNER_TOL, 0.1]."""
+    return max(_INNER_TOL, min(0.1, _ETA * r))
+
+
 def _kacanov_step(st):
     """Solve the problem with its coefficient frozen at u, then move to the
     regularized energy's minimum along the step.  The energy's Hessian lies
     between p - 1 and 1 times the frozen operator (either way round), so the
     full step only contracts the error by about |2 - p|; at p = 2 the
     minimum is t = 1.  The frozen solve starts from u and stops at
-    _ETA times the last certificate, clipped to [1e-12, 0.1]; with no
-    certificate yet (a solve's first step, and every step of the Poincare
-    loop, which records none) it stops at 1e-12.  A truncated CG from u
-    still lowers the frozen quadratic energy, whose gradient at u is the
-    regularized energy's, so the step stays a descent direction."""
+    _kacanov_tol of the last certificate, the start's on a solve's first
+    step; the steps of the Poincare loop, which records no certificate,
+    stop at 1e-12.  A truncated CG from u still lowers the frozen
+    quadratic energy, whose gradient at u is the regularized energy's, so
+    the step stays a descent direction."""
     a = _coeff(st.prob.weight.values, st.prob.p, st.gu, st.eps)
-    tol = (max(_INNER_TOL, min(0.1, _ETA * st.residuals[-1])) if st.residuals
-           else _INNER_TOL)
+    tol = _kacanov_tol(st.residuals[-1]) if st.residuals else _INNER_TOL
     uhat, inner = _solve_frozen(st.prob, a, st.f, st.u, tol)
     # an inner solve that misses its tolerance still supplies the step
     _damped_update(st, a, st.prob.project(uhat - st.u), (*inner, tol), True)
@@ -579,8 +584,8 @@ def _newton_step(st):
     """Solve H d = f - T_eps(u) with the regularized energy's Hessian
     H v = -div^s(a (grad^s v + (p-2) (g . grad^s v)/m g)), g = grad^s u and
     m = |g|^2 + eps^2, from zero to the relative forcing tolerance
-    min(0.1, max(r, 0.5 tol / r)) with r the last certificate (0.1 on the
-    first step, which has none), then damp the step by the line search.
+    min(0.1, max(r, 0.5 tol / r)) with r the last certificate (the start's
+    on the first step), then damp the step by the line search.
     The 0.5 tol / r floor is Kelley's safeguard against oversolving
     (Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
     eq. 6.20): a step that cuts r by its forcing already meets tol.  The
@@ -597,7 +602,7 @@ def _newton_step(st):
         return prob.project(-kit.div([a * cv + gdot * c for c, cv in zip(gu, gv)]))
 
     b = -_residual(prob, gu, st.f, st.eps)
-    r = st.residuals[-1] if st.residuals else 1.0
+    r = st.residuals[-1]
     forcing = min(0.1, max(r, 0.5 * st.tol / r))
     prec = _make_precond(prob, a)
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
@@ -717,16 +722,17 @@ class _SolveState:
 
     def start(self, x0: np.ndarray | None) -> None:
         """Start at the projection of x0, or else at the frozen solve with
-        coefficient w.  kacanov and newton take the target regularization
-        eps_min at once; descent follows a homotopy from a large eps so early
-        stages stay well conditioned."""
+        coefficient w.  That solve's CG begins at u = 0, whose certificate is
+        1 (the residual there is -f), and stops at Kacanov's forcing of that
+        certificate, _kacanov_tol(1) = 0.1.  kacanov and newton take the
+        target regularization eps_min at once; descent follows a homotopy
+        from a large eps so early stages stay well conditioned."""
         prob = self.prob
         if x0 is not None:
             self.u = prob.project(x0)
         else:
-            self.u, (its, _) = _solve_frozen(
-                prob, prob.weight.values, self.f, np.zeros_like(self.f), _INNER_TOL
-            )
+            self.u, (its, _) = _solve_frozen(prob, prob.weight.values, self.f,
+                                             np.zeros_like(self.f), _kacanov_tol(1.0))
             if self.frozen:
                 self.counts["inner_iterations"] += its
         self.gu = prob.kit.grad(self.u)
@@ -777,15 +783,18 @@ def solve_plaplace(
 ) -> SolveReport:
     """Iterative solve of the weighted fractional p-Laplace problem (g = 0).
 
-    kacanov: freeze a_k = w (|grad^s u_k|^2 + eps_k^2)^((p-2)/2), solve the
-    linear problem by CG from u_k, stopped at 0.1 times the last certificate
-    (clipped to [1e-12, 0.1]; 1e-12 on the first step, which has none), and
-    move to the regularized energy's minimum along the step, found from the
-    energy's slope without a transform and accepted under Armijo or an
-    approximate Wolfe test (default tol 1e-8).  newton
+    The start is x0 or, without one, the p = 2 solve with coefficient w,
+    its CG stopped at 0.1 (Kacanov's forcing of the certificate 1 of u = 0).
+    The start's certificate is residuals[0], so every outer step's inner
+    solve follows a certificate.  kacanov: freeze
+    a_k = w (|grad^s u_k|^2 + eps_k^2)^((p-2)/2), solve the linear problem
+    by CG from u_k, stopped at 0.1 times the last certificate (clipped to
+    [1e-12, 0.1]), and move to the regularized energy's minimum along the
+    step, found from the energy's slope without a transform and accepted
+    under Armijo or an approximate Wolfe test (default tol 1e-8).  newton
     (p > 2 only): inexact Newton on the regularized energy, each Hessian
     solve stopped at the forcing tolerance min(0.1, max(r, 0.5 tol / r)),
-    r the last certificate (0.1 on the first step), and preconditioned by
+    r the last certificate, and preconditioned by
     the frozen Kacanov coefficient, damped by an Armijo halving search from
     t = 1, with Kacanov's eps schedule and tolerance.  Below p = 2 newton
     stays unconverged after 200 steps on problems whose solution is centred
@@ -797,8 +806,11 @@ def solve_plaplace(
     tol 1e-6; a first-order method cannot certify much smaller dual
     residuals at the regularization floor).  All run one outer
     loop and declare convergence on the unregularized weak residual
-    (relative dual norm).  The default method is default_method(p), with
-    kacanov at p = 2.
+    (relative dual norm) after a step.  residuals holds the start's
+    certificate and one per outer step (kacanov, newton) or eps stage
+    (descent), so kacanov and newton report iterations + 1 of them, each
+    row of history_rows pairing the certificate and energy of one iterate.
+    The default method is default_method(p), with kacanov at p = 2.
 
     details counts line-search floor hits (every method) and, for kacanov
     and newton, the CG iterations of all inner solves, the inner solves
@@ -807,7 +819,8 @@ def solve_plaplace(
     solve's CG iterations, convergence, tolerance ("inner_tol") and eps);
     the rows and the initial guess's solve add up to "inner_iterations".
     "stalled" flags a run whose best certificate of its last 10 outer
-    steps improved on the best before them by less than a relative 1e-3.
+    steps improved on the best before them, the start's included, by less
+    than a relative 1e-3.
     A descent run that meets a non-finite value it cannot restart past
     stops unconverged at its last finite iterate, with the reason in
     "breakdown" (absent from every other report).  Zero data gives the
@@ -821,8 +834,9 @@ def solve_plaplace(
         return st.report(True)
 
     st.start(None if x0 is None else x0.values)
-    # every step appends one energy and counts its failures and inner
-    # iterations into the report
+    # residuals[0] and energies[0] are the start's; every step appends one
+    # energy and counts its failures and inner iterations into the report
+    st.certificate()
     st.energies.append(_energy(prob, st.f, st.u, st.eps, st.gu))
     converged = False
     for _ in range(max_outer):
@@ -832,8 +846,9 @@ def solve_plaplace(
             break
         if "breakdown" in st.counts:
             break
-        if not st.frozen and len(st.residuals) > 3 and st.eps <= st.eps_min * 1.001:
-            # descent at the regularization floor with no progress left
+        if not st.frozen and len(st.residuals) > 4 and st.eps <= st.eps_min * 1.001:
+            # descent at the regularization floor, four stages or more past
+            # the start's certificate, with no progress left
             if abs(st.residuals[-1] - st.residuals[-2]) < 1e-3 * st.residuals[-1]:
                 break
         st.eps = (max(st.eps * 0.5, 1e-15 * st.scale) if st.frozen

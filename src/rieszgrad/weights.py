@@ -86,8 +86,7 @@ def power_weight(grid: Grid, x0, alpha: float, p: float) -> Weight:
     x0 = tuple(float(c) for c in np.atleast_1d(x0))
     if len(x0) != grid.spec.n:
         raise ValueError(f"x0 must have {grid.spec.n} entries")
-    coords = grid.coords()
-    dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(coords, x0)))
+    dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.sparse_coords(), x0)))
     vals = _nudged(dist, grid.h) ** alpha
     n = grid.spec.n
     member = -n < alpha < n * (p - 1.0)
@@ -115,8 +114,7 @@ def distance_weight(
     # squared distance is separable: per point of M, the per-axis squares
     # (x_d - p_d)^2 are summed in axis order, as a direct sum over axes would,
     # broadcast over the grid, and folded into a running minimum
-    n = grid.spec.n
-    axes = [ax.reshape([-1 if e == d else 1 for e in range(n)]) for d, ax in enumerate(grid.axes)]
+    axes = grid.sparse_coords()
     sq = np.full(grid.spec.shape, np.inf)
     tmp = np.empty(grid.spec.shape)
     for q in pts:

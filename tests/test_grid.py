@@ -218,6 +218,16 @@ class TestBump:
         with pytest.raises(ValueError, match="margin"):
             bump(g, [0.3], 0.2)
 
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+    def test_matches_meshgrid_formula(self, n, N):
+        # |x - c|^2 summed in axis order over the meshgrid arrays, bitwise
+        g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-0.5,) * n))
+        center, radius = [0.4 + 0.1 * d for d in range(n)], 0.3
+        r2 = sum((x - c) ** 2 for x, c in zip(g.coords(), center)) / radius**2
+        want = np.zeros(g.spec.shape)
+        want[r2 < 1.0] = np.exp(-1.5 / (1.0 - r2[r2 < 1.0]))
+        assert np.array_equal(bump(g, center, radius, 1.5).values, want)
+
 
 class TestLpNorm:
     def test_zero(self):

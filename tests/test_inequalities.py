@@ -457,6 +457,13 @@ class TestSLimit:
         assert errs[0] < errs[1]
         assert rep.max_ratio == errs[1]
 
+    def test_verdict_does_not_depend_on_the_order_of_s(self):
+        g = grid1(N=256)
+        u = sample(lambda x: np.sin(2 * np.pi * 3 * x), g)
+        up = iq.s_limit_report(u, s_values=(0.9, 0.999))
+        down = iq.s_limit_report(u, s_values=(0.999, 0.9))
+        assert up.verdict == down.verdict == "bounded"
+
 
 class TestDualRepresentation:
     def test_zero_functional(self):

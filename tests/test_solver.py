@@ -1031,10 +1031,21 @@ def record_cg_tols(monkeypatch):
     return given
 
 
+def certificate(prob, u):
+    """max(dual, L2) of the unregularized interior residual of u relative to
+    the rhs, from the public operators."""
+    f = prob.project(prob.rhs.values)
+    r = sv.apply_operator(prob, u).values - f
+    l2 = np.sqrt(np.sum(r * r)) / np.sqrt(np.sum(f * f))
+    return max(sv.weak_residual_norm(prob, u), l2)
+
+
 class TestInexactKacanov:
-    """Each Kacanov step after the first stops its frozen CG at 0.1 times the
-    last certificate, clipped to [1e-12, 0.1]; Newton's forcing is
-    min(0.1, max(r, 0.5 tol / r)) with r the last certificate."""
+    """Every Kacanov step stops its frozen CG at 0.1 times the last
+    certificate, clipped to [1e-12, 0.1]; Newton's forcing is
+    min(0.1, max(r, 0.5 tol / r)) with r the last certificate.  The first
+    step's is the start's, residuals[0]; the initial guess's frozen solve
+    stops at 0.1, the Kacanov forcing of u = 0, whose certificate is 1."""
 
     @pytest.mark.parametrize("p,method", [(1.5, "kacanov"), (3.0, "kacanov"),
                                           (3.0, "newton")])
@@ -1046,15 +1057,43 @@ class TestInexactKacanov:
         assert rep.converged
         tols = [row["inner_tol"] for row in rep.details["steps"]]
         # the initial guess's solve, then one inner solve per outer step
-        assert given == [1e-12, *tols]
+        assert given == [0.1, *tols]
         res = rep.residuals
         if method == "kacanov":
-            expected = [1e-12] + [max(1e-12, min(0.1, 0.1 * r)) for r in res[:-1]]
+            expected = [max(1e-12, min(0.1, 0.1 * r)) for r in res[:-1]]
         else:
             # Kelley's safeguard: no tighter than the last step needs
-            expected = [0.1] + [min(0.1, max(r, 0.5 * 1e-8 / r)) for r in res[:-1]]
+            expected = [min(0.1, max(r, 0.5 * 1e-8 / r)) for r in res[:-1]]
         assert tols == expected
         assert all(type(t) is float for t in tols)
+
+    @pytest.mark.parametrize("p,method", [(1.5, "kacanov"), (3.0, "newton")])
+    def test_start_certificate_recorded(self, p, method):
+        prob, ustar = criterion_8(p)
+        x0 = 0.5 * ustar
+        rep = sv.solve_plaplace(prob, method, x0=x0)
+        assert rep.converged
+        assert len(rep.residuals) == rep.iterations + 1 == len(rep.energies)
+        assert np.isclose(rep.residuals[0], certificate(prob, x0), rtol=1e-12, atol=0.0)
+        assert rep.energies[0] == sv.energy(prob, x0, rep.details["steps"][0]["eps"])
+
+    @pytest.mark.parametrize("p,method", [(1.5, "kacanov"), (3.0, "newton")])
+    def test_history_rows_pair_one_iterate(self, p, method):
+        # row k against the run stopped after k outer steps, whose last
+        # iterate is the full run's k-th.  The certificate is not recomputed
+        # from that iterate: near p = 1.5's round-off floor a fresh grad^s
+        # moves it by more than the steps do
+        prob, _ = criterion_8(p)
+        rep = sv.solve_plaplace(prob, method)
+        rows = rep.history_rows()
+        assert rep.converged and len(rows) == rep.iterations + 1
+        eps = [row["eps"] for row in rep.details["steps"]]
+        for k, res, en in rows:
+            part = sv.solve_plaplace(prob, method, max_outer=k)
+            assert (res, en) == (part.residuals[-1], part.energies[-1])
+            # the start's energy is taken at the first step's eps
+            e = sv.energy(prob, part.solution, eps[max(k - 1, 0)])
+            assert np.isclose(en, e, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n,N,family", [(2, 64, "constant"), (3, 16, "power")])
     def test_node_centred_cg_budget(self, n, N, family):
@@ -1136,7 +1175,8 @@ class TestDescent:
         rep = sv.solve_plaplace(prob, "descent", tol=tol)
         res = rep.residuals
         assert rep.converged is False and "breakdown" not in rep.details
-        assert len(res) <= 20
+        # the start's certificate, then one per stage
+        assert len(res) - 1 <= 20
         assert abs(res[-1] - res[-2]) < 1e-3 * res[-1]
 
     def test_one_gradient_and_one_preconditioner_per_step(self, monkeypatch):
@@ -1164,8 +1204,9 @@ class TestDescent:
         assert rep.converged and rep.iterations > 0
         # the start's gradient, then grad^s pg once per step
         assert calls["grad"] == rep.iterations + 1
-        # once per step, and once more where a stage meets its stop rule
-        stages = len(rep.residuals)
+        # once per step, and once more where a stage meets its stop rule;
+        # residuals[0] is the start's
+        stages = len(rep.residuals) - 1
         assert rep.iterations <= calls["prec"] <= rep.iterations + stages
 
     def test_restart_when_not_a_descent_direction(self, monkeypatch):
@@ -1301,7 +1342,8 @@ class TestNonFinite:
         monkeypatch.setattr(sv, "_make_precond", planted)
         rep = sv.solve_plaplace(prob, "descent", x0=0.5 * ustar)
         assert not rep.converged and rep.details["breakdown"] == reason
-        assert rep.iterations == 0 and len(rep.residuals) == 1
+        # the start's certificate and the broken stage's
+        assert rep.iterations == 0 and len(rep.residuals) == 2
         assert np.array_equal(rep.solution.values, 0.5 * ustar.values)
         assert np.all(np.isfinite(rep.energies + rep.residuals))
 

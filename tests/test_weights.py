@@ -42,6 +42,15 @@ class TestConstructors:
         i0 = np.argmin(np.abs(g.axes[0]))
         assert abs(w.values[i0] - (g.h / 2.0) ** (-0.5)) < 1e-12
 
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (3, 16)])
+    def test_power_matches_meshgrid_formula(self, n, N):
+        # |x - x0|^2 summed in axis order over the meshgrid arrays, bitwise
+        g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
+        x0 = [0.25 * d for d in range(n)]
+        dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(g.coords(), x0)))
+        dist[dist == 0.0] = g.h / 2.0
+        assert np.array_equal(wt.power_weight(g, x0, -0.5, 2.0).values, dist**-0.5)
+
     def test_distance_point_set_matches_power(self):
         g = centered_grid(N=128)
         wp = wt.power_weight(g, [0.25], 0.5, 2.0)
