@@ -440,6 +440,14 @@ _WOLFE_EPS = 1e-10
 _WOLFE_SIGMA = 0.9
 
 
+def _stalled(residuals: list[float]) -> bool:
+    """Whether the best of the last _STALL_WINDOW certificates is not below
+    (1 - _STALL_GAIN) times the best one before them."""
+    r = residuals
+    return len(r) > _STALL_WINDOW and (
+        min(r[-_STALL_WINDOW:]) >= (1.0 - _STALL_GAIN) * min(r[:-_STALL_WINDOW]))
+
+
 def _line_search(prob, f, u, gu, d, gd, eps, e0, slope):
     """Armijo backtracking by halving from t = 1 on the regularized energy
     from u along d.
@@ -719,6 +727,8 @@ class _SolveState:
         self.f2 = max(float(np.sqrt(_sum(self.f * self.f))), 1e-300)
         self.energies = []
         self.residuals = []
+        # the number of certificates before which no floor estimate is due
+        self.floor_due = 0
 
     def start(self, x0: np.ndarray | None) -> None:
         """Start at the projection of x0, or else at the frozen solve with
@@ -745,32 +755,67 @@ class _SolveState:
     def step(self) -> None:
         _STEPS[self.method](self)
 
-    def certificate(self) -> float:
-        """Append and return the unregularized residual at u relative to f
-        in the dual norm, which kacanov and newton also bound in L2 (the
-        dual surrogate damps exactly the modes a Newton-like method nails)."""
-        r = _residual(self.prob, self.gu, self.f)
+    def _certify(self, gu) -> float:
+        """The unregularized residual of the field whose gradient is gu,
+        relative to f in the dual norm, which kacanov and newton also bound
+        in L2 (the dual surrogate damps exactly the modes a Newton-like
+        method nails)."""
+        r = _residual(self.prob, gu, self.f)
         rn = self.prob.kit.dual_norm(r) / self.fn
         if self.frozen:
             rn = max(rn, float(np.sqrt(_sum(r * r))) / self.f2)
+        return rn
+
+    def certificate(self) -> float:
+        """Append and return the certificate at u, taken on gu."""
+        rn = self._certify(self.gu)
         self.residuals.append(rn)
         return rn
+
+    def certificate_floor(self) -> float:
+        """The round-off spread of the certificate at u: the largest change
+        of the certificate of u (1 + d) from that of u, d in {+-ulp,
+        +-4 ulp} with ulp the float64 epsilon, each taken on grad^s of its
+        own field.  The flux w|g|^(p-2) g is only (p-1)-Hoelder where g = 0,
+        so below p = 2 a round-off change of g at a node where grad^s u
+        vanishes moves the certificate by far more than the change itself.
+        Reads u only."""
+        grad, ulp = self.prob.kit.grad, np.finfo(np.float64).eps
+        c0 = self._certify(grad(self.u))
+        return max(abs(self._certify(grad(self.u * (1.0 + d))) - c0)
+                   for d in (-4.0 * ulp, -ulp, ulp, 4.0 * ulp))
+
+    def at_floor(self) -> bool:
+        """Whether a stalled kacanov or newton run has its certificate stuck
+        above tol by round-off: its floor is at least tol, and its best
+        certificate lies above tol by more than the floor, so no rounding
+        within the floor of an iterate it has reached would certify it.  The
+        floor is estimated while the run is stalled and at most once per
+        _STALL_WINDOW steps; each estimate goes into the report as
+        "certificate_floor", and a stop names itself in "stop_reason"."""
+        k = len(self.residuals)
+        if not _stalled(self.residuals) or k < self.floor_due:
+            return False
+        self.floor_due = k + _STALL_WINDOW
+        floor = self.certificate_floor()
+        self.counts["certificate_floor"] = floor
+        if floor < self.tol or min(self.residuals) - floor < self.tol:
+            return False
+        self.counts["stop_reason"] = "certificate at its round-off floor"
+        return True
 
     def report(self, converged: bool) -> SolveReport:
         """The report of the solve at u, with its certificates, energies,
         final eps and counts; "stalled" as solve_plaplace describes it."""
-        r = self.residuals
-        stalled = len(r) > _STALL_WINDOW and (
-            min(r[-_STALL_WINDOW:]) >= (1.0 - _STALL_GAIN) * min(r[:-_STALL_WINDOW]))
         return SolveReport(
             solution=ScalarField(self.prob.grid, self.prob.project(self.u)),
             iterations=len(self.energies) - 1,
-            residuals=[float(x) for x in r],
+            residuals=[float(x) for x in self.residuals],
             energies=[float(e) for e in self.energies],
             converged=converged,
             method=self.method,
             details={"tol": self.tol, "final_eps": self.eps, **self.counts,
-                     "stalled": stalled},
+                     "stalled": _stalled(self.residuals)},
         )
 
 
@@ -821,6 +866,18 @@ def solve_plaplace(
     "stalled" flags a run whose best certificate of its last 10 outer
     steps improved on the best before them, the start's included, by less
     than a relative 1e-3.
+    Below p = 2 the certificate has a round-off floor where grad^s u
+    vanishes on a grid node: the flux is only (p-1)-Hoelder there, so
+    rounding g by one ulp moves it by far more.  While a kacanov or newton
+    run is stalled, at most once per 10 steps, it estimates that floor as
+    the largest change of the certificate of u (1 + d) from that of u,
+    d in {+-1, +-4} ulp, each certificate taken on grad^s of its own field,
+    and records it as "certificate_floor".  The run stops, unconverged and
+    with "stop_reason" = "certificate at its round-off floor", once the
+    floor is at least tol and its best certificate lies above tol by more
+    than the floor; otherwise it goes on as before, the estimate having
+    only read u.  Both keys appear only where the estimate ran or the stop
+    fired.
     A descent run that meets a non-finite value it cannot restart past
     stops unconverged at its last finite iterate, with the reason in
     "breakdown" (absent from every other report).  Zero data gives the
@@ -844,7 +901,7 @@ def solve_plaplace(
         if st.certificate() < st.tol:
             converged = True
             break
-        if "breakdown" in st.counts:
+        if "breakdown" in st.counts or (st.frozen and st.at_floor()):
             break
         if not st.frozen and len(st.residuals) > 4 and st.eps <= st.eps_min * 1.001:
             # descent at the regularization floor, four stages or more past

@@ -310,6 +310,24 @@ class TestSolve:
         assert rec["method"] == method
         assert rec["iterations"] == 1 and rec["converged"] is False
 
+    def test_stop_at_the_certificate_floor_exits_1(self, tmp_path):
+        # the benchmark's `1d p=1.3 constant` config: its certificate stalls
+        # at a round-off floor above tol, so the solve stops unconverged
+        cfg = with_keys(SOLVE_CFG, grid={"n": 1, "N": 256, "L": 2.0},
+                        omega={"type": "box", "lo": [0.55], "hi": [1.45]}, p=1.3,
+                        rhs={"kind": "manufactured", "center": [1.0],
+                             "radius": 0.3, "sharpness": 1.0},
+                        solver=None)
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s"
+        assert run(["solve", "--config", path, "--out", out]) == 1
+        rec = json.loads((out / "solve_report.json").read_text())
+        assert rec["method"] == "kacanov" and rec["converged"] is False
+        assert rec["stop_reason"] == "certificate at its round-off floor"
+        assert rec["certificate_floor"] >= rec["tol"] and rec["stalled"] is True
+        assert rec["iterations"] <= 50
+
     def test_full_omega(self, tmp_path):
         cfg = with_keys(SOLVE_CFG, omega={"type": "full"},
                         rhs={"kind": "modes", "modes": [{"k": [2], "amplitude": 1.0}]})

@@ -517,19 +517,36 @@ class TestNewton:
             sv.solve_plaplace(prob, "newton")
 
 
+def p13_problem(centre=1.0):
+    """The `1d p=1.3 constant` solve of the benchmark: 1D N = 256, L = 2,
+    Omega = [0.55, 1.45], constant weight, bump of radius 0.3 at centre."""
+    g = make_grid(GridSpec(n=1, N=256, L=2.0))
+    x = g.axes[0]
+    mask = (x >= 0.55) & (x <= 1.45)
+    w = wt.tabulated_weight(g, np.ones(256), 2.0)
+    ustar = bump(g, [centre], 0.3, 1.0)
+    return sv.manufacture(g, mask, 0.5, 1.3, w, ustar), ustar
+
+
+def certificate_floor(prob, u):
+    """The solver's floor estimate of the kacanov certificate at u."""
+    st = sv._SolveState(prob, "kacanov")
+    st.u = u.values
+    return st.certificate_floor()
+
+
 class TestStallFlag:
     def test_p13_kacanov_stalls(self):
         # the eps = 0 certificate stalls at p = 1.3 while the iterate is
-        # already accurate (a FOUND line in CHANGES.md); the run is flagged
-        g = make_grid(GridSpec(n=1, N=256, L=2.0))
-        x = g.axes[0]
-        mask = (x >= 0.55) & (x <= 1.45)
-        w = wt.tabulated_weight(g, np.ones(256), 2.0)
-        ustar = bump(g, [1.0], 0.3, 1.0)
-        prob = sv.manufacture(g, mask, 0.5, 1.3, w, ustar)
+        # already accurate; the run is flagged, and stops once it sits at
+        # its round-off floor, unconverged
+        prob, _ = p13_problem()
         rep = sv.solve_plaplace(prob)
         assert not rep.converged and rep.details["stalled"] is True
         assert rep.to_record()["stalled"] is True
+        assert rep.iterations <= 50
+        assert rep.details["stop_reason"] == "certificate at its round-off floor"
+        assert rep.details["certificate_floor"] >= rep.details["tol"]
 
     def test_short_runs_not_stalled(self):
         g, mask, w = setup_1d(N=256)
@@ -539,6 +556,111 @@ class TestStallFlag:
                              rhs=ScalarField(g, np.zeros(g.spec.shape)))
         assert sv.solve_plaplace(prob, max_outer=3).details["stalled"] is False
         assert sv.solve_plaplace(zero).details["stalled"] is False
+
+
+class TestCertificateFloor:
+    """The round-off floor of the strict certificate, and the stop of a
+    stalled kacanov or newton run at a floor above tol."""
+
+    def test_floor_at_the_node_exceeds_tol(self):
+        prob, ustar = p13_problem()
+        rep = sv.solve_plaplace(prob)
+        assert certificate_floor(prob, ustar) > 1e-8
+        assert certificate_floor(prob, rep.solution) > 1e-8
+
+    def test_floor_off_the_node_below_tol(self):
+        g = make_grid(GridSpec(n=1, N=256, L=2.0))
+        prob, ustar = p13_problem(1.0 + 0.37 * g.h)
+        rep = sv.solve_plaplace(prob)
+        assert rep.converged
+        assert certificate_floor(prob, ustar) < 1e-8
+        assert certificate_floor(prob, rep.solution) < 1e-8
+
+    def test_floor_of_criterion_8_p15_run_below_tol(self):
+        g, mask, w = setup_1d(N=256)
+        prob = sv.manufacture(g, mask, 0.5, 1.5, w, bump(g, [1.0], 0.3, 1.0))
+        rep = sv.solve_plaplace(prob, "kacanov", tol=1e-8)
+        assert rep.converged
+        assert certificate_floor(prob, rep.solution) < 1e-8
+
+    def test_estimate_reads_state_only(self):
+        prob, ustar = p13_problem()
+        st = sv._SolveState(prob, "kacanov")
+        st.start(ustar.values)
+        st.certificate()
+        u, gu, res = st.u.copy(), [c.copy() for c in st.gu], list(st.residuals)
+        assert st.certificate_floor() > 0.0
+        assert np.array_equal(st.u, u) and st.residuals == res
+        assert all(np.array_equal(a, b) for a, b in zip(st.gu, gu))
+
+    def test_floor_below_tol_changes_nothing(self, monkeypatch):
+        # a stalled run whose floor is below tol takes the steps it takes
+        # without the estimate, which runs at most once per stall window
+        prob, _ = p13_problem()
+        with monkeypatch.context() as mp:
+            mp.setattr(sv._SolveState, "at_floor", lambda st: False)
+            plain = sv.solve_plaplace(prob)
+        seen = []
+
+        def below_tol(st):
+            seen.append(len(st.residuals))
+            return 0.0
+
+        monkeypatch.setattr(sv._SolveState, "certificate_floor", below_tol)
+        rep = sv.solve_plaplace(prob)
+        assert rep.iterations == plain.iterations == 200 and not rep.converged
+        assert rep.residuals == plain.residuals
+        assert np.array_equal(rep.solution.values, plain.solution.values)
+        assert "stop_reason" not in rep.details and rep.details["certificate_floor"] == 0.0
+        assert len(seen) >= 2
+        assert all(b - a >= sv._STALL_WINDOW for a, b in zip(seen, seen[1:]))
+
+    def test_estimator_never_runs_on_criterion_8(self, monkeypatch):
+        calls = []
+        floor = sv._SolveState.certificate_floor
+        monkeypatch.setattr(sv._SolveState, "certificate_floor",
+                            lambda st: calls.append(1) or floor(st))
+        g, mask, w = setup_1d(N=256)
+        for p in (1.5, 3.0):
+            prob = sv.manufacture(g, mask, 0.5, p, w, bump(g, [1.0], 0.3, 1.0))
+            rec = sv.solve_plaplace(prob, "kacanov", tol=1e-8).to_record()
+            assert rec["converged"] is True
+            assert "certificate_floor" not in rec and "stop_reason" not in rec
+        assert calls == []
+
+    def test_random_starts_never_stop_at_the_floor(self):
+        # criterion 9's problem at p = 1.5 from 5 random starts for each of
+        # two seeds: every run converges or takes all 200 steps
+        g, mask, w = setup_1d(N=128)
+        prob = sv.manufacture(g, mask, 0.5, 1.5, w, bump(g, [1.0], 0.25, 1.0))
+        reps = []
+        for seed in (11, 12):
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                x0 = ScalarField(g, np.where(mask, rng.standard_normal(128), 0.0))
+                reps.append(sv.solve_plaplace(prob, "kacanov", tol=1e-8, x0=x0))
+        assert all("stop_reason" not in r.details for r in reps)
+        assert all(r.converged or r.iterations == 200 for r in reps)
+        # stalled runs whose floor lay below tol went on, and some converged
+        assert any(r.converged and "certificate_floor" in r.details for r in reps)
+
+    @pytest.mark.parametrize("seed,start", [(70, 1), (76, 1)])
+    def test_floor_within_reach_of_tol_goes_on(self, monkeypatch, seed, start):
+        # criterion 9's problem at p = 1.5: these starts stall with a floor
+        # of at least tol, but their best certificate lies within the floor
+        # of tol, so they go on, and converge
+        floors = []
+        floor = sv._SolveState.certificate_floor
+        monkeypatch.setattr(sv._SolveState, "certificate_floor",
+                            lambda st: floors.append(floor(st)) or floors[-1])
+        g, mask, w = setup_1d(N=128)
+        prob = sv.manufacture(g, mask, 0.5, 1.5, w, bump(g, [1.0], 0.25, 1.0))
+        rng = np.random.default_rng(seed)
+        for _ in range(start + 1):
+            x0 = ScalarField(g, np.where(mask, rng.standard_normal(128), 0.0))
+        rep = sv.solve_plaplace(prob, "kacanov", tol=1e-8, x0=x0)
+        assert rep.converged and "stop_reason" not in rep.details
+        assert max(floors) >= 1e-8
 
 
 class TestMonotonicityGap:
