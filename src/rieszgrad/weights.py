@@ -10,16 +10,28 @@ standard three-lattice surrogate for the supremum over all cubes).  Cube
 averages are grid quadrature restricted to the cube; any weight sample
 coinciding with a singular point is evaluated at distance h/2 instead.
 
-The family is swept one tiling at a time: a level's aligned cubes, then its
-half-shifted ones.  Along each axis a tiling is a run of index ranges
-[lo, hi) of the grid points inside the cubes, so the sums over every cube of
-the tiling are direct sums of positive samples, taken along each axis in
-turn, accurate to rounding even for weights spanning many orders of
-magnitude.  Ranges that are contiguous blocks of one length (aligned and
-half-shifted tilings whose edge is a multiple of h) are summed by a reshape,
-clipped or uneven ones by ``np.add.reduceat``.  A cube whose sum is
-non-positive or non-finite, or whose term is NaN, raises instead of dropping
-out of the supremum.
+The family is summed level by level.  Along each axis a tiling is a run of
+index ranges [lo, hi) of the grid points inside its cubes.  When, along every
+axis, every tiling cuts contiguous blocks of one length, a power-of-two
+multiple of a common block, starting a whole or a half block past the
+lowest start (a family whose box and edges sit on the grid lattice), each
+array's dyadic pyramid is built once: the finest level sums the common
+blocks by a reshape, each coarser aligned level adds pairs of the finer one
+along each axis, and a half-shifted level adds pairs of the next finer
+aligned level starting at its second block.  Every other family is summed
+one tiling at a time along each axis in turn, contiguous blocks of one
+length by a reshape and clipped or uneven ranges by ``np.add.reduceat``.
+Either way a cube sum is a direct sum of positive samples, accurate to
+rounding even for weights spanning many orders of magnitude.  A cube whose
+sum is non-positive or non-finite, or whose term is NaN, raises instead of
+dropping out of the supremum.
+
+Distance weights take the squared distance to M one line of M at a time.
+The points of M that share every coordinate but one axis form a line; along
+that axis a binary search finds the nearest of them to each grid
+coordinate, and the other axes' squares are added in axis order.  Rounded
+subtraction, squaring and addition are monotone, so the minimum is bitwise
+that of a per-point scan.
 
 Power weights |x - x0|^alpha belong to A_p exactly for -n < alpha < n(p-1);
 distance weights d(x, M)^alpha for a k-dimensional set M require
@@ -31,6 +43,8 @@ behaviour.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +100,8 @@ def power_weight(grid: Grid, x0, alpha: float, p: float) -> Weight:
     x0 = tuple(float(c) for c in np.atleast_1d(x0))
     if len(x0) != grid.spec.n:
         raise ValueError(f"x0 must have {grid.spec.n} entries")
+    if not all(math.isfinite(c) for c in x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.sparse_coords(), x0)))
     vals = _nudged(dist, grid.h) ** alpha
     n = grid.spec.n
@@ -99,29 +115,87 @@ def power_weight(grid: Grid, x0, alpha: float, p: float) -> Weight:
     )
 
 
+def _lines(pts: np.ndarray):
+    """Split M into lines along one axis: the points sharing every coordinate
+    but axis d, for the d giving the fewest lines.  Returns d, the shared
+    coordinates per line, the coordinates along d, sorted within each line,
+    and the bounds of the lines in them."""
+    best = None
+    for d in range(pts.shape[1]):
+        rest = np.delete(pts, d, axis=1)
+        # by the shared coordinates in axis order, then along d
+        order = np.lexsort((pts[:, d],) + tuple(rest.T[::-1]))
+        rest = rest[order]
+        new = np.ones(len(rest), dtype=bool)
+        new[1:] = (rest[1:] != rest[:-1]).any(axis=1)
+        starts = np.flatnonzero(new)
+        if best is None or len(starts) < len(best[2]):
+            best = d, rest[starts], starts, pts[order, d]
+    d, shared, starts, along = best
+    return d, shared, along, np.append(starts, len(along))
+
+
+def _nearest_squares(x: np.ndarray, along: np.ndarray, bounds: np.ndarray):
+    """Per line, the points along[bounds[r]:bounds[r + 1]] (sorted), the
+    minimum over its points q of (x - q)^2 per x.  The nearest q below and
+    above x suffice, since rounded subtraction and squaring are monotone."""
+    out = (x - along[bounds[:-1], None]) ** 2
+    for r in np.flatnonzero(np.diff(bounds) > 1):
+        q = along[bounds[r]:bounds[r + 1]]
+        i = np.searchsorted(q, x)
+        below = q[np.maximum(i - 1, 0)]
+        above = q[np.minimum(i, len(q) - 1)]
+        out[r] = np.minimum((x - below) ** 2, (x - above) ** 2)
+    return out
+
+
+#: grid points times lines of M summed at once, at most
+_LINE_BATCH = 2**16
+
+
 def distance_weight(
     grid: Grid, points, alpha: float, p: float, manifold_dim: int = 0
 ) -> Weight:
-    """w(x) = d(x, M)^alpha for a point-sampled set M of declared dimension k."""
+    """w(x) = d(x, M)^alpha for a point-sampled set M of declared dimension k.
+
+    The squared distance is taken per line of M (see the module docstring),
+    a batch of lines at a time, and folded into a running minimum, bitwise
+    what a per-point scan gives.  A segment or flat costs two grid passes
+    per line (a sum and a minimum) instead of three per point; scattered
+    points form lines of one point."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.size == 0:
         raise ValueError("point set M must be nonempty")
     if pts.shape[1] != grid.spec.n:
         raise ValueError(f"points must have {grid.spec.n} coordinates")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points of M must be finite")
     k = int(manifold_dim)
     if not (0 <= k < grid.spec.n):
         raise ValueError(f"manifold dimension must be in [0, {grid.spec.n})")
-    # squared distance is separable: per point of M, the per-axis squares
-    # (x_d - p_d)^2 are summed in axis order, as a direct sum over axes would,
-    # broadcast over the grid, and folded into a running minimum
     axes = grid.sparse_coords()
+    d, shared, along, bounds = _lines(pts)
     sq = np.full(grid.spec.shape, np.inf)
-    tmp = np.empty(grid.spec.shape)
-    for q in pts:
-        tmp[...] = (axes[0] - q[0]) ** 2
-        for ax, c in zip(axes[1:], q[1:]):
-            tmp += (ax - c) ** 2
-        np.minimum(sq, tmp, out=sq)
+    batch = max(1, _LINE_BATCH // sq.size)
+    buf = np.empty((min(batch, len(shared)),) + sq.shape)
+    for r in range(0, len(shared), batch):
+        # a batch of lines at once: per line, each axis's squares, summed in
+        # axis order over the grid, then the minimum over the lines
+        rest = iter(shared[r:r + batch].T)
+        terms = []
+        for j, ax in enumerate(axes):
+            x = ax.reshape(-1)
+            if j == d:
+                t = _nearest_squares(x, along, bounds[r:r + batch + 1])
+            else:
+                t = (x - next(rest)[:, None]) ** 2
+            terms.append(t.reshape((-1,) + ax.shape))
+        total = terms[0]
+        for t in terms[1:-1]:
+            total = total + t
+        if len(terms) > 1:
+            total = np.add(total, terms[-1], out=buf[:len(total)])
+        np.minimum(sq, total[0] if len(total) == 1 else total.min(axis=0), out=sq)
     vals = _nudged(np.sqrt(sq), grid.h) ** alpha
     codim = grid.spec.n - k
     member = -codim < alpha < codim * (p - 1.0)
@@ -165,11 +239,21 @@ class CubeFamily:
     shifted: bool = True
 
     def __post_init__(self) -> None:
+        lo = tuple(float(c) for c in self.lo)
+        if not all(math.isfinite(c) for c in lo):
+            raise ValueError(f"lo must be finite, got {lo}")
+        if not math.isfinite(self.size):
+            raise ValueError(f"size must be finite, got {self.size}")
         if self.size <= 0:
             raise ValueError("bounding box edge must be positive")
+        for name in ("level_min", "level_max"):
+            level = getattr(self, name)
+            if isinstance(level, bool) or not isinstance(level, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {level!r}")
+            object.__setattr__(self, name, int(level))
         if not (0 <= self.level_min <= self.level_max):
             raise ValueError("need 0 <= level_min <= level_max")
-        object.__setattr__(self, "lo", tuple(float(c) for c in self.lo))
+        object.__setattr__(self, "lo", lo)
 
     def tilings(self, grid: Grid):
         """Yield (edge, corners) per tiling, in family order: level by level,
@@ -268,39 +352,136 @@ def _axis_sums(a: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray):
     return a[(slice(None),) * axis + (slice(None, None, 2),)]
 
 
+def _tilings(grid: Grid, cubes: CubeFamily):
+    """The family's tilings in family order as (edge, corners, ranges): per
+    axis the corners and index ranges of the cubes holding a grid point.
+    A tiling with no such cube along some axis is left out."""
+    out = []
+    for edge, corners in cubes.tilings(grid):
+        kept, ranges = [], []
+        for d in range(grid.spec.n):
+            lo, hi = _axis_ranges(grid, d, corners[d], edge)
+            keep = hi > lo
+            kept.append(corners[d][keep])
+            ranges.append((lo[keep], hi[keep]))
+        if all(len(lo) for lo, _ in ranges):
+            out.append((edge, kept, ranges))
+    return out
+
+
+def _along(axis: int, sl: slice):
+    return (slice(None),) * axis + (sl,)
+
+
+def _pyramid_plan(tilings):
+    """Where each tiling's cube sums lie in a dyadic pyramid, or None.
+
+    Along axis d the pyramid's level j sums blocks of beta_d * 2^j points
+    from s_d on, s_d being the lowest first index of any tiling.  A tiling
+    is read from it when, along every axis, its ranges are contiguous blocks
+    of one length b = beta_d * 2^j, for one j on all axes, whose first block
+    starts a multiple of b past s_d (a slice of level j) or a multiple of
+    b/2 (pairs of level j - 1); beta_d is the gcd of the lengths and of the
+    offsets.  Returns the base (s_d, beta_d, block count) per axis and, per
+    tiling, (level, paired, first block per axis)."""
+    base = []
+    for d in range(len(tilings[0][2])):
+        ranges = [r[d] for _, _, r in tilings]
+        for lo, hi in ranges:
+            if (hi - lo != hi[0] - lo[0]).any() or (lo[1:] != hi[:-1]).any():
+                return None
+        s = min(int(lo[0]) for lo, _ in ranges)
+        beta = math.gcd(*(int(hi[0] - lo[0]) for lo, hi in ranges),
+                        *(int(lo[0]) - s for lo, _ in ranges))
+        end = max(int(hi[-1]) for _, hi in ranges)
+        base.append((s, beta, (end - s) // beta))
+    reads = []
+    for _, _, ranges in tilings:
+        kinds, firsts = set(), []
+        for (lo, hi), (s, beta, _) in zip(ranges, base):
+            b, off = int(hi[0] - lo[0]), int(lo[0]) - s
+            j = (b // beta).bit_length() - 1
+            if b != beta << j:
+                return None
+            if off % b == 0:
+                kinds.add((j, False))
+                firsts.append(off // b)
+            elif j > 0 and off % (b // 2) == 0:
+                kinds.add((j - 1, True))
+                firsts.append(off // (b // 2))
+            else:
+                return None
+        if len(kinds) != 1:
+            return None
+        reads.append((*kinds.pop(), firsts))
+    return base, reads
+
+
+def _pyramid(a: np.ndarray, base, depth: int):
+    """Levels 0..depth of a's dyadic pyramid (see _pyramid_plan): level 0
+    sums blocks of beta_d points along each axis by a reshape (a view when
+    every block is one point), each next level adds pairs of the one before
+    along each axis."""
+    x = a[tuple(slice(s, s + k * beta) for s, beta, k in base)]
+    for d, (_, beta, k) in enumerate(base):
+        if beta > 1:
+            x = x.reshape(x.shape[:d] + (k, beta) + x.shape[d + 1:]).sum(d + 1)
+    levels = [x]
+    for _ in range(depth):
+        for d in range(x.ndim):
+            m = x.shape[d] // 2 * 2
+            x = x[_along(d, slice(0, m, 2))] + x[_along(d, slice(1, m, 2))]
+        levels.append(x)
+    return levels
+
+
+def _pyramid_sums(levels, read, counts):
+    """One tiling's cube sums from a pyramid: a slice of an aligned level, or
+    pairs of it from the first block on along each axis."""
+    level, paired, firsts = read
+    x = levels[level]
+    for d, (i, k) in enumerate(zip(firsts, counts)):
+        if paired:
+            x = (x[_along(d, slice(i, i + 2 * k, 2))]
+                 + x[_along(d, slice(i + 1, i + 2 * k, 2))])
+        else:
+            x = x[_along(d, slice(i, i + k))]
+    return x
+
+
 def _family_sup(grid: Grid, arrays, term, cubes: CubeFamily):
     """Maximize term(counts, sums, edge) over the family, one tiling at a
-    time; arrays are summed per cube and the first maximal cube wins."""
-    n = grid.spec.n
+    time in family order; arrays are summed per cube, from one dyadic
+    pyramid per array when the family allows it, and the first maximal cube
+    wins."""
+    tilings = _tilings(grid, cubes)
+    plan = _pyramid_plan(tilings) if tilings else None
+    if plan is not None:
+        base, reads = plan
+        depth = max(level for level, _, _ in reads)
+        pyramids = [_pyramid(a, base, depth) for a in arrays]
     best = -np.inf
     best_cube = None
-    for edge, corners in cubes.tilings(grid):
-        kept, ranges, count = [], [], 1
-        for d in range(n):
-            lo, hi = _axis_ranges(grid, d, corners[d], edge)
-            keep = hi > lo  # cubes holding no grid point drop out
-            lo, hi = lo[keep], hi[keep]
-            kept.append(corners[d][keep])
-            ranges.append((lo, hi))
+    for t, (edge, kept, ranges) in enumerate(tilings):
+        count = 1
+        for lo, hi in ranges:
             count = np.multiply.outer(count, hi - lo)
-        if count.size == 0:
-            continue
         sums = []
-        for a in arrays:
-            for d, (lo, hi) in enumerate(ranges):
-                a = _axis_sums(a, d, lo, hi)
-            bad = ~((a > 0.0) & (a < np.inf))
-            if bad.any():
-                k = int(np.argmax(bad))
+        for i, a in enumerate(arrays):
+            if plan is None:
+                for d, (lo, hi) in enumerate(ranges):
+                    a = _axis_sums(a, d, lo, hi)
+            else:
+                a = _pyramid_sums(pyramids[i], reads[t], count.shape)
+            if not (a.min() > 0.0 and a.max() < np.inf):
+                k = int(np.argmax(~((a > 0.0) & (a < np.inf))))
                 raise ValueError(f"cube {_cube_at(kept, k, edge)} has "
                                  f"non-positive or non-finite sum {a.flat[k]}")
             sums.append(a)
         vals = term(count, sums, edge)
-        nan = np.isnan(vals)
-        if nan.any():
-            raise ValueError(
-                f"cube {_cube_at(kept, int(np.argmax(nan)), edge)} gives a NaN term")
-        k = int(np.argmax(vals))
+        k = int(np.argmax(vals))  # the first NaN, if there is one
+        if np.isnan(vals.flat[k]):
+            raise ValueError(f"cube {_cube_at(kept, k, edge)} gives a NaN term")
         if vals.flat[k] > best:
             best, best_cube = vals.flat[k], _cube_at(kept, k, edge)
     if best_cube is None:

@@ -77,6 +77,14 @@ class TestConstructors:
         with pytest.raises(ValueError, match="nonempty"):
             wt.distance_weight(g, np.zeros((0, 1)), 0.5, 2.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_refused(self, bad):
+        g = make_grid(GridSpec(n=2, N=16, L=2.0, origin=(-1.0, -1.0)))
+        with pytest.raises(ValueError, match="points of M must be finite"):
+            wt.distance_weight(g, [[0.0, 0.0], [0.5, bad]], 0.5, 2.0)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            wt.power_weight(g, [bad, 0.0], 0.5, 2.0)
+
     def test_weight_rejects_nonpositive(self):
         g = centered_grid(N=64)
         with pytest.raises(ValueError, match="strictly positive"):
@@ -329,6 +337,18 @@ def test_cube_family_validation():
         wt.CubeFamily(lo=(0.0,), size=-1.0)
     with pytest.raises(ValueError, match="level"):
         wt.CubeFamily(lo=(0.0,), size=1.0, level_min=3, level_max=1)
+    for size in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="size must be finite"):
+            wt.CubeFamily(lo=(0.0,), size=size)
+    for lo in ((np.nan,), (0.0, -np.inf)):
+        with pytest.raises(ValueError, match="lo must be finite"):
+            wt.CubeFamily(lo=lo, size=1.0)
+    for name, level in (("level_max", 3.5), ("level_max", 2.0), ("level_min", True),
+                        ("level_max", "4")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            wt.CubeFamily(lo=(0.0,), size=1.0, **{name: level})
+    fam = wt.CubeFamily(lo=(0.0,), size=1.0, level_min=np.int64(1), level_max=np.int64(3))
+    assert type(fam.level_min) is int and type(fam.level_max) is int
     g = centered_grid(N=64)
     fam = wt.CubeFamily(lo=(-1.0,), size=2.0, level_min=0, level_max=2)
     cubes = fam.cubes(g)
@@ -448,9 +468,25 @@ def _reduceat_cube_sum(a, sl):
     return float(a.item())
 
 
+#: (n, N, family) on the lattice: boxes away from the grid origin, some of
+#: whose shifted cubes overhang the box (kept: they stay inside the grid),
+#: level_min > 0, shifted=False, and levels finer than h
+PYRAMID_CASES = [
+    (1, 64, dict(lo=(-0.5,), size=1.0, level_max=5)),
+    (1, 128, dict(lo=(0.0,), size=0.5, level_min=2, level_max=7)),
+    (1, 64, dict(lo=(-0.75,), size=1.0, level_max=4, shifted=False)),
+    (2, 32, dict(lo=(-0.5, 0.0), size=1.0, level_max=4)),
+    (2, 64, dict(lo=(-1.0, -1.0), size=2.0, level_min=2, level_max=5, shifted=False)),
+    (2, 32, dict(lo=(-0.75, -0.25), size=1.0, level_min=1, level_max=3)),
+    (3, 16, dict(lo=(-0.5, -0.25, 0.0), size=1.0, level_max=3)),
+    (3, 16, dict(lo=(-1.0,) * 3, size=2.0, level_min=1, level_max=4, shifted=False)),
+]
+
+
 class TestReshapeCubeSums:
-    """Ranges that are contiguous blocks of one length are summed by a
-    reshape, the rest by reduceat; both against direct per-cube sums."""
+    """On-lattice families are summed from a dyadic pyramid, the rest one
+    tiling at a time by a reshape or by reduceat; both against direct
+    per-cube sums."""
 
     # (n, N, family, on_lattice): boxes whose aligned and half-shifted
     # tilings cut contiguous equal blocks, and boxes off the lattice, whose
@@ -462,7 +498,7 @@ class TestReshapeCubeSums:
         (2, 32, dict(lo=(-0.6, -0.2), size=1.2, level_max=5), False),
         (3, 16, dict(lo=(-1.0,) * 3, size=2.0, level_max=4), True),
         (3, 16, dict(lo=(-0.15, -0.4, -0.1), size=1.1, level_max=3), False),
-    ]
+    ] + [(n, N, fam, True) for n, N, fam in PYRAMID_CASES]
 
     @pytest.mark.parametrize("n, N, fam, on_lattice", CASES)
     def test_sums_match_per_cube_reduceat(self, n, N, fam, on_lattice):
@@ -475,6 +511,8 @@ class TestReshapeCubeSums:
             for lo, hi in (wt._axis_ranges(g, d, corners[d], edge) for d in range(n))
         ]
         assert all(len(ls) <= 1 for ls in lengths) == on_lattice
+        # exactly the on-lattice families are summed from a dyadic pyramid
+        assert (wt._pyramid_plan(wt._tilings(g, fam)) is not None) == on_lattice
         rng = np.random.default_rng(n * 1000 + N)
         vals = np.exp(1.5 * rng.standard_normal(g.spec.shape))
         p = 3.0
@@ -518,6 +556,43 @@ class TestReshapeCubeSums:
             wt.ap_constant(w, 2.0, wt.CubeFamily(lo=(-1.0,) * n, size=2.0, level_max=2))
 
 
+class TestDyadicPyramid:
+    """On-lattice families are summed from one dyadic pyramid per array
+    (their sums are checked in TestReshapeCubeSums): estimates and argmax
+    cubes against the per-cube reference loop."""
+
+    @pytest.mark.parametrize("n, N, fam", PYRAMID_CASES)
+    def test_argmax_matches_reference_loop(self, n, N, fam):
+        g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
+        fam = wt.CubeFamily(**fam)
+        rng = np.random.default_rng(n * 100 + N)
+        vals = np.exp(1.5 * rng.standard_normal(g.spec.shape))
+        p = 2.5
+        est = wt.ap_constant(wt.tabulated_weight(g, vals, p), p, fam)
+        ref, ref_cube = _brute_sup(g, [vals, vals ** (-1.0 / (p - 1.0))], _ap_term(p), fam)
+        assert est.argmax_cube == ref_cube
+        assert abs(est.value - ref) <= 1e-13 * ref
+        # every cube of a constant weight ties: the family's first cube wins
+        one = wt.ap_constant(wt.tabulated_weight(g, np.ones(g.spec.shape), p), p, fam)
+        assert one.value == 1.0 and one.argmax_cube == fam.cubes(g)[0]
+
+    def test_shifted_overhang_is_summed(self):
+        # along axis 0 the shifted cubes of a sub-box reach past it, into
+        # the grid, at every level but 0
+        g = make_grid(GridSpec(n=2, N=32, L=2.0, origin=(-1.0, -1.0)))
+        fam = wt.CubeFamily(lo=(-0.5, 0.0), size=1.0, level_max=4)
+        over = [(c, e) for c, e in fam.cubes(g) if c[0] + e > 0.5 + 1e-12]
+        assert {e for _, e in over} == {0.5, 0.25, 0.125, 0.0625}
+        vals = np.ones(g.spec.shape)
+        corner, edge = over[0]
+        vals[_cube_slices(g, corner, edge)] = 50.0
+        w = wt.tabulated_weight(g, vals, 2.0)
+        ref, ref_cube = _brute_sup(g, [vals, 1.0 / vals], _ap_term(2.0), fam)
+        est = wt.ap_constant(w, 2.0, fam)
+        assert est.argmax_cube == ref_cube
+        assert abs(est.value - ref) <= 1e-13 * ref
+
+
 class TestWideRangeDualWeights:
     """Dual weights of power weights spanning up to 1e65: every cube sum is
     a direct sum of positive samples, so no cube is lost to cancellation."""
@@ -551,15 +626,66 @@ class TestWideRangeDualWeights:
         assert np.isfinite(rec["constant"])
 
 
-@pytest.mark.parametrize("n, N, count", [(1, 256, 53), (2, 64, 101), (3, 16, 37)])
-def test_distance_scan_matches_stacked_formula(n, N, count):
-    g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
-    pts = np.random.default_rng(n).uniform(-0.8, 0.8, size=(count, n))
-    pts[0] = g.axes[0][N // 2]  # one point on a grid node exercises the h/2 nudge
+def _random_points(n, count):
+    def make(g):
+        pts = np.random.default_rng(n).uniform(-0.8, 0.8, size=(count, n))
+        pts[0] = g.axes[0][g.spec.N // 2]  # on a grid node: the h/2 nudge
+        return pts
+    return make
+
+
+def _flat(n, axes, m=23, through=(0.25, -0.5, 0.125)):
+    """m^k points of an axis-aligned flat spanned by the given axes, through
+    a grid node, at uneven spacing and in shuffled order; one of them lies
+    on a grid node."""
+    def make(g):
+        rng = np.random.default_rng(n * 10 + len(axes))
+        along = [np.sort(rng.uniform(-0.9, 0.9, m)) for _ in axes]
+        along[0][m // 2] = g.axes[0][g.spec.N // 2 + 1]  # one on a grid node
+        pts = np.tile(np.array(through[:n]), (m ** len(axes), 1))
+        for d, c in zip(axes, np.meshgrid(*along, indexing="ij")):
+            pts[:, d] = c.ravel()
+        return rng.permutation(pts)
+    return make
+
+
+def _repeated(g):
+    base = np.array([[0.25, -0.5], [0.25, 0.125], [-0.7, 0.3]])
+    return np.concatenate([base, base[::-1], base[:1]])
+
+
+def _stacked_distance(g, pts):
+    """d(x, M) per grid point from all pairwise differences at once."""
     stacked = np.stack([c.ravel() for c in g.coords()], axis=1)
     d = stacked[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.min(np.sum(d * d, axis=2), axis=1)).reshape(g.spec.shape)
     dist[dist == 0.0] = g.h / 2.0
+    return dist
+
+
+# (n, N, point set maker, lines): scattered sets (lines of one point),
+# segments and lines along each axis, a plane, repeated points, one point
+DISTANCE_SETS = [
+    pytest.param(1, 256, _random_points(1, 53), 1, id="1-256-53"),
+    pytest.param(2, 64, _random_points(2, 101), 101, id="2-64-101"),
+    pytest.param(3, 16, _random_points(3, 37), 37, id="3-16-37"),
+    pytest.param(2, 64, _flat(2, (0,)), 1, id="2d-segment-axis0"),
+    pytest.param(2, 64, _flat(2, (1,)), 1, id="2d-segment-axis1"),
+    pytest.param(3, 16, _flat(3, (0,)), 1, id="3d-line-axis0"),
+    pytest.param(3, 16, _flat(3, (1,)), 1, id="3d-line-axis1"),
+    pytest.param(3, 16, _flat(3, (2,)), 1, id="3d-line-axis2"),
+    pytest.param(3, 16, _flat(3, (0, 2), m=9), 9, id="3d-plane"),
+    pytest.param(2, 32, _repeated, 2, id="2d-repeated"),
+    pytest.param(3, 16, lambda g: np.array([[0.125, -0.3, 0.7]]), 1, id="3d-one-point"),
+]
+
+
+@pytest.mark.parametrize("n, N, make, lines", DISTANCE_SETS)
+def test_distance_scan_matches_stacked_formula(n, N, make, lines):
+    g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
+    pts = make(g)
+    assert len(wt._lines(pts)[1]) == lines
+    dist = _stacked_distance(g, pts)
     # the declared dimension moves class membership only, never the values
     for k in range(n):
         wd = wt.distance_weight(g, pts, 0.5, 2.0, manifold_dim=k)
