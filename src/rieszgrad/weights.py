@@ -10,21 +10,29 @@ standard three-lattice surrogate for the supremum over all cubes).  Cube
 averages are grid quadrature restricted to the cube; any weight sample
 coinciding with a singular point is evaluated at distance h/2 instead.
 
-The family is summed level by level.  Along each axis a tiling is a run of
-index ranges [lo, hi) of the grid points inside its cubes.  When, along every
-axis, every tiling cuts contiguous blocks of one length, a power-of-two
-multiple of a common block, starting a whole or a half block past the
-lowest start (a family whose box and edges sit on the grid lattice), each
-array's dyadic pyramid is built once: the finest level sums the common
-blocks by a reshape, each coarser aligned level adds pairs of the finer one
-along each axis, and a half-shifted level adds pairs of the next finer
-aligned level starting at its second block.  Every other family is summed
-one tiling at a time along each axis in turn, contiguous blocks of one
-length by a reshape and clipped or uneven ranges by ``np.add.reduceat``.
-Either way a cube sum is a direct sum of positive samples, accurate to
-rounding even for weights spanning many orders of magnitude.  A cube whose
-sum is non-positive or non-finite, or whose term is NaN, raises instead of
-dropping out of the supremum.
+A family is compiled once per grid and kept on the family, keyed by the
+grid's spec: its tilings (level by level, aligned cubes before half-shifted
+ones), and along each axis a tiling's run of index ranges [lo, hi) of the
+grid points inside its cubes, each tiling's shape and point counts, and its
+offset in family order.  When, along every axis, every tiling cuts
+contiguous blocks of one length, a power-of-two multiple of a common block,
+starting a whole or a half block past the lowest start (a family whose box
+and edges sit on the grid lattice), the plan also holds where each tiling
+lies in a dyadic pyramid: the finest level sums the common blocks by a
+reshape, each coarser aligned level adds pairs of the finer one along each
+axis, and a half-shifted level adds pairs of the next finer aligned level
+starting at its second block.  Every other family is summed one tiling at
+a time along each axis in turn, contiguous blocks of one length by a
+reshape and clipped or uneven ranges by ``np.add.reduceat``.
+
+An estimate is then one pass: each array's cube sums, from its pyramid or
+per tiling, are written into one flat array in family order, checked once,
+and the term is evaluated once over every cube; one argmax gives the
+family's first maximal cube.  A cube sum is a direct sum of positive
+samples, accurate to rounding even for weights spanning many orders of
+magnitude.  A cube whose sum is non-positive or non-finite, or whose term
+is NaN, raises instead of dropping out of the supremum, naming the cube a
+tiling-by-tiling sweep would meet first.
 
 Distance weights take the squared distance to M one line of M at a time.
 The points of M that share every coordinate but one axis form a line; along
@@ -42,6 +50,7 @@ behaviour.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
@@ -82,8 +91,8 @@ class Weight:
             raise ValueError("weight shape does not match grid")
         if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
             raise ValueError("weight values must be finite and strictly positive")
-        if not (self.p > 1):
-            raise ValueError(f"weight exponent p must exceed 1, got {self.p}")
+        if not (1 < self.p < math.inf):
+            raise ValueError(f"weight exponent p must be finite and exceed 1, got {self.p}")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -208,6 +217,19 @@ def distance_weight(
     )
 
 
+def _check_p(p: float) -> None:
+    if not (1 < p < math.inf):
+        raise ValueError(f"p must be finite and exceed 1, got {p}")
+
+
+def _check_pq(p: float, q: float) -> None:
+    for name, value in (("p", p), ("q", q)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not (1 < p < q):
+        raise ValueError(f"need 1 < p < q, got p={p}, q={q}")
+
+
 def tabulated_weight(grid: Grid, values, p: float) -> Weight:
     return Weight(grid, values, family={"kind": "tabulated"}, p=p, in_class=None)
 
@@ -215,8 +237,7 @@ def tabulated_weight(grid: Grid, values, p: float) -> Weight:
 def dual_weight(w: Weight, p: float | None = None) -> Weight:
     """w* = w^(-1/(p-1)), analyzed against the dual exponent p' = p/(p-1)."""
     p = w.p if p is None else float(p)
-    if not (p > 1):
-        raise ValueError(f"p must exceed 1, got {p}")
+    _check_p(p)
     vals = w.values ** (-1.0 / (p - 1.0))
     return Weight(
         w.grid,
@@ -237,6 +258,8 @@ class CubeFamily:
     level_min: int = 0
     level_max: int = 4
     shifted: bool = True
+    #: the family compiled per grid (see _compile_family), keyed by GridSpec
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo = tuple(float(c) for c in self.lo)
@@ -286,6 +309,14 @@ class CubeFamily:
             for edge, corners in self.tilings(grid)
             for corner in itertools.product(*(c.tolist() for c in corners))
         ]
+
+    def _plan(self, grid: Grid) -> _FamilyPlan:
+        """The family compiled for grid, on first use per GridSpec: the
+        family is frozen and its tilings depend on the grid's spec only."""
+        plan = self._plans.get(grid.spec)
+        if plan is None:
+            plan = self._plans[grid.spec] = _compile_family(grid, self)
+        return plan
 
     def describe(self) -> dict:
         return {
@@ -355,17 +386,25 @@ def _axis_sums(a: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray):
 def _tilings(grid: Grid, cubes: CubeFamily):
     """The family's tilings in family order as (edge, corners, ranges): per
     axis the corners and index ranges of the cubes holding a grid point.
-    A tiling with no such cube along some axis is left out."""
+    A tiling with no such cube along some axis is left out.  The ranges of
+    every tiling are found at once per axis."""
+    tilings = list(cubes.tilings(grid))
+    edges = [edge for edge, _ in tilings]
+    per_axis = []
+    for d in range(grid.spec.n):
+        corners = [c[d] for _, c in tilings]
+        sizes = [len(c) for c in corners]
+        c = np.concatenate(corners)
+        lo, hi = _axis_ranges(grid, d, c, np.repeat(edges, sizes))
+        keep = hi > lo
+        c, lo, hi = c[keep], lo[keep], hi[keep]
+        # the kept cubes of tiling t are entries cut[t]:cut[t + 1]
+        cut = np.cumsum(np.r_[0, keep])[np.cumsum([0] + sizes)].tolist()
+        per_axis.append([(c[a:b], lo[a:b], hi[a:b]) for a, b in zip(cut, cut[1:])])
     out = []
-    for edge, corners in cubes.tilings(grid):
-        kept, ranges = [], []
-        for d in range(grid.spec.n):
-            lo, hi = _axis_ranges(grid, d, corners[d], edge)
-            keep = hi > lo
-            kept.append(corners[d][keep])
-            ranges.append((lo[keep], hi[keep]))
-        if all(len(lo) for lo, _ in ranges):
-            out.append((edge, kept, ranges))
+    for edge, axes in zip(edges, zip(*per_axis)):
+        if all(len(c) for c, _, _ in axes):
+            out.append((edge, [c for c, _, _ in axes], [(lo, hi) for _, lo, hi in axes]))
     return out
 
 
@@ -384,22 +423,30 @@ def _pyramid_plan(tilings):
     b/2 (pairs of level j - 1); beta_d is the gcd of the lengths and of the
     offsets.  Returns the base (s_d, beta_d, block count) per axis and, per
     tiling, (level, paired, first block per axis)."""
-    base = []
+    base, blocks, offsets = [], [], []
     for d in range(len(tilings[0][2])):
-        ranges = [r[d] for _, _, r in tilings]
-        for lo, hi in ranges:
-            if (hi - lo != hi[0] - lo[0]).any() or (lo[1:] != hi[:-1]).any():
-                return None
-        s = min(int(lo[0]) for lo, _ in ranges)
-        beta = math.gcd(*(int(hi[0] - lo[0]) for lo, hi in ranges),
-                        *(int(lo[0]) - s for lo, _ in ranges))
-        end = max(int(hi[-1]) for _, hi in ranges)
+        # every tiling's ranges along axis d at once
+        sizes = [len(r[d][0]) for _, _, r in tilings]
+        lo = np.concatenate([r[d][0] for _, _, r in tilings])
+        hi = np.concatenate([r[d][1] for _, _, r in tilings])
+        first = np.cumsum([0] + sizes[:-1])
+        b = hi[first] - lo[first]
+        gaps = lo[1:] != hi[:-1]
+        gaps[first[1:] - 1] = False
+        if (hi - lo != np.repeat(b, sizes)).any() or gaps.any():
+            return None
+        s = int(lo[first].min())
+        b, off = b.tolist(), (lo[first] - s).tolist()
+        beta = math.gcd(*b, *off)
+        end = int(hi[first + sizes - 1].max())
         base.append((s, beta, (end - s) // beta))
+        blocks.append(b)
+        offsets.append(off)
     reads = []
-    for _, _, ranges in tilings:
+    for t in range(len(tilings)):
         kinds, firsts = set(), []
-        for (lo, hi), (s, beta, _) in zip(ranges, base):
-            b, off = int(hi[0] - lo[0]), int(lo[0]) - s
+        for bs, offs, (s, beta, _) in zip(blocks, offsets, base):
+            b, off = bs[t], offs[t]
             j = (b // beta).bit_length() - 1
             if b != beta << j:
                 return None
@@ -435,87 +482,193 @@ def _pyramid(a: np.ndarray, base, depth: int):
     return levels
 
 
-def _pyramid_sums(levels, read, counts):
-    """One tiling's cube sums from a pyramid: a slice of an aligned level, or
-    pairs of it from the first block on along each axis."""
+def _pyramid_sums(levels, read, out: np.ndarray) -> None:
+    """Write one tiling's cube sums from a pyramid into out (shaped like the
+    tiling): a slice of an aligned level, or pairs of it from the first
+    block on along each axis."""
     level, paired, firsts = read
     x = levels[level]
-    for d, (i, k) in enumerate(zip(firsts, counts)):
-        if paired:
-            x = (x[_along(d, slice(i, i + 2 * k, 2))]
-                 + x[_along(d, slice(i + 1, i + 2 * k, 2))])
+    if not paired:
+        out[...] = x[tuple(slice(i, i + k) for i, k in zip(firsts, out.shape))]
+        return
+    last = out.ndim - 1
+    for d, (i, k) in enumerate(zip(firsts, out.shape)):
+        x = np.add(x[_along(d, slice(i, i + 2 * k, 2))],
+                   x[_along(d, slice(i + 1, i + 2 * k, 2))],
+                   out=out if d == last else None)
+
+
+@dataclass(frozen=True, eq=False)
+class _FamilyPlan:
+    """A cube family compiled for one grid (see _compile_family).
+
+    Per tiling, in family order: the edge, the kept corners per axis, the
+    shape (cubes per axis) and the flat offset of its first cube, with the
+    family's cube count as the last offset.  An on-lattice family keeps its
+    pyramid base, depth and per-tiling reads (see _pyramid_plan), and
+    ``points`` holds one point count per tiling; any other family keeps its
+    per-axis index ranges, and ``points`` holds the point count of every
+    cube."""
+
+    edges: list
+    corners: list
+    shapes: list
+    offsets: list
+    points: np.ndarray
+    base: list | None = None
+    depth: int = 0
+    reads: list | None = None
+    ranges: list | None = None
+
+    def sums(self, a: np.ndarray) -> np.ndarray:
+        """Every cube's sum of a, in family order, written into one array."""
+        out = np.empty(self.offsets[-1])
+        slots = [out[lo:hi].reshape(shape) for lo, hi, shape
+                 in zip(self.offsets, self.offsets[1:], self.shapes)]
+        if self.reads is not None:
+            levels = _pyramid(a, self.base, self.depth)
+            for read, slot in zip(self.reads, slots):
+                _pyramid_sums(levels, read, slot)
         else:
-            x = x[_along(d, slice(i, i + k))]
-    return x
+            for ranges, slot in zip(self.ranges, slots):
+                x = a
+                for d, (lo, hi) in enumerate(ranges):
+                    x = _axis_sums(x, d, lo, hi)
+                slot[...] = x
+        return out
+
+    def counts(self) -> np.ndarray:
+        """The grid points in each cube, in family order."""
+        if self.reads is None:
+            return self.points
+        return np.repeat(self.points, np.diff(self.offsets))
+
+    def factors(self, edge_factor) -> np.ndarray:
+        """edge_factor(edge) per cube, in family order, called once per
+        tiling on its Python float edge."""
+        return np.repeat([edge_factor(e) for e in self.edges], np.diff(self.offsets))
+
+    def tiling(self, k: int) -> int:
+        """The tiling holding flat cube k."""
+        return bisect.bisect_right(self.offsets, k) - 1
+
+    def cube(self, t: int, k: int):
+        """The (corner, edge) cube at index k of tiling t."""
+        return _cube_at(self.corners[t], k, self.edges[t])
 
 
-def _family_sup(grid: Grid, arrays, term, cubes: CubeFamily):
-    """Maximize term(counts, sums, edge) over the family, one tiling at a
-    time in family order; arrays are summed per cube, from one dyadic
-    pyramid per array when the family allows it, and the first maximal cube
-    wins."""
+def _compile_family(grid: Grid, cubes: CubeFamily) -> _FamilyPlan:
+    """Everything about a family's cubes that depends on the grid alone."""
     tilings = _tilings(grid, cubes)
-    plan = _pyramid_plan(tilings) if tilings else None
-    if plan is not None:
-        base, reads = plan
-        depth = max(level for level, _, _ in reads)
-        pyramids = [_pyramid(a, base, depth) for a in arrays]
-    best = -np.inf
-    best_cube = None
-    for t, (edge, kept, ranges) in enumerate(tilings):
+    if not tilings:
+        raise ValueError("no cube in the family contains a grid point")
+    shapes = [tuple(len(lo) for lo, _ in ranges) for _, _, ranges in tilings]
+    offsets = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
+    edges = [edge for edge, _, _ in tilings]
+    corners = [kept for _, kept, _ in tilings]
+    pyramid = _pyramid_plan(tilings)
+    if pyramid is not None:
+        base, reads = pyramid
+        # every cube of a tiling holds the points of its first
+        points = np.array([math.prod(int(hi[0] - lo[0]) for lo, hi in ranges)
+                           for _, _, ranges in tilings])
+        return _FamilyPlan(edges, corners, shapes, offsets, points, base=base,
+                           depth=max(level for level, _, _ in reads), reads=reads)
+    points = []
+    for _, _, ranges in tilings:
         count = 1
         for lo, hi in ranges:
             count = np.multiply.outer(count, hi - lo)
-        sums = []
-        for i, a in enumerate(arrays):
-            if plan is None:
-                for d, (lo, hi) in enumerate(ranges):
-                    a = _axis_sums(a, d, lo, hi)
-            else:
-                a = _pyramid_sums(pyramids[i], reads[t], count.shape)
-            if not (a.min() > 0.0 and a.max() < np.inf):
-                k = int(np.argmax(~((a > 0.0) & (a < np.inf))))
-                raise ValueError(f"cube {_cube_at(kept, k, edge)} has "
-                                 f"non-positive or non-finite sum {a.flat[k]}")
-            sums.append(a)
-        vals = term(count, sums, edge)
+        points.append(count.ravel())
+    ranges = [ranges for _, _, ranges in tilings]
+    return _FamilyPlan(edges, corners, shapes, offsets, np.concatenate(points),
+                       ranges=ranges)
+
+
+def _first_bad(a: np.ndarray) -> int | None:
+    """The index of a's first non-positive or non-finite entry, or None."""
+    if a.min() > 0.0 and a.max() < np.inf:
+        return None
+    return int(np.argmax(~((a > 0.0) & (a < np.inf))))
+
+
+def _family_sup(grid: Grid, arrays, term, cubes: CubeFamily, edge_factor=None):
+    """Maximize term(count, sums, factor) over the family in one pass.
+
+    The family's plan for the grid is compiled once and kept (see
+    CubeFamily._plan).  Each array's cube sums are written into one flat
+    array in family order, from one dyadic pyramid per array when the
+    family allows it; arrays is iterated once, so an array a generator
+    yields is freed once its sums are taken.  count holds each cube's grid
+    points, and factor each cube's edge_factor(edge) (None without one).
+    term is called once, and one argmax picks the first maximal cube of the
+    family.  A non-positive or non-finite sum or a NaN term raises, naming
+    the cube a tiling-by-tiling sweep meets first: the first failing tiling,
+    its arrays in order, then its term."""
+    plan = cubes._plan(grid)
+    sums = [plan.sums(a) for a in arrays]
+    count = plan.counts()
+    factor = None if edge_factor is None else plan.factors(edge_factor)
+    bad = [k for k in map(_first_bad, sums) if k is not None]
+    if not bad:
+        vals = term(count, sums, factor)
         k = int(np.argmax(vals))  # the first NaN, if there is one
-        if np.isnan(vals.flat[k]):
-            raise ValueError(f"cube {_cube_at(kept, k, edge)} gives a NaN term")
-        if vals.flat[k] > best:
-            best, best_cube = vals.flat[k], _cube_at(kept, k, edge)
-    if best_cube is None:
-        raise ValueError("no cube in the family contains a grid point")
-    return best, best_cube
+        t = plan.tiling(k)
+        if not np.isnan(vals[k]):
+            return vals[k], plan.cube(t, k - plan.offsets[t])
+    else:
+        # the first tiling with a bad sum, unless a NaN term comes before it
+        t = plan.tiling(min(bad))
+        stop = plan.offsets[t]
+        vals = term(count[:stop], [a[:stop] for a in sums],
+                    None if factor is None else factor[:stop])
+        nan = np.flatnonzero(np.isnan(vals))
+        if nan.size:
+            t = plan.tiling(int(nan[0]))
+    # replay tiling t's checks in sweep order: sums array by array, then term
+    sl = slice(plan.offsets[t], plan.offsets[t + 1])
+    for a in sums:
+        k = _first_bad(a[sl])
+        if k is not None:
+            raise ValueError(f"cube {plan.cube(t, k)} has "
+                             f"non-positive or non-finite sum {a[sl][k]}")
+    vals = term(count[sl], [a[sl] for a in sums], None if factor is None else factor[sl])
+    raise ValueError(f"cube {plan.cube(t, int(np.argmax(vals)))} gives a NaN term")
 
 
-def _estimate(grid: Grid, arrays, term, cubes: CubeFamily, params=None) -> CubeEstimate:
+def _estimate(grid: Grid, arrays, term, cubes: CubeFamily, params=None,
+              edge_factor=None) -> CubeEstimate:
     """The family supremum of term (see _family_sup) with its provenance."""
-    val, cube = _family_sup(grid, arrays, term, cubes)
+    val, cube = _family_sup(grid, arrays, term, cubes, edge_factor)
     return CubeEstimate(float(val), cube, cubes.describe(), params or {})
 
 
 def _two_average(w: Weight, expo: float, power: float, cubes: CubeFamily, params):
     """sup_Q (avg_Q w)(avg_Q w^expo)^power over the family."""
 
-    def term(count, sums, edge):
-        return (sums[0] / count) * (sums[1] / count) ** power
+    def term(count, sums, factor):
+        # (sums[0] / count) * (sums[1] / count) ** power, one temporary fewer
+        out = sums[1] / count
+        out **= power
+        out *= sums[0] / count
+        return out
 
-    return _estimate(w.grid, [w.values, w.values**expo], term, cubes,
-                     {"family": w.family, **params})
+    def arrays():  # w^expo is freed once its sums are taken
+        yield w.values
+        yield w.values**expo
+
+    return _estimate(w.grid, arrays(), term, cubes, {"family": w.family, **params})
 
 
 def ap_constant(w: Weight, p: float, cubes: CubeFamily) -> CubeEstimate:
     """Estimate [w]_p = sup_Q (avg_Q w)(avg_Q w^(-1/(p-1)))^(p-1)."""
-    if not (p > 1):
-        raise ValueError(f"p must exceed 1, got {p}")
+    _check_p(p)
     return _two_average(w, -1.0 / (p - 1.0), p - 1.0, cubes, {"p": p})
 
 
 def apq_constant(w: Weight, p: float, q: float, cubes: CubeFamily) -> CubeEstimate:
     """Estimate [w]_{p,q} = sup_Q (avg_Q w)(avg_Q w^(-p'/q))^(q/p')."""
-    if not (1 < p < q):
-        raise ValueError(f"need 1 < p < q, got p={p}, q={q}")
+    _check_pq(p, q)
     pprime = p / (p - 1.0)
     return _two_average(w, -pprime / q, q / pprime, cubes, {"p": p, "q": q})
 
@@ -533,31 +686,30 @@ def sawyer_wheeden_constant(
     n = grid.spec.n
     if not (0.0 < s < n):
         raise ValueError(f"need 0 < s < n, got s={s}")
-    if not (1 < p < q):
-        raise ValueError(f"need 1 < p < q, got p={p}, q={q}")
+    _check_pq(p, q)
     if w.grid != grid:
         raise ValueError("weights live on different grids")
     pprime = p / (p - 1.0)
-    dual_vals = w.values ** (-1.0 / (p - 1.0))
     hn = grid.h**n
 
-    def term(count, sums, edge):
-        volume = edge**n
-        return (
-            volume ** (s / n - 1.0)
-            * (hn * sums[0]) ** (1.0 / q)
-            * (hn * sums[1]) ** (1.0 / pprime)
-        )
+    def arrays():  # w* is freed once its sums are taken
+        yield v.values
+        yield w.values ** (-1.0 / (p - 1.0))
 
-    record = _estimate(grid, [v.values, dual_vals], term, cubes,
-                       {"s": s, "p": p, "q": q}).to_record()
+    # |Q|^(s/n-1) and |Q|^(s/n) come as factors, one Python float per edge:
+    # numpy's power of an array may round otherwise
+    def term(count, sums, factor):
+        return factor * (hn * sums[0]) ** (1.0 / q) * (hn * sums[1]) ** (1.0 / pprime)
+
+    record = _estimate(grid, arrays(), term, cubes, {"s": s, "p": p, "q": q},
+                       edge_factor=lambda edge: (edge**n) ** (s / n - 1.0)).to_record()
     if v.values.shape == w.values.shape and np.array_equal(v.values, w.values):
 
-        def single(count, sums, edge):
-            volume = edge**n
-            return volume ** (s / n) * (hn * sums[0]) ** (1.0 / q - 1.0 / p)
+        def single(count, sums, factor):
+            return factor * (hn * sums[0]) ** (1.0 / q - 1.0 / p)
 
-        one = _estimate(grid, [w.values], single, cubes).to_record()
+        one = _estimate(grid, [w.values], single, cubes,
+                        edge_factor=lambda edge: (edge**n) ** (s / n)).to_record()
         record["single_weight_constant"] = one["constant"]
         record["single_weight_argmax"] = one["argmax_cube"]
     return record
@@ -576,6 +728,10 @@ def weighted_measure(w: Weight, region) -> float:
     if corner.shape != (grid.spec.n,):
         raise ValueError(f"cube corner must have {grid.spec.n} entries, "
                          f"got {corner.size}")
+    if not np.all(np.isfinite(corner)):
+        raise ValueError(f"cube corner must be finite, got {corner.tolist()}")
+    if not (0.0 < edge < math.inf):
+        raise ValueError(f"cube edge must be finite and positive, got {edge}")
     sl = []
     for d in range(grid.spec.n):
         lo, hi = _axis_ranges(grid, d, corner[d], edge)

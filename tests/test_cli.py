@@ -89,6 +89,15 @@ class TestWeights:
         assert "--family" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [["--p", "inf"], ["--p", "nan"],
+                                       ["--p", 2, "--q", "inf"]])
+    def test_non_finite_exponent_refused(self, tmp_path, capsys, flags):
+        # every A_p constant is at least 1, and inf is not valid JSON: no
+        # estimate is made and no artifact written
+        out = tmp_path / "w"
+        assert run(["weights", "--alpha", 0.5, *flags, "--out", out]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_defaults_follow_n(self, tmp_path):
         # origin -1 and the box centre per axis, as if given

@@ -90,6 +90,20 @@ class TestConstructors:
         with pytest.raises(ValueError, match="strictly positive"):
             wt.tabulated_weight(g, np.zeros(64), 2.0)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_non_finite_p_refused(self, p):
+        # by Hoelder every A_p constant is at least 1; p = inf gave 0.99
+        g = centered_grid(N=64)
+        with pytest.raises(ValueError, match="p must be finite"):
+            wt.power_weight(g, [0.0], 0.5, p)
+        with pytest.raises(ValueError, match="p must be finite"):
+            wt.tabulated_weight(g, np.ones(64), p)
+        w = wt.tabulated_weight(g, np.ones(64), 2.0)
+        with pytest.raises(ValueError, match="p must be finite"):
+            wt.dual_weight(w, p)
+        with pytest.raises(ValueError, match="p must be finite"):
+            wt.ap_constant(w, p, full_family(g, 2))
+
 
 class TestDualWeight:
     def test_constant(self):
@@ -226,6 +240,15 @@ class TestApq:
         with pytest.raises(ValueError, match="1 < p < q"):
             wt.apq_constant(w, 3.0, 2.0, full_family(g, 2))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["p", "q"])
+    def test_non_finite_exponents_refused(self, name, bad):
+        g = centered_grid(N=64)
+        w = wt.tabulated_weight(g, np.ones(64), 2.0)
+        pq = {"p": 2.0, "q": 4.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            wt.apq_constant(w, pq["p"], pq["q"], full_family(g, 2))
+
     def test_single_cube_matches_direct_formula(self):
         rng = np.random.default_rng(1)
         g = centered_grid(N=128)
@@ -295,6 +318,15 @@ class TestSawyerWheeden:
         with pytest.raises(ValueError, match="1 < p < q"):
             wt.sawyer_wheeden_constant(one, one, 0.5, 4.0, 2.0, full_family(g, 2))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["p", "q"])
+    def test_non_finite_exponents_refused(self, name, bad):
+        g = centered_grid(N=64)
+        one = wt.tabulated_weight(g, np.ones(64), 2.0)
+        pq = {"p": 2.0, "q": 4.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            wt.sawyer_wheeden_constant(one, one, 0.5, pq["p"], pq["q"], full_family(g, 2))
+
 
 class TestWeightedMeasure:
     def test_whole_box(self):
@@ -319,6 +351,22 @@ class TestWeightedMeasure:
         w = wt.tabulated_weight(g, np.ones((32, 32)), 2.0)
         with pytest.raises(ValueError, match="must have 2 entries"):
             wt.weighted_measure(w, (corner, 0.5))
+
+    @pytest.mark.parametrize("corner, edge, match", [
+        ((np.nan, 0.25), 0.5, "corner must be finite"),
+        ((0.25, -np.inf), 0.5, "corner must be finite"),
+        ((0.25, 0.25), np.nan, "edge must be finite and positive"),
+        ((0.25, 0.25), np.inf, "edge must be finite and positive"),
+        ((0.25, 0.25), -0.5, "edge must be finite and positive"),
+        ((0.25, 0.25), 0.0, "edge must be finite and positive"),
+    ])
+    def test_bad_cube_refused(self, corner, edge, match):
+        # each of these once measured 0.0, the NaN and inf ones with a
+        # numpy cast warning
+        g = make_grid(GridSpec(n=2, N=32, L=1.5))
+        w = wt.tabulated_weight(g, np.ones((32, 32)), 2.0)
+        with pytest.raises(ValueError, match=match):
+            wt.weighted_measure(w, (corner, edge))
 
     def test_power_integral_refines(self):
         # integral of |x|^(1/2) over [0, 1] is 2/3
@@ -591,6 +639,199 @@ class TestDyadicPyramid:
         est = wt.ap_constant(w, 2.0, fam)
         assert est.argmax_cube == ref_cube
         assert abs(est.value - ref) <= 1e-13 * ref
+
+
+# ---------------------------------------------------------------------------
+# One-pass evaluation against the tiling-by-tiling sweep it replaced
+# ---------------------------------------------------------------------------
+
+
+def _sweep_pyramid_sums(levels, read, counts):
+    level, paired, firsts = read
+    x = levels[level]
+    for d, (i, k) in enumerate(zip(firsts, counts)):
+        sl = (slice(None),) * d
+        if paired:
+            x = x[sl + (slice(i, i + 2 * k, 2),)] + x[sl + (slice(i + 1, i + 2 * k, 2),)]
+        else:
+            x = x[sl + (slice(i, i + k),)]
+    return x
+
+
+def _sweep_sup(grid, arrays, term, fam):
+    """Reference: term(count, sums, edge) one tiling at a time in family
+    order, edge a Python float, sums from the same pyramid or reshape and
+    reduceat sums; the first maximal cube wins, and the first tiling with a
+    bad sum (arrays in order) or a NaN term raises."""
+    tilings = wt._tilings(grid, fam)
+    plan = wt._pyramid_plan(tilings)
+    if plan is not None:
+        base, reads = plan
+        depth = max(level for level, _, _ in reads)
+        pyramids = [wt._pyramid(a, base, depth) for a in arrays]
+    best, best_cube = -np.inf, None
+    for t, (edge, kept, ranges) in enumerate(tilings):
+        count = 1
+        for lo, hi in ranges:
+            count = np.multiply.outer(count, hi - lo)
+        sums = []
+        for i, a in enumerate(arrays):
+            if plan is None:
+                for d, (lo, hi) in enumerate(ranges):
+                    a = wt._axis_sums(a, d, lo, hi)
+            else:
+                a = _sweep_pyramid_sums(pyramids[i], reads[t], count.shape)
+            if not (a.min() > 0.0 and a.max() < np.inf):
+                k = int(np.argmax(~((a > 0.0) & (a < np.inf))))
+                raise ValueError(f"cube {wt._cube_at(kept, k, edge)} has "
+                                 f"non-positive or non-finite sum {a.flat[k]}")
+            sums.append(a)
+        vals = term(count, sums, edge)
+        k = int(np.argmax(vals))
+        if np.isnan(vals.flat[k]):
+            raise ValueError(f"cube {wt._cube_at(kept, k, edge)} gives a NaN term")
+        if vals.flat[k] > best:
+            best, best_cube = vals.flat[k], wt._cube_at(kept, k, edge)
+    return best, best_cube
+
+
+#: (n, N, L, family) on the lattice and off it
+ONE_PASS_CASES = ([(n, N, 2.0, fam) for n, N, fam in PYRAMID_CASES]
+                  + TestTilingEngine.CASES)
+
+
+class TestOnePass:
+    """Each family is compiled once per grid and evaluated in one pass:
+    bitwise the sweep's values and argmax cubes, and its errors."""
+
+    @pytest.mark.parametrize("n, N, L, fam", ONE_PASS_CASES)
+    def test_bitwise_sweep_estimates(self, n, N, L, fam):
+        g = make_grid(GridSpec(n=n, N=N, L=L, origin=(-L / 2,) * n))
+        fam = wt.CubeFamily(**fam)
+        rng = np.random.default_rng(n * 10 + N)
+        vals = np.exp(1.5 * rng.standard_normal(g.spec.shape))
+        w = wt.tabulated_weight(g, vals, 2.0)
+        for p in (1.5, 3.0):
+            est = wt.ap_constant(w, p, fam)
+            ref = _sweep_sup(g, [vals, vals ** (-1.0 / (p - 1.0))], _ap_term(p), fam)
+            assert (est.value, est.argmax_cube) == ref
+        p, q, s = 2.0, 4.0, 0.5
+        pp = p / (p - 1.0)
+        est = wt.apq_constant(w, p, q, fam)
+        term = lambda c, sums, e: (sums[0] / c) * (sums[1] / c) ** (q / pp)  # noqa: E731
+        assert (est.value, est.argmax_cube) == _sweep_sup(g, [vals, vals ** (-pp / q)], term, fam)
+        rec = wt.sawyer_wheeden_constant(w, w, s, p, q, fam)
+        hn = g.h**n
+
+        def two(c, sums, edge):
+            volume = edge**n
+            return (volume ** (s / n - 1.0) * (hn * sums[0]) ** (1.0 / q)
+                    * (hn * sums[1]) ** (1.0 / pp))
+
+        def single(c, sums, edge):
+            volume = edge**n
+            return volume ** (s / n) * (hn * sums[0]) ** (1.0 / q - 1.0 / p)
+
+        for key, term, arrays in (("", two, [vals, vals ** (-1.0 / (p - 1.0))]),
+                                  ("single_weight_", single, [vals])):
+            value, (corner, edge) = _sweep_sup(g, arrays, term, fam)
+            cube = rec["argmax_cube" if not key else "single_weight_argmax"]
+            assert rec[key + "constant"] == value
+            assert cube == {"corner": list(corner), "edge": edge}
+
+    def test_edge_factor_is_a_python_float_per_tiling(self):
+        # the Sawyer-Wheeden |Q|^(s/n-1) and |Q|^(s/n): numpy's power of an
+        # array may round otherwise than Python's power of each edge
+        for n, N, L, fam in TestTilingEngine.CASES:
+            g = make_grid(GridSpec(n=n, N=N, L=L, origin=(-L / 2,) * n))
+            fam = wt.CubeFamily(**fam)
+            tilings = wt._tilings(g, fam)
+            sizes = [np.prod([len(c) for c in kept]) for _, kept, _ in tilings]
+            edges = [edge for edge, _, _ in tilings]
+            for s in np.linspace(0.1, 0.9, 9):
+                def edge_factor(edge):
+                    return (edge**n) ** (s / n - 1.0)
+                seen = []
+                wt._family_sup(g, [np.ones(g.spec.shape)],
+                               lambda c, sums, f: seen.append(f) or sums[0], fam, edge_factor)
+                want = np.concatenate([np.full(k, edge_factor(e)) for k, e in zip(sizes, edges)])
+                assert np.array_equal(seen[0], want)
+
+    # levels 2..5 of a 1D box of 64 points: tilings 0..7 are level 2
+    # aligned (cubes of 16 points) and shifted, 3 aligned and shifted, ...
+    # and 5 aligned (cubes of 2 points) is tiling 6
+    def _failing(self, arrays, term):
+        g = make_grid(GridSpec(n=1, N=64, L=2.0, origin=(-1.0,)))
+        fam = wt.CubeFamily(lo=(-1.0,), size=2.0, level_min=2, level_max=5)
+        with pytest.raises(ValueError) as want:
+            _sweep_sup(g, arrays, term, fam)
+        with pytest.raises(ValueError) as got:
+            wt._family_sup(g, arrays, term, fam)
+        assert str(got.value) == str(want.value)
+        return str(got.value)
+
+    def test_earlier_tiling_named_before_earlier_array(self):
+        a0, a1 = np.ones(64), np.ones(64)
+        # a non-positive sum in array 0 only in the cubes of 2 points (tilings
+        # 6 and 7) and a non-finite one in array 1 from tiling 1 on: the
+        # shifted level-2 cube [24, 40) is the first to hold both huge samples
+        a0[10] = -1.5
+        a1[31] = a1[32] = 1e308
+        with np.errstate(over="ignore"):
+            msg = self._failing([a0, a1], _ap_term(2.0))
+        assert msg == "cube ((-0.25,), 0.5) has non-positive or non-finite sum inf"
+
+    def test_array_order_within_a_tiling(self):
+        # both arrays first fail in tiling 6, array 1 at an earlier cube
+        a0, a1 = np.ones(64), np.ones(64)
+        a0[40] = -1.5
+        a1[10] = -1.5
+        msg = self._failing([a0, a1], _ap_term(2.0))
+        assert msg == "cube ((0.25,), 0.0625) has non-positive or non-finite sum -0.5"
+
+    @pytest.mark.parametrize("points, message", [
+        # a NaN term in tiling 0, at the cube [16, 32), before the bad sum
+        (16, "cube ((-0.5,), 0.5) gives a NaN term"),
+        # a NaN term at the cube [20, 22) of tiling 6, whose bad sum at
+        # [40, 42) is checked before its term
+        (2, "cube ((0.25,), 0.0625) has non-positive or non-finite sum -0.5"),
+    ])
+    def test_nan_term_against_bad_sum(self, points, message):
+        a0 = np.ones(64)
+        a0[20] = 200.0
+        a0[40] = -1.5
+
+        def term(c, sums, edge):
+            # NaN on the cubes of the given size that hold sample 20
+            return np.where((sums[0] > 100.0) & (c == points), np.nan, sums[0] / c)
+
+        assert self._failing([a0], term) == message
+
+    def test_plan_compiled_once_per_grid(self, monkeypatch):
+        compiled = []
+        compile_family = wt._compile_family
+
+        def counting(grid, cubes):
+            compiled.append(grid.spec)
+            return compile_family(grid, cubes)
+
+        monkeypatch.setattr(wt, "_compile_family", counting)
+        fam = wt.CubeFamily(lo=(-1.0,), size=2.0, level_max=5)
+        g = centered_grid(N=256)
+        w = wt.power_weight(g, [0.0], 0.5, 2.0)
+        wt.ap_constant(w, 2.0, fam)
+        wt.apq_constant(w, 2.0, 4.0, fam)
+        wt.sawyer_wheeden_constant(w, w, 0.5, 2.0, 4.0, fam)
+        # an equal grid built apart shares the plan
+        wt.ap_constant(wt.power_weight(centered_grid(N=256), [0.0], 0.5, 3.0), 3.0, fam)
+        assert compiled == [g.spec]
+        g2 = centered_grid(N=512)
+        wt.ap_constant(wt.power_weight(g2, [0.0], 0.5, 2.0), 2.0, fam)
+        wt.ap_constant(wt.power_weight(g, [0.0], 0.5, 2.0), 2.0, fam)
+        assert compiled == [g.spec, g2.spec]
+        # the plans ride on the family, apart from its equality and repr
+        fresh = wt.CubeFamily(lo=(-1.0,), size=2.0, level_max=5)
+        assert fresh == fam and hash(fresh) == hash(fam) and repr(fresh) == repr(fam)
 
 
 class TestWideRangeDualWeights:
