@@ -356,13 +356,16 @@ def bump(grid: Grid, center, radius: float, sharpness: float = 1.0) -> ScalarFie
 
 
 def lp_norm(u, p: float, weight=None) -> float:
-    """Weighted L^p norm (h^n * sum |u|^p w)^(1/p); w omitted means w == 1.
+    """Weighted L^p norm (h^n * sum |u|^p w)^(1/p) for finite p > 1; w
+    omitted means w == 1.
 
     Vector fields enter through their pointwise Euclidean magnitude.  The
     weight is a Weight on u's grid or an array of u's shape.
     """
     if not (p > 1):
         raise ValueError(f"p must exceed 1, got {p}")
+    if p == np.inf:
+        raise ValueError(f"p must be finite, got {p}")
     mag = u.magnitude() if isinstance(u, VectorField) else np.abs(u.values)
     g = u.grid
     acc = mag**p

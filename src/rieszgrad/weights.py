@@ -11,27 +11,28 @@ averages are grid quadrature restricted to the cube; any weight sample
 coinciding with a singular point is evaluated at distance h/2 instead.
 
 A family is compiled once per grid and kept on the family, keyed by the
-grid's spec: its tilings (level by level, aligned cubes before half-shifted
-ones), and along each axis a tiling's run of index ranges [lo, hi) of the
-grid points inside its cubes, each tiling's shape and point counts, and its
-offset in family order.  When, along every axis, every tiling cuts
-contiguous blocks of one length, a power-of-two multiple of a common block,
-starting a whole or a half block past the lowest start (a family whose box
-and edges sit on the grid lattice), the plan also holds where each tiling
-lies in a dyadic pyramid: the finest level sums the common blocks by a
-reshape, each coarser aligned level adds pairs of the finer one along each
-axis, and a half-shifted level adds pairs of the next finer aligned level
-starting at its second block.  Every other family is summed one tiling at
-a time along each axis in turn, contiguous blocks of one length by a
-reshape and clipped or uneven ranges by ``np.add.reduceat``.
+grid's spec, and every family is summed from one dyadic pyramid per array.
+Its base is the level-B blocks from the box's lower corner, B the finest
+level a tiling reads (the last level, or the one after it with
+half-shifted cubes) but never finer than the first level whose edge is
+<= h, so the base holds at most 2^n times the grid's points.  Along
+each axis the base sums its blocks by a reshape when they share one length
+and by ``np.add.reduceat`` over the non-empty ones otherwise (an empty
+block holds 0), and each coarser level adds pairs of the one below.  An
+aligned tiling of level j reads a slice of pyramid level j, and a
+half-shifted one pairs of level j + 1 starting at its second block.  A
+tiling whose edge is <= h keeps only the cubes holding a grid point and
+reads, per axis, the base block holding it.  The plan also holds each
+tiling's kept corners, shape and offset in family order, and the point
+counts: one per tiling whose cubes share it, one per cube otherwise.
 
-An estimate is then one pass: each array's cube sums, from its pyramid or
-per tiling, are written into one flat array in family order, checked once,
-and the term is evaluated once over every cube; one argmax gives the
-family's first maximal cube.  A cube sum is a direct sum of positive
-samples, accurate to rounding even for weights spanning many orders of
-magnitude.  A cube whose sum is non-positive or non-finite, or whose term
-is NaN, raises instead of dropping out of the supremum, naming the cube a
+An estimate is then one pass: each array's cube sums are read from its
+pyramid into one flat array in family order, checked once, and the term
+is evaluated once over every cube; one argmax gives the family's first
+maximal cube.  A cube sum is a direct sum of positive samples, accurate
+to rounding even for weights spanning many orders of magnitude.  A cube
+whose sum is non-positive or non-finite, or whose term is NaN, raises
+instead of dropping out of the supremum, naming the cube a
 tiling-by-tiling sweep would meet first.
 
 Distance weights take the squared distance to M one line of M at a time.
@@ -98,10 +99,13 @@ class Weight:
         object.__setattr__(self, "values", v)
 
 
-def _nudged(dist: np.ndarray, h: float) -> np.ndarray:
-    out = dist.copy()
-    out[out == 0.0] = h / 2.0
-    return out
+def _distance_power(sq: np.ndarray, h: float, alpha: float) -> np.ndarray:
+    """The squared distances sq become distance^alpha in place, a zero
+    distance taken as h/2."""
+    np.sqrt(sq, out=sq)
+    sq[sq == 0.0] = h / 2.0
+    sq **= alpha
+    return sq
 
 
 def power_weight(grid: Grid, x0, alpha: float, p: float) -> Weight:
@@ -111,8 +115,13 @@ def power_weight(grid: Grid, x0, alpha: float, p: float) -> Weight:
         raise ValueError(f"x0 must have {grid.spec.n} entries")
     if not all(math.isfinite(c) for c in x0):
         raise ValueError(f"x0 must be finite, got {x0}")
-    dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(grid.sparse_coords(), x0)))
-    vals = _nudged(dist, grid.h) ** alpha
+    # the squares summed in axis order into one full-grid array
+    squares = [(x - c) ** 2 for x, c in zip(grid.sparse_coords(), x0)]
+    sq = np.empty(grid.spec.shape)
+    sq[...] = squares[0]
+    for t in squares[1:]:
+        sq += t
+    vals = _distance_power(sq, grid.h, alpha)
     n = grid.spec.n
     member = -n < alpha < n * (p - 1.0)
     return Weight(
@@ -179,6 +188,8 @@ def distance_weight(
         raise ValueError(f"points must have {grid.spec.n} coordinates")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points of M must be finite")
+    if isinstance(manifold_dim, bool) or not isinstance(manifold_dim, numbers.Integral):
+        raise ValueError(f"manifold_dim must be an integer, got {manifold_dim!r}")
     k = int(manifold_dim)
     if not (0 <= k < grid.spec.n):
         raise ValueError(f"manifold dimension must be in [0, {grid.spec.n})")
@@ -205,7 +216,7 @@ def distance_weight(
         if len(terms) > 1:
             total = np.add(total, terms[-1], out=buf[:len(total)])
         np.minimum(sq, total[0] if len(total) == 1 else total.min(axis=0), out=sq)
-    vals = _nudged(np.sqrt(sq), grid.h) ** alpha
+    vals = _distance_power(sq, grid.h, alpha)
     codim = grid.spec.n - k
     member = -codim < alpha < codim * (p - 1.0)
     return Weight(
@@ -350,12 +361,14 @@ class CubeEstimate:
 
 def _axis_ranges(grid: Grid, axis: int, corners: np.ndarray, edge: float):
     """Half-open index ranges [lo, hi) of the grid points inside the cubes
-    [corner, corner + edge) along one axis, clipped to the grid."""
+    [corner, corner + edge) along one axis, clipped to the grid.  A point
+    within 1e-9 of a cell below a cube's start or end counts as on it: the
+    rounding of (corner - origin) / h grows with the index, past 1e-12
+    cells at N = 4096."""
     h = grid.h
-    tol = 1e-9 * h
     o = grid.spec.origin[axis]
-    lo = np.ceil((corners - o) / h - tol).astype(np.intp)
-    hi = np.ceil((corners + edge - o) / h - tol).astype(np.intp)
+    lo = np.ceil((corners - o) / h - 1e-9).astype(np.intp)
+    hi = np.ceil((corners + edge - o) / h - 1e-9).astype(np.intp)
     return np.maximum(lo, 0), np.minimum(hi, grid.spec.N)
 
 
@@ -365,114 +378,22 @@ def _cube_at(corners, flat: int, edge: float):
     return tuple(float(c[i]) for c, i in zip(corners, at)), edge
 
 
-def _axis_sums(a: np.ndarray, axis: int, lo: np.ndarray, hi: np.ndarray):
-    """Sums of a over the index ranges [lo_k, hi_k) along one axis."""
-    k, b = len(lo), int(hi[0] - lo[0])
-    if np.all(hi - lo == b) and np.all(lo[1:] == hi[:-1]):
-        # contiguous blocks of one length: a reshape and a sum, several times
-        # faster than reduceat along a leading axis
-        block = a[(slice(None),) * axis + (slice(lo[0], lo[0] + k * b),)]
-        shape = a.shape[:axis] + (k, b) + a.shape[axis + 1:]
-        return block.reshape(shape).sum(axis + 1)
-    # reduceat segment 2k sums [lo_k, hi_k); odd segments are discarded, and
-    # a last range ending at the end of the axis is that end's own segment
-    bounds = np.stack([lo, hi], axis=1).ravel()
-    if hi[-1] == a.shape[axis]:
-        bounds = bounds[:-1]
-    a = np.add.reduceat(a, bounds, axis=axis)
-    return a[(slice(None),) * axis + (slice(None, None, 2),)]
-
-
-def _tilings(grid: Grid, cubes: CubeFamily):
-    """The family's tilings in family order as (edge, corners, ranges): per
-    axis the corners and index ranges of the cubes holding a grid point.
-    A tiling with no such cube along some axis is left out.  The ranges of
-    every tiling are found at once per axis."""
-    tilings = list(cubes.tilings(grid))
-    edges = [edge for edge, _ in tilings]
-    per_axis = []
-    for d in range(grid.spec.n):
-        corners = [c[d] for _, c in tilings]
-        sizes = [len(c) for c in corners]
-        c = np.concatenate(corners)
-        lo, hi = _axis_ranges(grid, d, c, np.repeat(edges, sizes))
-        keep = hi > lo
-        c, lo, hi = c[keep], lo[keep], hi[keep]
-        # the kept cubes of tiling t are entries cut[t]:cut[t + 1]
-        cut = np.cumsum(np.r_[0, keep])[np.cumsum([0] + sizes)].tolist()
-        per_axis.append([(c[a:b], lo[a:b], hi[a:b]) for a, b in zip(cut, cut[1:])])
-    out = []
-    for edge, axes in zip(edges, zip(*per_axis)):
-        if all(len(c) for c, _, _ in axes):
-            out.append((edge, [c for c, _, _ in axes], [(lo, hi) for _, lo, hi in axes]))
-    return out
-
-
-def _along(axis: int, sl: slice):
-    return (slice(None),) * axis + (sl,)
-
-
-def _pyramid_plan(tilings):
-    """Where each tiling's cube sums lie in a dyadic pyramid, or None.
-
-    Along axis d the pyramid's level j sums blocks of beta_d * 2^j points
-    from s_d on, s_d being the lowest first index of any tiling.  A tiling
-    is read from it when, along every axis, its ranges are contiguous blocks
-    of one length b = beta_d * 2^j, for one j on all axes, whose first block
-    starts a multiple of b past s_d (a slice of level j) or a multiple of
-    b/2 (pairs of level j - 1); beta_d is the gcd of the lengths and of the
-    offsets.  Returns the base (s_d, beta_d, block count) per axis and, per
-    tiling, (level, paired, first block per axis)."""
-    base, blocks, offsets = [], [], []
-    for d in range(len(tilings[0][2])):
-        # every tiling's ranges along axis d at once
-        sizes = [len(r[d][0]) for _, _, r in tilings]
-        lo = np.concatenate([r[d][0] for _, _, r in tilings])
-        hi = np.concatenate([r[d][1] for _, _, r in tilings])
-        first = np.cumsum([0] + sizes[:-1])
-        b = hi[first] - lo[first]
-        gaps = lo[1:] != hi[:-1]
-        gaps[first[1:] - 1] = False
-        if (hi - lo != np.repeat(b, sizes)).any() or gaps.any():
-            return None
-        s = int(lo[first].min())
-        b, off = b.tolist(), (lo[first] - s).tolist()
-        beta = math.gcd(*b, *off)
-        end = int(hi[first + sizes - 1].max())
-        base.append((s, beta, (end - s) // beta))
-        blocks.append(b)
-        offsets.append(off)
-    reads = []
-    for t in range(len(tilings)):
-        kinds, firsts = set(), []
-        for bs, offs, (s, beta, _) in zip(blocks, offsets, base):
-            b, off = bs[t], offs[t]
-            j = (b // beta).bit_length() - 1
-            if b != beta << j:
-                return None
-            if off % b == 0:
-                kinds.add((j, False))
-                firsts.append(off // b)
-            elif j > 0 and off % (b // 2) == 0:
-                kinds.add((j - 1, True))
-                firsts.append(off // (b // 2))
-            else:
-                return None
-        if len(kinds) != 1:
-            return None
-        reads.append((*kinds.pop(), firsts))
-    return base, reads
+def _along(axis: int, sel):
+    return (slice(None),) * axis + (sel,)
 
 
 def _pyramid(a: np.ndarray, base, depth: int):
-    """Levels 0..depth of a's dyadic pyramid (see _pyramid_plan): level 0
-    sums blocks of beta_d points along each axis by a reshape (a view when
-    every block is one point), each next level adds pairs of the one before
-    along each axis."""
-    x = a[tuple(slice(s, s + k * beta) for s, beta, k in base)]
-    for d, (_, beta, k) in enumerate(base):
-        if beta > 1:
-            x = x.reshape(x.shape[:d] + (k, beta) + x.shape[d + 1:]).sum(d + 1)
+    """Levels 0..depth of a's dyadic pyramid (see the module docstring):
+    level 0 sums the base blocks along each axis (a view when every block
+    is one point), each next level adds pairs of the one before."""
+    x = a[tuple(slice(start, stop) for start, stop, *_ in base)]
+    for d, (start, stop, k, cuts, full) in enumerate(base):
+        if cuts is not None:
+            sums = np.add.reduceat(x, cuts, axis=d)
+            x = np.zeros(x.shape[:d] + (k,) + x.shape[d + 1:])
+            x[_along(d, full)] = sums
+        elif stop - start > k:
+            x = x.reshape(x.shape[:d] + (k, (stop - start) // k) + x.shape[d + 1:]).sum(d + 1)
     levels = [x]
     for _ in range(depth):
         for d in range(x.ndim):
@@ -484,18 +405,27 @@ def _pyramid(a: np.ndarray, base, depth: int):
 
 def _pyramid_sums(levels, read, out: np.ndarray) -> None:
     """Write one tiling's cube sums from a pyramid into out (shaped like the
-    tiling): a slice of an aligned level, or pairs of it from the first
-    block on along each axis."""
-    level, paired, firsts = read
+    tiling): its blocks of one level along each axis, or the sums of pairs
+    of them."""
+    level, paired, sels = read
     x = levels[level]
     if not paired:
-        out[...] = x[tuple(slice(i, i + k) for i, k in zip(firsts, out.shape))]
+        for d, sel in enumerate(sels):
+            x = x[_along(d, sel)]
+        out[...] = x
         return
     last = out.ndim - 1
-    for d, (i, k) in enumerate(zip(firsts, out.shape)):
-        x = np.add(x[_along(d, slice(i, i + 2 * k, 2))],
-                   x[_along(d, slice(i + 1, i + 2 * k, 2))],
+    for d, (first, second) in enumerate(sels):
+        x = np.add(x[_along(d, first)], x[_along(d, second)],
                    out=out if d == last else None)
+
+
+def _select(idx: np.ndarray, step: int):
+    """idx as a slice when it runs from its first entry in steps of step."""
+    i, k = int(idx[0]), len(idx)
+    if np.array_equal(idx, i + step * np.arange(k)):
+        return slice(i, i + step * k, step)
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,45 +433,32 @@ class _FamilyPlan:
     """A cube family compiled for one grid (see _compile_family).
 
     Per tiling, in family order: the edge, the kept corners per axis, the
-    shape (cubes per axis) and the flat offset of its first cube, with the
-    family's cube count as the last offset.  An on-lattice family keeps its
-    pyramid base, depth and per-tiling reads (see _pyramid_plan), and
-    ``points`` holds one point count per tiling; any other family keeps its
-    per-axis index ranges, and ``points`` holds the point count of every
-    cube."""
+    shape (cubes per axis), the flat offset of its first cube, with the
+    family's cube count as the last offset, and its read of the pyramid.
+    The point counts come in runs of equal counts: one run per tiling
+    whose cubes share their count, one per cube otherwise."""
 
     edges: list
     corners: list
     shapes: list
     offsets: list
     points: np.ndarray
-    base: list | None = None
-    depth: int = 0
-    reads: list | None = None
-    ranges: list | None = None
+    runs: np.ndarray
+    base: list
+    depth: int
+    reads: list
 
     def sums(self, a: np.ndarray) -> np.ndarray:
         """Every cube's sum of a, in family order, written into one array."""
         out = np.empty(self.offsets[-1])
-        slots = [out[lo:hi].reshape(shape) for lo, hi, shape
-                 in zip(self.offsets, self.offsets[1:], self.shapes)]
-        if self.reads is not None:
-            levels = _pyramid(a, self.base, self.depth)
-            for read, slot in zip(self.reads, slots):
-                _pyramid_sums(levels, read, slot)
-        else:
-            for ranges, slot in zip(self.ranges, slots):
-                x = a
-                for d, (lo, hi) in enumerate(ranges):
-                    x = _axis_sums(x, d, lo, hi)
-                slot[...] = x
+        levels = _pyramid(a, self.base, self.depth)
+        for read, lo, hi, shape in zip(self.reads, self.offsets, self.offsets[1:], self.shapes):
+            _pyramid_sums(levels, read, out[lo:hi].reshape(shape))
         return out
 
     def counts(self) -> np.ndarray:
         """The grid points in each cube, in family order."""
-        if self.reads is None:
-            return self.points
-        return np.repeat(self.points, np.diff(self.offsets))
+        return np.repeat(self.points, self.runs)
 
     def factors(self, edge_factor) -> np.ndarray:
         """edge_factor(edge) per cube, in family order, called once per
@@ -558,31 +475,79 @@ class _FamilyPlan:
 
 
 def _compile_family(grid: Grid, cubes: CubeFamily) -> _FamilyPlan:
-    """Everything about a family's cubes that depends on the grid alone."""
-    tilings = _tilings(grid, cubes)
-    if not tilings:
+    """Everything about a family's cubes that depends on the grid alone
+    (see the module docstring).  Along each axis base block k holds the
+    points bounds[k]:bounds[k + 1], and the base runs as far as the reads
+    need; a cube that holds no grid point is left out along its axis, and
+    a tiling with no cube left along some axis is left out."""
+    kinds = [(j, s) for j in range(cubes.level_min, cubes.level_max + 1)
+             for s in ((False, True) if cubes.shifted else (False,))]
+    tilings = [(j, s, edge, corners) for (j, s), (edge, corners)
+               in zip(kinds, cubes.tilings(grid)) if all(len(c) for c in corners)]
+    fine = 0
+    while cubes.size / 2**fine > grid.h:
+        fine += 1
+    top = min(fine, max(j + s for j, s, _, _ in tilings))
+    block = cubes.size / 2**top
+    # per tiling, its pyramid level and whether it reads pairs of blocks
+    modes = [(0, False) if j >= fine else (top - j - s, s) for j, s, _, _ in tilings]
+    per_axis = []
+    for d in range(grid.spec.n):
+        # the level-top blocks over twice the box: enough for every read
+        starts, ends = _axis_ranges(grid, d, cubes.lo[d] + np.arange(2 ** (top + 1)) * block,
+                                    block)
+        bounds = np.minimum(np.append(starts, ends[-1]), grid.spec.N)
+        axis = []
+        for (j, s, edge, corners), (level, paired) in zip(tilings, modes):
+            if j >= fine:
+                starts, ends = _axis_ranges(grid, d, corners[d], edge)
+                keep = ends > starts
+                idx = np.searchsorted(bounds, starts[keep], "right") - 1
+            else:
+                first = np.arange(len(corners[d])) * (1 + s) + s
+                keep = bounds[(first + 1 + s) << level] > bounds[first << level]
+                idx = first[keep]
+            span = bounds[(idx + 1 + paired) << level] - bounds[idx << level]
+            axis.append((idx, span, corners[d][keep]))
+        per_axis.append((bounds, axis))
+    kept = [t for t in range(len(tilings)) if all(len(axis[t][0]) for _, axis in per_axis)]
+    if not kept:
         raise ValueError("no cube in the family contains a grid point")
-    shapes = [tuple(len(lo) for lo, _ in ranges) for _, _, ranges in tilings]
+    base = []
+    for bounds, axis in per_axis:
+        k = max(int(axis[t][0][-1] + 1 + modes[t][1]) << modes[t][0] for t in kept)
+        bounds = bounds[:k + 1]
+        lengths = np.diff(bounds)
+        start, stop = int(bounds[0]), int(bounds[-1])
+        if lengths.min() == lengths.max():
+            base.append((start, stop, k, None, None))
+        else:
+            full = np.flatnonzero(lengths)
+            base.append((start, stop, k, bounds[full] - start, full))
+    edges, corners, shapes, reads, points, runs = [], [], [], [], [], []
+    for t in kept:
+        idxs, spans, kept_corners = zip(*(axis[t] for _, axis in per_axis))
+        level, paired = modes[t]
+        edges.append(tilings[t][2])
+        corners.append(list(kept_corners))
+        shapes.append(tuple(map(len, idxs)))
+        if paired:
+            sels = [(_select(idx, 2), _select(idx + 1, 2)) for idx in idxs]
+        else:
+            sels = [_select(idx, 1) for idx in idxs]
+        reads.append((level, paired, sels))
+        if all(span.min() == span.max() for span in spans):
+            points.append([math.prod(int(span[0]) for span in spans)])
+            runs.append([math.prod(shapes[-1])])
+        else:
+            count = 1
+            for span in spans:
+                count = np.multiply.outer(count, span)
+            points.append(count.ravel())
+            runs.append(np.ones(count.size, dtype=np.intp))
     offsets = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
-    edges = [edge for edge, _, _ in tilings]
-    corners = [kept for _, kept, _ in tilings]
-    pyramid = _pyramid_plan(tilings)
-    if pyramid is not None:
-        base, reads = pyramid
-        # every cube of a tiling holds the points of its first
-        points = np.array([math.prod(int(hi[0] - lo[0]) for lo, hi in ranges)
-                           for _, _, ranges in tilings])
-        return _FamilyPlan(edges, corners, shapes, offsets, points, base=base,
-                           depth=max(level for level, _, _ in reads), reads=reads)
-    points = []
-    for _, _, ranges in tilings:
-        count = 1
-        for lo, hi in ranges:
-            count = np.multiply.outer(count, hi - lo)
-        points.append(count.ravel())
-    ranges = [ranges for _, _, ranges in tilings]
     return _FamilyPlan(edges, corners, shapes, offsets, np.concatenate(points),
-                       ranges=ranges)
+                       np.concatenate(runs), base, max(level for level, _, _ in reads), reads)
 
 
 def _first_bad(a: np.ndarray) -> int | None:
@@ -597,10 +562,10 @@ def _family_sup(grid: Grid, arrays, term, cubes: CubeFamily, edge_factor=None):
 
     The family's plan for the grid is compiled once and kept (see
     CubeFamily._plan).  Each array's cube sums are written into one flat
-    array in family order, from one dyadic pyramid per array when the
-    family allows it; arrays is iterated once, so an array a generator
-    yields is freed once its sums are taken.  count holds each cube's grid
-    points, and factor each cube's edge_factor(edge) (None without one).
+    array in family order, from one dyadic pyramid per array; arrays is
+    iterated once, so an array a generator yields is freed once its sums
+    are taken.  count holds each cube's grid points, and factor each cube's
+    edge_factor(edge) (None without one).
     term is called once, and one argmax picks the first maximal cube of the
     family.  A non-positive or non-finite sum or a NaN term raises, naming
     the cube a tiling-by-tiling sweep meets first: the first failing tiling,

@@ -272,6 +272,15 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="p must exceed 1"):
             lp_norm(ScalarField(g, np.ones(16)), 1.0)
 
+    def test_rejects_infinite_p(self):
+        # the max norm is not this sum's limit: p = inf read 1.0 for every
+        # field, here a bump whose maximum is exp(-1) = 0.37
+        g = make_grid(GridSpec(n=1, N=64, L=1.0))
+        u = bump(g, [0.5], 0.25)
+        assert abs(np.max(u.values) - math.exp(-1.0)) < 1e-12
+        with pytest.raises(ValueError, match="p must be finite, got inf"):
+            lp_norm(u, math.inf)
+
     def test_rejects_weight_array_of_another_shape(self):
         # a 1D weight would broadcast along the rows of a 2D field
         g = make_grid(GridSpec(n=2, N=64, L=1.0))

@@ -52,6 +52,13 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="zero"):
             iq.equivalence_report(fam, 0.5, 2.0)
 
+    def test_infinite_p_refused(self):
+        # every ratio of norms read 1.0 at p = inf, so the report called them
+        # bounded
+        fam = iq.standard_family(grid1(), seed=0)
+        with pytest.raises(ValueError, match="p must be finite"):
+            iq.equivalence_report(fam, 0.5, np.inf)
+
     def test_empty_family_inconclusive(self):
         rep = iq.equivalence_report([], 0.5, 2.0)
         assert rep.verdict == "inconclusive"

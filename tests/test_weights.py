@@ -77,6 +77,16 @@ class TestConstructors:
         with pytest.raises(ValueError, match="nonempty"):
             wt.distance_weight(g, np.zeros((0, 1)), 0.5, 2.0)
 
+    @pytest.mark.parametrize("dim", [0.9, 1.0, True, "1", None])
+    def test_distance_manifold_dim_must_be_an_integer(self, dim):
+        # 0.9 once became 0, and the record and in_class used codimension n
+        g = make_grid(GridSpec(n=2, N=16, L=2.0, origin=(-1.0, -1.0)))
+        with pytest.raises(ValueError, match="manifold_dim must be an integer"):
+            wt.distance_weight(g, [[0.0, 0.0]], 0.5, 2.0, manifold_dim=dim)
+        wd = wt.distance_weight(g, [[0.0, 0.0]], 1.5, 2.0, manifold_dim=np.int64(1))
+        assert wd.family["manifold_dim"] == 1 and type(wd.family["manifold_dim"]) is int
+        assert wd.in_class is False  # codimension 1: -1 < alpha < 1
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_refused(self, bad):
         g = make_grid(GridSpec(n=2, N=16, L=2.0, origin=(-1.0, -1.0)))
@@ -215,6 +225,18 @@ class TestApConstant:
         fam = wt.CubeFamily(lo=(10.0,), size=0.5)
         with pytest.raises(ValueError):
             wt.ap_constant(w, 2.0, fam)
+
+    def test_cube_wider_than_h_without_a_point_is_left_out(self):
+        # the box ends within the grid's tolerance past its last point but
+        # one, so its one cube, wider than h, holds no grid point; its
+        # level-1 cubes, narrower than h, hold none either
+        g = centered_grid(N=16)
+        w = wt.power_weight(g, [0.0], 0.5, 2.0)
+        for level_max in (0, 1):
+            fam = wt.CubeFamily(lo=(0.875 + 1e-9,), size=0.125 + 1e-9, level_max=level_max)
+            assert fam.size > g.h
+            with pytest.raises(ValueError, match="no cube in the family contains a grid point"):
+                wt.ap_constant(w, 2.0, fam)
 
     def test_argmax_reported(self):
         g = centered_grid(N=256)
@@ -368,6 +390,18 @@ class TestWeightedMeasure:
         with pytest.raises(ValueError, match=match):
             wt.weighted_measure(w, (corner, edge))
 
+    def test_dyadic_cubes_start_on_their_grid_points(self):
+        # at N = 4096 the rounding of (corner - origin) / h reaches 1e-12
+        # cells; a tolerance of 1e-9 h cells moved 127 of these starts and
+        # 438 ends to the next point
+        L, N = 0.7, 4096
+        g = make_grid(GridSpec(n=1, N=N, L=L, origin=(-L / 2,)))
+        for j in range(12):
+            corners = -L / 2 + np.arange(2**j) * (L / 2**j)
+            lo, hi = wt._axis_ranges(g, 0, corners, L / 2**j)
+            assert np.array_equal(lo, np.arange(2**j) * (N >> j))
+            assert np.array_equal(hi, lo + (N >> j))
+
     def test_power_integral_refines(self):
         # integral of |x|^(1/2) over [0, 1] is 2/3
         errs = []
@@ -417,8 +451,8 @@ def _cube_slices(grid, corner, edge):
     out = []
     for d in range(grid.spec.n):
         o = grid.spec.origin[d]
-        lo = max(int(np.ceil((corner[d] - o) / h - 1e-9 * h)), 0)
-        hi = min(int(np.ceil((corner[d] + edge - o) / h - 1e-9 * h)), grid.spec.N)
+        lo = max(int(np.ceil((corner[d] - o) / h - 1e-9)), 0)
+        hi = min(int(np.ceil((corner[d] + edge - o) / h - 1e-9)), grid.spec.N)
         if hi <= lo:
             return None
         out.append(slice(lo, hi))
@@ -447,6 +481,15 @@ def _ap_term(p):
 #: the engine and the reference sum each cube in another order
 SUM_ORDER_RTOL = 1e-12
 
+#: (n, N, L, family) off the lattice and finer than h: the pyramid's base
+#: is capped at the first level whose edge is <= h, and its blocks are
+#: shorter than h, so some hold no grid point.  The 2D box is a sub-box
+#: whose shifted cubes overhang it.
+CAPPED_CASES = [
+    (2, 16, 2.0, dict(lo=(-0.7, -0.45), size=1.1, level_max=5)),
+    (3, 8, 2.0, dict(lo=(-0.9, -0.75, -0.8), size=1.65, level_max=4)),
+]
+
 
 class TestTilingEngine:
     # (n, N, L, family): a box offset from the grid origin whose shifted
@@ -456,7 +499,7 @@ class TestTilingEngine:
         (1, 128, 2.0, dict(lo=(-1.0,), size=2.0, level_min=3, level_max=9)),
         (2, 32, 2.0, dict(lo=(-0.6, -0.2), size=1.2, level_min=1, level_max=6)),
         (3, 8, 1.0, dict(lo=(-0.15, -0.4, -0.1), size=0.6, level_min=0, level_max=3)),
-    ]
+    ] + CAPPED_CASES
 
     @pytest.mark.parametrize("n, N, L, fam", CASES)
     def test_matches_reference_loop(self, n, N, L, fam):
@@ -482,6 +525,19 @@ class TestTilingEngine:
         assert (tuple(rec["single_weight_argmax"]["corner"]),
                 rec["single_weight_argmax"]["edge"]) == ref_cube
         assert abs(rec["single_weight_constant"] - ref) <= SUM_ORDER_RTOL * ref
+
+    @pytest.mark.parametrize("n, N, L, fam", CAPPED_CASES)
+    def test_capped_base_holds_empty_blocks(self, n, N, L, fam):
+        g = make_grid(GridSpec(n=n, N=N, L=L, origin=(-L / 2,) * n))
+        fam = wt.CubeFamily(**fam)
+        plan = fam._plan(g)
+        # tilings finer than h are kept, and the base blocks are shorter
+        # than h: along some axis a block holds no grid point
+        assert min(plan.edges) < g.h
+        assert fam.size / 2**fam.level_max < g.h
+        assert any(full is not None and len(full) < k for *_, k, _, full in plan.base)
+        if fam.lo[0] + fam.size < L / 2:
+            assert any(c[0] + e > fam.lo[0] + fam.size + 1e-12 for c, e in fam.cubes(g))
 
     def test_shifted_cubes_off_grid_are_dropped(self):
         g = make_grid(GridSpec(n=2, N=32, L=2.0, origin=(-1.0, -1.0)))
@@ -532,9 +588,9 @@ PYRAMID_CASES = [
 
 
 class TestReshapeCubeSums:
-    """On-lattice families are summed from a dyadic pyramid, the rest one
-    tiling at a time by a reshape or by reduceat; both against direct
-    per-cube sums."""
+    """Every family is summed from one dyadic pyramid, whose base sums its
+    blocks by a reshape on the lattice and by reduceat off it; both against
+    direct per-cube sums."""
 
     # (n, N, family, on_lattice): boxes whose aligned and half-shifted
     # tilings cut contiguous equal blocks, and boxes off the lattice, whose
@@ -559,8 +615,6 @@ class TestReshapeCubeSums:
             for lo, hi in (wt._axis_ranges(g, d, corners[d], edge) for d in range(n))
         ]
         assert all(len(ls) <= 1 for ls in lengths) == on_lattice
-        # exactly the on-lattice families are summed from a dyadic pyramid
-        assert (wt._pyramid_plan(wt._tilings(g, fam)) is not None) == on_lattice
         rng = np.random.default_rng(n * 1000 + N)
         vals = np.exp(1.5 * rng.standard_normal(g.spec.shape))
         p = 3.0
@@ -605,9 +659,9 @@ class TestReshapeCubeSums:
 
 
 class TestDyadicPyramid:
-    """On-lattice families are summed from one dyadic pyramid per array
-    (their sums are checked in TestReshapeCubeSums): estimates and argmax
-    cubes against the per-cube reference loop."""
+    """On-lattice families, summed from one dyadic pyramid per array (their
+    sums are checked in TestReshapeCubeSums): estimates and argmax cubes
+    against the per-cube reference loop."""
 
     @pytest.mark.parametrize("n, N, fam", PYRAMID_CASES)
     def test_argmax_matches_reference_loop(self, n, N, fam):
@@ -646,41 +700,34 @@ class TestDyadicPyramid:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_pyramid_sums(levels, read, counts):
-    level, paired, firsts = read
+def _sweep_pyramid_sums(levels, read):
+    level, paired, sels = read
     x = levels[level]
-    for d, (i, k) in enumerate(zip(firsts, counts)):
+    for d, sel in enumerate(sels):
         sl = (slice(None),) * d
         if paired:
-            x = x[sl + (slice(i, i + 2 * k, 2),)] + x[sl + (slice(i + 1, i + 2 * k, 2),)]
+            x = x[sl + (sel[0],)] + x[sl + (sel[1],)]
         else:
-            x = x[sl + (slice(i, i + k),)]
+            x = x[sl + (sel,)]
     return x
 
 
 def _sweep_sup(grid, arrays, term, fam):
     """Reference: term(count, sums, edge) one tiling at a time in family
-    order, edge a Python float, sums from the same pyramid or reshape and
-    reduceat sums; the first maximal cube wins, and the first tiling with a
-    bad sum (arrays in order) or a NaN term raises."""
-    tilings = wt._tilings(grid, fam)
-    plan = wt._pyramid_plan(tilings)
-    if plan is not None:
-        base, reads = plan
-        depth = max(level for level, _, _ in reads)
-        pyramids = [wt._pyramid(a, base, depth) for a in arrays]
+    order, edge a Python float, count from the kept cubes' index ranges and
+    sums read from the same pyramid; the first maximal cube wins, and the
+    first tiling with a bad sum (arrays in order) or a NaN term raises."""
+    plan = fam._plan(grid)
+    pyramids = [wt._pyramid(a, plan.base, plan.depth) for a in arrays]
     best, best_cube = -np.inf, None
-    for t, (edge, kept, ranges) in enumerate(tilings):
+    for edge, kept, read in zip(plan.edges, plan.corners, plan.reads):
         count = 1
-        for lo, hi in ranges:
+        for d, corners in enumerate(kept):
+            lo, hi = wt._axis_ranges(grid, d, corners, edge)
             count = np.multiply.outer(count, hi - lo)
         sums = []
-        for i, a in enumerate(arrays):
-            if plan is None:
-                for d, (lo, hi) in enumerate(ranges):
-                    a = wt._axis_sums(a, d, lo, hi)
-            else:
-                a = _sweep_pyramid_sums(pyramids[i], reads[t], count.shape)
+        for levels in pyramids:
+            a = _sweep_pyramid_sums(levels, read)
             if not (a.min() > 0.0 and a.max() < np.inf):
                 k = int(np.argmax(~((a > 0.0) & (a < np.inf))))
                 raise ValueError(f"cube {wt._cube_at(kept, k, edge)} has "
@@ -745,9 +792,9 @@ class TestOnePass:
         for n, N, L, fam in TestTilingEngine.CASES:
             g = make_grid(GridSpec(n=n, N=N, L=L, origin=(-L / 2,) * n))
             fam = wt.CubeFamily(**fam)
-            tilings = wt._tilings(g, fam)
-            sizes = [np.prod([len(c) for c in kept]) for _, kept, _ in tilings]
-            edges = [edge for edge, _, _ in tilings]
+            plan = fam._plan(g)
+            sizes = np.diff(plan.offsets)
+            edges = plan.edges
             for s in np.linspace(0.1, 0.9, 9):
                 def edge_factor(edge):
                     return (edge**n) ** (s / n - 1.0)
@@ -832,6 +879,55 @@ class TestOnePass:
         # the plans ride on the family, apart from its equality and repr
         fresh = wt.CubeFamily(lo=(-1.0,), size=2.0, level_max=5)
         assert fresh == fam and hash(fresh) == hash(fam) and repr(fresh) == repr(fam)
+
+
+class TestPlanCubes:
+    """Each cube of a compiled family against its own index ranges."""
+
+    @pytest.mark.parametrize("n, N, L, fam", ONE_PASS_CASES + [
+        (n, N, 2.0, fam) for n, N, fam, _ in TestReshapeCubeSums.CASES[:6]] + [
+        # grid spacings that are not binary fractions
+        (1, 4096, 0.7, dict(lo=(-0.35,), size=0.7, level_max=10)),
+        (2, 128, 0.7, dict(lo=(-0.35, -0.35), size=0.7, level_max=5))])
+    def test_counts_and_sums_per_cube(self, n, N, L, fam):
+        g = make_grid(GridSpec(n=n, N=N, L=L, origin=(-L / 2,) * n))
+        fam = wt.CubeFamily(**fam)
+        plan = fam._plan(g)
+        vals = np.exp(1.5 * np.random.default_rng(n * 10 + N).standard_normal(g.spec.shape))
+        w = wt.tabulated_weight(g, vals, 2.0)
+        counts, sums = plan.counts(), plan.sums(vals)
+        hn = g.h**n
+        for t, shape in enumerate(plan.shapes):
+            for k in range(int(np.prod(shape))):
+                corner, edge = cube = plan.cube(t, k)
+                ranges = [wt._axis_ranges(g, d, corner[d], edge) for d in range(n)]
+                flat = plan.offsets[t] + k
+                assert counts[flat] == np.prod([hi - lo for lo, hi in ranges])
+                want = wt.weighted_measure(w, cube) / hn
+                assert abs(sums[flat] - want) <= 1e-13 * want
+
+    def test_far_finer_than_h_builds_no_larger_pyramid(self, monkeypatch):
+        # level 8 cubes of a 16^3 grid have edge h/16
+        n, N = 3, 16
+        g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
+        sizes = []
+        pyramid = wt._pyramid
+
+        def recording(a, base, depth):
+            levels = pyramid(a, base, depth)
+            sizes.extend(x.size for x in levels)
+            return levels
+
+        monkeypatch.setattr(wt, "_pyramid", recording)
+        vals = np.exp(np.random.default_rng(3).standard_normal(g.spec.shape))
+        w = wt.tabulated_weight(g, vals, 2.0)
+        fine = wt.ap_constant(w, 2.0, wt.CubeFamily(lo=(-1.0,) * n, size=2.0, level_max=8))
+        assert max(sizes) <= 2**n * N**n
+        # its cubes finer than h hold one point each, where the term is 1:
+        # the family of levels 0..4 gives the same supremum and cube
+        coarse = wt.ap_constant(w, 2.0, wt.CubeFamily(lo=(-1.0,) * n, size=2.0, level_max=4))
+        assert fine.value > 1.0
+        assert (fine.value, fine.argmax_cube) == (coarse.value, coarse.argmax_cube)
 
 
 class TestWideRangeDualWeights:
