@@ -247,11 +247,19 @@ def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _stamp() -> str:
+    """The current UTC time, to the second, as a manifest records it."""
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+
+
 class Manifest:
     """Reproducibility record written next to every command's artifacts,
-    each of which goes through ``Manifest.emit``."""
+    each of which goes through ``Manifest.emit``.  started is the _stamp
+    the command took when it began; the output directory is made here,
+    after the command has checked its arguments."""
 
-    def __init__(self, out_dir: Path, command: str, config, seed: int | None):
+    def __init__(self, out_dir: Path, command: str, config, seed: int | None,
+                 started: str):
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
         blob = json.dumps(config, sort_keys=True).encode()
@@ -260,7 +268,7 @@ class Manifest:
             "config_hash": hashlib.sha256(blob).hexdigest(),
             "seed": seed,
             "version": __version__,
-            "started": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+            "started": started,
             "artifacts": [],
         }
 
@@ -273,9 +281,7 @@ class Manifest:
         return path
 
     def close(self) -> Path:
-        self.record["finished"] = time.strftime(
-            "%Y-%m-%dT%H:%M:%S", time.gmtime()
-        )
+        self.record["finished"] = _stamp()
         self.record["artifacts"].sort(key=lambda a: a["path"])
         path = self.out / "manifest.json"
         _dump_json(self.record, path)
@@ -469,8 +475,9 @@ def _poincare_estimate(case: dict):
 
 
 def _cmd_verify(args) -> int:
+    started = _stamp()
     results = suite_mod.run_suite(quick=args.quick, seed=args.seed)
-    manifest = Manifest(Path(args.out), "verify", _flags(args), args.seed)
+    manifest = Manifest(Path(args.out), "verify", _flags(args), args.seed, started)
     report = manifest.emit([r.to_record() for r in results], "verify_report.json")
     manifest.emit((["name", "passed", "observed", "tolerance"],
                    [[r.name, r.passed, repr(r.observed), repr(r.tolerance)]
@@ -485,6 +492,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_weights(args) -> int:
+    started = _stamp()
     w, fam, est = _weights_estimate({
         "n": args.n, "N": args.N, "L": args.L,
         "origin": [-1.0] * args.n if args.origin is None else args.origin,
@@ -497,7 +505,7 @@ def _cmd_weights(args) -> int:
         record["sawyer_wheeden"] = wt.sawyer_wheeden_constant(
             w, w, args.s, args.p, args.q, fam
         )
-    manifest = Manifest(Path(args.out), "weights", _flags(args), None)
+    manifest = Manifest(Path(args.out), "weights", _flags(args), None, started)
     manifest.emit(record, "weights.json")
     manifest.close()
     print(json.dumps(record, indent=2, sort_keys=True))
@@ -505,6 +513,7 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
+    started = _stamp()
     est = _poincare_estimate({
         "n": args.n, "N": args.N, "L": args.L,
         "omega": {"type": args.omega, "center": args.center, "radius": args.radius,
@@ -513,7 +522,7 @@ def _cmd_poincare(args) -> int:
         "s": args.s, "p": args.p, "alpha": args.alpha, "seed": args.seed,
     })
     record = {**est.to_record(), "s": args.s, "p": args.p, "omega": args.omega}
-    manifest = Manifest(Path(args.out), "poincare", _flags(args), args.seed)
+    manifest = Manifest(Path(args.out), "poincare", _flags(args), args.seed, started)
     manifest.emit(record, "poincare.json")
     manifest.close()
     print(json.dumps(record, indent=2, sort_keys=True))
@@ -521,6 +530,7 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    started = _stamp()
     cfg_path = Path(args.config)
     config = json.loads(cfg_path.read_text())
     marks = [time.perf_counter()]
@@ -546,7 +556,7 @@ def _cmd_solve(args) -> int:
         den = np.sqrt(np.sum(ustar.values**2))
         rec["manufactured_relative_error"] = float(num / den)
     marks.append(time.perf_counter())
-    manifest = Manifest(Path(args.out), "solve", config, scfg.get("seed"))
+    manifest = Manifest(Path(args.out), "solve", config, scfg.get("seed"), started)
     manifest.emit(rec, "solve_report.json")
     manifest.emit(report.solution, "solution.bin")
     manifest.emit((["iteration", "residual", "energy"], report.history_rows()),
@@ -583,6 +593,7 @@ _OPERATORS = {
 
 
 def _cmd_op(args) -> int:
+    started = _stamp()
     fields = [read_field(p) for p in args.input]
     for f in fields[1:]:
         if f.grid != fields[0].grid:
@@ -602,7 +613,7 @@ def _cmd_op(args) -> int:
     # the operators check their order and component: apply them before
     # the output directory is made
     result = fn(fields, value)
-    manifest = Manifest(Path(args.out), "op", _flags(args), None)
+    manifest = Manifest(Path(args.out), "op", _flags(args), None, started)
     for stem, field in result.items():
         manifest.emit(field, f"{stem}.bin")
         if args.csv:
@@ -622,6 +633,7 @@ def _sweep_case(task: str, case: dict) -> dict:
 
 
 def _cmd_sweep(args) -> int:
+    started = _stamp()
     cfg_path = Path(args.config)
     config = json.loads(cfg_path.read_text())
     _validate(config, _validators()["SWEEP_VALIDATOR"])
@@ -635,7 +647,7 @@ def _cmd_sweep(args) -> int:
         _validate(case, _validators()["SWEEP_CASE_VALIDATORS"][task],
                   f"sweep case '{case_id}'")
         cases.append((case_id, case))
-    manifest = Manifest(Path(args.out), "sweep", config, None)
+    manifest = Manifest(Path(args.out), "sweep", config, None, started)
     ordered = {cid: _sweep_case(task, c) for cid, c in sorted(cases)}
     path = manifest.emit(ordered, "sweep.json")
     fields = sorted(next(iter(ordered.values())))

@@ -14,9 +14,10 @@ lambda^(-1/p) for the first eigenvalue lambda of the weighted fractional
 p-Laplacian.  At p = 2 that is the symmetric pencil K u = lambda w u, solved
 by preconditioned LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with one
 operator application per step and no inner solve; at every other p it is
-one nonlinear inverse power iteration (Hein & Buehler, NIPS 2010) whose
-steps are warm-started Kacanov steps on one problem and one solver state
-per estimate.
+one nonlinear inverse power iteration (Hein & Buehler, NIPS 2010) on one
+problem and one solver state per estimate, whose steps are warm-started
+Kacanov steps below p = 2 and, above it, inexact frozen solves followed by
+a step to the Rayleigh quotient's minimum.
 
 Bump samples are spectrally truncated below the top octave (|k| <= N/4 per
 axis); this is the frequency-side counterpart of the spatial margin rule and
@@ -32,7 +33,8 @@ import numpy as np
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
 from .fracops import _sum
-from .solver import PDEProblem, _make_precond, _residual, _SolveState
+from .solver import (PDEProblem, _coeff, _damped_update, _INNER_TOL, _kacanov_tol,
+                     _make_precond, _residual, _slope_root, _solve_frozen, _SolveState)
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -220,6 +222,7 @@ class PoincareEstimate:
     iterations: int
     converged: bool
     method: str
+    inner_iterations: int
 
     def to_record(self) -> dict:
         return asdict(self)
@@ -245,16 +248,25 @@ def poincare_constant(
     _lobpcg): each step applies the solver's preconditioner for w (the
     shifted (-Lap)^s scaled by the operator's diagonal) and K once, and no
     inner solve runs.  At every other p it is the nonlinear
-    inverse power iteration (method "inverse_power"): each step is one
-    warm-started Kacanov step, the step :func:`solve_plaplace` takes, with
-    right-hand side w |u|^(p-2) u, started at the energy's minimizer on the
-    ray through u, so the quotient never rises.  One problem and one solver
-    state serve every step, which changes only the state's right-hand side
-    f = B u; a failed inner solve or line search clears converged.
-    Either way lambda never rises from step to step.  iterations counts
-    LOBPCG steps or inverse power steps; max_iter caps it and defaults to
-    2000 at p = 2 (the cap of :func:`solve_linear`, as each LOBPCG step
-    costs about one CG iteration) and 200 otherwise.
+    inverse power iteration (method "inverse_power").  Each step freezes
+    the coefficient at u0 = u lambda^(-1/(p-1)), the energy's minimizer on
+    the ray through u, and solves the frozen problem with right-hand side
+    f = B u = w |u|^(p-2) u by CG from u0.  Below p = 2 that solve runs to
+    1e-12 and the step is the Kacanov step :func:`solve_plaplace` takes, to
+    the energy's minimum along it.  Above p = 2 the CG stops at the
+    Kacanov forcing of the eigen-residual r, max(1e-12, min(0.1, 0.1 r)),
+    and the step goes to the minimum of the Rayleigh quotient along it,
+    found from the quotient's slope without a transform; where no step
+    lowers the quotient, the CG goes on to 1e-12 and the step is taken
+    again, and where that fails too the step is the Kacanov one.  One
+    problem and one solver state serve every step, which changes only the
+    state's right-hand side; a failed inner solve or line search clears
+    converged.  Either way lambda never rises from step to step.
+    iterations counts LOBPCG steps or inverse power steps; max_iter caps it
+    and defaults to 2000 at p = 2 (the cap of :func:`solve_linear`, as
+    each LOBPCG step costs about one CG iteration) and 200 otherwise.
+    inner_iterations sums the CG iterations of the frozen solves (0 for
+    LOBPCG).
     lambda is the Rayleigh quotient <u, Tu> / <u, Bu> and the residual is
     ||Tu - lambda Bu|| / (lambda ||Bu||), both computed afresh at the
     returned u; converged needs the residual below tol.  The constant is
@@ -304,7 +316,7 @@ def poincare_constant(
         return Bu, lam, res
 
     if p == 2.0:
-        method, failures = "lobpcg", 0
+        method, failures, inner = "lobpcg", 0, 0
         u, iters = _lobpcg(prob, u, tol, max_iter)
         _, lam, res = eigen(u)
     else:
@@ -315,12 +327,16 @@ def poincare_constant(
         while res >= tol and iters < max_iter:
             st.f = prob.project(Bu)
             st.start(u * lam ** (-1.0 / (p - 1.0)))
-            st.step()
+            if p < 2.0:
+                st.step()
+            else:
+                _quotient_step(st, _kacanov_tol(res))
             sol = ScalarField(grid, prob.project(st.u))
             u = sol.values / lp_norm(sol, p, w)
             Bu, lam, res = eigen(u)
             iters += 1
         failures = st.counts["inner_unconverged"] + st.counts["line_search_failures"]
+        inner = st.counts["inner_iterations"]
     return PoincareEstimate(
         constant=max(lam ** (-1.0 / p), family_max),
         eigenvalue=lam,
@@ -328,7 +344,65 @@ def poincare_constant(
         iterations=iters,
         converged=res < tol and failures == 0,
         method=method,
+        inner_iterations=inner,
     )
+
+
+def _quotient_step(st, forced):
+    """One inverse power step above p = 2 from the solve state's start u0,
+    with f = B u: the frozen solve at u0 by CG from u0 to forced gives u_hat,
+    and the step moves along d = u_hat - u0 to the minimum of the Rayleigh
+    quotient R(u0 + t d) (_quotient_minimum).  When no t lowers R, the CG
+    goes on from u_hat to _INNER_TOL and the step is taken again; when that
+    fails too, the step moves to the frozen problem's energy minimum along
+    d, as a Kacanov step does.  Every inner solve is counted in st.counts."""
+    prob, u0, g0 = st.prob, st.u, st.gu
+    a = _coeff(prob.weight.values, prob.p, g0, st.eps)
+    uhat = u0
+    for tol in (forced, _INNER_TOL):
+        uhat, (its, ok) = _solve_frozen(prob, a, st.f, uhat, tol)
+        d = prob.project(uhat - u0)
+        t = _quotient_minimum(prob, u0, g0, d, prob.kit.grad(d))
+        if t is None and tol == _INNER_TOL:
+            # the energy step counts this solve itself
+            _damped_update(st, a, d, (its, ok, tol), True)
+            return
+        st.counts["inner_iterations"] += its
+        st.counts["inner_unconverged"] += not ok
+        if t is not None:
+            st.u = u0 + t * d
+            return
+
+
+def _quotient_minimum(prob, u, gu, d, gd):
+    """The step t > 0 to the minimum of the Rayleigh quotient
+    R(t) = N(t) / D(t), N(t) = sum w |gu + t gd|^p and D(t) = sum w |u + t d|^p,
+    along d, or None when the step found does not keep R(t) <= R(0).
+
+    gu and gd are grad^s u and grad^s d, so a trial costs no transform.
+    _slope_root finds the root of (N' D - N D')(t) / p, which has the sign
+    of R'(t), as it finds the energy's for a Kacanov step.  R is flat to
+    second order at its minimum, so only a slope can place the minimum to
+    more than half the digits.  R' itself, like the slope of log R, decays
+    to zero where R levels off far out along a long d and would end the
+    search there; the numerator grows there."""
+    w, p = prob.weight.values, prob.p
+
+    def parts(t):
+        gt = [c + t * cd for c, cd in zip(gu, gd)]
+        ut = u + t * d
+        m = sum(c * c for c in gt)
+        a = w * m ** ((p - 2.0) / 2.0)
+        b = w * np.abs(ut) ** (p - 2.0)
+        num, den = _sum(a * m), _sum(b * ut * ut)
+        dnum = sum(_sum(a * c * cd) for c, cd in zip(gt, gd))
+        return num / den, dnum * den - num * _sum(b * ut * d)
+
+    r0, slope = parts(0.0)
+    if not slope < 0.0:
+        return None
+    t, r, _ = _slope_root(parts, slope)
+    return t if r <= r0 else None
 
 
 #: LOBPCG's Rayleigh-Ritz drops a direction whose eigenvalue in the Gram

@@ -416,8 +416,10 @@ _ARMIJO = 1e-4
 _T_MIN = 1e-10
 #: Kacanov's inner CG stops at _ETA times the last certificate, clipped to
 #: [_INNER_TOL, 0.1]: the residual-tied forcing of inexact Newton methods
-#: (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  Only the
-#: Poincare loop's steps, which follow no certificate, stop at _INNER_TOL.
+#: (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  The
+#: Poincare loop's steps follow no certificate: above p = 2 they force by
+#: the eigen-residual instead, with _INNER_TOL for a retried step, and
+#: below p = 2 they stop at _INNER_TOL.
 _ETA = 0.1
 _INNER_TOL = 1e-12
 #: descent's cap on nonlinear CG steps per eps stage
@@ -478,21 +480,53 @@ def _line_search(prob, f, u, gu, d, gd, eps, e0, slope):
     return t, ut, gt, et, False
 
 
+def _slope_root(dphi, slope):
+    """The root of a slope along a line, from its value slope < 0 at t = 0.
+
+    dphi(t) returns (what the caller keeps of the trial at t, the slope
+    there).  The root is bracketed from [0, 1] by doubling the upper end
+    while the slope is negative (up to _T_MAX), then found by regula falsi,
+    bisecting when the secant lands in the outer tenth of the bracket, until
+    the slope is at most _SLOPE_STOP |slope| in size or after _MAX_SLOPES
+    slopes.  A non-finite slope (an overflow along a huge step) counts as
+    past the root and is bisected, never interpolated.  Returns (t, what
+    dphi kept at t, the slope at t)."""
+    lo, slo, hi, shi = 0.0, slope, None, None
+    t = 1.0
+    kept, st = dphi(t)
+    for _ in range(_MAX_SLOPES - 1):
+        if abs(st) <= _SLOPE_STOP * abs(slope):
+            break
+        if -np.inf < st < 0.0:
+            lo, slo = t, st
+        else:
+            hi, shi = t, st
+        if hi is None:
+            if t >= _T_MAX:
+                break
+            t *= 2.0
+        elif np.isfinite(shi):
+            t = lo - slo * (hi - lo) / (shi - slo)
+            edge = 0.1 * (hi - lo)
+            if not lo + edge <= t <= hi - edge:
+                t = 0.5 * (lo + hi)
+        else:
+            t = 0.5 * (lo + hi)
+        kept, st = dphi(t)
+    return t, kept, st
+
+
 def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
     """Minimize the regularized energy phi(t) = E_eps(u + t d) along d.
 
     phi is convex for p > 1 and grad^s is linear, so a trial's gradient is
     gu + t gd and its slope phi'(t) = h^n (sum a(g_t) g_t . gd - fd) costs no
     transform; slope is phi'(0) < 0 and fd is f . d.  The root of phi' is
-    bracketed from [0, 1] by doubling the upper end while phi' < 0 (up to
-    _T_MAX), then found by regula falsi, bisecting when the secant lands in
-    the outer tenth of the bracket, until |phi'(t)| <= _SLOPE_STOP |phi'(0)|
-    or _MAX_SLOPES slopes.  A non-finite phi'(t) (an overflow along a huge
-    d) counts as past the minimum and is bisected, never interpolated.  t is
-    accepted under Armijo or the approximate Wolfe test of Hager & Zhang
-    (SIAM J. Optim. 16, 2005), which survives energy differences at
-    round-off and fails a non-finite phi(t); otherwise this falls back to
-    the halving search from t = 1.  Returns what _line_search returns.
+    found by _slope_root.  t is accepted under Armijo or the approximate
+    Wolfe test of Hager & Zhang (SIAM J. Optim. 16, 2005), which survives
+    energy differences at round-off and fails a non-finite phi(t); otherwise
+    this falls back to the halving search from t = 1.  Returns what
+    _line_search returns.
     """
     w, p, hn = prob.weight.values, prob.p, prob.kit.hn
 
@@ -502,28 +536,7 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
         return gt, hn * (sum(_sum(at * c * cd) for c, cd in zip(gt, gd)) - fd)
 
     if slope < 0.0:
-        lo, slo, hi, shi = 0.0, slope, None, None
-        t = 1.0
-        gt, st = dphi(t)
-        for _ in range(_MAX_SLOPES - 1):
-            if abs(st) <= _SLOPE_STOP * abs(slope):
-                break
-            if -np.inf < st < 0.0:
-                lo, slo = t, st
-            else:
-                hi, shi = t, st
-            if hi is None:
-                if t >= _T_MAX:
-                    break
-                t *= 2.0
-            elif np.isfinite(shi):
-                t = lo - slo * (hi - lo) / (shi - slo)
-                edge = 0.1 * (hi - lo)
-                if not lo + edge <= t <= hi - edge:
-                    t = 0.5 * (lo + hi)
-            else:
-                t = 0.5 * (lo + hi)
-            gt, st = dphi(t)
+        t, gt, st = _slope_root(dphi, slope)
         ut = u + t * d
         et = _energy(prob, f, ut, eps, gt)
         armijo = et <= e0 + _ARMIJO * t * slope
@@ -577,8 +590,9 @@ def _kacanov_step(st):
     full step only contracts the error by about |2 - p|; at p = 2 the
     minimum is t = 1.  The frozen solve starts from u and stops at
     _kacanov_tol of the last certificate, the start's on a solve's first
-    step; the steps of the Poincare loop, which records no certificate,
-    stop at 1e-12.  A truncated CG from u still lowers the frozen
+    step; the Poincare loop records no certificate, and the steps it takes
+    through here, those below p = 2, stop at 1e-12.  A truncated CG from
+    u still lowers the frozen
     quadratic energy, whose gradient at u is the regularized energy's, so
     the step stays a descent direction."""
     a = _coeff(st.prob.weight.values, st.prob.p, st.gu, st.eps)
@@ -688,7 +702,7 @@ class _SolveState:
     1e-8, and 1e-6 for descent): the interior right-hand side f with its
     norms fn (dual) and f2 (L2), the iterate u with gu = grad^s u, eps, the
     report's counts, the energies and the certificates.  The operators
-    are prob.kit.  The Poincare loop swaps f between Kacanov steps, which
+    are prob.kit.  The Poincare loop swaps f between its steps, which
     read neither fn nor f2."""
 
     def __init__(self, prob: PDEProblem, method: str | None, tol: float | None = None):

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -621,6 +622,54 @@ class TestConfigHash:
             assert run([*base, *flags, "--out", out]) == 0
             hashes.append(json.loads((out / "manifest.json").read_text())["config_hash"])
         assert hashes[0] == hashes[1] != hashes[2]
+
+
+class TestManifestStart:
+    """A manifest's started is stamped when the command begins, before its
+    work, and finished after it."""
+
+    @pytest.mark.parametrize("command", ["verify", "weights", "poincare", "solve", "op"])
+    def test_started_before_the_work(self, tmp_path, monkeypatch, command):
+        # a fake clock that stands still except where the command's work
+        # moves it on by an hour
+        clock = [1.0e9]
+        gmtime = time.gmtime
+        monkeypatch.setattr(time, "gmtime", lambda secs=None: gmtime(clock[0]))
+
+        def hour_long(fn):
+            def work(*args, **kwargs):
+                clock[0] += 3600.0
+                return fn(*args, **kwargs)
+            return work
+
+        out = tmp_path / "o"
+        argv = {
+            "verify": ["verify", "--quick"],
+            "weights": ["weights", "--alpha", 0.5, "--p", 2, "--N", 64, "--levels", 3],
+            "poincare": ["poincare", "--s", 0.5, "--N", 64],
+            "solve": ["solve", "--config", tmp_path / "prob.json"],
+            "op": ["op", "grad", "--s", 0.5, "--in", tmp_path / "u.bin"],
+        }[command]
+        module, name = {
+            "verify": (cli.suite_mod, "run_suite"),
+            "weights": (cli, "_weights_estimate"),
+            "poincare": (cli, "_poincare_estimate"),
+            "solve": (cli.sv, "solve_linear"),
+            "op": (cli.fo, "riesz_gradient"),
+        }[command]
+        if command == "verify":
+            # the suite's own results do not matter here
+            monkeypatch.setattr(module, name, hour_long(lambda **kwargs: []))
+        else:
+            monkeypatch.setattr(module, name, hour_long(getattr(module, name)))
+        (tmp_path / "prob.json").write_text(json.dumps(SOLVE_CFG))
+        write_field(bump(make_grid(GridSpec(n=1, N=64, L=1.0)), [0.5], 0.2),
+                    tmp_path / "u.bin")
+        assert run([*argv, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["started"] == time.strftime("%Y-%m-%dT%H:%M:%S", gmtime(1.0e9))
+        assert manifest["finished"] == time.strftime("%Y-%m-%dT%H:%M:%S",
+                                                     gmtime(1.0e9 + 3600.0))
 
 
 class TestSweep:

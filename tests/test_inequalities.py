@@ -271,6 +271,7 @@ class TestPoincare:
         (2.0, 0.476107199173065, 21),
         (3.0, 0.5001976185272264, 55),
         (4.0, 0.5295174386742938, 44),
+        (6.0, 0.5800511879452922, 38),
     ])
     def test_pinned_estimates(self, p, constant, iterations):
         # constants and iteration counts of the inverse power loop with the
@@ -281,6 +282,61 @@ class TestPoincare:
         est = iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, p)
         assert abs(est.constant - constant) <= 1e-10 * constant
         assert est.iterations <= iterations
+
+    def test_pinned_disc_estimate(self):
+        # the constant and iteration count of the loop with energy-minimized
+        # steps on a 2D disc at p = 3; a step rule may cut the count but not
+        # move the constant
+        g = make_grid(GridSpec(n=2, N=32, L=2.0))
+        X, Y = g.coords()
+        mask = (X - 1.0) ** 2 + (Y - 1.0) ** 2 <= 0.3 ** 2
+        est = iq.poincare_constant(g, mask, 0.5, 3.0)
+        constant = 0.45221274098815817
+        assert est.converged
+        assert abs(est.constant - constant) <= 1e-10 * constant
+        assert est.iterations <= 125
+
+    def test_retry_and_fallback_keep_the_estimate(self, monkeypatch):
+        # reject the quotient's step on a fixed schedule, so that some steps
+        # succeed on the exact retry and others fall back to the Kacanov
+        # step; lambda must still never rise and the constant not move
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        mask = (x >= 0.7) & (x <= 1.3)
+        reference = iq.poincare_constant(g, mask, 0.5, 3.0)
+        calls, tols, fallbacks = [], [], []
+        minimum, solve, update = iq._quotient_minimum, iq._solve_frozen, iq._damped_update
+
+        def rejecting(*args):
+            calls.append(None)
+            return None if len(calls) % 5 in (1, 2, 4) else minimum(*args)
+
+        def solve_frozen(prob, a, b, x0, tol):
+            tols.append(tol)
+            return solve(prob, a, b, x0, tol)
+
+        def damped_update(*args):
+            fallbacks.append(None)
+            return update(*args)
+
+        monkeypatch.setattr(iq, "_quotient_minimum", rejecting)
+        monkeypatch.setattr(iq, "_solve_frozen", solve_frozen)
+        monkeypatch.setattr(iq, "_damped_update", damped_update)
+        eigs = []
+        for k in range(1, 9):
+            calls.clear()
+            eigs.append(iq.poincare_constant(g, mask, 0.5, 3.0, max_iter=k).eigenvalue)
+        assert all(b <= a for a, b in zip(eigs, eigs[1:]))
+        calls.clear()
+        tols.clear()
+        fallbacks.clear()
+        est = iq.poincare_constant(g, mask, 0.5, 3.0)
+        assert est.converged
+        assert abs(est.constant - reference.constant) <= 1e-10 * reference.constant
+        # each fallback follows a retry at 1e-12, and some retries step
+        # without one
+        retries = tols.count(sv._INNER_TOL)
+        assert fallbacks and retries > len(fallbacks)
 
     def test_one_operator_kit_per_estimate(self, monkeypatch):
         # the steps share the estimate's operators instead of rebuilding
@@ -327,7 +383,7 @@ class TestPoincare:
         assert est.residual < 1e-8
         assert est.constant == est.eigenvalue ** (-1.0 / 3.0)
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
     def test_eigenvalue_non_increasing(self, p):
         g = grid1(N=128, L=2.0)
         x = g.axes[0]
