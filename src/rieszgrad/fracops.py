@@ -26,7 +26,11 @@ Conventions on the torus lattice:
 
 Symbols are built on the half lattice of the real transforms only, and
 operators apply them on the half spectrum (per-axis passes, real last axis,
-inverse in place).  ``lattice_symbol`` extends a symbol to the whole lattice
+inverse in place), forming each product in a spectrum no one else holds.
+An odd symbol whose radial factor is a constant (the plain derivative,
+2 pi i xi_j) is an axis vector, of extent 1 off axis j, that broadcasts
+against the spectrum; its products are bitwise those of the full array.
+``lattice_symbol`` extends a symbol to the whole lattice
 by conjugate symmetry, m(-xi) = conj(m(xi)).  The origin phase and
 the h^n scaling cancel inside a multiplier and a real inverse has no
 imaginary residue, so the phase, the scaling and the residue guard live only
@@ -156,11 +160,13 @@ def lattice_symbol(
 
     Homogeneous symbols are set to 0 at xi = 0 (1 for bessel_potential/G_s);
     component symbols vanish on their Nyquist plane.  The half-lattice
-    symbol is extended by m(-xi) = conj(m(xi)): last-axis columns
+    symbol, broadcast to the half lattice if it is an axis vector, is
+    extended by m(-xi) = conj(m(xi)): last-axis columns
     N/2+1 ... N-1 are the conjugates of columns N/2-1 ... 1 at index -k on
     every leading axis (a flip, then a roll by one).
     """
-    m = _symbol(grid, kind, order, component)
+    m = np.broadcast_to(_symbol(grid, kind, order, component),
+                        grid.half_wavenumber.shape)
     mirror = np.conj(m[..., grid.spec.N // 2 - 1 : 0 : -1])
     for ax in range(grid.spec.n - 1):
         mirror = np.roll(np.flip(mirror, ax), 1, ax)
@@ -184,13 +190,17 @@ def _symbol(grid: Grid, kind: str, order: float, component=None):
 def _odd_symbols(grid: Grid, kind: str, order: float, components):
     """Symbols i xi_j f(2 pi |xi|) of the given components, all built from
     one radial factor f; 0 at the origin and on each component's Nyquist
-    plane, index N/2 of its axis (+N/(2L) on the last axis)."""
+    plane, index N/2 of its axis (+N/(2L) on the last axis).
+
+    A constant f (the plain derivative, 2 pi i xi_j) gives an axis vector,
+    of extent 1 off axis j, that broadcasts against the half spectrum: its
+    products are bitwise those of the full array it stands for, whose
+    xi_j = 0 plane holds the origin's value already."""
     entry = _kind(kind, order, grid.spec.n, *components)
-    xi, r = grid.half_xi, grid.half_wavenumber
-    f = entry.f(order, r)
+    f = entry.f(order, grid.half_wavenumber)
     syms = []
     for j in components:
-        m = np.multiply(1j * xi[j], f, out=np.empty(r.shape, np.complex128))
+        m = 1j * grid.half_xi[j] * f
         m[(0,) * grid.spec.n] = entry.at_zero
         m[(slice(None),) * j + (grid.spec.N // 2,)] = 0.0
         syms.append(m)
@@ -220,8 +230,15 @@ def _irfft(grid: Grid, F: np.ndarray) -> np.ndarray:
     return np.fft.irfft(F, n=grid.spec.N, axis=-1)
 
 
+def _rfft_times(grid: Grid, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """m times the half spectrum of u, formed in that spectrum, which no one
+    else holds: bitwise m * _rfft(grid, u), without a second array."""
+    F = _rfft(grid, u)
+    return np.multiply(m, F, out=F)
+
+
 def _multiply(grid: Grid, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return _irfft(grid, m * _rfft(grid, u))
+    return _irfft(grid, _rfft_times(grid, m, u))
 
 
 def _grad(grid: Grid, syms, u: np.ndarray) -> list[np.ndarray]:
@@ -232,9 +249,9 @@ def _grad(grid: Grid, syms, u: np.ndarray) -> list[np.ndarray]:
 
 def _div(grid: Grid, syms, vec) -> np.ndarray:
     """Components summed in the half spectrum before one inverse."""
-    acc = syms[0] * _rfft(grid, vec[0])
+    acc = _rfft_times(grid, syms[0], vec[0])
     for m, c in zip(syms[1:], vec[1:]):
-        acc += m * _rfft(grid, c)
+        acc += _rfft_times(grid, m, c)
     return _irfft(grid, acc)
 
 

@@ -236,8 +236,13 @@ class VectorField:
         object.__setattr__(self, "components", comps)
 
     def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean magnitude."""
-        return np.sqrt(sum(c.values * c.values for c in self.components))
+        """Pointwise Euclidean magnitude: the squares summed in component
+        order into the first one, then its square root in place."""
+        first, *rest = self.components
+        acc = first.values * first.values
+        for c in rest:
+            acc += c.values * c.values
+        return np.sqrt(acc, out=acc)
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _check_same_grid(self, other)
@@ -366,16 +371,17 @@ def lp_norm(u, p: float, weight=None) -> float:
         raise ValueError(f"p must exceed 1, got {p}")
     if p == np.inf:
         raise ValueError(f"p must be finite, got {p}")
-    mag = u.magnitude() if isinstance(u, VectorField) else np.abs(u.values)
+    # a fresh array either way, so the power and the weight go in place
+    acc = u.magnitude() if isinstance(u, VectorField) else np.abs(u.values)
     g = u.grid
-    acc = mag**p
+    acc **= p
     if weight is not None:
         if hasattr(weight, "grid") and weight.grid != g:
             raise ValueError("weight lives on a different grid")
         wv = np.asarray(getattr(weight, "values", weight), dtype=np.float64)
-        if wv.shape != mag.shape:
-            raise ValueError(f"weight shape {wv.shape} does not match field {mag.shape}")
-        acc = acc * wv
+        if wv.shape != acc.shape:
+            raise ValueError(f"weight shape {wv.shape} does not match field {acc.shape}")
+        acc *= wv
     return float((g.h**g.spec.n * np.sum(acc)) ** (1.0 / p))
 
 

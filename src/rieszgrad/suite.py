@@ -8,19 +8,36 @@ acceptance-scale run.
 
 The identity suite runs on fracops' half-spectrum layer (``_rfft``,
 ``_irfft``, the symbols) rather than through the public operators, so that
-it transforms each input once and builds each symbol once: per sample pair
-(u, v), the spectra of u, u - mean(u) and v and of the classical gradient of
-u - mean(u) serve every identity at every s; per call, the derivative and
-Riesz-transform symbols serve every pair; per pair and s, each symbol of
-that order is built once, the grad^s ones serving grad^s(u - mean(u)),
-grad^s v, div^s and grad^s u alike.  The layer is the one the public
-operators apply, with the same symbols in the same order of operations, so
-every residual equals, bit for bit, the one the public operators give
-(``tests/test_suite.py`` holds that oracle).
+it transforms each input once, builds each symbol once and holds each array
+only until its last use:
+
+* per call, the derivative symbols, axis vectors that broadcast, and the
+  Riesz-transform symbols, built at their first use (the reconstruction,
+  after integration by parts and -div^s grad^s) and kept to the end;
+* per sample pair (u, v), the spectra of u, u - mean(u) and v, each freed
+  after its last use at the last s (v's after grad^s v, u's after the
+  Bessel round trip), and the spectra of the classical gradient of
+  u - mean(u), made at the first commutation check;
+* per pair and s, the grad^s symbols, which serve grad^s(u - mean(u)),
+  grad^s v, div^s and grad^s u alike and go after -div^s grad^s;
+  grad^s(u - mean(u)), kept to the commutation check; and the spectra of
+  grad^s u's components, which feed div^s and then the R_j of the
+  reconstruction, whose products are formed in them, so they die there.
+
+Any other intermediate goes once its residual is known; sums accumulate in
+place.  The largest step is the commutation check, which holds u, v,
+u - mean(u) and its spectrum, the Riesz-transform symbols, grad^s(u -
+mean(u)), the classical gradient's spectra and one Riesz potential's symbol
+and spectrum: about 17.6 N^3 float64 arrays in 3D (``tests/test_suite.py``
+bounds it).  The layer is the one the public operators apply, with the same
+symbols in the same order of operations, so every residual equals, bit for
+bit, the one the public operators give (``tests/test_suite.py`` holds that
+oracle).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,17 +98,23 @@ def _result(name, observed, tolerance, **details) -> CheckResult:
 
 def _norm(g, x) -> float:
     """lp_norm(., 2) of a raw array, or of a vector field given as the list
-    of its component arrays (wrapped without a copy)."""
+    of its component arrays.  Each is wrapped as a view, without a copy:
+    the view is marked read-only, the array stays writeable."""
     if isinstance(x, list):
-        return lp_norm(VectorField(g, tuple(ScalarField._own(g, c) for c in x)), 2)
-    return lp_norm(ScalarField._own(g, x), 2)
+        return lp_norm(
+            VectorField(g, tuple(ScalarField._own(g, c.view()) for c in x)), 2)
+    return lp_norm(ScalarField._own(g, x.view()), 2)
 
 
 def _added(acc, terms):
     """acc + t_0 + t_1 + ..., left to right as the fields' own sums; acc None
-    starts from t_0."""
+    starts from t_0.  The sums after the first run in place, so t_0 must be
+    fresh when acc is None; no term is held while the next is made."""
+    terms = iter(terms)
+    acc = next(terms) if acc is None else acc + next(terms)
     for t in terms:
-        acc = t if acc is None else acc + t
+        acc += t
+        del t
     return acc
 
 
@@ -104,35 +127,43 @@ def _dot(syms, spectra):
     return acc
 
 
-def _identity_residuals(g, u, v, s_values, d_syms, r_syms):
+def _identity_residuals(g, u, v, s_values, d_syms, riesz):
     """Yield (identity, relative residual) for one sample pair (u, v), raw
-    arrays, at every s; d_syms and r_syms are the derivative and
-    Riesz-transform symbols of every component."""
+    arrays, at every s; d_syms are the derivative symbols of every
+    component, and riesz() gives the Riesz-transform symbols."""
     hn = g.h**g.spec.n
     _rfft, _irfft, _symbol = fo._rfft, fo._irfft, fo._symbol
 
     def times(m, F):  # the field whose half spectrum is m F
         return _irfft(g, m * F)
 
+    def into(m, F):  # the same, with the product formed in F, which dies
+        return _irfft(g, np.multiply(m, F, out=F))
+
     um = u - np.mean(u)
     Fu, Fum, Fv = _rfft(g, u), _rfft(g, um), _rfft(g, v)
-    # made at its first use, so that it is not held through the largest
-    # step, integration by parts
+    # made at its first use, so that it is not held through the steps
+    # before the commutation check
     FDum = None
     nu, num = _norm(g, u), _norm(g, um)
     # the identities run in the order that releases grad^s's symbols and
     # grad^s u earliest; none depends on another's result
-    for s in s_values:
+    for k, s in enumerate(s_values):
+        last = k == len(s_values) - 1
         grad = fo._odd_symbols(g, "riesz_gradient", s, range(g.spec.n))
         gr = [times(m, Fum) for m in grad]
 
         # integration by parts: <grad^s u, V> = -<u, div^s V>
         V = [times(m, Fv) for m in grad]
+        if last:  # the last use of v's spectrum
+            del Fv
         lhs = hn * sum(float(np.sum(a * b)) for a, b in zip(gr, V))
+        ngv = _norm(g, gr) * _norm(g, V)
         dv = fo._div(g, grad, V)
+        del V
         rhs = -hn * float(np.sum(um * dv))
-        scale = _norm(g, gr) * _norm(g, V) + num * _norm(g, dv)
-        del V, dv
+        scale = ngv + num * _norm(g, dv)
+        del dv
         yield "integration_by_parts", abs(lhs - rhs) / (scale if scale else 1.0)
 
         # -div^s grad^s = (-Lap)^s; the spectra of grad^s u's components
@@ -146,8 +177,8 @@ def _identity_residuals(g, u, v, s_values, d_syms, r_syms):
         yield "div_grad_laplacian", r
 
         # space equivalence construction: u = Lambda_s(G_s(id + sum R_j d_j^s) u),
-        # with d_j^s u the j-th component of grad^s u
-        acc = _added(u, (times(m, F) for m, F in zip(r_syms, FGu)))
+        # with d_j^s u the j-th component of grad^s u, whose spectra die here
+        acc = _added(u, (into(m, F) for m, F in zip(riesz(), FGu)))
         del FGu
         bessel = _symbol(g, "bessel_potential", s)
         rec = fo._multiply(g, bessel, fo._multiply(g, _symbol(g, "G_s", s), acc))
@@ -157,12 +188,14 @@ def _identity_residuals(g, u, v, s_values, d_syms, r_syms):
 
         # bessel inverse: Lambda_s Lambda_{-s} = id
         br = fo._multiply(g, _symbol(g, "bessel_potential", -s), times(bessel, Fu))
+        if last:  # the last use of u's spectrum
+            del Fu
         r = _norm(g, br - u) / nu
         del bessel, br
         yield "bessel_roundtrip", r
 
         # fundamental theorem of calculus (mean-zero): u = I_s(R . grad^s u)
-        acc = _added(None, (fo._multiply(g, m, c) for m, c in zip(r_syms, gr)))
+        acc = _added(None, (fo._multiply(g, m, c) for m, c in zip(riesz(), gr)))
         rec = fo._multiply(g, _symbol(g, "riesz_potential", s), acc)
         r = _norm(g, rec - um) / num
         del acc, rec
@@ -202,22 +235,22 @@ def identity_checks(
 ) -> list[CheckResult]:
     """Run the operator-identity suite on seeded bumps; one result per identity.
 
-    Work is shared as the module docstring says; besides, the spectra of
-    grad^s u's components feed both div^s and the R_j of the reconstruction
-    (d_j^s u is bitwise the j-th component of grad^s u), and each identity
-    releases its intermediates once its residual is known.  Nothing is kept
-    between calls.  Each residual is bitwise the one the public operators
-    give.
+    Work is shared and memory let go as the module docstring says.  Nothing
+    is kept between calls.  Each residual is bitwise the one the public
+    operators give.
     """
     grid = make_grid(GridSpec(n=n, N=N, L=1.0))
     fam = iq.bump_family(grid, count, seed=seed)
     fam_v = iq.bump_family(grid, count, seed=seed + 1)
     d_syms = fo._odd_symbols(grid, "derivative", 0.0, range(n))
-    r_syms = fo._odd_symbols(grid, "riesz_transform", 0.0, range(n))
+    # built at their first use, after the two steps that hold grad^s's
+    # symbols, then kept for the rest of the call
+    riesz = functools.cache(
+        lambda: fo._odd_symbols(grid, "riesz_transform", 0.0, range(n)))
     worst: dict[str, float] = {}
     for u, v in zip(fam, fam_v):
         for name, r in _identity_residuals(
-            grid, u.values, v.values, s_values, d_syms, r_syms
+            grid, u.values, v.values, s_values, d_syms, riesz
         ):
             worst[name] = max(worst.get(name, 0.0), r)
     return [

@@ -369,11 +369,65 @@ class TestHalfSpectrumLayer:
             comps = range(n) if kind in COMPONENT_KINDS else [None]
             for j in comps:
                 half = fo._symbol(g, kind, order, j)
-                full = fo.lattice_symbol(g, kind, order, j)
-                assert np.array_equal(half, full[..., : N // 2 + 1]), (kind, j)
+                full_half = fo.lattice_symbol(g, kind, order, j)[..., : N // 2 + 1]
+                # a constant radial factor gives an axis vector that broadcasts
+                half = np.broadcast_to(half, full_half.shape)
+                assert np.array_equal(half, full_half), (kind, j)
                 if j == n - 1:
                     # odd symbols vanish on the last axis's Nyquist column
                     assert np.all(half[..., N // 2] == 0.0), kind
+
+    @staticmethod
+    def _full_derivative_symbols(g):
+        """The derivative symbols as full half-lattice arrays, written out
+        from the lattice: 2 pi i xi_j everywhere, 0 at the origin and on
+        axis j's Nyquist plane."""
+        n, N = g.spec.n, g.spec.N
+        out = []
+        for j in range(n):
+            m = np.empty(g.half_wavenumber.shape, np.complex128)
+            np.multiply(1j * g.half_xi[j], 2.0 * np.pi, out=m)
+            m[(0,) * n] = 0.0
+            m[(slice(None),) * j + (N // 2,)] = 0.0
+            out.append(m)
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_derivative_symbols_are_axis_vectors(self, n):
+        # a constant radial factor: extent 1 off the symbol's own axis
+        N = 16
+        g = self._grid(n, N)
+        half = g.half_wavenumber.shape
+        syms = fo._odd_symbols(g, "derivative", 0.0, range(n))
+        for j, (m, full) in enumerate(zip(syms, self._full_derivative_symbols(g))):
+            assert m.shape == tuple(half[d] if d == j else 1 for d in range(n))
+            assert np.broadcast_to(m, half).tobytes() == full.tobytes(), j
+            assert fo._symbol(g, "derivative", 0.0, j).shape == m.shape
+        # a radial factor that varies keeps the full half lattice
+        for m in fo._odd_symbols(g, "riesz_transform", 0.0, range(n)):
+            assert m.shape == half
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_derivative_products_are_full_symbol_products(self, n):
+        # bit for bit the products with the full-array symbols
+        g = self._grid(n, 16)
+        rng = np.random.default_rng(50 + n)
+        u = ScalarField(g, rng.standard_normal(g.spec.shape))
+        vec = [rng.standard_normal(g.spec.shape) for _ in range(n)]
+        v = VectorField(g, tuple(ScalarField(g, c) for c in vec))
+        full = self._full_derivative_symbols(g)
+        Fu = fo._rfft(g, u.values)
+        grad = fo.spectral_gradient(u)
+        for j, m in enumerate(full):
+            ref = fo._irfft(g, m * Fu).tobytes()
+            assert grad.components[j].values.tobytes() == ref, j
+            got = fo.apply_multiplier(u, "derivative", 0.0, component=j)
+            assert got.values.tobytes() == ref, j
+        acc = full[0] * fo._rfft(g, vec[0])
+        for m, c in zip(full[1:], vec[1:]):
+            acc += m * fo._rfft(g, c)
+        ref = fo._irfft(g, acc).tobytes()
+        assert fo.spectral_divergence(v).values.tobytes() == ref
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pointwise_symbol_matches_half_lattice(self, n):

@@ -2,6 +2,7 @@
 the Poincare family rows against a wrong eigenvalue."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,20 +82,66 @@ def public_residuals(u, v, s):
     return out
 
 
-@pytest.mark.parametrize("n,N", [(1, 32), (2, 32), (3, 16)])
-def test_residuals_equal_public_operators(n, N):
-    count, seed = 2, 0
+@pytest.mark.parametrize("n,N,s_values,count", [
+    pytest.param(1, 32, S_VALUES, 2, id="1-32"),
+    pytest.param(2, 32, S_VALUES, 2, id="2-32"),
+    pytest.param(3, 16, S_VALUES, 2, id="3-16"),
+    # the benchmark's 3D configuration: every spectrum goes at its last use
+    # in the first pass, and the Riesz-transform symbols are built mid-pass
+    pytest.param(3, 16, (0.5,), 1, id="3-16-one-pair-one-s"),
+])
+def test_residuals_equal_public_operators(n, N, s_values, count):
+    seed = 0
     grid = make_grid(GridSpec(n=n, N=N, L=1.0))
     fam = iq.bump_family(grid, count, seed=seed)
     fam_v = iq.bump_family(grid, count, seed=seed + 1)
     worst = {}
     for u, v in zip(fam, fam_v):
-        for s in S_VALUES:
+        for s in s_values:
             for name, r in public_residuals(u, v, s).items():
                 worst[name] = max(worst.get(name, 0.0), r)
     got = {r.name: r.observed
-           for r in suite.identity_checks(n, N, S_VALUES, count=count, seed=seed)}
+           for r in suite.identity_checks(n, N, s_values, count=count, seed=seed)}
     assert got == {f"identity[{k}] n={n} N={N}": r for k, r in worst.items()}
+
+
+def test_norm_leaves_arrays_writeable():
+    g = make_grid(GridSpec(n=2, N=16, L=1.0))
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(g.spec.shape)
+    vec = [rng.standard_normal(g.spec.shape) for _ in range(2)]
+    assert suite._norm(g, x) == lp_norm(ScalarField(g, x), 2)
+    suite._norm(g, vec)
+    assert x.flags.writeable and all(c.flags.writeable for c in vec)
+
+
+def test_identity_peak_memory():
+    """The traced peak of one 3D pair at one s, in N^3 float64 arrays, from
+    the arrays live at the largest step, the commutation check's first
+    route: c = 17/16 is a complex half spectrum at N = 32, r = 17/32 a real
+    half-lattice array."""
+    N = 32
+    c, r = (N // 2 + 1) / (N // 2), (N // 2 + 1) / N
+    live = {
+        "the two bump fields u, v": 2,
+        "half-lattice wavenumber": r,
+        "u - mean(u) and its spectrum": 1 + c,
+        "Riesz-transform symbols, kept for the call": 3 * c,
+        "grad^s (u - mean(u))": 3,
+        "spectra of the classical gradient of u - mean(u)": 3 * c,
+        "riesz_potential(1 - s) symbol and its product's spectrum": r + c,
+        "one symbol product and its inverse": c + 1,
+    }
+    # sparse lattice axes, axis-vector derivative symbols, scalars
+    slack = 0.5
+    suite.identity_checks(3, N, count=1, s_values=(0.5,))  # warm the imports
+    tracemalloc.start()
+    try:
+        suite.identity_checks(3, N, count=1, s_values=(0.5,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * N**3) < sum(live.values()) + slack
 
 
 @pytest.mark.parametrize("s_values,transforms", [((0.5,), 61), (S_VALUES, 157)])
