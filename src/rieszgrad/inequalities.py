@@ -15,9 +15,8 @@ p-Laplacian.  At p = 2 that is the symmetric pencil K u = lambda w u, solved
 by preconditioned LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with one
 operator application per step and no inner solve; at every other p it is
 one nonlinear inverse power iteration (Hein & Buehler, NIPS 2010) on one
-problem and one solver state per estimate, whose steps are warm-started
-Kacanov steps below p = 2 and, above it, inexact frozen solves followed by
-a step to the Rayleigh quotient's minimum.
+problem and one solver state per estimate, whose steps are inexact frozen
+solves followed by a step to the Rayleigh quotient's minimum.
 
 Bump samples are spectrally truncated below the top octave (|k| <= N/4 per
 axis); this is the frequency-side counterpart of the spatial margin rule and
@@ -251,14 +250,13 @@ def poincare_constant(
     inverse power iteration (method "inverse_power").  Each step freezes
     the coefficient at u0 = u lambda^(-1/(p-1)), the energy's minimizer on
     the ray through u, and solves the frozen problem with right-hand side
-    f = B u = w |u|^(p-2) u by CG from u0.  Below p = 2 that solve runs to
-    1e-12 and the step is the Kacanov step :func:`solve_plaplace` takes, to
-    the energy's minimum along it.  Above p = 2 the CG stops at the
-    Kacanov forcing of the eigen-residual r, max(1e-12, min(0.1, 0.1 r)),
-    and the step goes to the minimum of the Rayleigh quotient along it,
+    f = B u = w |u|^(p-2) u by CG from u0.  The CG stops at the Kacanov
+    forcing of the eigen-residual r, max(1e-12, min(0.1, 0.1 r)), and the
+    step goes to the minimum of the Rayleigh quotient along it,
     found from the quotient's slope without a transform; where no step
     lowers the quotient, the CG goes on to 1e-12 and the step is taken
-    again, and where that fails too the step is the Kacanov one.  One
+    again, and where that fails too the step is the Kacanov step
+    :func:`solve_plaplace` takes, to the energy's minimum along it.  One
     problem and one solver state serve every step, which changes only the
     state's right-hand side; a failed inner solve or line search clears
     converged.  Either way lambda never rises from step to step.
@@ -327,10 +325,7 @@ def poincare_constant(
         while res >= tol and iters < max_iter:
             st.f = prob.project(Bu)
             st.start(u * lam ** (-1.0 / (p - 1.0)))
-            if p < 2.0:
-                st.step()
-            else:
-                _quotient_step(st, _kacanov_tol(res))
+            _quotient_step(st, _kacanov_tol(res))
             sol = ScalarField(grid, prob.project(st.u))
             u = sol.values / lp_norm(sol, p, w)
             Bu, lam, res = eigen(u)
@@ -349,7 +344,7 @@ def poincare_constant(
 
 
 def _quotient_step(st, forced):
-    """One inverse power step above p = 2 from the solve state's start u0,
+    """One inverse power step at p != 2 from the solve state's start u0,
     with f = B u: the frozen solve at u0 by CG from u0 to forced gives u_hat,
     and the step moves along d = u_hat - u0 to the minimum of the Rayleigh
     quotient R(u0 + t d) (_quotient_minimum).  When no t lowers R, the CG
@@ -385,15 +380,22 @@ def _quotient_minimum(prob, u, gu, d, gd):
     second order at its minimum, so only a slope can place the minimum to
     more than half the digits.  R' itself, like the slope of log R, decays
     to zero where R levels off far out along a long d and would end the
-    search there; the numerator grows there."""
+    search there; the numerator grows there.
+
+    |grad^s|^(p-2) is taken only where m = |gu + t gd|^2 > 0 and
+    |u + t d|^(p-2) only where u + t d != 0, with 1 elsewhere, as
+    solver._coeff guards m.  Every such factor is multiplied by m, by the
+    vanishing gradient or by u + t d, so the guard changes no term: above
+    p = 2 the power is 0 there anyway and the sums keep their bits, and
+    below p = 2 it keeps 0 * inf = NaN out of the sums."""
     w, p = prob.weight.values, prob.p
 
     def parts(t):
         gt = [c + t * cd for c, cd in zip(gu, gd)]
         ut = u + t * d
         m = sum(c * c for c in gt)
-        a = w * m ** ((p - 2.0) / 2.0)
-        b = w * np.abs(ut) ** (p - 2.0)
+        a = w * np.where(m > 0.0, m, 1.0) ** ((p - 2.0) / 2.0)
+        b = w * np.where(ut != 0.0, np.abs(ut), 1.0) ** (p - 2.0)
         num, den = _sum(a * m), _sum(b * ut * ut)
         dnum = sum(_sum(a * c * cd) for c, cd in zip(gt, gd))
         return num / den, dnum * den - num * _sum(b * ut * d)

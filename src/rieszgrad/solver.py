@@ -417,9 +417,8 @@ _T_MIN = 1e-10
 #: Kacanov's inner CG stops at _ETA times the last certificate, clipped to
 #: [_INNER_TOL, 0.1]: the residual-tied forcing of inexact Newton methods
 #: (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  The
-#: Poincare loop's steps follow no certificate: above p = 2 they force by
-#: the eigen-residual instead, with _INNER_TOL for a retried step, and
-#: below p = 2 they stop at _INNER_TOL.
+#: Poincare loop's steps follow no certificate: they force by the
+#: eigen-residual instead, with _INNER_TOL for a retried step.
 _ETA = 0.1
 _INNER_TOL = 1e-12
 #: descent's cap on nonlinear CG steps per eps stage
@@ -590,13 +589,11 @@ def _kacanov_step(st):
     full step only contracts the error by about |2 - p|; at p = 2 the
     minimum is t = 1.  The frozen solve starts from u and stops at
     _kacanov_tol of the last certificate, the start's on a solve's first
-    step; the Poincare loop records no certificate, and the steps it takes
-    through here, those below p = 2, stop at 1e-12.  A truncated CG from
-    u still lowers the frozen
-    quadratic energy, whose gradient at u is the regularized energy's, so
-    the step stays a descent direction."""
+    step.  A truncated CG from u still lowers the frozen quadratic energy,
+    whose gradient at u is the regularized energy's, so the step stays a
+    descent direction."""
     a = _coeff(st.prob.weight.values, st.prob.p, st.gu, st.eps)
-    tol = _kacanov_tol(st.residuals[-1]) if st.residuals else _INNER_TOL
+    tol = _kacanov_tol(st.residuals[-1])
     uhat, inner = _solve_frozen(st.prob, a, st.f, st.u, tol)
     # an inner solve that misses its tolerance still supplies the step
     _damped_update(st, a, st.prob.project(uhat - st.u), (*inner, tol), True)
