@@ -16,6 +16,7 @@ periodic integrands); accumulation uses numpy's pairwise summation.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,10 +46,6 @@ __all__ = [
 IMAG_TOL = 1e-12
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Geometry of the periodic box: dimension, resolution, edge, lower corner."""
@@ -59,9 +56,14 @@ class GridSpec:
     origin: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("n", "N"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension n must be 1, 2 or 3, got {self.n}")
-        if not _is_power_of_two(self.N) or self.N < 8:
+        if self.N < 8 or self.N & (self.N - 1):
             raise ValueError(f"N must be a power of two >= 8, got {self.N}")
         if not (0 < self.L < np.inf):
             raise ValueError(f"box edge L must be positive and finite, got {self.L}")
@@ -344,8 +346,9 @@ def bump(grid: Grid, center, radius: float, sharpness: float = 1.0) -> ScalarFie
     center = tuple(float(c) for c in np.atleast_1d(center))
     if len(center) != grid.spec.n:
         raise ValueError(f"center must have {grid.spec.n} entries")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.all(np.isfinite(center)) and 0 < radius < np.inf and 0 < sharpness < np.inf):
+        raise ValueError("need a finite center and a positive, finite radius and sharpness, "
+                         f"got {center}, {radius}, {sharpness}")
     o, L = grid.spec.origin, grid.spec.L
     for d in range(grid.spec.n):
         if center[d] - 2 * radius < o[d] or center[d] + 2 * radius > o[d] + L:

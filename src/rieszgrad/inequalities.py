@@ -32,8 +32,8 @@ import numpy as np
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
 from .fracops import _sum
-from .solver import (PDEProblem, _coeff, _damped_update, _INNER_TOL, _kacanov_tol,
-                     _make_precond, _residual, _slope_root, _solve_frozen, _SolveState)
+from .solver import (PDEProblem, _coeff, _damped_update, _kacanov_tol, _make_precond,
+                     _residual, _slope_root, _solve_frozen, _SolveState)
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -254,8 +254,7 @@ def poincare_constant(
     forcing of the eigen-residual r, max(1e-12, min(0.1, 0.1 r)), and the
     step goes to the minimum of the Rayleigh quotient along it,
     found from the quotient's slope without a transform; where no step
-    lowers the quotient, the CG goes on to 1e-12 and the step is taken
-    again, and where that fails too the step is the Kacanov step
+    lowers the quotient, the step along the same solve is the Kacanov step
     :func:`solve_plaplace` takes, to the energy's minimum along it.  One
     problem and one solver state serve every step, which changes only the
     state's right-hand side; a failed inner solve or line search clears
@@ -347,26 +346,21 @@ def _quotient_step(st, forced):
     """One inverse power step at p != 2 from the solve state's start u0,
     with f = B u: the frozen solve at u0 by CG from u0 to forced gives u_hat,
     and the step moves along d = u_hat - u0 to the minimum of the Rayleigh
-    quotient R(u0 + t d) (_quotient_minimum).  When no t lowers R, the CG
-    goes on from u_hat to _INNER_TOL and the step is taken again; when that
-    fails too, the step moves to the frozen problem's energy minimum along
-    d, as a Kacanov step does.  Every inner solve is counted in st.counts."""
+    quotient R(u0 + t d) (_quotient_minimum).  When no t lowers R, the step
+    moves along the same d to the frozen problem's energy minimum, as a
+    Kacanov step does.  The inner solve is counted in st.counts."""
     prob, u0, g0 = st.prob, st.u, st.gu
     a = _coeff(prob.weight.values, prob.p, g0, st.eps)
-    uhat = u0
-    for tol in (forced, _INNER_TOL):
-        uhat, (its, ok) = _solve_frozen(prob, a, st.f, uhat, tol)
-        d = prob.project(uhat - u0)
-        t = _quotient_minimum(prob, u0, g0, d, prob.kit.grad(d))
-        if t is None and tol == _INNER_TOL:
-            # the energy step counts this solve itself
-            _damped_update(st, a, d, (its, ok, tol), True)
-            return
+    uhat, (its, ok) = _solve_frozen(prob, a, st.f, u0, forced)
+    d = prob.project(uhat - u0)
+    t = _quotient_minimum(prob, u0, g0, d, prob.kit.grad(d))
+    if t is None:
+        # the energy step counts the solve itself
+        _damped_update(st, a, d, (its, ok, forced), True)
+    else:
         st.counts["inner_iterations"] += its
         st.counts["inner_unconverged"] += not ok
-        if t is not None:
-            st.u = u0 + t * d
-            return
+        st.u = u0 + t * d
 
 
 def _quotient_minimum(prob, u, gu, d, gd):
@@ -541,7 +535,9 @@ def s_limit_report(u: ScalarField, s_values=(0.9, 0.99, 0.999)) -> InequalityRep
 
     The samples keep the order of s_values; the verdict reads the errors in
     increasing s: "bounded" when they never rise and the one at the largest
-    s is below 1e-2."""
+    s is below 1e-2.  An empty s_values is refused."""
+    if len(s_values) == 0:
+        raise ValueError("s_values is empty: give at least one s")
     classical = fo.spectral_gradient(u)
     den = lp_norm(classical, 2)
     if den == 0.0:

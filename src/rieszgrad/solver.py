@@ -418,7 +418,7 @@ _T_MIN = 1e-10
 #: [_INNER_TOL, 0.1]: the residual-tied forcing of inexact Newton methods
 #: (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  The
 #: Poincare loop's steps follow no certificate: they force by the
-#: eigen-residual instead, with _INNER_TOL for a retried step.
+#: eigen-residual instead.
 _ETA = 0.1
 _INNER_TOL = 1e-12
 #: descent's cap on nonlinear CG steps per eps stage

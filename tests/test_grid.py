@@ -63,6 +63,17 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="dimension"):
             GridSpec(n=4, N=8, L=1.0)
 
+    @pytest.mark.parametrize("n,N", [(True, 8), (1, 8.0), (1.0, 8), (1, True),
+                                     (np.float64(2.0), 16)])
+    def test_rejects_non_integral_n_and_N(self, n, N):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(n=n, N=N, L=1.0)
+
+    def test_numpy_integers_accepted(self):
+        spec = GridSpec(n=np.int64(2), N=np.int32(16), L=1.0)
+        assert (type(spec.n), type(spec.N)) == (int, int)
+        assert spec == GridSpec(n=2, N=16, L=1.0)
+
     def test_origin_default_and_length(self):
         assert GridSpec(n=2, N=8, L=1.0).origin == (0.0, 0.0)
         with pytest.raises(ValueError, match="origin"):
@@ -212,6 +223,18 @@ class TestBump:
         g = make_grid(GridSpec(n=1, N=64, L=1.0))
         u = bump(g, [0.5], 0.2)
         assert g.h * np.sum(u.values) > 0.0
+
+    @pytest.mark.parametrize("center,radius,sharpness", [
+        ([math.nan], 0.1, 1.0), ([math.inf], 0.1, 1.0),
+        ([0.5], math.nan, 1.0), ([0.5], math.inf, 1.0),
+        ([0.5], 0.1, math.nan), ([0.5], 0.1, math.inf),
+        ([0.5], 0.1, 0.0), ([0.5], 0.1, -1.0),
+    ])
+    def test_non_finite_or_non_positive_inputs_refused(self, center, radius, sharpness):
+        # each of these gave an all-zero field
+        g = make_grid(GridSpec(n=1, N=64, L=1.0))
+        with pytest.raises(ValueError, match="finite center and a positive, finite"):
+            bump(g, center, radius, sharpness)
 
     def test_margin_enforced(self):
         g = make_grid(GridSpec(n=1, N=64, L=1.0))
