@@ -647,8 +647,8 @@ def _cmd_sweep(args) -> int:
         _validate(case, _validators()["SWEEP_CASE_VALIDATORS"][task],
                   f"sweep case '{case_id}'")
         cases.append((case_id, case))
-    manifest = Manifest(Path(args.out), "sweep", config, None, started)
     ordered = {cid: _sweep_case(task, c) for cid, c in sorted(cases)}
+    manifest = Manifest(Path(args.out), "sweep", config, None, started)
     path = manifest.emit(ordered, "sweep.json")
     fields = sorted(next(iter(ordered.values())))
     manifest.emit((["case", *fields],

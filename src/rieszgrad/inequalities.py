@@ -11,12 +11,7 @@ fails beyond tolerance, and "inconclusive" for degenerate inputs.
 Identities that are exact come with their constants: the single-mode
 interpolation ratio is exactly one, and the Poincare constant is
 lambda^(-1/p) for the first eigenvalue lambda of the weighted fractional
-p-Laplacian.  At p = 2 that is the symmetric pencil K u = lambda w u, solved
-by preconditioned LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) with one
-operator application per step and no inner solve; at every other p it is
-one nonlinear inverse power iteration (Hein & Buehler, NIPS 2010) on one
-problem and one solver state per estimate, whose steps are inexact frozen
-solves followed by a step to the Rayleigh quotient's minimum.
+p-Laplacian, which solver._first_eigenpair computes.
 
 Bump samples are spectrally truncated below the top octave (|k| <= N/4 per
 axis); this is the frequency-side counterpart of the spatial margin rule and
@@ -32,8 +27,7 @@ import numpy as np
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
 from .fracops import _sum
-from .solver import (PDEProblem, _coeff, _damped_update, _kacanov_tol, _make_precond,
-                     _residual, _slope_root, _solve_frozen, _SolveState)
+from .solver import PDEProblem, _first_eigenpair
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -240,39 +234,24 @@ def poincare_constant(
 ) -> PoincareEstimate:
     """Best constant in ||u||_{L^p_w} <= C ||grad^s u||_{L^p_w} over interior u.
 
-    Solves -div^s(w |grad^s u|^(p-2) grad^s u) = lambda w |u|^(p-2) u for
-    its first eigenpair, started from the family member with the smallest
-    Rayleigh quotient.  At p = 2 this is the symmetric pencil K u = lambda
-    B u with B = w on Omega, solved by LOBPCG (method "lobpcg", see
-    _lobpcg): each step applies the solver's preconditioner for w (the
-    shifted (-Lap)^s scaled by the operator's diagonal) and K once, and no
-    inner solve runs.  At every other p it is the nonlinear
-    inverse power iteration (method "inverse_power").  Each step freezes
-    the coefficient at u0 = u lambda^(-1/(p-1)), the energy's minimizer on
-    the ray through u, and solves the frozen problem with right-hand side
-    f = B u = w |u|^(p-2) u by CG from u0.  The CG stops at the Kacanov
-    forcing of the eigen-residual r, max(1e-12, min(0.1, 0.1 r)), and the
-    step goes to the minimum of the Rayleigh quotient along it,
-    found from the quotient's slope without a transform; where no step
-    lowers the quotient, the step along the same solve is the Kacanov step
-    :func:`solve_plaplace` takes, to the energy's minimum along it.  One
-    problem and one solver state serve every step, which changes only the
-    state's right-hand side; a failed inner solve or line search clears
-    converged.  Either way lambda never rises from step to step.
-    iterations counts LOBPCG steps or inverse power steps; max_iter caps it
-    and defaults to 2000 at p = 2 (the cap of :func:`solve_linear`, as
-    each LOBPCG step costs about one CG iteration) and 200 otherwise.
-    inner_iterations sums the CG iterations of the frozen solves (0 for
-    LOBPCG).
-    lambda is the Rayleigh quotient <u, Tu> / <u, Bu> and the residual is
-    ||Tu - lambda Bu|| / (lambda ||Bu||), both computed afresh at the
-    returned u; converged needs the residual below tol.  The constant is
-    lambda^(-1/p), raised to the best family ratio when that is larger, so it
-    dominates the family; it is the sharp constant when the iteration reaches
-    the first eigenfunction.  p < 1.1 is refused and Omega needs the
-    solver's 4h seam margin.  On the whole torus only p = 2 with a constant
-    weight is admitted: T u is mean-free there and w |u|^(p-2) u otherwise
-    is not, so no step could bring the residual to zero.
+    Solves T u = -div^s(w |grad^s u|^(p-2) grad^s u) = lambda B u,
+    B u = w |u|^(p-2) u, for its first eigenpair by solver._first_eigenpair,
+    started from the family member with the smallest Rayleigh quotient:
+    LOBPCG at p = 2 (method "lobpcg"), the nonlinear inverse power
+    iteration otherwise (method "inverse_power").  iterations counts its
+    steps; max_iter caps it and defaults to 2000 at p = 2 (the cap of
+    :func:`solve_linear`, as each LOBPCG step costs about one CG iteration)
+    and 200 otherwise.  inner_iterations sums the CG iterations of the
+    frozen solves (0 for LOBPCG).  eigenvalue is the Rayleigh quotient and
+    residual ||Tu - lambda Bu|| / (lambda ||Bu||), both at the returned u;
+    converged needs the residual below tol and no failed inner solve or
+    line search.  The constant is lambda^(-1/p), raised to the best family
+    ratio when that is larger, so it dominates the family; it is the sharp
+    constant when the iteration reaches the first eigenfunction.  p < 1.1
+    is refused and Omega needs the solver's 4h seam margin.  On the whole
+    torus only p = 2 with a constant weight is admitted: T u is mean-free
+    there and w |u|^(p-2) u otherwise is not, so no step could bring the
+    residual to zero.
     """
     if max_iter is None:
         max_iter = 2000 if p == 2.0 else 200
@@ -302,165 +281,16 @@ def poincare_constant(
     if u is None:
         raise ValueError("no usable family member inside the mask")
 
-    def eigen(u):
-        """(B u, lambda, residual) of an interior field u."""
-        Bu = w.values * np.sign(u) * np.abs(u) ** (p - 1.0)
-        Tu = _residual(prob, prob.kit.grad(u), 0.0)
-        lam = float(_sum(u * Tu) / _sum(u * Bu))
-        res = float(
-            np.sqrt(_sum((Tu - lam * Bu) ** 2)) / (lam * np.sqrt(_sum(Bu * Bu)))
-        )
-        return Bu, lam, res
-
-    if p == 2.0:
-        method, failures, inner = "lobpcg", 0, 0
-        u, iters = _lobpcg(prob, u, tol, max_iter)
-        _, lam, res = eigen(u)
-    else:
-        method = "inverse_power"
-        Bu, lam, res = eigen(u)
-        st = _SolveState(prob, "kacanov")
-        iters = 0
-        while res >= tol and iters < max_iter:
-            st.f = prob.project(Bu)
-            st.start(u * lam ** (-1.0 / (p - 1.0)))
-            _quotient_step(st, _kacanov_tol(res))
-            sol = ScalarField(grid, prob.project(st.u))
-            u = sol.values / lp_norm(sol, p, w)
-            Bu, lam, res = eigen(u)
-            iters += 1
-        failures = st.counts["inner_unconverged"] + st.counts["line_search_failures"]
-        inner = st.counts["inner_iterations"]
+    lam, res, iters, converged, method, inner = _first_eigenpair(prob, u, tol, max_iter)
     return PoincareEstimate(
         constant=max(lam ** (-1.0 / p), family_max),
         eigenvalue=lam,
         residual=res,
         iterations=iters,
-        converged=res < tol and failures == 0,
+        converged=converged,
         method=method,
         inner_iterations=inner,
     )
-
-
-def _quotient_step(st, forced):
-    """One inverse power step at p != 2 from the solve state's start u0,
-    with f = B u: the frozen solve at u0 by CG from u0 to forced gives u_hat,
-    and the step moves along d = u_hat - u0 to the minimum of the Rayleigh
-    quotient R(u0 + t d) (_quotient_minimum).  When no t lowers R, the step
-    moves along the same d to the frozen problem's energy minimum, as a
-    Kacanov step does.  The inner solve is counted in st.counts."""
-    prob, u0, g0 = st.prob, st.u, st.gu
-    a = _coeff(prob.weight.values, prob.p, g0, st.eps)
-    uhat, (its, ok) = _solve_frozen(prob, a, st.f, u0, forced)
-    d = prob.project(uhat - u0)
-    t = _quotient_minimum(prob, u0, g0, d, prob.kit.grad(d))
-    if t is None:
-        # the energy step counts the solve itself
-        _damped_update(st, a, d, (its, ok, forced), True)
-    else:
-        st.counts["inner_iterations"] += its
-        st.counts["inner_unconverged"] += not ok
-        st.u = u0 + t * d
-
-
-def _quotient_minimum(prob, u, gu, d, gd):
-    """The step t > 0 to the minimum of the Rayleigh quotient
-    R(t) = N(t) / D(t), N(t) = sum w |gu + t gd|^p and D(t) = sum w |u + t d|^p,
-    along d, or None when the step found does not keep R(t) <= R(0).
-
-    gu and gd are grad^s u and grad^s d, so a trial costs no transform.
-    _slope_root finds the root of (N' D - N D')(t) / p, which has the sign
-    of R'(t), as it finds the energy's for a Kacanov step.  R is flat to
-    second order at its minimum, so only a slope can place the minimum to
-    more than half the digits.  R' itself, like the slope of log R, decays
-    to zero where R levels off far out along a long d and would end the
-    search there; the numerator grows there.
-
-    |grad^s|^(p-2) is taken only where m = |gu + t gd|^2 > 0 and
-    |u + t d|^(p-2) only where u + t d != 0, with 1 elsewhere, as
-    solver._coeff guards m.  Every such factor is multiplied by m, by the
-    vanishing gradient or by u + t d, so the guard changes no term: above
-    p = 2 the power is 0 there anyway and the sums keep their bits, and
-    below p = 2 it keeps 0 * inf = NaN out of the sums."""
-    w, p = prob.weight.values, prob.p
-
-    def parts(t):
-        gt = [c + t * cd for c, cd in zip(gu, gd)]
-        ut = u + t * d
-        m = sum(c * c for c in gt)
-        a = w * np.where(m > 0.0, m, 1.0) ** ((p - 2.0) / 2.0)
-        b = w * np.where(ut != 0.0, np.abs(ut), 1.0) ** (p - 2.0)
-        num, den = _sum(a * m), _sum(b * ut * ut)
-        dnum = sum(_sum(a * c * cd) for c, cd in zip(gt, gd))
-        return num / den, dnum * den - num * _sum(b * ut * d)
-
-    r0, slope = parts(0.0)
-    if not slope < 0.0:
-        return None
-    t, r, _ = _slope_root(parts, slope)
-    return t if r <= r0 else None
-
-
-#: LOBPCG's Rayleigh-Ritz drops a direction whose eigenvalue in the Gram
-#: matrix of B falls below this fraction of the largest one
-_GRAM_DROP = 1e-12
-
-
-def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
-    """Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the
-    smallest eigenpair of K u = lambda B u, K = -div^s(w grad^s .) on
-    interior fields and B = w; returns (u, steps).
-
-    A step forms r = K x - lambda B x with lambda = <x, Kx> / <x, Bx> and
-    stops once ||r|| < tol lambda ||Bx||.  Otherwise it preconditions r by
-    the solver's preconditioner for w (solver._make_precond: the shifted
-    (-Lap)^s scaled on both sides by the operator's diagonal),
-    W = prec(r), applies K once, to W, and runs Rayleigh-Ritz on
-    span{x, W, P}, P the last step's update, by numpy.linalg.eigh:
-    each column is scaled to unit B-norm, and directions whose B-Gram
-    eigenvalue is below _GRAM_DROP times the largest are dropped.  x, Kx, P
-    and KP follow by linear combination, so K is never applied to x again.
-    The Ritz value is the minimum of the quotient over a span that holds x,
-    so lambda never rises.  The Gram matrices are einsum sums, not matrix
-    products, which would page in BLAS code for these few columns.
-    """
-    w = prob.weight.values
-    prec = _make_precond(prob)
-
-    def K(v):
-        return _residual(prob, prob.kit.grad(v), 0.0)
-
-    x = prob.project(x)
-    Kx = K(x)
-    P = KP = None
-    steps = 0
-    while True:
-        Bx = w * x
-        lam = float(_sum(x * Kx) / _sum(x * Bx))
-        r = Kx - lam * Bx
-        if _sum(r * r) < (tol * lam) ** 2 * _sum(Bx * Bx) or steps == max_iter:
-            return x, steps
-        W = prec(r)
-        cols, kcols = [x, W], [Kx, K(W)]
-        if P is not None:
-            cols.append(P)
-            kcols.append(KP)
-        S = np.stack([c.ravel() for c in cols])
-        KS = np.stack([c.ravel() for c in kcols])
-        GB = np.einsum("ik,jk->ij", S, w.ravel() * S)
-        GK = np.einsum("ik,jk->ij", S, KS)
-        scale = 1.0 / np.sqrt(np.maximum(np.diag(GB), 1e-300))
-        d, V = np.linalg.eigh(scale[:, None] * (GB + GB.T) * scale / 2.0)
-        keep = d > _GRAM_DROP * d[-1]
-        T = V[:, keep] / np.sqrt(d[keep])
-        GK = scale[:, None] * (GK + GK.T) * scale / 2.0
-        _, Y = np.linalg.eigh(np.einsum("ki,kl,lj->ij", T, GK, T))
-        c = scale * np.einsum("ij,j->i", T, Y[:, 0])
-        P = sum(ci * v for ci, v in zip(c[1:], cols[1:]))
-        KP = sum(ci * v for ci, v in zip(c[1:], kcols[1:]))
-        x = c[0] * x + P
-        Kx = c[0] * Kx + KP
-        steps += 1
 
 
 def _interior_family(grid: Grid, mask: np.ndarray, seed: int, count: int = 8):
@@ -584,9 +414,8 @@ def dual_representation_check(
     is tested."""
     grid = gvec.grid
     hn = grid.h**grid.spec.n
-    pprime = p / (p - 1.0)
     wstar = dual_weight(w, p)
-    gnorm = lp_norm(gvec, pprime, wstar)
+    gnorm = lp_norm(gvec, wstar.p, wstar)
     worst = 0.0
     samples = []
     for i, u in enumerate(family):

@@ -16,7 +16,8 @@ helper takes its operators from the problem, which builds them once.
 The p != 2 coefficient |grad^s u|^(p-2) is regularized as
 (|grad^s u|^2 + eps^2)^((p-2)/2) with eps shrinking geometrically across
 outer iterations; convergence is always declared on the unregularized
-residual.
+residual.  The same solve state carries the nonlinear inverse power steps
+of the first eigenpair behind the Poincare constant (LOBPCG at p = 2).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .grid import Grid, ScalarField, VectorField
+from .grid import Grid, ScalarField, VectorField, lp_norm
 from .fracops import _RieszOps, _sum
 from .weights import Weight
 
@@ -699,8 +700,8 @@ class _SolveState:
     1e-8, and 1e-6 for descent): the interior right-hand side f with its
     norms fn (dual) and f2 (L2), the iterate u with gu = grad^s u, eps, the
     report's counts, the energies and the certificates.  The operators
-    are prob.kit.  The Poincare loop swaps f between its steps, which
-    read neither fn nor f2."""
+    are prob.kit.  _first_eigenpair swaps f between its steps, which read
+    neither fn nor f2."""
 
     def __init__(self, prob: PDEProblem, method: str | None, tol: float | None = None):
         if prob.p < 1.1:
@@ -922,6 +923,174 @@ def solve_plaplace(
         st.eps = (max(st.eps * 0.5, 1e-15 * st.scale) if st.frozen
                   else max(st.eps * 0.25, st.eps_min))
     return st.report(converged)
+
+
+def _first_eigenpair(prob: PDEProblem, u: np.ndarray, tol: float, max_iter: int):
+    """The first eigenpair of T u = -div^s(w |grad^s u|^(p-2) grad^s u) =
+    lambda B u, B u = w |u|^(p-2) u, from the interior start u; returns
+    (lambda, residual, steps, converged, method, inner CG iterations).
+
+    At p = 2 this is the pencil K u = lambda w u, solved by _lobpcg (method
+    "lobpcg"), which runs no inner solve.  At every other p it is the
+    nonlinear inverse power iteration (Hein & Buehler, NIPS 2010; method
+    "inverse_power") on one solve state whose steps change only its f = B u:
+    each starts at u0 = u lambda^(-1/(p-1)), the energy's minimizer on the
+    ray through u, and takes _quotient_step forced at _kacanov_tol of the
+    eigen-residual.  Either way lambda never rises.  lambda is the Rayleigh
+    quotient <u, Tu> / <u, Bu> and the residual ||Tu - lambda Bu|| /
+    (lambda ||Bu||), both taken afresh at the returned u; converged needs
+    the residual below tol and no failed inner solve or line search."""
+    w, p = prob.weight, prob.p
+
+    def eigen(u):
+        """(B u, lambda, residual) of an interior field u."""
+        Bu = w.values * np.sign(u) * np.abs(u) ** (p - 1.0)
+        Tu = _residual(prob, prob.kit.grad(u), 0.0)
+        lam = float(_sum(u * Tu) / _sum(u * Bu))
+        res = float(
+            np.sqrt(_sum((Tu - lam * Bu) ** 2)) / (lam * np.sqrt(_sum(Bu * Bu)))
+        )
+        return Bu, lam, res
+
+    if p == 2.0:
+        u, iters = _lobpcg(prob, u, tol, max_iter)
+        _, lam, res = eigen(u)
+        return lam, res, iters, res < tol, "lobpcg", 0
+    Bu, lam, res = eigen(u)
+    st = _SolveState(prob, "kacanov")
+    iters = 0
+    while res >= tol and iters < max_iter:
+        st.f = prob.project(Bu)
+        st.start(u * lam ** (-1.0 / (p - 1.0)))
+        _quotient_step(st, _kacanov_tol(res))
+        sol = ScalarField(prob.grid, prob.project(st.u))
+        u = sol.values / lp_norm(sol, p, w)
+        Bu, lam, res = eigen(u)
+        iters += 1
+    failures = st.counts["inner_unconverged"] + st.counts["line_search_failures"]
+    return (lam, res, iters, res < tol and failures == 0, "inverse_power",
+            st.counts["inner_iterations"])
+
+
+def _quotient_step(st, forced):
+    """One inverse power step at p != 2 from the solve state's start u0,
+    with f = B u: the frozen solve at u0 by CG from u0 to forced gives u_hat,
+    and the step moves along d = u_hat - u0 to the minimum of the Rayleigh
+    quotient R(u0 + t d) (_quotient_minimum).  When no t lowers R, the step
+    moves along the same d to the frozen problem's energy minimum, as a
+    Kacanov step does.  The inner solve is counted in st.counts."""
+    prob, u0, g0 = st.prob, st.u, st.gu
+    a = _coeff(prob.weight.values, prob.p, g0, st.eps)
+    uhat, (its, ok) = _solve_frozen(prob, a, st.f, u0, forced)
+    d = prob.project(uhat - u0)
+    t = _quotient_minimum(prob, u0, g0, d, prob.kit.grad(d))
+    if t is None:
+        # the energy step counts the solve itself
+        _damped_update(st, a, d, (its, ok, forced), True)
+    else:
+        st.counts["inner_iterations"] += its
+        st.counts["inner_unconverged"] += not ok
+        st.u = u0 + t * d
+
+
+def _quotient_minimum(prob, u, gu, d, gd):
+    """The step t > 0 to the minimum of the Rayleigh quotient
+    R(t) = N(t) / D(t), N(t) = sum w |gu + t gd|^p and D(t) = sum w |u + t d|^p,
+    along d, or None when the step found does not keep R(t) <= R(0).
+
+    gu and gd are grad^s u and grad^s d, so a trial costs no transform.
+    _slope_root finds the root of (N' D - N D')(t) / p, which has the sign
+    of R'(t), as it finds the energy's for a Kacanov step.  R is flat to
+    second order at its minimum, so only a slope can place the minimum to
+    more than half the digits.  R' itself, like the slope of log R, decays
+    to zero where R levels off far out along a long d and would end the
+    search there; the numerator grows there.
+
+    |grad^s|^(p-2) is taken only where m = |gu + t gd|^2 > 0 and
+    |u + t d|^(p-2) only where u + t d != 0, with 1 elsewhere, as _coeff
+    guards m.  Every such factor is multiplied by m, by the vanishing
+    gradient or by u + t d, so the guard changes no term: above p = 2 the
+    power is 0 there anyway and the sums keep their bits, and below p = 2
+    it keeps 0 * inf = NaN out of the sums."""
+    w, p = prob.weight.values, prob.p
+
+    def parts(t):
+        gt = [c + t * cd for c, cd in zip(gu, gd)]
+        ut = u + t * d
+        m = sum(c * c for c in gt)
+        a = w * np.where(m > 0.0, m, 1.0) ** ((p - 2.0) / 2.0)
+        b = w * np.where(ut != 0.0, np.abs(ut), 1.0) ** (p - 2.0)
+        num, den = _sum(a * m), _sum(b * ut * ut)
+        dnum = sum(_sum(a * c * cd) for c, cd in zip(gt, gd))
+        return num / den, dnum * den - num * _sum(b * ut * d)
+
+    r0, slope = parts(0.0)
+    if not slope < 0.0:
+        return None
+    t, r, _ = _slope_root(parts, slope)
+    return t if r <= r0 else None
+
+
+#: LOBPCG's Rayleigh-Ritz drops a direction whose eigenvalue in the Gram
+#: matrix of B falls below this fraction of the largest one
+_GRAM_DROP = 1e-12
+
+
+def _lobpcg(prob: PDEProblem, x: np.ndarray, tol: float, max_iter: int):
+    """Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) for the
+    smallest eigenpair of K u = lambda B u, K = -div^s(w grad^s .) on
+    interior fields and B = w; returns (u, steps).
+
+    A step forms r = K x - lambda B x with lambda = <x, Kx> / <x, Bx> and
+    stops once ||r|| < tol lambda ||Bx||.  Otherwise it preconditions r by
+    _make_precond (the shifted (-Lap)^s scaled on both sides by the
+    operator's diagonal), W = prec(r), applies K once, to W, and runs
+    Rayleigh-Ritz on span{x, W, P}, P the last step's update, by
+    numpy.linalg.eigh: each column is scaled to unit B-norm, and directions
+    whose B-Gram eigenvalue is below _GRAM_DROP times the largest are
+    dropped.  x, Kx, P and KP follow by linear combination, so K is never
+    applied to x again.  The Ritz value is the minimum of the quotient over
+    a span that holds x, so lambda never rises.  The Gram matrices are
+    einsum sums, not matrix products, which would page in BLAS code for
+    these few columns.
+    """
+    w = prob.weight.values
+    prec = _make_precond(prob)
+
+    def K(v):
+        return _residual(prob, prob.kit.grad(v), 0.0)
+
+    x = prob.project(x)
+    Kx = K(x)
+    P = KP = None
+    steps = 0
+    while True:
+        Bx = w * x
+        lam = float(_sum(x * Kx) / _sum(x * Bx))
+        r = Kx - lam * Bx
+        if _sum(r * r) < (tol * lam) ** 2 * _sum(Bx * Bx) or steps == max_iter:
+            return x, steps
+        W = prec(r)
+        cols, kcols = [x, W], [Kx, K(W)]
+        if P is not None:
+            cols.append(P)
+            kcols.append(KP)
+        S = np.stack([c.ravel() for c in cols])
+        KS = np.stack([c.ravel() for c in kcols])
+        GB = np.einsum("ik,jk->ij", S, w.ravel() * S)
+        GK = np.einsum("ik,jk->ij", S, KS)
+        scale = 1.0 / np.sqrt(np.maximum(np.diag(GB), 1e-300))
+        d, V = np.linalg.eigh(scale[:, None] * (GB + GB.T) * scale / 2.0)
+        keep = d > _GRAM_DROP * d[-1]
+        T = V[:, keep] / np.sqrt(d[keep])
+        GK = scale[:, None] * (GK + GK.T) * scale / 2.0
+        _, Y = np.linalg.eigh(np.einsum("ki,kl,lj->ij", T, GK, T))
+        c = scale * np.einsum("ij,j->i", T, Y[:, 0])
+        P = sum(ci * v for ci, v in zip(c[1:], cols[1:]))
+        KP = sum(ci * v for ci, v in zip(c[1:], kcols[1:]))
+        x = c[0] * x + P
+        Kx = c[0] * Kx + KP
+        steps += 1
 
 
 def monotonicity_gap(

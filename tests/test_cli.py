@@ -708,6 +708,18 @@ class TestSweep:
         assert "invalid at 'vary/alpha'" in err
         assert not out.exists()
 
+    def test_failing_case_raises_before_output(self, tmp_path, capsys):
+        # the whole torus at p = 3 passes the schema and is refused by the
+        # estimate itself, after the cases have started
+        base = {"n": 1, "N": 64, "L": 2.0, "p": 3.0, "omega": {"type": "full"}}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"task": "poincare", "base": base,
+                                    "vary": {"s": [0.5]}}))
+        out = tmp_path / "sw"
+        assert run(["sweep", "--config", path, "--out", out]) == 2
+        assert "whole torus" in capsys.readouterr().err
+        assert not out.exists()
+
 
 _WEIGHTS_BASE = {"n": 1, "N": 64, "L": 2.0, "origin": [-1.0], "x0": [0.0], "p": 2.0}
 

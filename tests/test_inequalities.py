@@ -101,14 +101,19 @@ class TestPoincare:
         assert abs(est.constant - lam_min**-0.5) <= 1e-8 * est.constant
         assert est.converged
 
-    def test_weighted_2d_eigensolve_matches_dense_oracle(self):
-        # the p = 2 pencil K u = lambda B u with a power weight in 2D: K
-        # assembled column by column, lambda_1 from the symmetric matrix
-        # B^(-1/2) K B^(-1/2)
-        g = make_grid(GridSpec(n=2, N=16, L=2.0))
-        X, Y = g.coords()
-        mask = (np.abs(X - 1.0) <= 0.45) & (np.abs(Y - 1.0) <= 0.45)
-        w = wt.power_weight(g, [1.0, 1.0], 0.5, 2.0)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_weighted_eigensolve_matches_dense_oracle(self, n):
+        # the p = 2 pencil K u = lambda B u with a power weight, on a 2D box
+        # and a 3D ball of 57 points: K assembled column by column, lambda_1
+        # from the symmetric matrix B^(-1/2) K B^(-1/2)
+        g = make_grid(GridSpec(n=n, N=16, L=2.0))
+        r = [c - 1.0 for c in g.coords()]
+        if n == 2:
+            mask = (np.abs(r[0]) <= 0.45) & (np.abs(r[1]) <= 0.45)
+        else:
+            mask = sum(c * c for c in r) <= 0.3 ** 2
+            assert mask.sum() == 57
+        w = wt.power_weight(g, [1.0] * n, 0.5, 2.0)
         est = iq.poincare_constant(g, mask, 0.5, 2.0, w=w, tol=1e-10)
         assert est.method == "lobpcg" and est.converged
         idx = np.flatnonzero(mask)
@@ -310,6 +315,21 @@ class TestPoincare:
         assert abs(est.constant - constant) <= 1e-10 * constant
         assert est.inner_iterations <= 341
 
+    @pytest.mark.parametrize("p,constant,iterations,inner", [
+        (1.5, 0.28348172632621293, 45, 115),
+        (3.0, 0.4205318852380666, 100, 251),
+    ])
+    def test_pinned_ball_estimate_3d(self, p, constant, iterations, inner):
+        # the inverse power loop on a 3D ball of 57 points with the default
+        # weight; a step rule may cut the counts but not move the constant
+        g = make_grid(GridSpec(n=3, N=16, L=2.0))
+        mask = sum((c - 1.0) ** 2 for c in g.coords()) <= 0.3 ** 2
+        est = iq.poincare_constant(g, mask, 0.5, p)
+        assert est.converged
+        assert abs(est.constant - constant) <= 1e-10 * constant
+        assert est.iterations <= iterations
+        assert est.inner_iterations <= inner
+
     def test_near_one_s_below_2_converges(self):
         # at p = 1.5, s = 0.9 an exact retry of each refused step left the
         # loop at residual 2e-7 after 200 steps and 482 CG; the energy step
@@ -350,7 +370,7 @@ class TestPoincare:
             m = sum(c * c for c in gt)
             return np.sum(m ** (p / 2.0)) / np.sum(np.abs(ut) ** p)
 
-        t = iq._quotient_minimum(prob, u, gu, d, gd)
+        t = sv._quotient_minimum(prob, u, gu, d, gd)
         assert t is not None and np.isfinite(t) and t > 0.0
         assert R(t) <= R(0.0)
 
@@ -364,7 +384,7 @@ class TestPoincare:
         mask = (x >= 0.7) & (x <= 1.3)
         reference = iq.poincare_constant(g, mask, 0.5, p)
         calls, tols, fallbacks = [], [], []
-        minimum, solve, update = iq._quotient_minimum, iq._solve_frozen, iq._damped_update
+        minimum, solve, update = sv._quotient_minimum, sv._solve_frozen, sv._damped_update
 
         def rejecting(*args):
             calls.append(None)
@@ -378,9 +398,9 @@ class TestPoincare:
             fallbacks.append(None)
             return update(*args)
 
-        monkeypatch.setattr(iq, "_quotient_minimum", rejecting)
-        monkeypatch.setattr(iq, "_solve_frozen", solve_frozen)
-        monkeypatch.setattr(iq, "_damped_update", damped_update)
+        monkeypatch.setattr(sv, "_quotient_minimum", rejecting)
+        monkeypatch.setattr(sv, "_solve_frozen", solve_frozen)
+        monkeypatch.setattr(sv, "_damped_update", damped_update)
         eigs = []
         for k in range(1, 9):
             calls.clear()
@@ -654,6 +674,17 @@ class TestDualRepresentation:
         assert [row["bound"] for row in rep.samples] == [0.0, 0.0]
         assert rep.verdict == "inconclusive"
         assert rep.family == "degenerate"
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
+    def test_exponent_outside_range_refused(self, p):
+        # p = 1 has no dual exponent: it is refused as the others are, not
+        # divided by zero
+        g = grid1()
+        gv = VectorField(g, (ScalarField(g, np.ones(128)),))
+        w = wt.tabulated_weight(g, np.ones(128), 2.0)
+        fam = iq.standard_family(g, seed=0, bumps=1, modes=0)
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            iq.dual_representation_check(gv, fam, 0.5, p, w)
 
 
 class TestEmbeddingChain:
