@@ -23,8 +23,8 @@ aligned tiling of level j reads a slice of pyramid level j, and a
 half-shifted one pairs of level j + 1 starting at its second block.  A
 tiling whose edge is <= h keeps only the cubes holding a grid point and
 reads, per axis, the base block holding it.  The plan also holds each
-tiling's kept corners, shape and offset in family order, and the point
-counts: one per tiling whose cubes share it, one per cube otherwise.
+tiling's kept corners, shape and offset in family order, and each cube's
+point count.
 
 An estimate is then one pass: each array's cube sums are read from its
 pyramid into one flat array in family order, checked once, and the term
@@ -34,6 +34,18 @@ to rounding even for weights spanning many orders of magnitude.  A cube
 whose sum is non-positive or non-finite, or whose term is NaN, raises
 instead of dropping out of the supremum, naming the cube a
 tiling-by-tiling sweep would meet first.
+
+An estimate reads each grid value once and allocates no full-grid array
+besides the weight, which a constructor that has just built it keeps
+without a copy.  A level that an aligned tiling reads whole (unpaired,
+every selection a full slice, the level's shape its own) is built by its
+last axis pass straight into that tiling's slot of the flat array.
+Level 0 is formed one slab of whole axis-0 planes at a time (at most
+_SLAB grid points, and one block more for the pairs across its end): the
+slab's w^expo, its base blocks, its level-0 reads (the pairs of the
+shifted finest tiling) and its part of level 1.  So the working set is
+the weight, the flat sums arrays, levels 1 and up (most of them in their
+slots) and one slab.
 
 Distance weights take the squared distance to M one line of M at a time.
 The points of M that share every coordinate but one axis form a line; along
@@ -76,9 +88,23 @@ __all__ = [
 ]
 
 
+def _positive(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite and strictly positive (a NaN is
+    not), from two reductions and no temporary array."""
+    return a.min() > 0.0 and a.max() < np.inf
+
+
+def _check_weight(values: np.ndarray, p: float) -> None:
+    if not _positive(values):
+        raise ValueError("weight values must be finite and strictly positive")
+    if not (1 < p < math.inf):
+        raise ValueError(f"weight exponent p must be finite and exceed 1, got {p}")
+
+
 @dataclass(frozen=True, eq=False)
 class Weight:
-    """Strictly positive grid function with family metadata."""
+    """Strictly positive grid function with family metadata.  The values are
+    read-only; the public constructor copies the caller's array."""
 
     grid: Grid
     values: np.ndarray
@@ -87,23 +113,41 @@ class Weight:
     in_class: bool | None = None
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values)
+        if np.iscomplexobj(v):
+            raise ValueError(f"weight values must be real, got dtype {v.dtype}")
         if v.shape != self.grid.spec.shape:
             raise ValueError("weight shape does not match grid")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise ValueError("weight values must be finite and strictly positive")
-        if not (1 < self.p < math.inf):
-            raise ValueError(f"weight exponent p must be finite and exceed 1, got {self.p}")
-        v = v.copy()
+        v = v.astype(np.float64)
+        _check_weight(v, self.p)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _own(cls, grid: Grid, values: np.ndarray, family: dict, p: float,
+             in_class: bool | None) -> Weight:
+        """Wrap a float64 array of the grid's shape that the library has just
+        built and holds no other reference to.  It is checked as the public
+        constructor checks it and marked read-only in place, not copied."""
+        _check_weight(values, p)
+        values.flags.writeable = False
+        w = object.__new__(cls)
+        for name, value in (("grid", grid), ("values", values), ("family", family),
+                            ("p", p), ("in_class", in_class)):
+            object.__setattr__(w, name, value)
+        return w
 
-def _distance_power(sq: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """The squared distances sq become distance^alpha in place, a zero
-    distance taken as h/2."""
+
+def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
+def _distance_power(sq: np.ndarray, zero, h: float, alpha: float) -> np.ndarray:
+    """The squared distances sq become distance^alpha in place, the zero
+    distances (sq[zero]) taken as h/2."""
     np.sqrt(sq, out=sq)
-    sq[sq == 0.0] = h / 2.0
+    sq[zero] = h / 2.0
     sq **= alpha
     return sq
 
@@ -115,22 +159,20 @@ def power_weight(grid: Grid, x0, alpha: float, p: float) -> Weight:
         raise ValueError(f"x0 must have {grid.spec.n} entries")
     if not all(math.isfinite(c) for c in x0):
         raise ValueError(f"x0 must be finite, got {x0}")
-    # the squares summed in axis order into one full-grid array
+    _check_alpha(alpha)
+    # the squares summed in axis order into the one full-grid array
     squares = [(x - c) ** 2 for x, c in zip(grid.sparse_coords(), x0)]
     sq = np.empty(grid.spec.shape)
     sq[...] = squares[0]
     for t in squares[1:]:
         sq += t
-    vals = _distance_power(sq, grid.h, alpha)
+    # a sum of squares is 0 exactly where every square is
+    zero = np.ix_(*(np.flatnonzero(t == 0.0) for t in squares))
+    vals = _distance_power(sq, zero, grid.h, alpha)
     n = grid.spec.n
     member = -n < alpha < n * (p - 1.0)
-    return Weight(
-        grid,
-        vals,
-        family={"kind": "power", "x0": list(x0), "alpha": alpha},
-        p=p,
-        in_class=member,
-    )
+    return Weight._own(grid, vals, {"kind": "power", "x0": list(x0), "alpha": alpha},
+                       p, member)
 
 
 def _lines(pts: np.ndarray):
@@ -170,6 +212,10 @@ def _nearest_squares(x: np.ndarray, along: np.ndarray, bounds: np.ndarray):
 #: grid points times lines of M summed at once, at most
 _LINE_BATCH = 2**16
 
+#: grid points of whole axis-0 planes a slab of w^expo owns, at most; it
+#: forms one block more (see _slabs)
+_SLAB = 2**15
+
 
 def distance_weight(
     grid: Grid, points, alpha: float, p: float, manifold_dim: int = 0
@@ -193,6 +239,7 @@ def distance_weight(
     k = int(manifold_dim)
     if not (0 <= k < grid.spec.n):
         raise ValueError(f"manifold dimension must be in [0, {grid.spec.n})")
+    _check_alpha(alpha)
     axes = grid.sparse_coords()
     d, shared, along, bounds = _lines(pts)
     sq = np.full(grid.spec.shape, np.inf)
@@ -216,16 +263,11 @@ def distance_weight(
         if len(terms) > 1:
             total = np.add(total, terms[-1], out=buf[:len(total)])
         np.minimum(sq, total[0] if len(total) == 1 else total.min(axis=0), out=sq)
-    vals = _distance_power(sq, grid.h, alpha)
+    vals = _distance_power(sq, sq == 0.0, grid.h, alpha)
     codim = grid.spec.n - k
     member = -codim < alpha < codim * (p - 1.0)
-    return Weight(
-        grid,
-        vals,
-        family={"kind": "distance", "alpha": alpha, "manifold_dim": k},
-        p=p,
-        in_class=member,
-    )
+    return Weight._own(grid, vals, {"kind": "distance", "alpha": alpha, "manifold_dim": k},
+                       p, member)
 
 
 def _check_p(p: float) -> None:
@@ -250,13 +292,8 @@ def dual_weight(w: Weight, p: float | None = None) -> Weight:
     p = w.p if p is None else float(p)
     _check_p(p)
     vals = w.values ** (-1.0 / (p - 1.0))
-    return Weight(
-        w.grid,
-        vals,
-        family={"kind": "tabulated", "dual_of": w.family},
-        p=p / (p - 1.0),
-        in_class=w.in_class,
-    )
+    return Weight._own(w.grid, vals, {"kind": "tabulated", "dual_of": w.family},
+                       p / (p - 1.0), w.in_class)
 
 
 @dataclass(frozen=True)
@@ -382,25 +419,37 @@ def _along(axis: int, sel):
     return (slice(None),) * axis + (sel,)
 
 
-def _pyramid(a: np.ndarray, base, depth: int):
-    """Levels 0..depth of a's dyadic pyramid (see the module docstring):
-    level 0 sums the base blocks along each axis (a view when every block
-    is one point), each next level adds pairs of the one before."""
-    x = a[tuple(slice(start, stop) for start, stop, *_ in base)]
-    for d, (start, stop, k, cuts, full) in enumerate(base):
+def _base(a: np.ndarray, axes, expo=None) -> np.ndarray:
+    """Level 0 of the dyadic pyramid of a**expo (of a when expo is None).
+    axes holds one (start, stop, blocks, cuts, full) per axis: the points
+    start:stop are summed in blocks of one length, or by reduceat at the
+    cuts (from start) into the non-empty blocks full, an empty block
+    holding 0.  A view of a when every block is one point and expo is None;
+    the power is taken over whole axis-0 planes."""
+    x = a[axes[0][0]:axes[0][1]]
+    if expo is not None:
+        x = x**expo
+    x = x[(slice(None),) + tuple(slice(start, stop) for start, stop, *_ in axes[1:])]
+    for d, (start, stop, k, cuts, full) in enumerate(axes):
         if cuts is not None:
             sums = np.add.reduceat(x, cuts, axis=d)
             x = np.zeros(x.shape[:d] + (k,) + x.shape[d + 1:])
             x[_along(d, full)] = sums
         elif stop - start > k:
             x = x.reshape(x.shape[:d] + (k, (stop - start) // k) + x.shape[d + 1:]).sum(d + 1)
-    levels = [x]
-    for _ in range(depth):
-        for d in range(x.ndim):
-            m = x.shape[d] // 2 * 2
-            x = x[_along(d, slice(0, m, 2))] + x[_along(d, slice(1, m, 2))]
-        levels.append(x)
-    return levels
+    return x
+
+
+def _halve(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The pyramid level after x: the sums of pairs of its blocks along each
+    axis in turn (a last odd block is dropped), the last pass written into
+    out when it is given."""
+    last = x.ndim - 1
+    for d in range(x.ndim):
+        m = x.shape[d] // 2 * 2
+        x = np.add(x[_along(d, slice(0, m, 2))], x[_along(d, slice(1, m, 2))],
+                   out=out if d == last else None)
+    return x
 
 
 def _pyramid_sums(levels, read, out: np.ndarray) -> None:
@@ -435,30 +484,49 @@ class _FamilyPlan:
     Per tiling, in family order: the edge, the kept corners per axis, the
     shape (cubes per axis), the flat offset of its first cube, with the
     family's cube count as the last offset, and its read of the pyramid.
-    The point counts come in runs of equal counts: one run per tiling
-    whose cubes share their count, one per cube otherwise."""
+    counts holds each cube's grid points (read-only), base the blocks of
+    level 0 per axis (see _base) and depth the last level read.
+    slots[level] is the tiling that reads that whole level, which is built
+    in its place, or None.  Each slab holds its axis-0 blocks (see _base;
+    one block past its own, for the pairs across its end), its own blocks
+    k0:k1, and its level-0 reads: per tiling, the rows along axis 0 whose
+    blocks start in the slab and the read shifted into it."""
 
     edges: list
     corners: list
     shapes: list
     offsets: list
-    points: np.ndarray
-    runs: np.ndarray
+    counts: np.ndarray
     base: list
     depth: int
     reads: list
+    slots: list
+    slabs: list
 
-    def sums(self, a: np.ndarray) -> np.ndarray:
-        """Every cube's sum of a, in family order, written into one array."""
+    def sums(self, a: np.ndarray, expo: float | None = None) -> np.ndarray:
+        """Every cube's sum of a**expo (of a when expo is None), in family
+        order, written into one array.  Level 0 is formed a slab at a time,
+        and each slab gives its level-0 reads and its part of level 1."""
         out = np.empty(self.offsets[-1])
-        levels = _pyramid(a, self.base, self.depth)
-        for read, lo, hi, shape in zip(self.reads, self.offsets, self.offsets[1:], self.shapes):
-            _pyramid_sums(levels, read, out[lo:hi].reshape(shape))
+        tiles = [out[lo:hi].reshape(shape)
+                 for lo, hi, shape in zip(self.offsets, self.offsets[1:], self.shapes)]
+        into = [None if t is None else tiles[t] for t in self.slots]
+        levels = [None]
+        if self.depth:
+            levels.append(np.empty(tuple(k >> 1 for _, _, k, _, _ in self.base))
+                          if into[1] is None else into[1])
+        for axis0, (k0, k1), reads in self.slabs:
+            x = _base(a, (axis0, *self.base[1:]), expo)
+            for t, rows, read in reads:
+                _pyramid_sums([x], read, tiles[t][rows])
+            if self.depth:
+                _halve(x[:k1 - k0], levels[1][k0 // 2:k1 // 2])
+        for level in range(2, self.depth + 1):
+            levels.append(_halve(levels[-1], into[level]))
+        for t, read in enumerate(self.reads):
+            if read[0] and self.slots[read[0]] != t:
+                _pyramid_sums(levels, read, tiles[t])
         return out
-
-    def counts(self) -> np.ndarray:
-        """The grid points in each cube, in family order."""
-        return np.repeat(self.points, self.runs)
 
     def factors(self, edge_factor) -> np.ndarray:
         """edge_factor(edge) per cube, in family order, called once per
@@ -546,13 +614,70 @@ def _compile_family(grid: Grid, cubes: CubeFamily) -> _FamilyPlan:
             points.append(count.ravel())
             runs.append(np.ones(count.size, dtype=np.intp))
     offsets = [0, *itertools.accumulate(math.prod(shape) for shape in shapes)]
-    return _FamilyPlan(edges, corners, shapes, offsets, np.concatenate(points),
-                       np.concatenate(runs), base, max(level for level, _, _ in reads), reads)
+    counts = np.repeat(np.concatenate(points), np.concatenate(runs))
+    counts.flags.writeable = False
+    depth = max(level for level, _, _ in reads)
+    return _FamilyPlan(edges, corners, shapes, offsets, counts, base, depth, reads,
+                       _slots(base, shapes, reads, depth), _slabs(grid, base, reads))
+
+
+def _slots(base, shapes, reads, depth: int) -> list:
+    """Per pyramid level, the first tiling that reads it whole: unpaired,
+    every selection a full slice, and the level's shape its own; or None.
+    Level 0 is never whole (see _slabs)."""
+    slots = [None] * (depth + 1)
+    for t, (level, paired, sels) in enumerate(reads):
+        whole = tuple(k >> level for _, _, k, _, _ in base)
+        if (level and not paired and slots[level] is None and shapes[t] == whole
+                and all(isinstance(sel, slice) and sel == slice(0, m, 1)
+                        for sel, m in zip(sels, whole))):
+            slots[level] = t
+    return slots
+
+
+def _slabs(grid: Grid, base, reads) -> list:
+    """Level 0 cut along axis 0 into slabs that own an even number of
+    blocks (two at least; the last may own fewer) of at most _SLAB grid
+    points of whole planes, and form one block more (see _FamilyPlan)."""
+    start, stop, k, cuts, full = base[0]
+    if cuts is None:
+        bounds = start + np.arange(k + 1) * ((stop - start) // k)
+    else:  # an empty block ends where it starts
+        bounds = np.full(k + 1, stop)
+        bounds[full] = start + cuts
+        bounds = np.minimum.accumulate(bounds[::-1])[::-1]
+    # the grid points of the planes of the longest block
+    row = grid.spec.N ** (grid.spec.n - 1) * max(1, int(np.diff(bounds).max()))
+    step = max(2, _SLAB // row // 2 * 2)
+    # per level-0 read, the blocks along axis 0 its rows start at
+    firsts = [(t, np.arange(k)[sels[0][0] if paired else sels[0]])
+              for t, (level, paired, sels) in enumerate(reads) if level == 0]
+    slabs = []
+    for k0 in range(0, k, step):
+        k1 = min(k0 + step, k)
+        end = min(k1 + 1, k)
+        lo, hi = int(bounds[k0]), int(bounds[end])
+        if cuts is None:
+            axis0 = (lo, hi, end - k0, None, None)
+        else:
+            filled = np.flatnonzero(np.diff(bounds[k0:end + 1]))
+            axis0 = (lo, hi, end - k0, bounds[k0 + filled] - lo, filled)
+        slab_reads = []
+        for t, first in firsts:
+            r0, r1 = (int(r) for r in np.searchsorted(first, (k0, k1)))
+            if r1 > r0:
+                _, paired, sels = reads[t]
+                local = first[r0:r1] - k0
+                sel = ((_select(local, 2), _select(local + 1, 2)) if paired
+                       else _select(local, 1))
+                slab_reads.append((t, slice(r0, r1), (0, paired, [sel, *sels[1:]])))
+        slabs.append((axis0, (k0, k1), slab_reads))
+    return slabs
 
 
 def _first_bad(a: np.ndarray) -> int | None:
     """The index of a's first non-positive or non-finite entry, or None."""
-    if a.min() > 0.0 and a.max() < np.inf:
+    if _positive(a):
         return None
     return int(np.argmax(~((a > 0.0) & (a < np.inf))))
 
@@ -561,18 +686,18 @@ def _family_sup(grid: Grid, arrays, term, cubes: CubeFamily, edge_factor=None):
     """Maximize term(count, sums, factor) over the family in one pass.
 
     The family's plan for the grid is compiled once and kept (see
-    CubeFamily._plan).  Each array's cube sums are written into one flat
-    array in family order, from one dyadic pyramid per array; arrays is
-    iterated once, so an array a generator yields is freed once its sums
-    are taken.  count holds each cube's grid points, and factor each cube's
+    CubeFamily._plan).  arrays holds (a, expo) pairs; each is summed as
+    a**expo (as a when expo is None) into one flat array in family order,
+    from one dyadic pyramid (see _FamilyPlan.sums), so no full-grid power
+    is formed.  count holds each cube's grid points, and factor each cube's
     edge_factor(edge) (None without one).
     term is called once, and one argmax picks the first maximal cube of the
     family.  A non-positive or non-finite sum or a NaN term raises, naming
     the cube a tiling-by-tiling sweep meets first: the first failing tiling,
     its arrays in order, then its term."""
     plan = cubes._plan(grid)
-    sums = [plan.sums(a) for a in arrays]
-    count = plan.counts()
+    sums = [plan.sums(a, expo) for a, expo in arrays]
+    count = plan.counts
     factor = None if edge_factor is None else plan.factors(edge_factor)
     bad = [k for k in map(_first_bad, sums) if k is not None]
     if not bad:
@@ -618,11 +743,8 @@ def _two_average(w: Weight, expo: float, power: float, cubes: CubeFamily, params
         out *= sums[0] / count
         return out
 
-    def arrays():  # w^expo is freed once its sums are taken
-        yield w.values
-        yield w.values**expo
-
-    return _estimate(w.grid, arrays(), term, cubes, {"family": w.family, **params})
+    return _estimate(w.grid, [(w.values, None), (w.values, expo)], term, cubes,
+                     {"family": w.family, **params})
 
 
 def ap_constant(w: Weight, p: float, cubes: CubeFamily) -> CubeEstimate:
@@ -657,23 +779,20 @@ def sawyer_wheeden_constant(
     pprime = p / (p - 1.0)
     hn = grid.h**n
 
-    def arrays():  # w* is freed once its sums are taken
-        yield v.values
-        yield w.values ** (-1.0 / (p - 1.0))
-
     # |Q|^(s/n-1) and |Q|^(s/n) come as factors, one Python float per edge:
     # numpy's power of an array may round otherwise
     def term(count, sums, factor):
         return factor * (hn * sums[0]) ** (1.0 / q) * (hn * sums[1]) ** (1.0 / pprime)
 
-    record = _estimate(grid, arrays(), term, cubes, {"s": s, "p": p, "q": q},
+    record = _estimate(grid, [(v.values, None), (w.values, -1.0 / (p - 1.0))], term, cubes,
+                       {"s": s, "p": p, "q": q},
                        edge_factor=lambda edge: (edge**n) ** (s / n - 1.0)).to_record()
     if v.values.shape == w.values.shape and np.array_equal(v.values, w.values):
 
         def single(count, sums, factor):
             return factor * (hn * sums[0]) ** (1.0 / q - 1.0 / p)
 
-        one = _estimate(grid, [w.values], single, cubes,
+        one = _estimate(grid, [(w.values, None)], single, cubes,
                         edge_factor=lambda edge: (edge**n) ** (s / n)).to_record()
         record["single_weight_constant"] = one["constant"]
         record["single_weight_argmax"] = one["argmax_cube"]
@@ -681,13 +800,19 @@ def sawyer_wheeden_constant(
 
 
 def weighted_measure(w: Weight, region) -> float:
-    """w(U) = grid quadrature of w over U (a (corner, edge) cube or a mask)."""
+    """w(U) = grid quadrature of w over U: a bool mask of the grid's shape,
+    or a (corner, edge) cube."""
     grid = w.grid
     hn = grid.h**grid.spec.n
     if isinstance(region, np.ndarray) and region.dtype == bool:
         if region.shape != grid.spec.shape:
             raise ValueError("mask shape does not match grid")
         return float(hn * np.sum(w.values[region]))
+    if not isinstance(region, (tuple, list)) or len(region) != 2:
+        got = (f"an array of dtype {region.dtype}" if isinstance(region, np.ndarray)
+               else repr(region))
+        raise ValueError("region must be a bool mask of the grid's shape or a (corner, edge) "
+                         f"cube, got {got}")
     corner, edge = region
     corner = np.atleast_1d(np.asarray(corner, dtype=np.float64))
     if corner.shape != (grid.spec.n,):

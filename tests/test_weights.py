@@ -1,5 +1,8 @@
 """Muckenhoupt weight and cube-family estimator tests."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,47 @@ class TestConstructors:
             wt.distance_weight(g, [[0.0, 0.0], [0.5, bad]], 0.5, 2.0)
         with pytest.raises(ValueError, match="x0 must be finite"):
             wt.power_weight(g, [bad, 0.0], 0.5, 2.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha_refused(self, alpha):
+        # a NaN alpha was reported as non-finite weight values
+        g = make_grid(GridSpec(n=2, N=16, L=2.0, origin=(-1.0, -1.0)))
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            wt.power_weight(g, [0.0, 0.0], alpha, 2.0)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            wt.distance_weight(g, [[0.0, 0.0]], alpha, 2.0)
+
+    def test_complex_values_refused(self):
+        # the imaginary part was dropped with a ComplexWarning
+        g = centered_grid(N=64)
+        with pytest.raises(ValueError, match="must be real"):
+            wt.tabulated_weight(g, np.ones(64) + 1j * np.ones(64), 2.0)
+        with pytest.raises(ValueError, match="must be real"):
+            wt.tabulated_weight(g, np.ones(64, dtype=complex), 2.0)
+
+    def test_values_copied_or_owned(self):
+        # the public constructor copies the caller's array; the built
+        # weights own theirs; every weight's values are read-only
+        g = centered_grid(N=64)
+        a = np.linspace(1.0, 2.0, 64)
+        w = wt.tabulated_weight(g, a, 2.0)
+        a[:] = 5.0
+        assert np.array_equal(w.values, np.linspace(1.0, 2.0, 64))
+        built = wt.power_weight(g, [0.0], 0.5, 2.0)
+        for v in (w, built, wt.distance_weight(g, [[0.25]], 0.5, 2.0), wt.dual_weight(built)):
+            assert v.values.dtype == np.float64 and not v.values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                v.values[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_own_checks_as_the_constructor(self, bad):
+        g = centered_grid(N=64)
+        vals = np.ones(64)
+        vals[7] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            wt.Weight._own(g, vals, {"kind": "tabulated"}, 2.0, None)
+        with pytest.raises(ValueError, match="p must be finite and exceed 1"):
+            wt.Weight._own(g, np.ones(64), {"kind": "tabulated"}, 1.0, None)
 
     def test_weight_rejects_nonpositive(self):
         g = centered_grid(N=64)
@@ -390,6 +434,16 @@ class TestWeightedMeasure:
         with pytest.raises(ValueError, match=match):
             wt.weighted_measure(w, (corner, edge))
 
+    @pytest.mark.parametrize("region", [np.ones(32 * 32, dtype=int),
+                                        np.ones((32, 32), dtype=int), 0.5,
+                                        ((0.25, 0.25), 0.5, 1)])
+    def test_region_of_another_form_refused(self, region):
+        # an int mask raised "too many values to unpack (expected 2)"
+        g = make_grid(GridSpec(n=2, N=32, L=1.5))
+        w = wt.tabulated_weight(g, np.ones((32, 32)), 2.0)
+        with pytest.raises(ValueError, match=r"bool mask of the grid's shape or a \(corner, edge\)"):
+            wt.weighted_measure(w, region)
+
     def test_dyadic_cubes_start_on_their_grid_points(self):
         # at N = 4096 the rounding of (corner - origin) / h reaches 1e-12
         # cells; a tolerance of 1e-9 h cells moved 127 of these starts and
@@ -632,7 +686,7 @@ class TestReshapeCubeSums:
                 r.extend(a.ravel().tolist())
             return sums[0]
 
-        wt._family_sup(g, arrays, capture, fam)
+        wt._family_sup(g, [(a, None) for a in arrays], capture, fam)
         for r, a in zip(ref, got):
             r, a = np.array(r), np.array(a)
             assert r.shape == a.shape
@@ -700,6 +754,14 @@ class TestDyadicPyramid:
 # ---------------------------------------------------------------------------
 
 
+def _whole_pyramid(a, plan):
+    """Every level of a's dyadic pyramid, each formed whole."""
+    levels = [wt._base(a, plan.base)]
+    for _ in range(plan.depth):
+        levels.append(wt._halve(levels[-1]))
+    return levels
+
+
 def _sweep_pyramid_sums(levels, read):
     level, paired, sels = read
     x = levels[level]
@@ -718,7 +780,7 @@ def _sweep_sup(grid, arrays, term, fam):
     sums read from the same pyramid; the first maximal cube wins, and the
     first tiling with a bad sum (arrays in order) or a NaN term raises."""
     plan = fam._plan(grid)
-    pyramids = [wt._pyramid(a, plan.base, plan.depth) for a in arrays]
+    pyramids = [_whole_pyramid(a, plan) for a in arrays]
     best, best_cube = -np.inf, None
     for edge, kept, read in zip(plan.edges, plan.corners, plan.reads):
         count = 1
@@ -799,7 +861,7 @@ class TestOnePass:
                 def edge_factor(edge):
                     return (edge**n) ** (s / n - 1.0)
                 seen = []
-                wt._family_sup(g, [np.ones(g.spec.shape)],
+                wt._family_sup(g, [(np.ones(g.spec.shape), None)],
                                lambda c, sums, f: seen.append(f) or sums[0], fam, edge_factor)
                 want = np.concatenate([np.full(k, edge_factor(e)) for k, e in zip(sizes, edges)])
                 assert np.array_equal(seen[0], want)
@@ -813,7 +875,7 @@ class TestOnePass:
         with pytest.raises(ValueError) as want:
             _sweep_sup(g, arrays, term, fam)
         with pytest.raises(ValueError) as got:
-            wt._family_sup(g, arrays, term, fam)
+            wt._family_sup(g, [(a, None) for a in arrays], term, fam)
         assert str(got.value) == str(want.value)
         return str(got.value)
 
@@ -895,7 +957,7 @@ class TestPlanCubes:
         plan = fam._plan(g)
         vals = np.exp(1.5 * np.random.default_rng(n * 10 + N).standard_normal(g.spec.shape))
         w = wt.tabulated_weight(g, vals, 2.0)
-        counts, sums = plan.counts(), plan.sums(vals)
+        counts, sums = plan.counts, plan.sums(vals)
         hn = g.h**n
         for t, shape in enumerate(plan.shapes):
             for k in range(int(np.prod(shape))):
@@ -911,14 +973,14 @@ class TestPlanCubes:
         n, N = 3, 16
         g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
         sizes = []
-        pyramid = wt._pyramid
+        # level 0, a slab at a time, and each level after it
+        for name in ("_base", "_halve"):
+            def recording(*args, build=getattr(wt, name)):
+                x = build(*args)
+                sizes.append(x.size)
+                return x
 
-        def recording(a, base, depth):
-            levels = pyramid(a, base, depth)
-            sizes.extend(x.size for x in levels)
-            return levels
-
-        monkeypatch.setattr(wt, "_pyramid", recording)
+            monkeypatch.setattr(wt, name, recording)
         vals = np.exp(np.random.default_rng(3).standard_normal(g.spec.shape))
         w = wt.tabulated_weight(g, vals, 2.0)
         fine = wt.ap_constant(w, 2.0, wt.CubeFamily(lo=(-1.0,) * n, size=2.0, level_max=8))
@@ -928,6 +990,95 @@ class TestPlanCubes:
         coarse = wt.ap_constant(w, 2.0, wt.CubeFamily(lo=(-1.0,) * n, size=2.0, level_max=4))
         assert fine.value > 1.0
         assert (fine.value, fine.argmax_cube) == (coarse.value, coarse.argmax_cube)
+
+    # a full box, whose aligned tilings read levels 1.. whole, and a sub-box
+    # whose shifted cubes overhang it, so its levels 1 and 2 run past the
+    # aligned tilings of levels 2 and 1
+    @pytest.mark.parametrize("n, N, fam, slots", [
+        (2, 64, dict(lo=(-1.0, -1.0), size=2.0, level_min=2, level_max=5, shifted=False),
+         [None, 2, 1, 0]),
+        (2, 32, dict(lo=(-0.5, 0.0), size=1.0, level_max=4), [None, None, None, 1, 0]),
+    ])
+    def test_levels_built_into_slots(self, n, N, fam, slots):
+        # both families are ONE_PASS_CASES, so their estimates are also
+        # checked bitwise against the sweep
+        assert (n, N, 2.0, fam) in ONE_PASS_CASES
+        g = make_grid(GridSpec(n=n, N=N, L=2.0, origin=(-1.0,) * n))
+        plan = wt.CubeFamily(**fam)._plan(g)
+        assert plan.slots == slots
+        # a level built in its slot holds what a whole pyramid holds
+        vals = np.exp(np.random.default_rng(5).standard_normal(g.spec.shape))
+        levels = _whole_pyramid(vals, plan)
+        sums = plan.sums(vals)
+        for level, t in enumerate(plan.slots):
+            if t is not None:
+                got = sums[plan.offsets[t]:plan.offsets[t + 1]].reshape(plan.shapes[t])
+                assert np.array_equal(got, levels[level])
+
+    @pytest.mark.parametrize("n, N, L, fam", ONE_PASS_CASES + [
+        # off the lattice, its last base block holds no grid point
+        (1, 32, 2.0, dict(lo=(0.48,), size=0.46, level_max=5))])
+    def test_slab_size_leaves_sums_bitwise(self, monkeypatch, n, N, L, fam):
+        # slabs of two blocks and up: pairs across a slab's end, a last
+        # slab of one block (also of one empty block), and off-lattice
+        # bases summed by reduceat
+        g = make_grid(GridSpec(n=n, N=N, L=L, origin=(-L / 2,) * n))
+        vals = np.exp(1.5 * np.random.default_rng(n * 10 + N).standard_normal(g.spec.shape))
+        whole = wt.CubeFamily(**fam)._plan(g)
+        assert len(whole.slabs) == 1
+        want = [whole.sums(vals), whole.sums(vals, -0.5), whole.sums(vals, -1.0)]
+        plane = N ** (n - 1)
+        for size in (1, 4 * plane, 6 * plane):
+            monkeypatch.setattr(wt, "_SLAB", size)
+            plan = wt.CubeFamily(**fam)._plan(g)
+            assert len(plan.slabs) > 1
+            got = [plan.sums(vals), plan.sums(vals, -0.5), plan.sums(vals, -1.0)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestWorkingSet:
+    """tracemalloc peaks against an inventory of the arrays a call holds at
+    once, in bytes: no full-grid array but the weight's own."""
+
+    N = 64
+    #: the Weight, its family dict and index tuples, and the plan's views
+    OBJECTS = 4096
+
+    def grid(self):
+        return make_grid(GridSpec(n=3, N=self.N, L=2.0, origin=(-1.0,) * 3))
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_power_weight_builds_one_grid_array(self):
+        # the array, the coordinates and their squares per axis, and numpy's
+        # ufunc buffer (the sum of squares broadcasts its operand)
+        g = self.grid()
+        bound = 8 * (self.N**3 + 2 * 3 * self.N + np.getbufsize()) + self.OBJECTS
+        assert self.peak(lambda: wt.power_weight(g, [0.0] * 3, 0.5, 2.0)) <= bound
+
+    def test_ap_constant_forms_no_full_grid_power(self):
+        g = self.grid()
+        fam = wt.CubeFamily(lo=(-1.0,) * 3, size=2.0, level_max=5)
+        plan = fam._plan(g)  # compiled once per grid, before the call
+        assert len(plan.slabs) > 1
+        levels = sum(math.prod(k >> level for _, _, k, _, _ in plan.base)
+                     for level in range(1, plan.depth + 1))
+        bound = 8 * (
+            self.N**3  # the weight
+            + 4 * plan.offsets[-1]  # two flat sums arrays and the term's two quotients
+            + levels  # pyramid levels 1 and up
+            + 2 * wt._SLAB  # one slab of w^expo and its passes
+            + np.getbufsize()  # numpy's ufunc buffer
+        ) + self.OBJECTS
+        assert self.peak(lambda: wt.ap_constant(
+            wt.power_weight(g, [0.0] * 3, 0.5, 2.0), 2.0, fam)) <= bound
 
 
 class TestWideRangeDualWeights:
