@@ -424,8 +424,6 @@ def _build_problem(config: dict, base_dir: Path):
             rhs_cfg["radius"],
             rhs_cfg.get("sharpness", 1.0),
         )
-        if np.any(ustar.values[~mask] != 0.0):
-            raise ConfigError("manufactured bump must be supported inside omega")
         prob = sv.manufacture(
             grid, mask, s, p, w, ustar, matrix=matrix, c1=c1, c2=c2
         )

@@ -44,7 +44,6 @@ spectral route; it never touches a symbol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -54,7 +53,6 @@ from .grid import Grid, ScalarField, VectorField
 
 __all__ = [
     "MULTIPLIER_KINDS",
-    "FracConstants",
     "symbol",
     "lattice_symbol",
     "apply_multiplier",
@@ -69,7 +67,6 @@ __all__ = [
     "gs_multiplier",
     "spectral_gradient",
     "spectral_divergence",
-    "constants",
     "gradient_normalization",
     "riesz_normalization",
 ]
@@ -396,19 +393,6 @@ def spectral_divergence(v: VectorField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FracConstants:
-    """Gradient constant c_{n,s} and Riesz-potential constant gamma_{n,s}.
-
-    Their product across complementary orders satisfies the exact identity
-    gamma_{n,1-s} * c_{n,s} = n + s - 1 (a Gamma-recurrence consequence of
-    the two closed forms).
-    """
-
-    c: float
-    gamma: float
-
-
 def gradient_normalization(n: int, s: float) -> float:
     """c_{n,s} = Gamma((n+s+1)/2) / (pi^(n/2) 2^(-s) Gamma((1-s)/2))."""
     if not (-1.0 < s < 1.0):
@@ -430,15 +414,6 @@ def riesz_normalization(n: int, sigma: float) -> float:
         + sigma * math.log(2.0)
         + math.lgamma(sigma / 2.0)
         - math.lgamma((n - sigma) / 2.0)
-    )
-
-
-def constants(n: int, s: float) -> FracConstants:
-    """Both constants at order s (s in (0, 1) so both formulas are pole-free)."""
-    if not (0.0 < s < 1.0):
-        raise ValueError(f"constants needs s in (0, 1), got {s}")
-    return FracConstants(
-        c=gradient_normalization(n, s), gamma=riesz_normalization(n, s)
     )
 
 

@@ -246,25 +246,6 @@ class VectorField:
             acc += c.values * c.values
         return np.sqrt(acc, out=acc)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(
-            self.grid,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        _check_same_grid(self, other)
-        return VectorField(
-            self.grid,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
-
-    def __mul__(self, a: float) -> "VectorField":
-        return VectorField(self.grid, tuple(c * a for c in self.components))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:

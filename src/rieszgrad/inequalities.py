@@ -133,17 +133,6 @@ class InequalityReport:
     verdict: str
     samples: list[dict] = field(default_factory=list)
 
-    def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "family": self.family,
-            "max_ratio": self.max_ratio,
-            "median_ratio": self.median_ratio,
-            "reference": self.reference,
-            "verdict": self.verdict,
-        }
-
 
 def _verdict(maxval: float, cap: float) -> str:
     return "bounded" if maxval <= cap else "inconclusive"

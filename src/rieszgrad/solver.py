@@ -548,22 +548,38 @@ def _line_minimum(prob, f, u, gu, d, gd, eps, e0, slope, fd):
     return _line_search(prob, f, u, gu, d, gd, eps, e0, slope)
 
 
-def _damped_update(st, a, d, inner, minimize):
-    """Count the inner solve that gave d (inner: its CG iterations, whether
-    it converged and the tolerance its CG was given, which make its row of
-    details["steps"]), then step from u along d on the regularized energy,
-    whose slope along d is h^n (sum a grad^s u . grad^s d - f . d) for
-    a = _coeff at u: to the energy's minimum along d when minimize is set,
-    else by the halving search from t = 1.  Records the energy and the step
-    length."""
-    its, inner_ok, tol = inner
+def _count_inner(st, its, ok, tol):
+    """Count an inner solve (its CG iterations, whether it converged and the
+    tolerance its CG was given) into st.counts, with its row of
+    details["steps"]."""
     st.counts["inner_iterations"] += its
-    st.counts["inner_unconverged"] += not inner_ok
+    st.counts["inner_unconverged"] += not ok
     st.counts["steps"].append({"inner_iterations": its,
-                               "inner_converged": bool(inner_ok),
+                               "inner_converged": bool(ok),
                                "inner_tol": float(tol),
                                "eps": float(st.eps)})
-    gd = st.prob.kit.grad(d)
+
+
+def _frozen_step(st, tol):
+    """Freeze the coefficient a = _coeff at u, solve the frozen problem by
+    CG from u to tol and count that solve; returns (a, d, grad^s d) with
+    d = P(u_hat - u).  A truncated CG from u still lowers the frozen
+    quadratic energy, whose gradient at u is the regularized energy's, so d
+    stays a descent direction, and an inner solve that misses its tolerance
+    still supplies it."""
+    prob = st.prob
+    a = _coeff(prob.weight.values, prob.p, st.gu, st.eps)
+    uhat, (its, ok) = _solve_frozen(prob, a, st.f, st.u, tol)
+    _count_inner(st, its, ok, tol)
+    d = prob.project(uhat - st.u)
+    return a, d, prob.kit.grad(d)
+
+
+def _damped_update(st, a, d, gd, minimize):
+    """Step from u along d, gd = grad^s d, on the regularized energy, whose
+    slope along d is h^n (sum a grad^s u . gd - f . d) for a = _coeff at u:
+    to the energy's minimum along d when minimize is set, else by the
+    halving search from t = 1.  Records the energy and the step length."""
     e0 = _energy(st.prob, st.f, st.u, st.eps, st.gu)
     fd = _sum(st.f * d)
     slope = st.prob.kit.hn * (sum(_sum(a * c * cd) for c, cd in zip(st.gu, gd)) - fd)
@@ -584,20 +600,14 @@ def _kacanov_tol(r: float) -> float:
 
 
 def _kacanov_step(st):
-    """Solve the problem with its coefficient frozen at u, then move to the
-    regularized energy's minimum along the step.  The energy's Hessian lies
-    between p - 1 and 1 times the frozen operator (either way round), so the
-    full step only contracts the error by about |2 - p|; at p = 2 the
-    minimum is t = 1.  The frozen solve starts from u and stops at
+    """Solve the problem with its coefficient frozen at u (_frozen_step),
+    then move to the regularized energy's minimum along the step.  The
+    energy's Hessian lies between p - 1 and 1 times the frozen operator
+    (either way round), so the full step only contracts the error by about
+    |2 - p|; at p = 2 the minimum is t = 1.  The frozen solve stops at
     _kacanov_tol of the last certificate, the start's on a solve's first
-    step.  A truncated CG from u still lowers the frozen quadratic energy,
-    whose gradient at u is the regularized energy's, so the step stays a
-    descent direction."""
-    a = _coeff(st.prob.weight.values, st.prob.p, st.gu, st.eps)
-    tol = _kacanov_tol(st.residuals[-1])
-    uhat, inner = _solve_frozen(st.prob, a, st.f, st.u, tol)
-    # an inner solve that misses its tolerance still supplies the step
-    _damped_update(st, a, st.prob.project(uhat - st.u), (*inner, tol), True)
+    step."""
+    _damped_update(st, *_frozen_step(st, _kacanov_tol(st.residuals[-1])), True)
 
 
 def _newton_step(st):
@@ -627,8 +637,9 @@ def _newton_step(st):
     prec = _make_precond(prob, a)
     d, history, ok = _cg(apply_H, prec, b, np.zeros_like(b), forcing, _MAX_CG)
     d = prob.project(d)
+    _count_inner(st, len(history) - 1, ok, forcing)
     # Newton's natural step is 1: minimizing along d costs more CG overall
-    _damped_update(st, a, d, (len(history) - 1, ok, forcing), False)
+    _damped_update(st, a, d, kit.grad(d), False)
 
 
 def _descent_stage(st):
@@ -935,11 +946,15 @@ def _first_eigenpair(prob: PDEProblem, u: np.ndarray, tol: float, max_iter: int)
     nonlinear inverse power iteration (Hein & Buehler, NIPS 2010; method
     "inverse_power") on one solve state whose steps change only its f = B u:
     each starts at u0 = u lambda^(-1/(p-1)), the energy's minimizer on the
-    ray through u, and takes _quotient_step forced at _kacanov_tol of the
-    eigen-residual.  Either way lambda never rises.  lambda is the Rayleigh
-    quotient <u, Tu> / <u, Bu> and the residual ||Tu - lambda Bu|| /
-    (lambda ||Bu||), both taken afresh at the returned u; converged needs
-    the residual below tol and no failed inner solve or line search."""
+    ray through u, and takes the frozen step of _frozen_step, its solve
+    forced at _kacanov_tol of the eigen-residual: along d = u_hat - u0 to
+    the minimum of the Rayleigh quotient R(u0 + t d) (_quotient_minimum),
+    or, when no t lowers R, to the frozen problem's energy minimum along the
+    same d, as a Kacanov step does.  Either way lambda never rises.  lambda
+    is the Rayleigh quotient <u, Tu> / <u, Bu> and the residual
+    ||Tu - lambda Bu|| / (lambda ||Bu||), both taken afresh at the returned
+    u; converged needs the residual below tol and no failed inner solve or
+    line search."""
     w, p = prob.weight, prob.p
 
     def eigen(u):
@@ -962,7 +977,12 @@ def _first_eigenpair(prob: PDEProblem, u: np.ndarray, tol: float, max_iter: int)
     while res >= tol and iters < max_iter:
         st.f = prob.project(Bu)
         st.start(u * lam ** (-1.0 / (p - 1.0)))
-        _quotient_step(st, _kacanov_tol(res))
+        a, d, gd = _frozen_step(st, _kacanov_tol(res))
+        t = _quotient_minimum(prob, st.u, st.gu, d, gd)
+        if t is None:
+            _damped_update(st, a, d, gd, True)
+        else:
+            st.u = st.u + t * d
         sol = ScalarField(prob.grid, prob.project(st.u))
         u = sol.values / lp_norm(sol, p, w)
         Bu, lam, res = eigen(u)
@@ -970,27 +990,6 @@ def _first_eigenpair(prob: PDEProblem, u: np.ndarray, tol: float, max_iter: int)
     failures = st.counts["inner_unconverged"] + st.counts["line_search_failures"]
     return (lam, res, iters, res < tol and failures == 0, "inverse_power",
             st.counts["inner_iterations"])
-
-
-def _quotient_step(st, forced):
-    """One inverse power step at p != 2 from the solve state's start u0,
-    with f = B u: the frozen solve at u0 by CG from u0 to forced gives u_hat,
-    and the step moves along d = u_hat - u0 to the minimum of the Rayleigh
-    quotient R(u0 + t d) (_quotient_minimum).  When no t lowers R, the step
-    moves along the same d to the frozen problem's energy minimum, as a
-    Kacanov step does.  The inner solve is counted in st.counts."""
-    prob, u0, g0 = st.prob, st.u, st.gu
-    a = _coeff(prob.weight.values, prob.p, g0, st.eps)
-    uhat, (its, ok) = _solve_frozen(prob, a, st.f, u0, forced)
-    d = prob.project(uhat - u0)
-    t = _quotient_minimum(prob, u0, g0, d, prob.kit.grad(d))
-    if t is None:
-        # the energy step counts the solve itself
-        _damped_update(st, a, d, (its, ok, forced), True)
-    else:
-        st.counts["inner_iterations"] += its
-        st.counts["inner_unconverged"] += not ok
-        st.u = u0 + t * d
 
 
 def _quotient_minimum(prob, u, gu, d, gd):

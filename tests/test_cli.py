@@ -858,3 +858,42 @@ class TestEmit:
             with pytest.raises(ValueError, match=message):
                 cli.emit(obj, tmp_path / name)
         assert list(tmp_path.iterdir()) == []
+
+
+def solve_argv(tmp_path, **changes):
+    """solve on SOLVE_CFG with the given sections replaced; a field file
+    f.bin on a 1D grid of N = 64, not the config's 128, sits beside it."""
+    write_field(bump(make_grid(GridSpec(n=1, N=64, L=2.0)), [1.0], 0.3), tmp_path / "f.bin")
+    path = tmp_path / "prob.json"
+    path.write_text(json.dumps(with_keys(SOLVE_CFG, **changes)))
+    return ["solve", "--config", path]
+
+
+def op_argv(tmp_path):
+    """div on two 2D fields whose grids differ in L."""
+    for name, L in (("a.bin", 1.0), ("b.bin", 2.0)):
+        g = make_grid(GridSpec(n=2, N=16, L=L))
+        write_field(bump(g, [L / 2, L / 2], L / 5), tmp_path / name)
+    return ["op", "div", "--in", tmp_path / "a.bin", tmp_path / "b.bin", "--s", 0.5]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(lambda t: solve_argv(t, omega={"type": "ball", "center": [1.0, 1.0],
+                                                "radius": 0.3}),
+                 "omega/center has wrong dimension", id="omega center"),
+    pytest.param(lambda t: solve_argv(t, omega={"type": "box", "lo": [0.6, 0.6],
+                                                "hi": [1.4, 1.4]}),
+                 "omega/lo,hi have wrong dimension", id="omega lo hi"),
+    pytest.param(lambda t: solve_argv(t, rhs={"kind": "field", "path": "f.bin"}),
+                 "field file grid does not match config grid", id="field grid"),
+    # the bump's support [0.55, 1.45] leaves omega = [0.6, 1.4]
+    pytest.param(lambda t: solve_argv(t, rhs={"kind": "manufactured", "center": [1.0],
+                                              "radius": 0.45}),
+                 "u_star must vanish outside the interior mask", id="bump outside omega"),
+    pytest.param(op_argv, "input fields live on different grids", id="op grids"),
+])
+def test_refusals_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert run([*argv(tmp_path), "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -173,6 +173,13 @@ class TestDivergence:
             np.abs(two.values)
         )
 
+    @pytest.mark.parametrize("s", [0.0, 1.0, -0.5, 1.5])
+    def test_order_outside_unit_interval_refused(self, s):
+        g = grid1()
+        v = VectorField(g, (ScalarField(g, np.ones(128)),))
+        with pytest.raises(ValueError, match=rf"fractional_divergence needs s in \(0, 1\), got {s}"):
+            fo.fractional_divergence(v, s)
+
 
 #: (kind, order) for every multiplier kind, orders valid in n = 1, 2, 3
 HALF_SPECTRUM_CASES = (
@@ -593,13 +600,6 @@ class TestConstants:
             fo.gradient_normalization(1, 1.0)
         with pytest.raises(ValueError):
             fo.riesz_normalization(1, 1.0)
-        with pytest.raises(ValueError):
-            fo.constants(2, 0.0)
-
-    def test_constants_bundle(self):
-        c = fo.constants(1, 0.5)
-        assert c.c == fo.gradient_normalization(1, 0.5)
-        assert c.gamma == fo.riesz_normalization(1, 0.5)
 
 
 class TestIdentities:

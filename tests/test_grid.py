@@ -369,3 +369,24 @@ def test_remove_mean():
     g = make_grid(GridSpec(n=1, N=32, L=1.0))
     u = ScalarField(g, np.arange(32.0))
     assert abs(remove_mean(u).mean()) < 1e-13
+
+
+#: two 1D grids and a 2D one, and unit fields on them
+G8 = make_grid(GridSpec(n=1, N=8, L=1.0))
+G16 = make_grid(GridSpec(n=1, N=16, L=1.0))
+G2D = make_grid(GridSpec(n=2, N=8, L=1.0))
+ONE8, ONE16 = ScalarField(G8, np.ones(8)), ScalarField(G16, np.ones(16))
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: ONE8 + ONE16, "fields live on different grids", id="add"),
+    pytest.param(lambda: ONE8 - ONE16, "fields live on different grids", id="sub"),
+    pytest.param(lambda: VectorField(G2D, (
+        ScalarField(G2D, np.ones((8, 8))),
+        ScalarField(make_grid(GridSpec(n=2, N=8, L=2.0)), np.ones((8, 8))))),
+                 "components live on different grids", id="vector components"),
+    pytest.param(lambda: bump(G2D, [0.5], 0.2), "center must have 2 entries", id="bump center"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -415,6 +415,29 @@ class TestPoincare:
         # a fallback steps on the forced solve: no solve is retried at 1e-12
         assert fallbacks and sv._INNER_TOL not in tols
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_fallback_transforms_the_step_once(self, monkeypatch, p):
+        # every quotient step is refused, so every step falls back to the
+        # energy step along the same d: the quotient's search and the energy
+        # step share one grad^s d
+        grad, steps, inputs = fo._RieszOps.grad, [], []
+
+        def counted_grad(self, u):
+            inputs.append(u)
+            return grad(self, u)
+
+        def rejecting(prob, u, gu, d, gd):
+            steps.append(d)
+            return None
+
+        monkeypatch.setattr(fo._RieszOps, "grad", counted_grad)
+        monkeypatch.setattr(sv, "_quotient_minimum", rejecting)
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        est = iq.poincare_constant(g, (x >= 0.7) & (x <= 1.3), 0.5, p, max_iter=3)
+        assert est.iterations == len(steps) == 3
+        assert [sum(v is d for v in inputs) for d in steps] == [1, 1, 1]
+
     def test_one_operator_kit_per_estimate(self, monkeypatch):
         # the steps share the estimate's operators instead of rebuilding
         # them (and their symbols) per step
@@ -449,6 +472,17 @@ class TestPoincare:
         est = iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 3.0)
         assert est.iterations > 1
         assert len(made) == 1
+
+    @pytest.mark.parametrize("member", [
+        pytest.param(lambda g: np.zeros(256), id="zero"),
+        pytest.param(lambda g: bump(g, [0.4], 0.2).values, id="outside omega"),
+    ])
+    def test_no_usable_member_refused(self, member):
+        g = grid1(N=256, L=2.0)
+        x = g.axes[0]
+        family = [ScalarField(g, member(g))]
+        with pytest.raises(ValueError, match="no usable family member inside the mask"):
+            iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 3.0, family=family)
 
     def test_general_p_converges(self):
         # the default case of `rieszgrad poincare --s 0.5 --p 3`
@@ -530,6 +564,15 @@ class TestGagliardoNirenberg:
         w = wt.power_weight(g, [0.5], 0.5, 2.5)
         rep = iq.gn_report(fam, 0.1, 0.4, 0.8, 2.5, w)
         assert rep.verdict == "bounded"
+
+    def test_zero_family_inconclusive(self):
+        # every member's denominator vanishes: each is skipped, and the
+        # report is inconclusive rather than a refusal
+        g = grid1()
+        zero = ScalarField(g, np.zeros(128))
+        rep = iq.gn_report([zero, zero], 0.2, 0.5, 0.8, 2.0)
+        assert rep.verdict == "inconclusive"
+        assert rep.family == "degenerate" and rep.samples == []
 
 
 class TestSobolev:

@@ -83,6 +83,58 @@ class TestProblemValidation:
                           matrix=A, c1=0.5, c2=2.0)
 
 
+def problem_1d(**changes):
+    """The 1D problem of setup_1d at s = 1/2, p = 2 with zero data, with the
+    given fields replaced."""
+    g, mask, w = setup_1d()
+    fields = dict(grid=g, mask=mask, s=0.5, p=2.0, weight=w,
+                  rhs=ScalarField(g, np.zeros(g.spec.shape)))
+    fields.update(changes)
+    return sv.PDEProblem(**fields)
+
+
+#: setup_1d's grid is n = 1, N = 128, L = 2; these live on N = 64
+OTHER_GRID = make_grid(GridSpec(n=1, N=64, L=2.0))
+OTHER_FIELD = ScalarField(OTHER_GRID, np.zeros(64))
+#: the identity matrix field on setup_1d's grid: elliptic with c1 = c2 = 1
+IDENTITY = np.ones((1, 1, 128))
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: problem_1d(mask=np.ones(64, dtype=bool)),
+                 "mask shape does not match grid", id="mask shape"),
+    pytest.param(lambda: problem_1d(s=0.0), r"s must lie in \(0, 1\), got 0.0", id="s=0"),
+    pytest.param(lambda: problem_1d(s=1.0), r"s must lie in \(0, 1\), got 1.0", id="s=1"),
+    pytest.param(lambda: problem_1d(p=1.0), "p must exceed 1, got 1.0", id="p=1"),
+    pytest.param(lambda: problem_1d(weight=wt.tabulated_weight(OTHER_GRID, np.ones(64), 2.0)),
+                 "weight lives on a different grid", id="weight grid"),
+    pytest.param(lambda: problem_1d(rhs=OTHER_FIELD),
+                 "rhs lives on a different grid", id="rhs grid"),
+    pytest.param(lambda: problem_1d(exterior=OTHER_FIELD),
+                 "exterior data lives on a different grid", id="exterior grid"),
+    pytest.param(lambda: problem_1d(matrix=np.ones((1, 1, 64)), c1=1.0, c2=1.0),
+                 r"matrix field must have shape \(1, 1, 128\)", id="matrix shape"),
+    pytest.param(lambda: problem_1d(p=3.0, matrix=IDENTITY, c1=1.0, c2=1.0),
+                 "matrix coefficients are supported only for p = 2", id="matrix p=3"),
+    pytest.param(lambda: problem_1d(matrix=IDENTITY),
+                 "need ellipticity constants 0 < c1 <= c2", id="c1 c2 missing"),
+    pytest.param(lambda: problem_1d(matrix=IDENTITY, c1=2.0, c2=1.0),
+                 "need ellipticity constants 0 < c1 <= c2", id="c1 > c2"),
+    pytest.param(lambda: sv.solve_linear(problem_1d(p=3.0)),
+                 "solve_linear requires p = 2", id="solve_linear p=3"),
+    pytest.param(lambda: sv.solve_plaplace(problem_1d(
+        exterior=ScalarField(setup_1d()[0], np.ones(128)))),
+                 "solve_plaplace requires homogeneous exterior data", id="plaplace exterior"),
+    pytest.param(lambda: sv.solve_plaplace(problem_1d(matrix=IDENTITY, c1=1.0, c2=1.0)),
+                 r"matrix coefficients are linear-path only \(p = 2\)", id="plaplace matrix"),
+    pytest.param(lambda: sv.solve_plaplace(problem_1d(p=3.0), "gauss-seidel"),
+                 "unknown method 'gauss-seidel'", id="plaplace method"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestApplyOperator:
     def test_full_torus_sine(self):
         g = make_grid(GridSpec(n=1, N=128, L=1.0))

@@ -1178,3 +1178,35 @@ def test_distance_scan_matches_stacked_formula(n, N, make, lines):
     for k in range(n):
         wd = wt.distance_weight(g, pts, 0.5, 2.0, manifold_dim=k)
         assert np.array_equal(wd.values, dist**0.5)
+
+
+#: a 1D grid N = 256 and weights on it and on N = 128
+G256 = centered_grid(N=256)
+ONE256 = wt.tabulated_weight(G256, np.ones(256), 2.0)
+ONE128 = wt.tabulated_weight(centered_grid(N=128), np.ones(128), 2.0)
+G2D = make_grid(GridSpec(n=2, N=16, L=2.0, origin=(-1.0, -1.0)))
+
+
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: wt.Weight(G256, np.ones(128), {"family": "tabulated"}, 2.0),
+                 "weight shape does not match grid", id="weight shape"),
+    pytest.param(lambda: wt.power_weight(G2D, [0.0], 0.5, 2.0),
+                 "x0 must have 2 entries", id="power x0"),
+    pytest.param(lambda: wt.distance_weight(G2D, [[0.0, 0.0, 0.0]], 0.5, 2.0),
+                 "points must have 2 coordinates", id="distance points"),
+    pytest.param(lambda: wt.distance_weight(G2D, [[0.0, 0.0]], 0.5, 2.0, manifold_dim=2),
+                 r"manifold dimension must be in \[0, 2\)", id="distance dim=n"),
+    pytest.param(lambda: wt.distance_weight(G2D, [[0.0, 0.0]], 0.5, 2.0, manifold_dim=-1),
+                 r"manifold dimension must be in \[0, 2\)", id="distance dim<0"),
+    pytest.param(lambda: wt.ap_constant(
+        wt.tabulated_weight(G2D, np.ones((16, 16)), 2.0), 2.0, full_family(G256, 2)),
+                 "cube family dimension does not match grid", id="family dimension"),
+    pytest.param(lambda: wt.sawyer_wheeden_constant(
+        ONE256, ONE128, 0.5, 2.0, 4.0, full_family(G256, 2)),
+                 "weights live on different grids", id="sawyer-wheeden grids"),
+    pytest.param(lambda: wt.weighted_measure(ONE256, np.ones(128, dtype=bool)),
+                 "mask shape does not match grid", id="measure mask"),
+])
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
