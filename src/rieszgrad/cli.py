@@ -100,9 +100,16 @@ COEFF_SCHEMA = {
     "additionalProperties": False,
 }
 
+#: field kind -> (the keys it requires, the keys it may set) beside "kind"
+_FIELD_KEYS = {"none": ([], []), "manufactured": (["center", "radius"], ["sharpness"]),
+               "field": (["path"], []), "modes": (["modes"], [])}
+
+
 def _field_schema(kinds: list) -> dict:
-    """A field config (``rhs`` or ``g``) of one of the given kinds."""
-    return {
+    """A field config (``rhs`` or ``g``) of one of the given kinds, admitting
+    only the keys those kinds read."""
+    reads = {"kind", *(key for kind in kinds for keys in _FIELD_KEYS[kind] for key in keys)}
+    schema = {
         "type": "object",
         "properties": {
             "kind": {"type": "string", "enum": kinds},
@@ -125,10 +132,11 @@ def _field_schema(kinds: list) -> dict:
         },
         "required": ["kind"],
         "additionalProperties": False,
-        "allOf": _kind_requires("kind", {"manufactured": ["center", "radius"],
-                                         "field": ["path"],
-                                         "modes": ["modes"]}),
+        "allOf": _kind_requires("kind", {kind: _FIELD_KEYS[kind][0] for kind in kinds
+                                         if _FIELD_KEYS[kind][0]}),
     }
+    schema["properties"] = {k: v for k, v in schema["properties"].items() if k in reads}
+    return schema
 
 
 #: the right-hand side, and the exterior data g outside omega
@@ -151,7 +159,6 @@ SOLVE_SCHEMA = {
                 "method": {"type": "string", "enum": ["pcg", "kacanov", "newton", "descent"]},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
             },
             "additionalProperties": False,
         },
@@ -554,7 +561,7 @@ def _cmd_solve(args) -> int:
         den = np.sqrt(np.sum(ustar.values**2))
         rec["manufactured_relative_error"] = float(num / den)
     marks.append(time.perf_counter())
-    manifest = Manifest(Path(args.out), "solve", config, scfg.get("seed"), started)
+    manifest = Manifest(Path(args.out), "solve", config, None, started)
     manifest.emit(rec, "solve_report.json")
     manifest.emit(report.solution, "solution.bin")
     manifest.emit((["iteration", "residual", "energy"], report.history_rows()),

@@ -163,6 +163,15 @@ def make_grid(spec: GridSpec) -> Grid:
     return Grid(spec)
 
 
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given,
+    past its __post_init__: the no-copy wrap behind the _own constructors."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _check_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise ValueError("fields live on different grids")
@@ -194,10 +203,7 @@ class ScalarField:
         in place; the copy and the finiteness scan of the public constructor
         are skipped."""
         values.flags.writeable = False
-        field = object.__new__(cls)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(field, "values", values)
-        return field
+        return _frozen(cls, grid=grid, values=values)
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _check_same_grid(self, other)
@@ -271,10 +277,7 @@ class SpectralField:
     def _own(cls, grid: Grid, coefficients: np.ndarray) -> "SpectralField":
         """The no-copy wrap of :meth:`ScalarField._own`, for complex128."""
         coefficients.flags.writeable = False
-        field = object.__new__(cls)
-        object.__setattr__(field, "grid", grid)
-        object.__setattr__(field, "coefficients", coefficients)
-        return field
+        return _frozen(cls, grid=grid, coefficients=coefficients)
 
 
 def sample(f, grid: Grid) -> ScalarField:

@@ -27,7 +27,7 @@ import numpy as np
 from .grid import Grid, ScalarField, VectorField, bump, lp_norm
 from . import fracops as fo
 from .fracops import _sum
-from .solver import PDEProblem, _first_eigenpair
+from .solver import PDEProblem, _check_tol, _first_eigenpair
 from .weights import Weight, dual_weight, tabulated_weight
 
 __all__ = [
@@ -242,6 +242,7 @@ def poincare_constant(
     there and w |u|^(p-2) u otherwise is not, so no step could bring the
     residual to zero.
     """
+    _check_tol(tol)
     if max_iter is None:
         max_iter = 2000 if p == 2.0 else 200
     if w is None:

@@ -84,6 +84,8 @@ class PDEProblem:
             raise ValueError(f"s must lie in (0, 1), got {self.s}")
         if not (self.p > 1.0):
             raise ValueError(f"p must exceed 1, got {self.p}")
+        if self.p == np.inf:
+            raise ValueError("p must be finite, got inf")
         full = bool(mask.all())
         object.__setattr__(self, "full_torus", full)
         if not full:
@@ -312,6 +314,13 @@ def _make_precond(prob: PDEProblem, coeff: np.ndarray | None = None):
     return prec
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not finite and positive: CG squares it, so
+    -1 stops where 1 would; no residual meets NaN and every one meets inf."""
+    if not (0.0 < tol < np.inf):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def _cg(apply_K, prec, b, x0, tol, max_iter):
     """Preconditioned conjugate gradients; returns (x, residual history, ok).
 
@@ -373,6 +382,7 @@ def solve_linear(
     """
     if prob.p != 2.0:
         raise ValueError("solve_linear requires p = 2")
+    _check_tol(tol)
     G = prob.exterior_values()
 
     def apply_K(v):
@@ -741,6 +751,7 @@ class _SolveState:
         # kacanov and newton share the eps schedule and the strict certificate
         self.frozen = method != "descent"
         self.tol = tol if tol is not None else (1e-8 if self.frozen else 1e-6)
+        _check_tol(self.tol)
         self.counts = {"line_search_failures": 0}
         if self.frozen:
             self.counts.update(inner_iterations=0, inner_unconverged=0,
@@ -774,9 +785,6 @@ class _SolveState:
         self.scale = float(np.max(gmag)) or 1.0
         self.eps_min = max(1e-8 * med, 1e-15 * self.scale)
         self.eps = self.eps_min if self.frozen else max(1e-2 * self.scale, self.eps_min)
-
-    def step(self) -> None:
-        _STEPS[self.method](self)
 
     def _certify(self, gu) -> float:
         """The unregularized residual of the field whose gradient is gu,
@@ -920,7 +928,7 @@ def solve_plaplace(
     st.energies.append(_energy(prob, st.f, st.u, st.eps, st.gu))
     converged = False
     for _ in range(max_outer):
-        st.step()
+        _STEPS[st.method](st)
         if st.certificate() < st.tol:
             converged = True
             break

@@ -81,10 +81,10 @@ class CheckResult:
         }
 
 
-def _result(name, observed, tolerance, **details) -> CheckResult:
+def _result(name, observed, tolerance, *, passed=None, **details) -> CheckResult:
     return CheckResult(
         name=name,
-        passed=bool(observed <= tolerance),
+        passed=bool(observed <= tolerance if passed is None else passed),
         observed=float(observed),
         tolerance=float(tolerance),
         details=details,
@@ -308,13 +308,8 @@ def pv_check(s_values=(0.25, 0.5, 0.75)) -> list[CheckResult]:
         )
         gain = errs[_PV_N_COARSE] / errs[_PV_N_FINE]
         out.append(
-            CheckResult(
-                name=f"pv_refinement_gain s={s}",
-                passed=bool(gain >= _PV_MIN_GAIN),
-                observed=float(gain),
-                tolerance=float(_PV_MIN_GAIN),
-                details={"direction": "observed >= tolerance"},
-            )
+            _result(f"pv_refinement_gain s={s}", gain, _PV_MIN_GAIN,
+                    passed=gain >= _PV_MIN_GAIN, direction="observed >= tolerance")
         )
     return out
 
@@ -338,13 +333,8 @@ def weights_checks(N: int = 512, levels: int = 7) -> list[CheckResult]:
     out.append(_result("ap_duality_relation", worst, 1e-10))
     # nesting [w]_q <= [w]_p for p <= q
     out.append(
-        CheckResult(
-            name="ap_nesting",
-            passed=bool(a[3.0] <= a[2.0] * (1.0 + 1e-12)),
-            observed=a[3.0],
-            tolerance=a[2.0],
-            details={"direction": "observed <= tolerance"},
-        )
+        _result("ap_nesting", a[3.0], a[2.0], passed=a[3.0] <= a[2.0] * (1.0 + 1e-12),
+                direction="observed <= tolerance")
     )
     # A_{p,q} <-> A_r finiteness co-occurrence on a fixed family
     p, q = 2.0, 4.0
@@ -352,13 +342,8 @@ def weights_checks(N: int = 512, levels: int = 7) -> list[CheckResult]:
     apq = wt.apq_constant(w, p, q, fam).value
     ar = wt.ap_constant(w, r, fam).value
     out.append(
-        CheckResult(
-            name="apq_equivalence_finite",
-            passed=bool(np.isfinite(apq) and np.isfinite(ar)),
-            observed=apq,
-            tolerance=float("inf"),
-            details={"a_r_estimate": ar, "r": r},
-        )
+        _result("apq_equivalence_finite", apq, float("inf"),
+                passed=np.isfinite(apq) and np.isfinite(ar), a_r_estimate=ar, r=r)
     )
     return out
 
@@ -446,9 +431,7 @@ def solver_checks(seed: int = 0) -> list[CheckResult]:
         rep3.energies[i + 1] <= rep3.energies[i] + 1e-12
         for i in range(len(rep3.energies) - 1)
     )
-    out.append(
-        CheckResult("solver_energy_monotone", mono, 0.0 if mono else 1.0, 0.5)
-    )
+    out.append(_result("solver_energy_monotone", 0.0 if mono else 1.0, 0.5))
     # monotonicity gap sweep
     rng = np.random.default_rng(seed)
     fam = iq._interior_family(grid, mask, seed, count=6)

@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, _frozen
 
 __all__ = [
     "Weight",
@@ -97,8 +97,7 @@ def _positive(a: np.ndarray) -> bool:
 def _check_weight(values: np.ndarray, p: float) -> None:
     if not _positive(values):
         raise ValueError("weight values must be finite and strictly positive")
-    if not (1 < p < math.inf):
-        raise ValueError(f"weight exponent p must be finite and exceed 1, got {p}")
+    _check_p(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +130,8 @@ class Weight:
         constructor checks it and marked read-only in place, not copied."""
         _check_weight(values, p)
         values.flags.writeable = False
-        w = object.__new__(cls)
-        for name, value in (("grid", grid), ("values", values), ("family", family),
-                            ("p", p), ("in_class", in_class)):
-            object.__setattr__(w, name, value)
-        return w
+        return _frozen(cls, grid=grid, values=values, family=family, p=p,
+                       in_class=in_class)
 
 
 def _check_alpha(alpha: float) -> None:

@@ -218,7 +218,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("section,value", [
         ("rhs", {"kind": "none"}),
-        ("g", {"kind": "manufactured", "center": [1.0], "radius": 0.3}),
+        ("g", {"kind": "manufactured"}),
     ])
     def test_field_kind_it_cannot_build_refused_by_schema(self, tmp_path, capsys,
                                                           section, value):
@@ -230,6 +230,38 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"config invalid at '{section}/kind'" in err
         assert f"{value['kind']!r} is not one of" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,value,key", [
+        ("solver", {"method": "pcg", "seed": 0}, "seed"),
+        ("g", {"kind": "none", "center": [1.0]}, "center"),
+        ("g", {"kind": "none", "radius": 0.3}, "radius"),
+        ("g", {"kind": "modes", "modes": [], "sharpness": 1.0}, "sharpness"),
+    ])
+    def test_key_nothing_reads_exit_2(self, tmp_path, capsys, section, value, key):
+        # no solve draws a random number, and only a manufactured rhs reads
+        # a bump's keys
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(with_keys(SOLVE_CFG, **{section: value})))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config invalid at '{section}'" in err and f"'{key}' was unexpected" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity"])
+    @pytest.mark.parametrize("p,method", [(2.0, "pcg"), (3.0, "newton")])
+    def test_tolerance_the_schema_admits_refused(self, tmp_path, capsys, tol, p, method):
+        # json reads both and exclusiveMinimum admits both; "Infinity" once
+        # exited 0, converged after one CG iteration at a manufactured error
+        # of 0.28
+        cfg = json.dumps(with_keys(SOLVE_CFG, p=p, solver={"method": method, "tol": 1.0}))
+        path = tmp_path / "bad.json"
+        path.write_text(cfg.replace('"tol": 1.0', f'"tol": {tol}'))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: tol must be finite and positive, got {float(tol)}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("size", [3, 24])

@@ -74,6 +74,13 @@ class TestGridSpec:
         assert (type(spec.n), type(spec.N)) == (int, int)
         assert spec == GridSpec(n=2, N=16, L=1.0)
 
+    def test_grids_of_one_spec_hash_alike(self):
+        spec = GridSpec(n=2, N=16, L=1.0, origin=(0.5, 0.0))
+        a, b = make_grid(spec), make_grid(spec)
+        assert a is not b and len({a, b}) == 1
+        assert len({a, make_grid(GridSpec(n=2, N=16, L=1.0))}) == 2
+        assert repr(a) == f"Grid({spec!r})"
+
     def test_origin_default_and_length(self):
         assert GridSpec(n=2, N=8, L=1.0).origin == (0.0, 0.0)
         with pytest.raises(ValueError, match="origin"):

@@ -207,6 +207,14 @@ class TestPoincare:
         with pytest.raises(ValueError, match="p below 1.1"):
             iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, 1.05)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_tolerance_not_finite_and_positive_refused(self, tol, p):
+        g = grid1(N=128, L=2.0)
+        x = g.axes[0]
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            iq.poincare_constant(g, (x >= 0.75) & (x <= 1.25), 0.5, p, tol=tol)
+
     @pytest.mark.parametrize("p,alpha", [(2.0, 0.5), (3.0, 0.5), (1.5, 0.0), (3.0, 0.0)])
     def test_whole_torus_refused(self, p, alpha):
         # on the whole torus T u is mean-free and w |u|^(p-2) u is not unless
@@ -373,6 +381,8 @@ class TestPoincare:
         t = sv._quotient_minimum(prob, u, gu, d, gd)
         assert t is not None and np.isfinite(t) and t > 0.0
         assert R(t) <= R(0.0)
+        # the slope at t = 0 is linear in d: along -d, R rises, so no step
+        assert sv._quotient_minimum(prob, u, gu, -d, [-c for c in gd]) is None
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_fallback_keeps_the_estimate(self, monkeypatch, p):

@@ -106,6 +106,7 @@ IDENTITY = np.ones((1, 1, 128))
     pytest.param(lambda: problem_1d(s=0.0), r"s must lie in \(0, 1\), got 0.0", id="s=0"),
     pytest.param(lambda: problem_1d(s=1.0), r"s must lie in \(0, 1\), got 1.0", id="s=1"),
     pytest.param(lambda: problem_1d(p=1.0), "p must exceed 1, got 1.0", id="p=1"),
+    pytest.param(lambda: problem_1d(p=np.inf), "p must be finite, got inf", id="p=inf"),
     pytest.param(lambda: problem_1d(weight=wt.tabulated_weight(OTHER_GRID, np.ones(64), 2.0)),
                  "weight lives on a different grid", id="weight grid"),
     pytest.param(lambda: problem_1d(rhs=OTHER_FIELD),
@@ -133,6 +134,27 @@ IDENTITY = np.ones((1, 1, 128))
 def test_refusals(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+#: stopping tolerances that are not finite and positive
+BAD_TOLS = [0.0, -1.0, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_solve_linear_refuses_tolerance(tol):
+    # on a manufactured bump, -1 once stopped as converged after one CG
+    # iteration at relative residual 0.28, and NaN ran on into an
+    # EllipticityError
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        sv.solve_linear(problem_1d(), tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_solve_plaplace_refuses_tolerance(tol):
+    # on a manufactured bump at p = 3, NaN and -1 once stopped after 33
+    # steps "at its round-off floor"
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        sv.solve_plaplace(problem_1d(p=3.0), tol=tol)
 
 
 class TestApplyOperator:
@@ -388,6 +410,11 @@ class TestSolveLinear:
         rep = sv.solve_linear(prob, x0=x0)
         assert rep.converged and rep.iterations == 0
         assert np.array_equal(rep.solution.values, np.zeros(g.spec.shape))
+
+    def test_cg_started_at_the_exact_solution_stops_at_once(self):
+        b = np.linspace(1.0, 2.0, 16)
+        x, history, ok = sv._cg(lambda v: 2.0 * v, lambda r: r, b, b / 2.0, 1e-12, 10)
+        assert ok and history == [0.0] and np.array_equal(x, b / 2.0)
 
     def test_cg_rejects_indefinite_operator(self):
         b = np.ones(16)

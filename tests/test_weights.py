@@ -411,6 +411,13 @@ class TestWeightedMeasure:
         )
         assert abs(whole - parts) <= 1e-12 * whole
 
+    @pytest.mark.parametrize("corner", [(0.01, 0.5), (0.5, 0.01)])
+    def test_cube_between_grid_points_measures_zero(self, corner):
+        # h = 1.5 / 32: an edge of h / 2 from 0.01 holds no point on that axis
+        g = make_grid(GridSpec(n=2, N=32, L=1.5))
+        w = wt.tabulated_weight(g, np.ones((32, 32)), 2.0)
+        assert wt.weighted_measure(w, (corner, 1.5 / 64)) == 0.0
+
     @pytest.mark.parametrize("corner", [(0.25,), (0.25, 0.25, 0.25)])
     def test_corner_of_wrong_length_refused(self, corner):
         g = make_grid(GridSpec(n=2, N=32, L=1.5))
