@@ -5,7 +5,7 @@ Symbols on the frequency lattice (japanese bracket ``<xi> = (1+4 pi^2 |xi|^2)^(1
     riesz_gradient_j        2 pi i xi_j / |2 pi xi|^(1-s)        s in (0, 1)
     fractional_divergence   dot product of the gradient symbol   s in (0, 1)
     riesz_potential         (2 pi |xi|)^(-sigma)                 sigma in (0, n)
-    bessel_potential        <xi>^(-sigma)                        any real sigma
+    bessel_potential        <xi>^(-sigma)                        any finite sigma
     fractional_laplacian    (2 pi |xi|)^sigma                    sigma in (0, 2)
     riesz_transform_j       -i xi_j / |xi|
     T_s                     (2 pi |xi|)^s / <xi>^s
@@ -81,7 +81,7 @@ def _sum(x) -> np.floating:
 
 class _Kind(NamedTuple):
     """One multiplier kind: the open interval of its orders ("n" stands for
-    the dimension; None admits every real order), its value at xi = 0, its
+    the dimension; None admits every finite order), its value at xi = 0, its
     formula f(order, r) of the angular wavenumber r = 2 pi |xi| > 0, and
     whether it is odd, with symbol i xi_j f in a component j, rather than
     even, with symbol f."""
@@ -114,11 +114,14 @@ MULTIPLIER_KINDS = tuple(_KINDS)
 
 
 def _kind(kind: str, order: float, n: int, *components) -> _Kind:
-    """The entry of kind, once order lies in its domain in dimension n and,
-    for an odd kind, at least one component is given and each is an axis."""
+    """The entry of kind, once order is finite and lies in its domain in
+    dimension n and, for an odd kind, at least one component is given and
+    each is an axis."""
     entry = _KINDS.get(kind)
     if entry is None:
         raise ValueError(f"unknown multiplier kind {kind!r}")
+    if not math.isfinite(order):
+        raise ValueError(f"{kind} needs a finite order, got {order}")
     if entry.orders is not None:
         lo, hi = entry.orders
         hi = n if hi == "n" else hi
@@ -185,23 +188,33 @@ def _symbol(grid: Grid, kind: str, order: float, component=None):
 
 
 def _odd_symbols(grid: Grid, kind: str, order: float, components):
-    """Symbols i xi_j f(2 pi |xi|) of the given components, all built from
-    one radial factor f; 0 at the origin and on each component's Nyquist
-    plane, index N/2 of its axis (+N/(2L) on the last axis).
+    """Symbols of the given components of an odd kind, all built from one
+    radial factor (:func:`_odd_symbol`)."""
+    f = _radial_factor(grid, kind, order, components)
+    return [_odd_symbol(grid, f, j) for j in components]
+
+
+def _radial_factor(grid: Grid, kind: str, order: float, components=(0,)):
+    """The radial factor f(2 pi |xi|) of an odd kind on the half lattice,
+    once order lies in its domain and each of the components is an axis:
+    what a caller keeps to form each component's symbol at its use
+    (:func:`_odd_symbol`)."""
+    return _kind(kind, order, grid.spec.n, *components).f(order, grid.half_wavenumber)
+
+
+def _odd_symbol(grid: Grid, f, j: int) -> np.ndarray:
+    """The symbol i xi_j f of component j, from the radial factor f: 0 at
+    the origin and on the component's Nyquist plane, index N/2 of its axis
+    (+N/(2L) on the last axis).  Every odd kind is 0 at the origin.
 
     A constant f (the plain derivative, 2 pi i xi_j) gives an axis vector,
     of extent 1 off axis j, that broadcasts against the half spectrum: its
     products are bitwise those of the full array it stands for, whose
     xi_j = 0 plane holds the origin's value already."""
-    entry = _kind(kind, order, grid.spec.n, *components)
-    f = entry.f(order, grid.half_wavenumber)
-    syms = []
-    for j in components:
-        m = 1j * grid.half_xi[j] * f
-        m[(0,) * grid.spec.n] = entry.at_zero
-        m[(slice(None),) * j + (grid.spec.N // 2,)] = 0.0
-        syms.append(m)
-    return syms
+    m = 1j * grid.half_xi[j] * f
+    m[(0,) * grid.spec.n] = 0.0
+    m[(slice(None),) * j + (grid.spec.N // 2,)] = 0.0
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,8 @@ def lp_norm(u, p: float, weight=None) -> float:
     omitted means w == 1.
 
     Vector fields enter through their pointwise Euclidean magnitude.  The
-    weight is a Weight on u's grid or an array of u's shape.
+    weight is a Weight on u's grid, checked when it was built, or a finite,
+    non-negative array of u's shape.
     """
     if not (p > 1):
         raise ValueError(f"p must exceed 1, got {p}")
@@ -363,11 +364,16 @@ def lp_norm(u, p: float, weight=None) -> float:
     g = u.grid
     acc **= p
     if weight is not None:
-        if hasattr(weight, "grid") and weight.grid != g:
-            raise ValueError("weight lives on a different grid")
-        wv = np.asarray(getattr(weight, "values", weight), dtype=np.float64)
-        if wv.shape != acc.shape:
-            raise ValueError(f"weight shape {wv.shape} does not match field {acc.shape}")
+        if hasattr(weight, "grid"):
+            if weight.grid != g:
+                raise ValueError("weight lives on a different grid")
+            wv = weight.values
+        else:
+            wv = np.asarray(weight, dtype=np.float64)
+            if wv.shape != acc.shape:
+                raise ValueError(f"weight shape {wv.shape} does not match field {acc.shape}")
+            if not np.all((wv >= 0.0) & (wv < np.inf)):
+                raise ValueError("weight array must be finite and non-negative")
         acc *= wv
     return float((g.h**g.spec.n * np.sum(acc)) ** (1.0 / p))
 

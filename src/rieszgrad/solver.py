@@ -122,8 +122,12 @@ class PDEProblem:
             )
         if self.p != 2.0:
             raise ValueError("matrix coefficients are supported only for p = 2")
-        if self.c1 is None or self.c2 is None or not (0 < self.c1 <= self.c2):
-            raise ValueError("matrix problems need ellipticity constants 0 < c1 <= c2")
+        if self.c1 is None or self.c2 is None or not (0 < self.c1 <= self.c2 < np.inf):
+            raise ValueError("matrix problems need ellipticity constants 0 < c1 <= c2 "
+                             f"< inf, got c1 = {self.c1}, c2 = {self.c2}")
+        # NaN passes every comparison below by failing it
+        if not np.all(np.isfinite(A)):
+            raise ValueError("matrix field contains NaN or Inf")
         sym_gap = max(
             float(np.max(np.abs(A[i, j] - A[j, i])))
             for i in range(n)

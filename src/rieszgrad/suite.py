@@ -8,36 +8,42 @@ acceptance-scale run.
 
 The identity suite runs on fracops' half-spectrum layer (``_rfft``,
 ``_irfft``, the symbols) rather than through the public operators, so that
-it transforms each input once, builds each symbol once and holds each array
-only until its last use:
+it transforms each input once and holds each array only until its last use.
+An odd symbol i xi_j f is formed from its radial factor f at each use and
+goes with its product, so only the factors are kept:
 
 * per call, the derivative symbols, axis vectors that broadcast, and the
-  Riesz-transform symbols, built at their first use (the reconstruction,
-  after integration by parts and -div^s grad^s) and kept to the end;
-* per sample pair (u, v), the spectra of u, u - mean(u) and v, each freed
-  after its last use at the last s (v's after grad^s v, u's after the
-  Bessel round trip), and the spectra of the classical gradient of
-  u - mean(u), made at the first commutation check;
-* per pair and s, the grad^s symbols, which serve grad^s(u - mean(u)),
-  grad^s v, div^s and grad^s u alike and go after -div^s grad^s;
-  grad^s(u - mean(u)), kept to the commutation check; and the spectra of
-  grad^s u's components, which feed div^s and then the R_j of the
-  reconstruction, whose products are formed in them, so they die there.
+  Riesz transform's radial factor (half a real array);
+* per sample pair (u, v), the spectra of u - mean(u), v and u.  v and
+  u - mean(u) go once their spectra are made (u - mean(u) is formed again
+  at its later uses, bitwise the same), and v's spectrum after integration
+  by parts at the last s; u's spectrum is made after integration by parts
+  and goes after the Bessel round trip at the last s.  The spectra of the classical
+  gradient of u - mean(u) are made at the first commutation check and kept
+  while a later s needs them; at the last s each goes at its use;
+* per pair and s, grad^s's radial factor, kept to -div^s grad^s, and
+  grad^s(u - mean(u)), kept to the commutation check.  Integration by parts
+  makes one component V_j of grad^s v at a time, which adds to the inner
+  product, to |V|^2 and to div^s V's spectrum, then goes.  -div^s grad^s
+  makes the spectrum of one component of grad^s u at a time, which adds to
+  the divergence's spectrum, then takes R_j's product for the
+  reconstruction's sum, and goes.
 
 Any other intermediate goes once its residual is known; sums accumulate in
-place.  The largest step is the commutation check, which holds u, v,
-u - mean(u) and its spectrum, the Riesz-transform symbols, grad^s(u -
-mean(u)), the classical gradient's spectra and one Riesz potential's symbol
-and spectrum: about 17.6 N^3 float64 arrays in 3D (``tests/test_suite.py``
-bounds it).  The layer is the one the public operators apply, with the same
-symbols in the same order of operations, so every residual equals, bit for
-bit, the one the public operators give (``tests/test_suite.py`` holds that
-oracle).
+place.  The largest steps are one component's turn in integration by parts
+and in -div^s grad^s.  Each holds u, the spectrum of u - mean(u), the
+spectrum of v or of u, the lattice's wavenumber and the two radial factors,
+grad^s(u - mean(u)), two running sums (a spectrum and a field), and one
+component's spectrum with the symbol formed against it: about 11.7 N^3
+float64 arrays in 3D, plus numpy's cast buffers while that symbol is formed
+(``tests/test_suite.py`` bounds it).  The layer is the one the public
+operators apply, with the same symbols in the same order of operations, so
+every residual equals, bit for bit, the one the public operators give
+(``tests/test_suite.py`` holds that oracle).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,32 +112,22 @@ def _norm(g, x) -> float:
     return lp_norm(ScalarField._own(g, x.view()), 2)
 
 
-def _added(acc, terms):
-    """acc + t_0 + t_1 + ..., left to right as the fields' own sums; acc None
-    starts from t_0.  The sums after the first run in place, so t_0 must be
-    fresh when acc is None; no term is held while the next is made."""
-    terms = iter(terms)
-    acc = next(terms) if acc is None else acc + next(terms)
-    for t in terms:
-        acc += t
-        del t
-    return acc
-
-
-def _dot(syms, spectra):
-    """sum_j m_j F_j, accumulated in place as fracops._div sums, from
-    spectra already at hand."""
-    acc = syms[0] * spectra[0]
-    for m, F in zip(syms[1:], spectra[1:]):
-        acc += m * F
+def _plus(acc, t):
+    """acc + t, formed in acc; acc None starts from t, which must be fresh.
+    Terms passed one at a time sum left to right, as the fields' own sums
+    (``VectorField.magnitude``, ``fracops._div``) do."""
+    if acc is None:
+        return t
+    acc += t
     return acc
 
 
 def _identity_residuals(g, u, v, s_values, d_syms, riesz):
     """Yield (identity, relative residual) for one sample pair (u, v), raw
-    arrays, at every s; d_syms are the derivative symbols of every
-    component, and riesz() gives the Riesz-transform symbols."""
-    hn = g.h**g.spec.n
+    arrays, at every s.  d_syms are the derivative symbols of every
+    component and riesz the Riesz transform's radial factor.  The caller
+    holds no other reference to v, which goes once its spectrum is made."""
+    n, hn = g.spec.n, g.h**g.spec.n
     _rfft, _irfft, _symbol = fo._rfft, fo._irfft, fo._symbol
 
     def times(m, F):  # the field whose half spectrum is m F
@@ -140,46 +136,75 @@ def _identity_residuals(g, u, v, s_values, d_syms, riesz):
     def into(m, F):  # the same, with the product formed in F, which dies
         return _irfft(g, np.multiply(m, F, out=F))
 
-    um = u - np.mean(u)
-    Fu, Fum, Fv = _rfft(g, u), _rfft(g, um), _rfft(g, v)
-    # made at its first use, so that it is not held through the steps
-    # before the commutation check
-    FDum = None
+    def odd(f, j, F):  # i xi_j f F, formed in the symbol, made for it
+        m = fo._odd_symbol(g, f, j)
+        return np.multiply(m, F, out=m)
+
+    mu = np.mean(u)
+    um = u - mu
+    Fum, Fv = _rfft(g, um), _rfft(g, v)
     nu, num = _norm(g, u), _norm(g, um)
-    # the identities run in the order that releases grad^s's symbols and
-    # grad^s u earliest; none depends on another's result
+    # u - mean(u) is formed again at each later use, bitwise the same
+    del v, um
+    # made at their first use: u's spectrum after integration by parts, the
+    # classical gradient's spectra at the first commutation check
+    Fu = FDum = None
+    # the identities run in the order that releases grad^s u earliest; none
+    # depends on another's result
     for k, s in enumerate(s_values):
         last = k == len(s_values) - 1
-        grad = fo._odd_symbols(g, "riesz_gradient", s, range(g.spec.n))
-        gr = [times(m, Fum) for m in grad]
+        f = fo._radial_factor(g, "riesz_gradient", s)
+        gr = [_irfft(g, odd(f, j, Fum)) for j in range(n)]
 
-        # integration by parts: <grad^s u, V> = -<u, div^s V>
-        V = [times(m, Fv) for m in grad]
+        # integration by parts: <grad^s u, V> = -<u, div^s V>, one component
+        # V_j of V = grad^s v at a time: it adds to the inner product, to
+        # |V|^2 and to div^s V's spectrum, then goes
+        dots, sq, Fdv = [], None, None
+        for j in range(n):
+            Vj = _irfft(g, odd(f, j, Fv))
+            dots.append(float(np.sum(gr[j] * Vj)))
+            sq = _plus(sq, Vj * Vj)
+            F = _rfft(g, Vj)
+            del Vj
+            Fdv = _plus(Fdv, odd(f, j, F))
+            del F
         if last:  # the last use of v's spectrum
             del Fv
-        lhs = hn * sum(float(np.sum(a * b)) for a, b in zip(gr, V))
-        ngv = _norm(g, gr) * _norm(g, V)
-        dv = fo._div(g, grad, V)
-        del V
-        rhs = -hn * float(np.sum(um * dv))
+        lhs = hn * sum(dots)
+        # |V| as VectorField.magnitude forms it from its squares
+        ngv = _norm(g, gr) * _norm(g, np.sqrt(sq, out=sq))
+        del sq
+        dv = _irfft(g, Fdv)
+        del Fdv
+        rhs = -hn * float(np.sum((u - mu) * dv))
         scale = ngv + num * _norm(g, dv)
         del dv
         yield "integration_by_parts", abs(lhs - rhs) / (scale if scale else 1.0)
 
-        # -div^s grad^s = (-Lap)^s; the spectra of grad^s u's components
-        # feed div^s here and the R_j of the reconstruction next
-        FGu = [_rfft(g, times(m, Fu)) for m in grad]
-        dg = _irfft(g, _dot(grad, FGu))
-        del grad
+        # -div^s grad^s = (-Lap)^s, and the space equivalence construction
+        # u = Lambda_s(G_s(id + sum R_j d_j^s) u), with d_j^s u the j-th
+        # component of grad^s u: its spectrum adds to the divergence's sum,
+        # then takes R_j's product for the reconstruction's sum, and goes
+        if Fu is None:
+            Fu = _rfft(g, u)
+        Fdg = acc = None
+        for j in range(n):
+            F = _rfft(g, _irfft(g, odd(f, j, Fu)))
+            Fdg = _plus(Fdg, odd(f, j, F))
+            P = odd(riesz, j, F)
+            del F  # before the inverse allocates its field
+            t = _irfft(g, P)
+            del P
+            acc = u + t if acc is None else _plus(acc, t)
+            del t
+        del f
+        dg = _irfft(g, Fdg)
+        del Fdg
         lap = times(_symbol(g, "fractional_laplacian", 2.0 * s), Fu)
-        r = _norm(g, dg + lap) / _norm(g, lap)
+        r = _norm(g, np.add(dg, lap, out=dg)) / _norm(g, lap)
         del dg, lap
         yield "div_grad_laplacian", r
 
-        # space equivalence construction: u = Lambda_s(G_s(id + sum R_j d_j^s) u),
-        # with d_j^s u the j-th component of grad^s u, whose spectra die here
-        acc = _added(u, (into(m, F) for m, F in zip(riesz(), FGu)))
-        del FGu
         bessel = _symbol(g, "bessel_potential", s)
         rec = fo._multiply(g, bessel, fo._multiply(g, _symbol(g, "G_s", s), acc))
         r = _norm(g, rec - u) / nu
@@ -195,24 +220,33 @@ def _identity_residuals(g, u, v, s_values, d_syms, riesz):
         yield "bessel_roundtrip", r
 
         # fundamental theorem of calculus (mean-zero): u = I_s(R . grad^s u)
-        acc = _added(None, (fo._multiply(g, m, c) for m, c in zip(riesz(), gr)))
+        acc = None
+        for j in range(n):
+            acc = _plus(acc, _irfft(g, odd(riesz, j, _rfft(g, gr[j]))))
         rec = fo._multiply(g, _symbol(g, "riesz_potential", s), acc)
-        r = _norm(g, rec - um) / num
+        r = _norm(g, rec - (u - mu)) / num
         del acc, rec
         yield "fundamental_theorem", r
 
         # commutation: grad^s u = D(I_{1-s} u) = I_{1-s}(D u), one
         # component of each route at a time
-        if FDum is None:  # spectra of the classical gradient of u - mean(u)
-            FDum = [_rfft(g, times(m, Fum)) for m in d_syms]
         pot = _symbol(g, "riesz_potential", 1.0 - s)
         Fp = _rfft(g, times(pot, Fum))
         den = max(_norm(g, c) for c in gr)
-        comm = max(
-            max(_norm(g, a - times(m, Fp)) for a, m in zip(gr, d_syms)),
-            max(_norm(g, a - times(pot, F)) for a, F in zip(gr, FDum)),
-        )
-        del gr, pot, Fp
+        comm = max(_norm(g, a - times(m, Fp)) for a, m in zip(gr, d_syms))
+        del Fp
+        # the classical gradient's spectra are kept while a later s needs
+        # them; at the last s each goes at its use, the product formed in it
+        if FDum is None and not last:
+            FDum = [_rfft(g, times(m, Fum)) for m in d_syms]
+        for j, (a, m) in enumerate(zip(gr, d_syms)):
+            if last:
+                b = into(pot, FDum.pop(0) if FDum else _rfft(g, times(m, Fum)))
+            else:
+                b = times(pot, FDum[j])
+            comm = max(comm, _norm(g, a - b))
+            del b
+        del gr, pot
         yield "gradient_of_potential", comm / den
 
         # Riesz potential semigroup on mean-zero fields: I_a I_b = I_{a+b}
@@ -240,18 +274,17 @@ def identity_checks(
     operators give.
     """
     grid = make_grid(GridSpec(n=n, N=N, L=1.0))
-    fam = iq.bump_family(grid, count, seed=seed)
-    fam_v = iq.bump_family(grid, count, seed=seed + 1)
+    us = iq.bump_family(grid, count, seed=seed)
+    vs = iq.bump_family(grid, count, seed=seed + 1)
     d_syms = fo._odd_symbols(grid, "derivative", 0.0, range(n))
-    # built at their first use, after the two steps that hold grad^s's
-    # symbols, then kept for the rest of the call
-    riesz = functools.cache(
-        lambda: fo._odd_symbols(grid, "riesz_transform", 0.0, range(n)))
+    riesz = fo._radial_factor(grid, "riesz_transform", 0.0)
     worst: dict[str, float] = {}
-    for u, v in zip(fam, fam_v):
-        for name, r in _identity_residuals(
-            grid, u.values, v.values, s_values, d_syms, riesz
-        ):
+    while us:
+        # each pair is taken off its list, so that the residuals hold the
+        # only reference to v's array and let it go at v's spectrum
+        pair = _identity_residuals(
+            grid, us.pop(0).values, vs.pop(0).values, s_values, d_syms, riesz)
+        for name, r in pair:
             worst[name] = max(worst.get(name, 0.0), r)
     return [
         _result(f"identity[{name}] n={n} N={N}", r, tol,

@@ -264,6 +264,28 @@ class TestSolve:
             f"error: tol must be finite and positive, got {float(tol)}\n")
         assert not out.exists()
 
+    def test_infinite_ellipticity_constant_refused(self, tmp_path, capsys):
+        # exclusiveMinimum admits Infinity; with c2 = inf the sampled upper
+        # ellipticity test passes for any matrix, and the solve exited 0
+        cfg = {
+            "grid": {"n": 2, "N": 16, "L": 2.0},
+            "omega": {"type": "box", "lo": [0.6, 0.6], "hi": [1.4, 1.4]},
+            "s": 0.5,
+            "p": 2.0,
+            "coefficient": {"kind": "matrix", "family": "constant",
+                            "c1": 1.0, "c2": 2.0},
+            "rhs": {"kind": "manufactured", "center": [1.0, 1.0], "radius": 0.3},
+            "solver": {"method": "pcg"},
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg).replace('"c2": 2.0', '"c2": Infinity'))
+        out = tmp_path / "o"
+        assert run(["solve", "--config", path, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: matrix problems need ellipticity constants 0 < c1 <= c2 "
+            "< inf, got c1 = 1.0, c2 = inf\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", [3, 24])
     def test_truncated_rhs_field_exit_2(self, tmp_path, capsys, size):
         g = make_grid(GridSpec(n=1, N=128, L=2.0))
@@ -462,6 +484,8 @@ class TestOp:
         ("bessel", ["--s", 0.5, "--sigma", 0.7], "operator bessel takes no --s"),
         ("rt", ["--component", 0, "--s", 0.5], "operator rt takes no --s"),
         ("grad", ["--s", 0.5, "--component", 0], "operator grad takes no --component"),
+        ("bessel", ["--sigma", "nan"], "bessel_potential needs a finite order, got nan"),
+        ("bessel", ["--sigma", "inf"], "bessel_potential needs a finite order, got inf"),
     ])
     def test_arguments_checked_before_output(self, tmp_path, capsys, name,
                                              flags, message):

@@ -60,6 +60,22 @@ class TestSymbol:
         with pytest.raises(ValueError, match="fractional_laplacian"):
             fo.symbol("fractional_laplacian", [1.0], 2.5)
 
+    @pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind,component", [
+        ("bessel_potential", None), ("riesz_transform", 0), ("derivative", 0)])
+    def test_non_finite_order_refused(self, kind, component, order):
+        # the kinds with no order domain: a NaN order gave a field of NaN,
+        # and bessel_potential of order inf the input's mean
+        u = ScalarField(grid1(16), np.ones(16))
+        message = f"{kind} needs a finite order, got {order}"
+        with pytest.raises(ValueError, match=message):
+            fo.symbol(kind, [1.0], order, component)
+        with pytest.raises(ValueError, match=message):
+            fo.apply_multiplier(u, kind, order, component)
+        if kind == "bessel_potential":
+            with pytest.raises(ValueError, match=message):
+                fo.bessel_potential(u, order)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             fo.symbol("nope", [1.0], 0.5)

@@ -318,6 +318,19 @@ class TestLpNorm:
         with pytest.raises(ValueError, match="shape"):
             lp_norm(u, 2, np.full(64, 4.0))
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_rejects_weight_array_not_finite_and_non_negative(self, bad):
+        # a NaN entry gave NaN with only a RuntimeWarning, and a negative one
+        # a finite wrong norm while the weighted sum stayed positive
+        g = make_grid(GridSpec(n=1, N=64, L=1.0))
+        u = ScalarField(g, np.ones(64))
+        w = np.full(64, 4.0)
+        w[0] = 0.0  # zeros stay admitted
+        assert lp_norm(u, 2, w) > 0.0
+        w[10] = bad
+        with pytest.raises(ValueError, match="weight array must be finite and non-negative"):
+            lp_norm(u, 2, w)
+
     @pytest.mark.parametrize("spec", [GridSpec(n=1, N=64, L=3.0), GridSpec(n=2, N=64, L=1.0)])
     def test_rejects_weight_on_another_grid(self, spec):
         w = tabulated_weight(make_grid(GridSpec(n=1, N=64, L=1.0)), np.full(64, 4.0), 2.0)

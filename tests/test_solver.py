@@ -100,6 +100,14 @@ OTHER_FIELD = ScalarField(OTHER_GRID, np.zeros(64))
 IDENTITY = np.ones((1, 1, 128))
 
 
+def identity_with(value):
+    """IDENTITY with one entry replaced."""
+    A = IDENTITY.copy()
+    A[0, 0, 64] = value
+    return A
+
+
+
 @pytest.mark.parametrize("call,match", [
     pytest.param(lambda: problem_1d(mask=np.ones(64, dtype=bool)),
                  "mask shape does not match grid", id="mask shape"),
@@ -121,6 +129,16 @@ IDENTITY = np.ones((1, 1, 128))
                  "need ellipticity constants 0 < c1 <= c2", id="c1 c2 missing"),
     pytest.param(lambda: problem_1d(matrix=IDENTITY, c1=2.0, c2=1.0),
                  "need ellipticity constants 0 < c1 <= c2", id="c1 > c2"),
+    pytest.param(lambda: problem_1d(matrix=IDENTITY, c1=1.0, c2=np.inf),
+                 r"0 < c1 <= c2 < inf, got c1 = 1.0, c2 = inf", id="c2=inf"),
+    pytest.param(lambda: problem_1d(matrix=IDENTITY, c1=np.inf, c2=np.inf),
+                 r"0 < c1 <= c2 < inf, got c1 = inf, c2 = inf", id="c1=c2=inf"),
+    pytest.param(lambda: problem_1d(matrix=IDENTITY, c1=np.nan, c2=1.0),
+                 r"0 < c1 <= c2 < inf, got c1 = nan, c2 = 1.0", id="c1=nan"),
+    pytest.param(lambda: problem_1d(matrix=identity_with(np.nan), c1=1.0, c2=1.0),
+                 "matrix field contains NaN or Inf", id="matrix nan"),
+    pytest.param(lambda: problem_1d(matrix=identity_with(np.inf), c1=1.0, c2=1.0),
+                 "matrix field contains NaN or Inf", id="matrix inf"),
     pytest.param(lambda: sv.solve_linear(problem_1d(p=3.0)),
                  "solve_linear requires p = 2", id="solve_linear p=3"),
     pytest.param(lambda: sv.solve_plaplace(problem_1d(
